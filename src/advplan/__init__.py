@@ -31,7 +31,15 @@ from .costs import (
     scale_vector,
     variance_cost,
 )
-from .engine import BehaviorProfile, RunConfig, RunOutcome, run, run_baseline, select_plan
+from .engine import (
+    BehaviorProfile,
+    RunConfig,
+    RunOutcome,
+    run,
+    run_baseline,
+    run_batch,
+    select_plan,
+)
 from .harness import (
     SweepConfig,
     SweepGrid,

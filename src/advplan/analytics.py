@@ -7,6 +7,7 @@ vulnerability, and collapse bands.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -99,21 +100,50 @@ def knee_mmd(front) -> tuple[float, float]:
     return pts[order[0]]
 
 
-def _between_class_variance(
-    weights: np.ndarray, moments: np.ndarray, cuts: tuple[int, ...]
-) -> float:
-    """Between-class variance of a histogram split after the given bin indices."""
+# ``x ** 2`` on a float calls libm's pow, which rounds differently from
+# ``x * x`` in about 0.1% of cases; scores keep the scalar form.
+_POW = np.frompyfunc(pow, 2, 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _splits(bins: int, classes: int) -> np.ndarray:
+    """Every split of ``bins`` bins into ``classes`` classes, one row each.
+
+    Row ``(c1, ..., c_{classes-1})`` cuts after those bin indices; rows come
+    in ``itertools.combinations`` order. The cached array is read-only.
+    """
+    cuts = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(bins - 1), classes - 1)),
+        dtype=np.intp,
+    ).reshape(-1, classes - 1)
+    cuts.flags.writeable = False
+    return cuts
+
+
+def _split_scores(weights: np.ndarray, moments: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Between-class variance of every split in ``cuts``, from cumulative sums.
+
+    Each histogram segment's term ``(w / W) * (mu - mu_total) ** 2`` is
+    computed once into a lookup table, zero for empty segments. A split's
+    score starts at 0.0 and adds its segments' terms left to right, the
+    arithmetic of scoring each split on its own, so ties stay exact ties.
+    """
+    bins = len(weights)
     total_w = weights[-1]
     total_mu = moments[-1] / total_w
-    sigma = 0.0
-    lo = 0
-    for cut in (*cuts, len(weights) - 1):
-        w = weights[cut] - (weights[lo - 1] if lo > 0 else 0.0)
-        if w > 0:
-            m = moments[cut] - (moments[lo - 1] if lo > 0 else 0.0)
-            mu = m / w
-            sigma += (w / total_w) * (mu - total_mu) ** 2
-        lo = cut + 1
+    lo, hi = np.triu_indices(bins)
+    w = weights[hi] - np.concatenate(([0.0], weights[:-1]))[lo]
+    m = moments[hi] - np.concatenate(([0.0], moments[:-1]))[lo]
+    filled = w > 0
+    w, m = w[filled], m[filled]
+    deviation, inverse = np.unique(m / w - total_mu, return_inverse=True)
+    terms = np.zeros((bins, bins))
+    terms[lo[filled], hi[filled]] = (w / total_w) * _POW(deviation, 2).astype(float)[inverse]
+    sigma = np.zeros(len(cuts))
+    start = 0
+    for end in (*cuts.T, bins - 1):
+        sigma = sigma + terms[start, end]
+        start = end + 1
     return sigma
 
 
@@ -143,19 +173,15 @@ def multi_otsu(values, classes: int = 3, bins: int = 256) -> list[float]:
     weights = np.cumsum(hist)
     moments = np.cumsum(hist * centers)
 
-    scored = [
-        (cuts, _between_class_variance(weights, moments, cuts))
-        for cuts in itertools.combinations(range(bins - 1), classes - 1)
-    ]
-    best = max(sigma for _, sigma in scored)
+    cuts = _splits(bins, classes)
+    scores = _split_scores(weights, moments, cuts)
+    best = scores.max()
     # Splits that differ only in where empty bins land score identically up
     # to summation noise; a relative tolerance keeps the whole plateau.
     cutoff = best - 1e-9 * abs(best)
-    winners = [cuts for cuts, sigma in scored if sigma >= cutoff]
-
-    cut_matrix = np.asarray(winners)
+    winners = cuts[scores >= cutoff]
     mids = [
-        (int(cut_matrix[:, j].min()) + int(cut_matrix[:, j].max())) // 2
+        (int(winners[:, j].min()) + int(winners[:, j].max())) // 2
         for j in range(classes - 1)
     ]
     thresholds = [float(edges[m + 1]) for m in mids]

@@ -29,29 +29,57 @@ def _canonical_scaling(mode: str) -> str:
 
 
 def scale_vector(values: np.ndarray, mode: str) -> np.ndarray:
-    """Apply one of the supported scaling modes; flat vectors scale to zeros."""
-    mode = _canonical_scaling(mode)
-    values = np.asarray(values, dtype=float)
+    """Apply one of the supported scaling modes; flat vectors scale to zeros.
+
+    A stacked ``(..., d)`` array is scaled row by row, each row exactly as it
+    would be on its own.
+    """
+    return _scale_rows(np.asarray(values, dtype=float), _canonical_scaling(mode))
+
+
+def _scale_rows(values: np.ndarray, mode: str) -> np.ndarray:
     if mode == "identity":
         return values
     if mode == "min-max":
-        lo, hi = values.min(), values.max()
-        if hi == lo:
-            return np.zeros_like(values)
-        return (values - lo) / (hi - lo)
-    centered = values - values.mean()
-    norm = np.linalg.norm(centered)
-    if norm == 0.0:
-        return np.zeros_like(values)
-    return centered / norm
+        lo = values.min(axis=-1, keepdims=True)
+        shifted, span = values - lo, values.max(axis=-1, keepdims=True) - lo
+    else:
+        shifted = values - values.mean(axis=-1, keepdims=True)
+        span = np.sqrt(_sum_squares(shifted))[..., None]
+    return np.divide(shifted, span, out=np.zeros_like(shifted), where=span != 0.0)
+
+
+def _sum_squares(values: np.ndarray) -> np.ndarray:
+    """``row @ row`` for every row of a ``(..., d)`` stack.
+
+    A stacked ``(1, d) @ (d, 1)`` product takes numpy's vector dot product
+    per row, so each result has the bits of the one-row ``row @ row``.
+    """
+    return (values[..., None, :] @ values[..., :, None])[..., 0, 0]
+
+
+def _variance_rows(values: np.ndarray) -> np.ndarray:
+    """``np.var(values, axis=-1)`` with numpy's own steps spelled out.
+
+    Same operations in the same order, so the same bits, without the
+    dispatch overhead that dominates on the small arrays of the engine.
+    """
+    d = values.shape[-1]
+    mean = np.add.reduce(values, axis=-1, keepdims=True)
+    mean /= d
+    dev = values - mean
+    np.square(dev, out=dev)
+    out = np.add.reduce(dev, axis=-1)
+    out /= d
+    return out
 
 
 def variance_cost(g: GlobalResponse) -> float:
     """Population variance (divisor d) of the response entries."""
-    g = np.asarray(g, dtype=float)
+    g = np.asarray(g, dtype=float).ravel()
     if g.size == 0:
         raise InvalidInputError("variance of an empty response is undefined")
-    return float(np.var(g))
+    return float(_variance_rows(g))
 
 
 def rss_cost(g: GlobalResponse, target: TargetSignal | np.ndarray, scaling: str = "identity") -> float:
@@ -61,7 +89,7 @@ def rss_cost(g: GlobalResponse, target: TargetSignal | np.ndarray, scaling: str 
     if g.shape != t.shape:
         raise DimensionMismatchError(f"response has shape {g.shape}, target {t.shape}")
     diff = scale_vector(g, scaling) - scale_vector(t, scaling)
-    return float(diff @ diff)
+    return float(_sum_squares(diff))
 
 
 def aggregate_discomfort(discomforts) -> float:
@@ -91,24 +119,35 @@ class InefficiencyFn:
                 raise InvalidInputError("rss inefficiency requires a target signal")
             target = self.target.values if isinstance(self.target, TargetSignal) else self.target
             object.__setattr__(self, "target", np.asarray(target, dtype=float))
+            object.__setattr__(self, "_scaled_target", _scale_rows(self.target, self.scaling))
 
-    def __call__(self, g: GlobalResponse) -> float:
+    def __call__(self, g: GlobalResponse) -> float | np.ndarray:
+        """Cost of a response vector; a stacked ``(..., d)`` array gets one per row."""
+        g = np.asarray(g, dtype=float)
         if self.kind == "variance":
-            return variance_cost(g)
-        return rss_cost(g, self.target, self.scaling)
+            if g.size == 0:
+                raise InvalidInputError("variance of an empty response is undefined")
+            cost = _variance_rows(g)
+        else:
+            cost = _sum_squares(self._diff(g))
+        return float(cost) if g.ndim == 1 else cost
 
     def batch(self, candidates: np.ndarray) -> np.ndarray:
-        """Cost of every row of a (k, d) candidate-response matrix."""
+        """Cost of every row of a ``(..., k, d)`` stack of candidate responses.
+
+        This is the plan-selection kernel. For RSS it reduces with ``einsum``,
+        while ``__call__`` uses a dot product per row; the two may differ in
+        the last bit, so each stays where its results are compared.
+        """
         candidates = np.asarray(candidates, dtype=float)
         if self.kind == "variance":
-            return np.var(candidates, axis=1)
-        if candidates.shape[1] != self.target.shape[0]:
+            return _variance_rows(candidates)
+        diff = self._diff(candidates)
+        return np.einsum("...j,...j->...", diff, diff)
+
+    def _diff(self, g: np.ndarray) -> np.ndarray:
+        if g.shape[-1] != self.target.shape[0]:
             raise DimensionMismatchError(
-                f"candidates have dimension {candidates.shape[1]}, target {self.target.shape[0]}"
+                f"response has dimension {g.shape[-1]}, target {self.target.shape[0]}"
             )
-        scaled_t = scale_vector(self.target, self.scaling)
-        if self.scaling == "identity":
-            diff = candidates - scaled_t
-        else:
-            diff = np.stack([scale_vector(row, self.scaling) for row in candidates]) - scaled_t
-        return np.einsum("ij,ij->i", diff, diff)
+        return _scale_rows(g, self.scaling) - self._scaled_target

@@ -6,16 +6,22 @@ the rest of the network, followed by a top-down phase that approves or rolls
 back the proposed changes subtree by subtree. Only changes that strictly
 decrease the scalarized global cost survive, so the accepted-cost trace is
 non-increasing by construction.
+
+``run_batch`` executes many runs that share a topology and plan sets at once:
+the plans are stacked into ``V[n, k, d]`` and ``D[n, k]`` in position order,
+the bottom-up phase is one array step per tree layer for every node and run,
+and the top-down walk visits each node once per iteration for all runs.
+``run`` and ``run_baseline`` are batches of one.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import GlobalResponse, InefficiencyFn
+from .costs import GlobalResponse, InefficiencyFn, scale_vector
 from .errors import ConfigError, DimensionMismatchError, InvalidInputError
 from .plans import PlanSet
 from .topology import TreeTopology
@@ -24,6 +30,12 @@ INITIAL_SELECTION_MODES = ("first_plan", "random")
 
 # Reference costs below this are treated as zero when normalizing.
 _TINY = 1e-12
+# Bottom-up candidate tensors (nodes x runs x plans x dimension) are built in
+# chunks of nodes holding at most this many floats.
+_CHUNK_FLOATS = 1 << 16
+# Per-run state arrays of one batch, such as the (n, runs, d) subtree sums,
+# hold about this many floats at most.
+_STATE_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -106,33 +118,72 @@ class RunOutcome:
         return float(np.mean(list(pool.values())))
 
 
-def _normalized(values: np.ndarray) -> np.ndarray:
-    lo, hi = values.min(), values.max()
-    if hi == lo:
-        return np.zeros_like(values)
-    return (values - lo) / (hi - lo)
+def _max_batch(n: int, k: int, d: int) -> int:
+    """Most runs one array batch holds, for n agents with k plans of dimension d.
 
-
-def _argmin_weighted(
-    values: np.ndarray,
-    discomforts: np.ndarray,
-    alpha: float,
-    beta: float,
-    context_response: np.ndarray,
-    context_disc_sum: float,
-    context_disc_count: int,
-    ineff: InefficiencyFn,
-) -> int:
-    """Index minimizing alpha * normalized inefficiency + beta * normalized discomfort.
-
-    Both cost terms are min-max normalized over the k candidates so the
-    weights interpolate between the pure regimes; ties resolve to the lowest
-    index.
+    Keeps each per-run state array of a batch near ``_STATE_FLOATS`` floats,
+    and at least one node's candidates inside a bottom-up chunk.
     """
-    ineff_costs = ineff.batch(context_response[None, :] + values)
-    disc_costs = (context_disc_sum + discomforts) / (context_disc_count + 1)
-    score = alpha * _normalized(ineff_costs) + beta * _normalized(disc_costs)
-    return int(np.argmin(score))
+    return max(1, min(_STATE_FLOATS // (n * d), _CHUNK_FLOATS // (k * d)))
+
+
+def split_batches(plan_sets: list[PlanSet], items):
+    """Yield ``items`` in consecutive lists of at most one array batch each.
+
+    ``run_batch`` takes any number of runs over ``plan_sets`` but puts them
+    through its arrays this many at a time. A caller that handles runs per
+    batch, to retry a failed batch say, splits them here and holds only one
+    batch of them at a time.
+    """
+    k = max(ps.k for ps in plan_sets)
+    cap = _max_batch(len(plan_sets), k, plan_sets[0].dimension)
+    items = iter(items)
+    while batch := list(itertools.islice(items, cap)):
+        yield batch
+
+
+def _rows(positions: range) -> slice:
+    """Array rows of a range of tree positions; row p - 1 holds position p."""
+    return slice(positions.start - 1, positions.stop - 1, positions.step)
+
+
+def _add_children(acc: np.ndarray, src: np.ndarray, topology: TreeTopology, positions) -> None:
+    """Add the rows of each position's left child, then of its right child.
+
+    ``acc[j]`` belongs to ``positions[j]``. Positions without that child are
+    skipped; left before right is the order the per-node recursion added
+    them in.
+    """
+    for children in topology.child_ranges(positions):
+        acc[: len(children)] += src[_rows(children)]
+
+
+def _subtree_sums(own: np.ndarray, topology: TreeTopology) -> np.ndarray:
+    """Turn per-position rows into subtree sums in place, deepest layer first.
+
+    Each row becomes its own value, plus its left child's sum, plus its
+    right child's sum, added in that order.
+    """
+    for layer in reversed(topology.layers):
+        _add_children(own[_rows(layer)], own, topology, layer)
+    return own
+
+
+def _choose(V, D, alpha, beta, ctx_g, ctx_disc, n: int, ineff: InefficiencyFn) -> np.ndarray:
+    """Plan index per (node, run) minimizing the weighted normalized costs.
+
+    ``V[m, k, d]`` and ``D[m, k]`` are the nodes' plans; ``alpha``, ``beta``
+    and ``ctx_disc`` are ``(m, B)``, ``ctx_g`` is ``(m, B, d)``. Both cost
+    terms are min-max normalized over the k candidates so the weights
+    interpolate between the pure regimes; ties resolve to the lowest index.
+    """
+    ineff_costs = ineff.batch(ctx_g[:, :, None, :] + V[:, None])
+    disc_costs = (ctx_disc[:, :, None] + D[:, None]) / n
+    score = (
+        alpha[..., None] * scale_vector(ineff_costs, "min-max")
+        + beta[..., None] * scale_vector(disc_costs, "min-max")
+    )
+    return score.argmin(axis=-1)
 
 
 def select_plan(
@@ -155,16 +206,17 @@ def select_plan(
             f"context has dimension {context_response.shape[0]}, plans {agent.dimension}"
         )
     others = np.asarray(list(context_discomforts), dtype=float)
-    return _argmin_weighted(
-        agent.value_matrix(),
-        agent.discomforts(),
-        alpha,
-        beta,
-        context_response,
-        float(others.sum()),
-        int(others.size),
+    choice = _choose(
+        agent.value_matrix()[None],
+        agent.discomforts()[None],
+        np.array([[alpha]], dtype=float),
+        np.array([[beta]], dtype=float),
+        context_response[None, None],
+        np.array([[float(others.sum())]]),
+        others.size + 1,
         ineff,
     )
+    return int(choice[0, 0])
 
 
 def subtree_sums(
@@ -177,54 +229,73 @@ def subtree_sums(
     plus its children's aggregates.
     """
     n = topology.node_count
-    d = values_by_pos[0].shape[1]
-    sums = np.zeros((n, d))
-    for pos in range(n, 0, -1):
-        acc = values_by_pos[pos - 1][selections[pos - 1]].copy()
-        for child in topology.children_of(pos):
-            acc += sums[child - 1]
-        sums[pos - 1] = acc
-    return sums
+    own = np.array([values_by_pos[p][selections[p]] for p in range(n)], dtype=float)
+    return _subtree_sums(own, topology)
 
 
-def _scalar_subtree_sums(topology: TreeTopology, values: np.ndarray) -> np.ndarray:
-    sums = np.zeros(topology.node_count)
-    for pos in range(topology.node_count, 0, -1):
-        acc = values[pos - 1]
-        for child in topology.children_of(pos):
-            acc += sums[child - 1]
-        sums[pos - 1] = acc
-    return sums
+def _stack_plans(topology: TreeTopology, plan_sets: list[PlanSet], config: RunConfig):
+    """Plans in position order as ``V[n, k, d]``, ``D[n, k]`` and true counts.
+
+    Agents with fewer plans than the largest set repeat their last plan; the
+    copies tie with it and ties go to the lower index, so they are never
+    chosen over it.
+    """
+    n = topology.node_count
+    if len(plan_sets) != n:
+        raise ConfigError(f"{len(plan_sets)} plan sets for a {n}-node topology")
+    by_agent = {ps.agent_id: ps for ps in plan_sets}
+    if by_agent.keys() != set(range(1, n + 1)):
+        raise ConfigError("plan-set agent ids must cover 1..n exactly")
+    dims = {ps.dimension for ps in plan_sets}
+    if len(dims) != 1:
+        raise ConfigError(f"plan dimensions differ across agents: {sorted(dims)}")
+    d = dims.pop()
+    ineff = config.inefficiency
+    if ineff.kind == "rss" and ineff.target.shape[0] != d:
+        raise ConfigError(f"target signal has dimension {ineff.target.shape[0]}, plans {d}")
+
+    ordered = [by_agent[a] for a in topology.agent_at]
+    counts = [ps.k for ps in ordered]
+    k = max(counts)
+    V = np.empty((n, k, d))
+    D = np.empty((n, k))
+    for p, ps in enumerate(ordered):
+        V[p, : ps.k] = ps.value_matrix()
+        D[p, : ps.k] = ps.discomforts()
+        V[p, ps.k :] = V[p, ps.k - 1]
+        D[p, ps.k :] = D[p, ps.k - 1]
+    return V, D, counts
 
 
-class _RunState:
-    """Mutable per-position view of one run, always kept self-consistent."""
-
-    def __init__(self, topology, values_by_pos, disc_by_pos, selections):
-        self.topology = topology
-        self.values_by_pos = values_by_pos
-        self.disc_by_pos = disc_by_pos
-        self.set_selections(selections)
-
-    def set_selections(self, selections: np.ndarray) -> None:
-        n = self.topology.node_count
-        self.selections = selections
-        self.disc = np.array(
-            [self.disc_by_pos[p][selections[p]] for p in range(n)]
-        )
-        self.subtree = subtree_sums(self.topology, self.values_by_pos, selections)
-        self.disc_subtree = _scalar_subtree_sums(self.topology, self.disc)
-        self.response = self.subtree[0].copy()
-        self.disc_total = float(self.disc.sum())
-
-
-def run(
+def run_batch(
     topology: TreeTopology,
     plan_sets: list[PlanSet],
-    behavior: BehaviorProfile,
+    behaviors,
     config: RunConfig,
-) -> RunOutcome:
-    """Execute the iterative optimization until convergence or the limit.
+    seeds,
+) -> list[RunOutcome]:
+    """Execute several runs that share a topology, plan sets and config.
+
+    Run i uses ``behaviors[i]`` and takes ``seeds[i]`` in place of
+    ``config.rng_seed``. Each outcome is bit for bit the one the run gives on
+    its own: every array operation acts on each run's rows separately. Runs
+    go through the arrays in the batches of ``split_batches``.
+    """
+    behaviors, seeds = list(behaviors), list(seeds)
+    if len(behaviors) != len(seeds):
+        raise ConfigError(f"{len(behaviors)} behavior profiles for {len(seeds)} seeds")
+    V, D, counts = _stack_plans(topology, plan_sets, config)
+    outcomes: list[RunOutcome] = []
+    for batch in split_batches(plan_sets, zip(behaviors, seeds)):
+        batch_behaviors, batch_seeds = zip(*batch)
+        outcomes.extend(
+            _run_arrays(topology, V, D, counts, batch_behaviors, config, batch_seeds)
+        )
+    return outcomes
+
+
+def _run_arrays(topology, V, D, counts, behaviors, config, seeds) -> list[RunOutcome]:
+    """The iterations of one batch; arrays are node-major, ``(n, B, ...)``.
 
     Per iteration, positions are processed leaves-to-root: each agent sees the
     previous global response with its own subtree's stale contribution swapped
@@ -233,154 +304,215 @@ def run(
     adopting its proposed changes wholesale and keeping the node at its
     previous selection while the children are considered on their own;
     whichever leaves the working global state at the strictly lower
-    scalarized cost is kept, so unhelpful proposals revert. Iterations stop
-    once a pass approves no change, since the process is deterministic from
+    scalarized cost is kept, so unhelpful proposals revert. A run leaves the
+    batch once a pass approves no change, since it is deterministic from
     there on.
     """
-    n = topology.node_count
-    if len(plan_sets) != n:
-        raise ConfigError(f"{len(plan_sets)} plan sets for a {n}-node topology")
-    by_agent = {ps.agent_id: ps for ps in plan_sets}
-    if set(by_agent) != set(range(1, n + 1)):
-        raise ConfigError("plan-set agent ids must cover 1..n exactly")
-    if set(behavior.beta) != set(by_agent):
-        raise ConfigError("behavior profile must cover every agent exactly once")
-    dims = {ps.dimension for ps in plan_sets}
-    if len(dims) != 1:
-        raise ConfigError(f"plan dimensions differ across agents: {sorted(dims)}")
-    d = dims.pop()
+    n, k, d = V.shape
     ineff = config.inefficiency
-    if ineff.kind == "rss" and ineff.target.shape[0] != d:
-        raise ConfigError(
-            f"target signal has dimension {ineff.target.shape[0]}, plans {d}"
-        )
-
-    # Per-position views, so tree arithmetic never touches agent ids.
-    agent_by_pos = [topology.agent_at[p] for p in range(n)]
-    values_by_pos = [by_agent[a].value_matrix() for a in agent_by_pos]
-    disc_by_pos = [by_agent[a].discomforts() for a in agent_by_pos]
-    alpha_by_pos = np.array([behavior.alpha(a) for a in agent_by_pos])
-    beta_by_pos = np.array([behavior.beta[a] for a in agent_by_pos])
-    mean_alpha, mean_beta = behavior.mean_weights()
+    agents = topology.agent_at
+    positions = np.asarray(agents)
+    count = len(behaviors)
+    everyone = set(agents)
+    beta = np.empty((n, count))
+    by_agent = np.empty(n + 1)
+    for b, behavior in enumerate(behaviors):
+        if behavior.beta.keys() != everyone:
+            raise ConfigError("behavior profile must cover every agent exactly once")
+        by_agent[list(behavior.beta)] = list(behavior.beta.values())
+        beta[:, b] = by_agent[positions]
+    alpha = 1.0 - beta
+    weights = [behavior.mean_weights() for behavior in behaviors]
+    mean_alpha, mean_beta = np.array(weights).reshape(count, 2).T
 
     if config.initial_selection == "random":
-        rng = np.random.default_rng(config.rng_seed)
-        initial = np.array(
-            [rng.integers(len(disc_by_pos[p])) for p in range(n)], dtype=int
-        )
+        sel = np.empty((n, count), dtype=np.intp)
+        for b, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            sel[:, b] = [rng.integers(c) for c in counts]
     else:
-        initial = np.zeros(n, dtype=int)
+        sel = np.zeros((n, count), dtype=np.intp)
 
-    state = _RunState(topology, values_by_pos, disc_by_pos, initial)
+    rows = np.arange(n)[:, None]
+    children = [[c - 1 for c in topology.children_of(p)] for p in range(1, n + 1)]
 
+    def settle(sel):
+        """Per-run state of a joint selection: own discomforts, subtree sums, totals."""
+        disc = D[rows, sel]
+        subtree = _subtree_sums(V[rows, sel], topology)
+        disc_subtree = _subtree_sums(disc.copy(), topology)
+        disc_total = np.ascontiguousarray(disc.T).sum(axis=1)
+        return disc, subtree, disc_subtree, disc_total
+
+    disc, subtree, disc_subtree, disc_total = settle(sel)
+    response = subtree[0]
     # Fixed per-run references keep the scalarized cost comparable across
     # iterations; a monotone accepted-cost trace follows from strict-decrease
     # approvals against them.
-    ineff_ref = ineff(state.response)
-    ineff_ref = ineff_ref if ineff_ref > _TINY else 1.0
-    disc_ref = float(np.mean([dc.max() for dc in disc_by_pos]))
+    ineff_ref = ineff(response)
+    ineff_ref = np.where(ineff_ref > _TINY, ineff_ref, 1.0)
+    disc_ref = float(np.mean(D.max(axis=1)))
     disc_ref = disc_ref if disc_ref > _TINY else 1.0
 
-    def combined(g: np.ndarray, disc_sum: float) -> float:
+    def combined(g: np.ndarray, disc_sum: np.ndarray) -> np.ndarray:
+        return mean_alpha * ineff(g) / ineff_ref + mean_beta * (disc_sum / n) / disc_ref
+
+    cost = combined(response, disc_total)
+    ineff_traces = [[v] for v in ineff(response).tolist()]
+    combined_traces = [[v] for v in cost.tolist()]
+    outcomes: list[RunOutcome | None] = [None] * count
+    active = np.arange(count)
+
+    for iteration in range(1, config.max_iterations + 1):
+        cand_sel, cand_subtree, cand_disc_subtree = _bottom_up(
+            topology, V, D, alpha, beta, subtree, disc_subtree, response, disc_total, ineff
+        )
+        taken = _top_down(
+            topology,
+            children,
+            cand_subtree - subtree,
+            cand_disc_subtree - disc_subtree,
+            response,
+            disc_total,
+            cost,
+            combined,
+        )
+        new_sel = np.where(taken, cand_sel, sel)
+        changed = (new_sel != sel).any(axis=0)
+        sel = new_sel
+        disc, subtree, disc_subtree, disc_total = settle(sel)
+        response = subtree[0]
+        cost = combined(response, disc_total)
+        for b, i, c in zip(active.tolist(), ineff(response).tolist(), cost.tolist()):
+            ineff_traces[b].append(i)
+            combined_traces[b].append(c)
+
+        done = ~changed if iteration < config.max_iterations else np.ones_like(changed)
+        for j in np.flatnonzero(done).tolist():
+            b = int(active[j])
+            trace = combined_traces[b]
+            # Approval rule makes this hold by construction; guard against regressions.
+            assert all(
+                y <= x + 1e-9 for x, y in zip(trace, trace[1:])
+            ), "accepted combined-cost trace must be non-increasing"
+            outcomes[b] = RunOutcome(
+                selections=dict(zip(agents, sel[:, j].tolist())),
+                global_response=response[j].copy(),
+                global_inefficiency=ineff_traces[b][-1],
+                discomfort_per_agent=dict(zip(agents, disc[:, j].tolist())),
+                iterations_used=iteration,
+                inefficiency_trace=ineff_traces[b],
+                combined_cost_trace=trace,
+                mean_alpha=weights[b][0],
+                mean_beta=weights[b][1],
+            )
+        if done.all():
+            break
+        keep = ~done
+        active = active[keep]
+        sel, subtree, disc_subtree, alpha, beta = (
+            a[:, keep] for a in (sel, subtree, disc_subtree, alpha, beta)
+        )
+        response = subtree[0]
+        disc_total, cost, mean_alpha, mean_beta, ineff_ref = (
+            a[keep] for a in (disc_total, cost, mean_alpha, mean_beta, ineff_ref)
+        )
+    return outcomes
+
+
+def _bottom_up(topology, V, D, alpha, beta, subtree, disc_subtree, response, disc_total, ineff):
+    """Every node's proposal, one tree layer at a time from the leaves up.
+
+    A node sees last iteration's accepted state with its own subtree swapped
+    for its children's fresh proposals. Layers go in chunks of nodes small
+    enough that the ``(nodes, B, k, d)`` candidate tensor stays bounded.
+    """
+    n, k, d = V.shape
+    runs = response.shape[0]
+    cand_sel = np.empty((n, runs), dtype=np.intp)
+    cand_subtree = np.empty_like(subtree)
+    cand_disc_subtree = np.empty_like(disc_subtree)
+    step = max(1, _CHUNK_FLOATS // (runs * k * d))
+    for layer in reversed(topology.layers):
+        for first in range(0, len(layer), step):
+            chunk = layer[first : first + step]
+            at = _rows(chunk)
+            child_g = np.zeros((len(chunk), runs, d))
+            child_disc = np.zeros((len(chunk), runs))
+            _add_children(child_g, cand_subtree, topology, chunk)
+            _add_children(child_disc, cand_disc_subtree, topology, chunk)
+            ctx_g = response - subtree[at] + child_g
+            ctx_disc = disc_total - disc_subtree[at] + child_disc
+            choice = _choose(V[at], D[at], alpha[at], beta[at], ctx_g, ctx_disc, n, ineff)
+            nodes = np.arange(at.start, at.stop)[:, None]
+            cand_sel[at] = choice
+            cand_subtree[at] = V[nodes, choice] + child_g
+            cand_disc_subtree[at] = D[nodes, choice] + child_disc
+    return cand_sel, cand_subtree, cand_disc_subtree
+
+
+def _top_down(
+    topology, children, delta_g, delta_disc, response, disc_total, cost, combined
+) -> np.ndarray:
+    """Which nodes adopt their proposal, for every run of the batch at once.
+
+    The depth-first walk visits each node once. Per subtree it weighs three
+    outcomes: adopt every proposed change in it (whole), keep the node and
+    let the children decide for themselves (parts), or keep everything
+    (keep). Whichever leaves the working global state cheapest wins, and
+    nothing is kept without a strict gain. Only the whole option needs a
+    cost call: keep costs what the caller's running state costs, and parts
+    costs what the last child returned (keep's cost at a leaf).
+    ``children[i]`` lists the rows of row i's children.
+    """
+    whole = np.zeros(delta_disc.shape, dtype=bool)
+    parts = np.zeros(delta_disc.shape, dtype=bool)
+
+    def approve(i, g, disc, cost):
+        g_whole = g + delta_g[i]
+        disc_whole = disc + delta_disc[i]
+        cost_whole = combined(g_whole, disc_whole)
+        if not children[i]:
+            w = cost_whole < cost
+            whole[i] = w
+            return (
+                np.where(w[:, None], g_whole, g),
+                np.where(w, disc_whole, disc),
+                np.where(w, cost_whole, cost),
+            )
+        g_parts, disc_parts, cost_parts = g, disc, cost
+        for child in children[i]:
+            g_parts, disc_parts, cost_parts = approve(child, g_parts, disc_parts, cost_parts)
+        w = (cost_whole < cost_parts) & (cost_whole < cost)
+        p = (cost_parts < cost) & ~w
+        whole[i], parts[i] = w, p
         return (
-            mean_alpha * ineff(g) / ineff_ref
-            + mean_beta * (disc_sum / n) / disc_ref
+            np.where(w[:, None], g_whole, np.where(p[:, None], g_parts, g)),
+            np.where(w, disc_whole, np.where(p, disc_parts, disc)),
+            np.where(w, cost_whole, np.where(p, cost_parts, cost)),
         )
 
-    inefficiency_trace = [ineff(state.response)]
-    combined_trace = [combined(state.response, state.disc_total)]
+    approve(0, response, disc_total, cost)
+    # A node adopts its proposal when some node on its root path was approved
+    # whole and every node above that one was approved by parts.
+    taken = whole.copy()
+    reach = np.ones_like(whole)
+    for layer in topology.layers[:-1]:
+        for kids in topology.child_ranges(layer):
+            up, at = _rows(layer[: len(kids)]), _rows(kids)
+            reach[at] = reach[up] & parts[up]
+            taken[at] = taken[up] | (reach[at] & whole[at])
+    return taken
 
-    iterations_used = 0
-    for _ in range(config.max_iterations):
-        iterations_used += 1
 
-        # Bottom-up: propose selections using fresh subtree info below,
-        # last accepted state elsewhere.
-        cand_sel = np.empty(n, dtype=int)
-        cand_subtree = np.zeros((n, d))
-        cand_disc_subtree = np.zeros(n)
-        for pos in range(n, 0, -1):
-            children = topology.children_of(pos)
-            child_g = np.zeros(d)
-            child_disc = 0.0
-            for child in children:
-                child_g += cand_subtree[child - 1]
-                child_disc += cand_disc_subtree[child - 1]
-            ctx_g = state.response - state.subtree[pos - 1] + child_g
-            ctx_disc = state.disc_total - state.disc_subtree[pos - 1] + child_disc
-            choice = _argmin_weighted(
-                values_by_pos[pos - 1],
-                disc_by_pos[pos - 1],
-                alpha_by_pos[pos - 1],
-                beta_by_pos[pos - 1],
-                ctx_g,
-                ctx_disc,
-                n - 1,
-                ineff,
-            )
-            cand_sel[pos - 1] = choice
-            cand_subtree[pos - 1] = values_by_pos[pos - 1][choice] + child_g
-            cand_disc_subtree[pos - 1] = disc_by_pos[pos - 1][choice] + child_disc
-
-        # Top-down: per subtree, either adopt the proposed changes wholesale
-        # or keep the node at its previous selection and let the children
-        # argue for theirs; whichever of the two leaves the working global
-        # state cheaper wins, and nothing is kept without a strict gain.
-        def approve(pos: int, g_run: np.ndarray, disc_run: float):
-            cost_keep = combined(g_run, disc_run)
-            delta_g = cand_subtree[pos - 1] - state.subtree[pos - 1]
-            delta_disc = cand_disc_subtree[pos - 1] - state.disc_subtree[pos - 1]
-            cost_whole = combined(g_run + delta_g, disc_run + delta_disc)
-            g_parts, disc_parts = g_run, disc_run
-            part_marks: list[int] = []
-            for child in topology.children_of(pos):
-                g_parts, disc_parts, marks = approve(child, g_parts, disc_parts)
-                part_marks.extend(marks)
-            cost_parts = combined(g_parts, disc_parts)
-            if cost_whole < cost_parts and cost_whole < cost_keep:
-                return g_run + delta_g, disc_run + delta_disc, [pos]
-            if cost_parts < cost_keep:
-                return g_parts, disc_parts, part_marks
-            return g_run, disc_run, []
-
-        _, _, approved = approve(1, state.response.copy(), state.disc_total)
-        new_sel = state.selections.copy()
-        stack = deque(approved)
-        while stack:
-            pos = stack.popleft()
-            new_sel[pos - 1] = cand_sel[pos - 1]
-            stack.extend(topology.children_of(pos))
-
-        changed = bool(np.any(new_sel != state.selections))
-        if changed:
-            state.set_selections(new_sel)
-        inefficiency_trace.append(ineff(state.response))
-        combined_trace.append(combined(state.response, state.disc_total))
-        if not changed:
-            break
-
-    # Approval rule makes this hold by construction; guard against regressions.
-    assert all(
-        b <= a + 1e-9 for a, b in zip(combined_trace, combined_trace[1:])
-    ), "accepted combined-cost trace must be non-increasing"
-
-    selections_by_agent = {
-        agent_by_pos[p]: int(state.selections[p]) for p in range(n)
-    }
-    discomfort_by_agent = {
-        agent_by_pos[p]: float(disc_by_pos[p][state.selections[p]]) for p in range(n)
-    }
-    return RunOutcome(
-        selections=selections_by_agent,
-        global_response=state.response,
-        global_inefficiency=float(ineff(state.response)),
-        discomfort_per_agent=discomfort_by_agent,
-        iterations_used=iterations_used,
-        inefficiency_trace=inefficiency_trace,
-        combined_cost_trace=combined_trace,
-        mean_alpha=mean_alpha,
-        mean_beta=mean_beta,
-    )
+def run(
+    topology: TreeTopology,
+    plan_sets: list[PlanSet],
+    behavior: BehaviorProfile,
+    config: RunConfig,
+) -> RunOutcome:
+    """Execute the iterative optimization until convergence or the limit."""
+    return run_batch(topology, plan_sets, [behavior], config, [config.rng_seed])[0]
 
 
 def run_baseline(

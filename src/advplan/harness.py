@@ -10,13 +10,15 @@ those rows afterwards.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 import warnings
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -40,8 +42,8 @@ from .analytics import (
     pareto_front,
 )
 from .costs import InefficiencyFn
-from .engine import BehaviorProfile, RunConfig, RunOutcome, run, run_baseline
-from .errors import AdvplanError, ConfigError, DegenerateInputError
+from .engine import BehaviorProfile, RunConfig, RunOutcome, run_batch, split_batches
+from .errors import AdvplanError, ConfigError, DegenerateInputError, ParseError
 from .heatmap import render_heatmap
 from .plans import (
     PlanSet,
@@ -319,9 +321,20 @@ class SweepGrid:
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "SweepGrid":
+        """Rows of a results CSV; a malformed row raises ``ParseError``."""
+        rows = []
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
-            rows = [RunRecord.from_row(r) for r in reader]
+            missing = set(CSV_COLUMNS) - set(reader.fieldnames or CSV_COLUMNS)
+            if missing:
+                raise ParseError(f"{path}: missing columns {sorted(missing)}")
+            for row in reader:
+                try:
+                    if None in row or None in row.values():
+                        raise ValueError(f"{len(row)} fields, expected {len(reader.fieldnames)}")
+                    rows.append(RunRecord.from_row(row))
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{reader.line_num}: malformed row: {exc}") from None
         return cls(rows=rows)
 
     def signals(self) -> list[str]:
@@ -447,10 +460,77 @@ def _metrics_record(
     )
 
 
-def _profile_for(topology, adversaries: set[int], beta: float) -> BehaviorProfile:
+class _Cell(NamedTuple):
+    """One run of a batch: its severity, adversaries, seed and CSV tags.
+
+    ``error`` holds the exception when the adversary set could not be drawn.
+    """
+
+    beta: float
+    run_seed: int
+    adversaries: frozenset[int] = frozenset()
+    count: int = 0
+    layer: int | None = None
+    direction: str = ""
+    m: int | None = None
+    error: AdvplanError | None = None
+
+
+def _profile_for(topology, adversaries, beta: float) -> BehaviorProfile:
     if adversaries:
         return make_profile(topology, adversaries, beta)
     return BehaviorProfile.uniform(range(1, topology.node_count + 1), 0.0)
+
+
+def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells, isolate: bool):
+    """Yield ``(cell, outcome)`` for the baseline, then for every cell.
+
+    The baseline (every agent legitimate, seeded with ``run_cfg.rng_seed``)
+    comes first. Runs go to the engine in the batches of ``split_batches``.
+    With ``isolate``, a batch that fails is run again one cell at a time,
+    and a cell that fails alone yields its exception as the outcome;
+    without it, errors propagate.
+    """
+
+    def attempt(batch):
+        profiles = []
+        for cell in batch:
+            if cell.error is not None:
+                raise cell.error
+            profiles.append(_profile_for(topology, cell.adversaries, cell.beta))
+        return run_batch(topology, plan_sets, profiles, run_cfg, [c.run_seed for c in batch])
+
+    queue = itertools.chain([_Cell(beta=0.0, run_seed=run_cfg.rng_seed)], cells)
+    for batch in split_batches(plan_sets, queue):
+        try:
+            outcomes = attempt(batch)
+        except (AdvplanError, OSError):
+            if not isolate:
+                raise
+            outcomes = []
+            for cell in batch:
+                try:
+                    outcomes.extend(attempt([cell]))
+                except (AdvplanError, OSError) as exc:
+                    outcomes.append(exc)
+        yield from zip(batch, outcomes)
+
+
+def _cell_seeds(cfg: SweepConfig, signal_index: int, rep: int, scales: tuple[int, ...]):
+    """``(beta, count, run_seed)`` of every cell of one (signal, repetition) task."""
+    for beta_index, beta in enumerate(cfg.severities):
+        for count in scales:
+            yield beta, count, derive_seed(
+                cfg.master_seed, "placement", signal_index, beta_index, count, rep
+            )
+
+
+def _task_keys(cfg: SweepConfig, signal_index: int, signal_id: str, rep: int, scales):
+    """``RunRecord.sort_key`` of every row the task writes, without running it."""
+    return [
+        (cfg.dataset.name, signal_id, "random", -1, "", -1, beta, count, run_seed)
+        for beta, count, run_seed in _cell_seeds(cfg, signal_index, rep, scales)
+    ]
 
 
 ERROR_COLUMNS = ("signal_id", "repetition", "beta", "adv_count", "error")
@@ -473,41 +553,55 @@ def _sweep_repetition(
     topo_seed = derive_seed(cfg.master_seed, "topology", rep)
     topology = build_balanced_binary(n, permutation_seed=topo_seed)
     run_cfg = _run_config(cfg, target, rng_seed=topo_seed)
-    records: list[RunRecord] = []
-    errors: list[dict] = []
-    try:
-        baseline = run_baseline(topology, plan_sets, run_cfg)
-    except (AdvplanError, OSError) as exc:
-        errors.append(
-            {"signal_id": signal_id, "repetition": rep, "beta": "", "adv_count": "",
-             "error": f"baseline: {exc}"}
-        )
-        return records, errors
-    for beta_index, beta in enumerate(cfg.severities):
-        for count in scales:
-            run_seed = derive_seed(
-                cfg.master_seed, "placement", signal_index, beta_index, count, rep
-            )
+
+    def cells():
+        for beta, count, run_seed in _cell_seeds(cfg, signal_index, rep, scales):
             try:
                 adversaries = random_adversaries(topology, count, seed=run_seed)
-                outcome = run(
-                    topology,
-                    plan_sets,
-                    _profile_for(topology, adversaries, beta),
-                    replace(run_cfg, rng_seed=run_seed),
+                yield _Cell(beta, run_seed, frozenset(adversaries), count)
+            except AdvplanError as exc:
+                yield _Cell(beta, run_seed, count=count, error=exc)
+
+    records: list[RunRecord] = []
+    errors: list[dict] = []
+    results = _run_cells(topology, plan_sets, run_cfg, cells(), isolate=True)
+    _, baseline = next(results)
+    if isinstance(baseline, Exception):
+        errors.append(
+            {"signal_id": signal_id, "repetition": rep, "beta": "", "adv_count": "",
+             "error": f"baseline: {baseline}"}
+        )
+        return records, errors
+    for cell, outcome in results:
+        if isinstance(outcome, Exception):
+            errors.append(
+                {"signal_id": signal_id, "repetition": rep, "beta": cell.beta,
+                 "adv_count": cell.count, "error": str(outcome)}
+            )
+        else:
+            records.append(
+                _metrics_record(
+                    cfg, signal_id, cell.run_seed, cell.beta, cell.adversaries, outcome,
+                    baseline, n, "random",
                 )
-                records.append(
-                    _metrics_record(
-                        cfg, signal_id, run_seed, beta, adversaries, outcome,
-                        baseline, n, "random",
-                    )
-                )
-            except (AdvplanError, OSError) as exc:
-                errors.append(
-                    {"signal_id": signal_id, "repetition": rep, "beta": beta,
-                     "adv_count": count, "error": str(exc)}
-                )
+            )
     return records, errors
+
+
+def _read_partial(path: Path) -> list[RunRecord]:
+    """Rows of a partial results file, less a torn last row.
+
+    A row is torn when the file does not end with its line break; the file
+    is truncated to the last complete row so appended rows start on a line
+    of their own.
+    """
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        log.warning("dropping the torn last row of %s", path)
+        with open(path, "r+b") as handle:
+            handle.truncate(end)
+    return SweepGrid.read_csv(path).rows
 
 
 def run_sweep(cfg: SweepConfig, resume: bool = False) -> SweepGrid:
@@ -519,7 +613,8 @@ def run_sweep(cfg: SweepConfig, resume: bool = False) -> SweepGrid:
     stream to a partial CSV as they are produced and are finalized into
     ``runs.csv``, sorted, at the end; the result is a pure function of the
     config and master seed, so serial and parallel executions emit identical
-    sorted CSVs.
+    sorted CSVs. A resume skips every (signal, repetition) task whose rows
+    are all in the partial file already.
     """
     if "random" not in cfg.placements:
         raise ConfigError("run_sweep needs the 'random' placement enabled")
@@ -539,7 +634,7 @@ def run_sweep(cfg: SweepConfig, resume: bool = False) -> SweepGrid:
         log.info("sweep already finalized at %s; reusing", final_path)
         return SweepGrid.read_csv(final_path)
     if resume and partial_path.exists():
-        existing = SweepGrid.read_csv(partial_path).rows
+        existing = _read_partial(partial_path)
     done = {r.sort_key() for r in existing}
 
     signals = _signals(cfg)
@@ -547,6 +642,7 @@ def run_sweep(cfg: SweepConfig, resume: bool = False) -> SweepGrid:
         (si, signal, rep)
         for si, signal in enumerate(signals)
         for rep in range(cfg.runs_per_cell)
+        if not (done and done.issuperset(_task_keys(cfg, si, signal[0], rep, scales)))
     ]
 
     grid = SweepGrid(rows=list(existing))
@@ -588,6 +684,32 @@ def run_sweep(cfg: SweepConfig, resume: bool = False) -> SweepGrid:
     return grid
 
 
+def _layer_cells(cfg: SweepConfig, topology, signal_index: int):
+    for layer in range(1, topology.layer_count + 1):
+        members = sorted(agents_in_layer(topology, layer))
+        counts = sorted({layer_adversary_count(len(members), p) for p in cfg.layer_ratios})
+        for count in counts:
+            config_seed = derive_seed(cfg.master_seed, "layercfg", layer, count)
+            configs = sample_k_subsets(members, count, cfg.combination_cap, seed=config_seed)
+            for beta_index, beta in enumerate(cfg.severities):
+                for j, adversaries in enumerate(configs):
+                    run_seed = derive_seed(
+                        cfg.master_seed, "layerrun", signal_index, layer, count, beta_index, j
+                    )
+                    yield _Cell(beta, run_seed, adversaries, layer=layer)
+
+
+def _cumulative_cells(cfg: SweepConfig, topology, signal_index: int):
+    for direction in ("top_down", "bottom_up"):
+        for m in range(1, topology.node_count + 1):
+            adversaries = frozenset(cumulative_positions(topology, direction, m))
+            for beta_index, beta in enumerate(cfg.severities):
+                run_seed = derive_seed(
+                    cfg.master_seed, "cumulative", signal_index, direction, m, beta_index
+                )
+                yield _Cell(beta, run_seed, adversaries, direction=direction, m=m)
+
+
 def run_structural(cfg: SweepConfig, mode: str) -> SweepGrid:
     """Execute layer-wise or cumulative placements on the repetition-0 topology.
 
@@ -606,58 +728,22 @@ def run_structural(cfg: SweepConfig, mode: str) -> SweepGrid:
     topology = build_balanced_binary(n, permutation_seed=topo_seed)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    cells_for = _layer_cells if mode == "layer" else _cumulative_cells
 
     grid = SweepGrid()
     for si, (signal_id, target) in enumerate(_signals(cfg)):
         run_cfg = _run_config(cfg, target, rng_seed=topo_seed)
-        baseline = run_baseline(topology, plan_sets, run_cfg)
-        if mode == "layer":
-            for layer in range(1, topology.layer_count + 1):
-                members = sorted(agents_in_layer(topology, layer))
-                counts = sorted(
-                    {layer_adversary_count(len(members), p) for p in cfg.layer_ratios}
+        results = _run_cells(
+            topology, plan_sets, run_cfg, cells_for(cfg, topology, si), isolate=False
+        )
+        _, baseline = next(results)
+        for cell, outcome in results:
+            grid.rows.append(
+                _metrics_record(
+                    cfg, signal_id, cell.run_seed, cell.beta, cell.adversaries, outcome,
+                    baseline, n, mode, layer=cell.layer, direction=cell.direction, m=cell.m,
                 )
-                for count in counts:
-                    config_seed = derive_seed(cfg.master_seed, "layercfg", layer, count)
-                    configs = sample_k_subsets(
-                        members, count, cfg.combination_cap, seed=config_seed
-                    )
-                    for beta_index, beta in enumerate(cfg.severities):
-                        for j, adversaries in enumerate(configs):
-                            run_seed = derive_seed(
-                                cfg.master_seed, "layerrun", si, layer, count, beta_index, j
-                            )
-                            outcome = run(
-                                topology, plan_sets,
-                                make_profile(topology, adversaries, beta),
-                                replace(run_cfg, rng_seed=run_seed),
-                            )
-                            grid.rows.append(
-                                _metrics_record(
-                                    cfg, signal_id, run_seed, beta, set(adversaries),
-                                    outcome, baseline, n, "layer", layer=layer,
-                                )
-                            )
-        else:
-            for direction in ("top_down", "bottom_up"):
-                for m in range(1, n + 1):
-                    adversaries = cumulative_positions(topology, direction, m)
-                    for beta_index, beta in enumerate(cfg.severities):
-                        run_seed = derive_seed(
-                            cfg.master_seed, "cumulative", si, direction, m, beta_index
-                        )
-                        outcome = run(
-                            topology, plan_sets,
-                            make_profile(topology, adversaries, beta),
-                            replace(run_cfg, rng_seed=run_seed),
-                        )
-                        grid.rows.append(
-                            _metrics_record(
-                                cfg, signal_id, run_seed, beta, adversaries,
-                                outcome, baseline, n, "cumulative",
-                                direction=direction, m=m,
-                            )
-                        )
+            )
 
     grid.write_csv(outdir / f"structural_{mode}.csv")
     return grid

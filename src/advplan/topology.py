@@ -77,6 +77,21 @@ class TreeTopology:
         last = min((1 << layer) - 1, self.node_count)
         return range(first, last + 1)
 
+    @cached_property
+    def layers(self) -> tuple[range, ...]:
+        """``positions_in_layer`` of every layer, root first."""
+        return tuple(self.positions_in_layer(layer) for layer in range(1, self.layer_count + 1))
+
+    def child_ranges(self, positions: range) -> tuple[range, range]:
+        """Left and right children of consecutive positions, as position ranges.
+
+        Entry i of each range is a child of ``positions[i]``. Only the last
+        positions of a run can lack a child, so the ranges are cut short
+        rather than holding gaps.
+        """
+        stop = min(2 * positions.stop, self.node_count + 1)
+        return range(2 * positions.start, stop, 2), range(2 * positions.start + 1, stop, 2)
+
     def _check_position(self, position: int) -> None:
         if not 1 <= position <= self.node_count:
             raise RangeError(f"position {position} outside 1..{self.node_count}")

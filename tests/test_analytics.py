@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from advplan.analytics import (
     RvcLabel,
+    _split_scores,
+    _splits,
     classify_rvc,
     compromised_discomfort,
     knee_mmd,
@@ -245,3 +249,43 @@ def test_compromised_discomfort_mismatched_agents():
         compromised_discomfort(a, b, {1})
     with pytest.raises(InvalidInputError):
         compromised_discomfort(a, a, {9})
+
+
+def between_class_variance(weights, moments, cuts):
+    """The per-split score the lookup table must reproduce bit for bit."""
+    total_w = weights[-1]
+    total_mu = moments[-1] / total_w
+    sigma = 0.0
+    lo = 0
+    for cut in (*cuts, len(weights) - 1):
+        w = weights[cut] - (weights[lo - 1] if lo > 0 else 0.0)
+        if w > 0:
+            m = moments[cut] - (moments[lo - 1] if lo > 0 else 0.0)
+            mu = m / w
+            sigma += (w / total_w) * (mu - total_mu) ** 2
+        lo = cut + 1
+    return sigma
+
+
+def test_split_scores_match_per_split_definition():
+    rng = np.random.default_rng(12)
+    cases = [
+        (rng.random(int(rng.integers(5, 150))) ** 3, int(rng.integers(3, 70)), int(rng.integers(2, 5)))
+        for _ in range(40)
+    ]
+    # Plateaus: spikes separated by empty bins, where whole ranges of splits tie.
+    cases += [
+        ([0.0] * 30 + [5.0] * 30 + [10.0] * 30, 256, 3),
+        ([1.0, 2.0, 3.0], 64, 3),
+        ([0.0] * 5 + [1.0] * 7 + [9.0] * 2 + [10.0] * 4, 40, 4),
+        ([1.0] * 20 + [9.0] * 20, 64, 2),
+    ]
+    for values, bins, classes in cases:
+        hist, edges = np.histogram(np.asarray(values, dtype=float), bins=bins)
+        hist = hist.astype(float)
+        centers = (edges[:-1] + edges[1:]) / 2.0
+        weights, moments = np.cumsum(hist), np.cumsum(hist * centers)
+        cuts = _splits(bins, classes)
+        assert len(cuts) == math.comb(bins - 1, classes - 1)
+        expected = [between_class_variance(weights, moments, tuple(c)) for c in cuts.tolist()]
+        assert _split_scores(weights, moments, cuts).tolist() == expected

@@ -1,4 +1,5 @@
 import numpy as np
+import oracle_engine
 import pytest
 
 from advplan.costs import (
@@ -107,3 +108,34 @@ def test_inefficiency_batch_matches_scalar():
         batch = fn.batch(candidates)
         scalar = [fn(row) for row in candidates]
         assert np.allclose(batch, scalar)
+
+
+@pytest.mark.parametrize("scaling", ["identity", "min-max", "zero-mean-unit-norm"])
+def test_stacked_rows_cost_what_each_row_costs_alone(scaling):
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(3, 5, 11))
+    stack[0, 0] = 2.5  # a flat row scales to zeros
+    target = rng.normal(size=11)
+    for fn in (InefficiencyFn(), InefficiencyFn(kind="rss", target=target, scaling=scaling)):
+        rows = fn(stack)
+        assert rows.shape == (3, 5)
+        assert rows.tolist() == [[fn(row) for row in block] for block in stack]
+    scaled = scale_vector(stack, scaling)
+    for idx in np.ndindex(stack.shape[:-1]):
+        assert scaled[idx].tobytes() == scale_vector(stack[idx], scaling).tobytes()
+    with pytest.raises(DimensionMismatchError):
+        InefficiencyFn(kind="rss", target=target, scaling=scaling)(stack[..., :4])
+
+
+@pytest.mark.parametrize("scaling", ["identity", "min-max", "zero-mean-unit-norm"])
+def test_one_vector_costs_match_the_reference_kernels(scaling):
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 7, 24, 100):
+        for _ in range(20):
+            g = rng.normal(size=d) * rng.choice([1e-3, 1.0, 1e4])
+            target = rng.normal(size=d)
+            for fn in (InefficiencyFn(), InefficiencyFn(kind="rss", target=target, scaling=scaling)):
+                want = oracle_engine.cost(fn, g)
+                assert fn(g) == want
+                got = variance_cost(g) if fn.kind == "variance" else rss_cost(g, target, scaling)
+                assert got == want

@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
+import oracle_engine
 import pytest
 
+from advplan import engine
 from advplan.adversary import make_profile, random_adversaries
 from advplan.costs import InefficiencyFn
 from advplan.engine import (
@@ -11,6 +14,7 @@ from advplan.engine import (
     RunOutcome,
     run,
     run_baseline,
+    run_batch,
     select_plan,
     subtree_sums,
 )
@@ -267,3 +271,102 @@ def test_random_initial_selection_seeded():
     assert out_a.selections == out_b.selections
     out_c = run_baseline(topo, plan_sets, RunConfig(initial_selection="random", rng_seed=8))
     assert isinstance(out_c, RunOutcome)
+
+
+# ---------------------------------------------------------------- oracle
+
+COSTS = [
+    ("variance", "identity"),
+    ("rss", "identity"),
+    ("rss", "min-max"),
+    ("rss", "zero-mean-unit-norm"),
+]
+
+
+def assert_same_outcome(got: RunOutcome, want: RunOutcome) -> None:
+    """Every field equal, floats bit for bit."""
+    for f in dataclasses.fields(RunOutcome):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "global_response":
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+def ragged_plan_sets(n, d, seed):
+    """Plan sets whose plan counts differ between agents (1 to 5)."""
+    rng = np.random.default_rng(seed)
+    return [
+        toy_plan_set(a, rng.standard_normal((k, d)), rng.permutation(k).astype(float))
+        for a, k in zip(range(1, n + 1), rng.integers(1, 6, size=n))
+    ]
+
+
+def oracle_case(n, d, plans, kind, scaling, initial, seed=0):
+    """Topology, plan sets, behaviors, config and seeds of one batch."""
+    topo = build_balanced_binary(n, permutation_seed=seed)
+    plan_sets = (
+        ragged_plan_sets(n, d, seed) if plans == "ragged"
+        else generate_gaussian_plans(n, plans, d, seed=seed)
+    )
+    target = np.random.default_rng(seed + 1).standard_normal(d) if kind == "rss" else None
+    config = RunConfig(
+        inefficiency=InefficiencyFn(kind=kind, target=target, scaling=scaling),
+        initial_selection=initial,
+        rng_seed=seed,
+    )
+    behaviors = [BehaviorProfile.uniform(range(1, n + 1), 0.0)]
+    for j, (count, beta) in enumerate([(1, 0.3), (n // 3, 0.6), (n // 2, 0.1), (n, 1.0)]):
+        behaviors.append(make_profile(topo, random_adversaries(topo, count, seed=j), beta))
+    return topo, plan_sets, behaviors, config, [seed + 10 * j for j in range(len(behaviors))]
+
+
+# n=13, 24 and 37 leave the deepest layer partly filled, n=15 fills it; d=9
+# takes numpy's pairwise summation past its 8-element unrolled block.
+@pytest.mark.parametrize("kind,scaling", COSTS)
+@pytest.mark.parametrize("initial", ["first_plan", "random"])
+@pytest.mark.parametrize(
+    "n,d,plans", [(13, 2, 3), (15, 9, 4), (24, 5, "ragged"), (37, 3, 2)]
+)
+def test_run_batch_matches_oracle(kind, scaling, initial, n, d, plans):
+    topo, plan_sets, behaviors, config, seeds = oracle_case(n, d, plans, kind, scaling, initial, n)
+    got = run_batch(topo, plan_sets, behaviors, config, seeds)
+    want = oracle_engine.run_batch(topo, plan_sets, behaviors, config, seeds)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_outcome(g, w)
+
+
+def test_run_batch_chunks_and_slices_match_oracle(monkeypatch):
+    # Two runs per array batch and a few nodes per bottom-up chunk, so
+    # layers split across chunks and runs across batches.
+    monkeypatch.setattr(engine, "_CHUNK_FLOATS", 2 * 4 * 5 * 3)
+    monkeypatch.setattr(engine, "_STATE_FLOATS", 2 * 24 * 5)
+    assert engine._max_batch(24, 4, 5) == 2
+    topo, plan_sets, behaviors, config, seeds = oracle_case(
+        24, 5, "ragged", "rss", "min-max", "random", 3
+    )
+    got = run_batch(topo, plan_sets, behaviors, config, seeds)
+    want = oracle_engine.run_batch(topo, plan_sets, behaviors, config, seeds)
+    for g, w in zip(got, want):
+        assert_same_outcome(g, w)
+
+
+def test_run_is_a_one_run_batch():
+    topo, plan_sets, behaviors, config, _ = oracle_case(13, 2, 3, "variance", "identity", "random")
+    alone = run(topo, plan_sets, behaviors[2], config)
+    batched = run_batch(topo, plan_sets, behaviors, config, [config.rng_seed] * len(behaviors))
+    assert_same_outcome(alone, batched[2])
+
+
+def test_run_batch_validation():
+    topo, plan_sets, behaviors, config, seeds = oracle_case(13, 2, 3, "variance", "identity", "first_plan")
+    with pytest.raises(ConfigError):
+        run_batch(topo, plan_sets, behaviors, config, seeds[:-1])
+    partial = BehaviorProfile.uniform(range(1, 13), 0.0)
+    with pytest.raises(ConfigError):
+        run_batch(topo, plan_sets, [behaviors[0], partial], config, [0, 0])
+    rss = RunConfig(inefficiency=InefficiencyFn(kind="rss", target=np.zeros(3)))
+    with pytest.raises(ConfigError):
+        run_batch(topo, plan_sets, behaviors[:1], rss, [0])
+    assert run_batch(topo, plan_sets, [], config, []) == []

@@ -1,10 +1,14 @@
+import logging
 import math
 
 import numpy as np
+import oracle_engine
 import pytest
 import yaml
 
-from advplan.errors import ConfigError
+import advplan.harness as harness_mod
+from advplan.cli import main as cli_main
+from advplan.errors import ConfigError, ParseError
 from advplan.harness import (
     DatasetSpec,
     RunRecord,
@@ -293,16 +297,16 @@ def test_failed_cells_become_error_rows(tmp_path, monkeypatch):
     import advplan.harness as harness_mod
     from advplan.errors import InvalidInputError
 
-    real_run = harness_mod.run
-    calls = {"n": 0}
+    real_run_batch = harness_mod.run_batch
+    # The (beta 0.5, 5 adversaries) cell of repetition 0 fails, in any batch.
+    doomed = derive_seed(7, "placement", 0, 0, 5, 0)
 
-    def flaky(topology, plan_sets, profile, config):
-        calls["n"] += 1
-        if calls["n"] == 2:
+    def flaky(topology, plan_sets, behaviors, config, seeds):
+        if doomed in seeds:
             raise InvalidInputError("injected failure")
-        return real_run(topology, plan_sets, profile, config)
+        return real_run_batch(topology, plan_sets, behaviors, config, seeds)
 
-    monkeypatch.setattr(harness_mod, "run", flaky)
+    monkeypatch.setattr(harness_mod, "run_batch", flaky)
     cfg = small_config(tmp_path, severities=(0.5,), scales=(0, 5), runs_per_cell=2)
     grid = run_sweep(cfg)
     assert len(grid.rows) == 3
@@ -322,3 +326,101 @@ def test_target_file_alias(tmp_path):
     )
     cfg = load_config(path)
     assert cfg.target_files == (str(target),)
+
+
+def test_torn_partial_resume_at_every_offset(tmp_path, caplog):
+    cfg = small_config(tmp_path, severities=(0.5,), scales=(0, 3), runs_per_cell=2)
+    out = tmp_path / "out"
+    fresh = run_sweep(cfg)
+    expected = (out / "runs.csv").read_bytes()
+    data = (out / "runs.csv").read_bytes()
+    (out / "runs.csv").unlink()
+    last_row = data.rstrip(b"\r\n").rfind(b"\n") + 1
+    assert 0 < last_row < len(data) and len(fresh.rows) == 4
+    for cut in range(last_row, len(data)):
+        (out / "runs.partial.csv").write_bytes(data[:cut])
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="advplan.harness"):
+            run_sweep(cfg, resume=True)
+        assert (out / "runs.csv").read_bytes() == expected, cut
+        assert not (out / "runs.partial.csv").exists()
+        torn = cut > last_row
+        assert any("torn" in r.getMessage() for r in caplog.records) == torn, cut
+        (out / "runs.csv").unlink()
+
+
+def test_resume_skips_finished_tasks(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path)
+    out = tmp_path / "out"
+    full = run_sweep(cfg)
+    expected = (out / "runs.csv").read_bytes()
+    calls = []
+    real_run_batch = harness_mod.run_batch
+
+    def counting(topology, plan_sets, behaviors, config, seeds):
+        calls.append(len(seeds))
+        return real_run_batch(topology, plan_sets, behaviors, config, seeds)
+
+    monkeypatch.setattr(harness_mod, "run_batch", counting)
+
+    # Every row is in the partial: nothing runs.
+    (out / "runs.csv").unlink()
+    SweepGrid(rows=full.rows).write_csv(out / "runs.partial.csv")
+    run_sweep(cfg, resume=True)
+    assert calls == []
+    assert (out / "runs.csv").read_bytes() == expected
+
+    # Repetition 0 is in the partial: one batch each for repetitions 1 and 2,
+    # holding the baseline and the 2 x 4 cells.
+    half = run_sweep(small_config(tmp_path / "half", runs_per_cell=1))
+    calls.clear()
+    (out / "runs.csv").unlink()
+    half.write_csv(out / "runs.partial.csv")
+    run_sweep(cfg, resume=True)
+    assert calls == [1 + 2 * 4, 1 + 2 * 4]
+    assert (out / "runs.csv").read_bytes() == expected
+
+
+def test_sweeps_and_structural_runs_match_oracle(tmp_path, monkeypatch):
+    target = tmp_path / "t.target"
+    target.write_text("0.5,-1.0\n")
+    sweep = dict(initial_selection="random")
+    structural = dict(
+        severities=(0.4, 1.0), inefficiency_kind="rss", inefficiency_scaling="min-max",
+        target_files=(str(target),), combination_cap=3,
+    )
+
+    def outputs(root, workers=1):
+        run_sweep(small_config(root, workers=workers, **sweep))
+        cfg = small_config(root, **structural)
+        run_structural(cfg, "layer")
+        run_structural(cfg, "cumulative")
+        return {
+            name: (root / "out" / name).read_bytes()
+            for name in ("runs.csv", "structural_layer.csv", "structural_cumulative.csv")
+        }
+
+    serial = outputs(tmp_path / "serial")
+    parallel = outputs(tmp_path / "parallel", workers=2)
+    monkeypatch.setattr(harness_mod, "run_batch", oracle_engine.run_batch)
+    oracle = outputs(tmp_path / "oracle")
+    assert serial == oracle
+    assert parallel == oracle
+
+
+def test_malformed_rows_raise_parse_error(tmp_path):
+    cfg = small_config(tmp_path, severities=(0.5,), runs_per_cell=1)
+    run_sweep(cfg)
+    lines = (tmp_path / "out" / "runs.csv").read_text().splitlines(keepends=True)
+    broken = {
+        "short.csv": lines[:2] + [lines[2][: len(lines[2]) // 2] + "\r\n"] + lines[3:],
+        "long.csv": lines[:2] + [lines[2].rstrip() + ",7\r\n"] + lines[3:],
+        "nan.csv": lines[:2] + [lines[2].replace(",random,", ",random,x", 1)] + lines[3:],
+        "word.csv": lines[:2] + ["a,b,c,d,e,f,g,h,i,j,k,l,m,n,o,p\r\n"] + lines[3:],
+    }
+    for name, text in broken.items():
+        path = tmp_path / name
+        path.write_text("".join(text))
+        with pytest.raises(ParseError, match=f"{name}:3"):
+            SweepGrid.read_csv(path)
+        assert cli_main(["analyze", "--results", str(path), "--out", str(tmp_path / "a")]) == 3

@@ -80,3 +80,19 @@ def test_agent_position_round_trip():
         assert t.position_of_agent(t.agent_of_position(pos)) == pos
     with pytest.raises(RangeError):
         t.position_of_agent(99)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 24, 37])
+def test_child_ranges_match_children_of(n):
+    t = build_balanced_binary(n)
+    assert [list(layer) for layer in t.layers] == [
+        list(t.positions_in_layer(layer)) for layer in range(1, t.layer_count + 1)
+    ]
+    for layer in t.layers:
+        for first in range(len(layer)):
+            for last in range(first + 1, len(layer) + 1):
+                positions = layer[first:last]
+                left, right = t.child_ranges(positions)
+                kids = [t.children_of(p) for p in positions]
+                assert list(left) == [c[0] for c in kids if c]
+                assert list(right) == [c[1] for c in kids if len(c) == 2]
