@@ -26,7 +26,6 @@ from .analytics import (
 from .costs import (
     GlobalResponse,
     InefficiencyFn,
-    aggregate_discomfort,
     rss_cost,
     scale_vector,
     variance_cost,

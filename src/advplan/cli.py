@@ -14,13 +14,15 @@ from pathlib import Path
 
 from . import harness
 from .adversary import AttackSpec
+from .costs import InefficiencyFn
+from .engine import RunConfig, run_baseline
 from .engine import run as engine_run
-from .engine import run_baseline
 from .errors import AdvplanError, ConfigError
 from .plans import (
     generate_gaussian_plans,
     generate_voting_targets,
     load_plan_sets,
+    load_target_signal,
     save_plan_sets,
     save_target_signal,
 )
@@ -141,22 +143,13 @@ def _cmd_run(args) -> int:
         sample_seed=args.seed,
     )
     adversaries = spec.materialize(topology)
-    from .adversary import make_profile
-    from .costs import InefficiencyFn
-    from .engine import BehaviorProfile, RunConfig
-    from .plans import load_target_signal
-
     target = load_target_signal(args.target).values if args.target else None
     config = RunConfig(
         max_iterations=args.max_iterations,
         inefficiency=InefficiencyFn(kind=args.ineff, target=target, scaling=args.scaling),
         rng_seed=args.seed,
     )
-    profile = (
-        make_profile(topology, adversaries, args.severity)
-        if adversaries
-        else BehaviorProfile.uniform(range(1, n + 1), 0.0)
-    )
+    profile = harness.profile_for(topology, adversaries, args.severity)
     outcome = engine_run(topology, plan_sets, profile, config)
     baseline = run_baseline(topology, plan_sets, config)
     legitimate = set(outcome.discomfort_per_agent) - adversaries

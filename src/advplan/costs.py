@@ -92,14 +92,6 @@ def rss_cost(g: GlobalResponse, target: TargetSignal | np.ndarray, scaling: str 
     return float(_sum_squares(diff))
 
 
-def aggregate_discomfort(discomforts) -> float:
-    """Arithmetic mean of the per-agent discomforts."""
-    values = np.asarray(discomforts, dtype=float)
-    if values.size == 0:
-        raise InvalidInputError("cannot aggregate an empty discomfort list")
-    return float(values.mean())
-
-
 @dataclass(frozen=True)
 class InefficiencyFn:
     """Configured system-cost function: plain variance or RSS to a target."""

@@ -8,14 +8,17 @@ decrease the scalarized global cost survive, so the accepted-cost trace is
 non-increasing by construction.
 
 ``run_batch`` executes many runs that share a topology and plan sets at once:
-the plans are stacked into ``V[n, k, d]`` and ``D[n, k]`` in position order,
-the bottom-up phase is one array step per tree layer for every node and run,
-and the top-down walk visits each node once per iteration for all runs.
-``run`` and ``run_baseline`` are batches of one.
+the plans are stacked into ``P[n, k, d + 1]`` in position order, each plan a
+row of its d values followed by its discomfort, and every per-run state array
+carries the same trailing ``[values | discomfort]`` axis. The bottom-up phase
+is one array step per tree layer for every node and run, and the top-down
+walk visits each node once per iteration for all runs. ``run`` and
+``run_baseline`` are batches of one.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 
@@ -169,16 +172,18 @@ def _subtree_sums(own: np.ndarray, topology: TreeTopology) -> np.ndarray:
     return own
 
 
-def _choose(V, D, alpha, beta, ctx_g, ctx_disc, n: int, ineff: InefficiencyFn) -> np.ndarray:
+def _choose(P, alpha, beta, ctx, n: int, ineff: InefficiencyFn) -> np.ndarray:
     """Plan index per (node, run) minimizing the weighted normalized costs.
 
-    ``V[m, k, d]`` and ``D[m, k]`` are the nodes' plans; ``alpha``, ``beta``
-    and ``ctx_disc`` are ``(m, B)``, ``ctx_g`` is ``(m, B, d)``. Both cost
-    terms are min-max normalized over the k candidates so the weights
-    interpolate between the pure regimes; ties resolve to the lowest index.
+    ``P[m, k, d + 1]`` holds the nodes' plans, ``alpha`` and ``beta`` are
+    ``(m, B)``, and ``ctx`` is the ``(m, B, d + 1)`` rest of the network.
+    Both cost terms are min-max normalized over the k candidates so the
+    weights interpolate between the pure regimes; ties resolve to the lowest
+    index.
     """
-    ineff_costs = ineff.batch(ctx_g[:, :, None, :] + V[:, None])
-    disc_costs = (ctx_disc[:, :, None] + D[:, None]) / n
+    cand = ctx[:, :, None, :] + P[:, None]
+    ineff_costs = ineff.batch(cand[..., :-1])
+    disc_costs = cand[..., -1] / n
     score = (
         alpha[..., None] * scale_vector(ineff_costs, "min-max")
         + beta[..., None] * scale_vector(disc_costs, "min-max")
@@ -207,12 +212,10 @@ def select_plan(
         )
     others = np.asarray(list(context_discomforts), dtype=float)
     choice = _choose(
-        agent.value_matrix()[None],
-        agent.discomforts()[None],
+        np.column_stack([agent.value_matrix(), agent.discomforts()])[None],
         np.array([[alpha]], dtype=float),
         np.array([[beta]], dtype=float),
-        context_response[None, None],
-        np.array([[float(others.sum())]]),
+        np.append(context_response, others.sum())[None, None],
         others.size + 1,
         ineff,
     )
@@ -234,8 +237,9 @@ def subtree_sums(
 
 
 def _stack_plans(topology: TreeTopology, plan_sets: list[PlanSet], config: RunConfig):
-    """Plans in position order as ``V[n, k, d]``, ``D[n, k]`` and true counts.
+    """Plans in position order as ``P[n, k, d + 1]``, plus the true counts.
 
+    ``P[p, i]`` is plan i of position p + 1: its values, then its discomfort.
     Agents with fewer plans than the largest set repeat their last plan; the
     copies tie with it and ties go to the lower index, so they are never
     chosen over it.
@@ -257,14 +261,16 @@ def _stack_plans(topology: TreeTopology, plan_sets: list[PlanSet], config: RunCo
     ordered = [by_agent[a] for a in topology.agent_at]
     counts = [ps.k for ps in ordered]
     k = max(counts)
-    V = np.empty((n, k, d))
-    D = np.empty((n, k))
+    P = np.empty((n, k, d + 1))
+    if min(counts) == k:
+        P[..., :d] = np.stack([ps.value_matrix() for ps in ordered])
+        P[..., d] = np.stack([ps.discomforts() for ps in ordered])
+        return P, counts
     for p, ps in enumerate(ordered):
-        V[p, : ps.k] = ps.value_matrix()
-        D[p, : ps.k] = ps.discomforts()
-        V[p, ps.k :] = V[p, ps.k - 1]
-        D[p, ps.k :] = D[p, ps.k - 1]
-    return V, D, counts
+        P[p, : ps.k, :d] = ps.value_matrix()
+        P[p, : ps.k, d] = ps.discomforts()
+        P[p, ps.k :] = P[p, ps.k - 1]
+    return P, counts
 
 
 def run_batch(
@@ -278,23 +284,32 @@ def run_batch(
 
     Run i uses ``behaviors[i]`` and takes ``seeds[i]`` in place of
     ``config.rng_seed``. Each outcome is bit for bit the one the run gives on
-    its own: every array operation acts on each run's rows separately. Runs
-    go through the arrays in the batches of ``split_batches``.
+    its own: every array operation acts on each run's rows separately. A run
+    is a pure function of its beta values (in profile order) and, under
+    ``random`` initial selection only, its seed; runs that repeat an earlier
+    one are executed once and get their own deep copy of its outcome. The
+    distinct runs go through the arrays in the batches of ``split_batches``.
     """
     behaviors, seeds = list(behaviors), list(seeds)
     if len(behaviors) != len(seeds):
         raise ConfigError(f"{len(behaviors)} behavior profiles for {len(seeds)} seeds")
-    V, D, counts = _stack_plans(topology, plan_sets, config)
-    outcomes: list[RunOutcome] = []
-    for batch in split_batches(plan_sets, zip(behaviors, seeds)):
-        batch_behaviors, batch_seeds = zip(*batch)
-        outcomes.extend(
-            _run_arrays(topology, V, D, counts, batch_behaviors, config, batch_seeds)
+    P, counts = _stack_plans(topology, plan_sets, config)
+    seeded = config.initial_selection == "random"
+    first_of: dict = {}
+    firsts = []
+    for j, (b, s) in enumerate(zip(behaviors, seeds)):
+        key = (tuple(b.beta), np.fromiter(b.beta.values(), float).tobytes(), s if seeded else None)
+        firsts.append(first_of.setdefault(key, j))
+    done: dict[int, RunOutcome] = {}
+    for batch in split_batches(plan_sets, list(first_of.values())):
+        runs = _run_arrays(
+            topology, P, counts, [behaviors[i] for i in batch], config, [seeds[i] for i in batch]
         )
-    return outcomes
+        done.update(zip(batch, runs))
+    return [done[i] if i == j else copy.deepcopy(done[i]) for j, i in enumerate(firsts)]
 
 
-def _run_arrays(topology, V, D, counts, behaviors, config, seeds) -> list[RunOutcome]:
+def _run_arrays(topology, P, counts, behaviors, config, seeds) -> list[RunOutcome]:
     """The iterations of one batch; arrays are node-major, ``(n, B, ...)``.
 
     Per iteration, positions are processed leaves-to-root: each agent sees the
@@ -308,7 +323,7 @@ def _run_arrays(topology, V, D, counts, behaviors, config, seeds) -> list[RunOut
     batch once a pass approves no change, since it is deterministic from
     there on.
     """
-    n, k, d = V.shape
+    n, k, d = P.shape[0], P.shape[1], P.shape[2] - 1
     ineff = config.inefficiency
     agents = topology.agent_at
     positions = np.asarray(agents)
@@ -337,53 +352,50 @@ def _run_arrays(topology, V, D, counts, behaviors, config, seeds) -> list[RunOut
     children = [[c - 1 for c in topology.children_of(p)] for p in range(1, n + 1)]
 
     def settle(sel):
-        """Per-run state of a joint selection: own discomforts, subtree sums, totals."""
-        disc = D[rows, sel]
-        subtree = _subtree_sums(V[rows, sel], topology)
-        disc_subtree = _subtree_sums(disc.copy(), topology)
-        disc_total = np.ascontiguousarray(disc.T).sum(axis=1)
-        return disc, subtree, disc_subtree, disc_total
+        """Per-run state of a joint selection: own discomforts, subtree sums, totals.
 
-    disc, subtree, disc_subtree, disc_total = settle(sel)
-    response = subtree[0]
+        ``subtree[p, b]`` is ``[values | discomfort]`` summed over the subtree
+        of position p + 1; ``total[b]`` is the root's value sum next to the
+        plain sum of all own discomforts.
+        """
+        own = P[rows, sel]
+        disc = own[..., d].copy()
+        subtree = _subtree_sums(own, topology)
+        total = subtree[0].copy()
+        total[:, d] = np.ascontiguousarray(disc.T).sum(axis=1)
+        return disc, subtree, total
+
+    disc, subtree, total = settle(sel)
     # Fixed per-run references keep the scalarized cost comparable across
     # iterations; a monotone accepted-cost trace follows from strict-decrease
     # approvals against them.
-    ineff_ref = ineff(response)
+    ineff_ref = ineff(total[:, :d])
     ineff_ref = np.where(ineff_ref > _TINY, ineff_ref, 1.0)
-    disc_ref = float(np.mean(D.max(axis=1)))
+    disc_ref = float(np.mean(P[..., d].max(axis=1)))
     disc_ref = disc_ref if disc_ref > _TINY else 1.0
 
-    def combined(g: np.ndarray, disc_sum: np.ndarray) -> np.ndarray:
-        return mean_alpha * ineff(g) / ineff_ref + mean_beta * (disc_sum / n) / disc_ref
+    def combined(state: np.ndarray) -> np.ndarray:
+        """Scalarized cost of ``(B, d + 1)`` states ``[response | discomfort sum]``."""
+        return (
+            mean_alpha * ineff(state[:, :d]) / ineff_ref
+            + mean_beta * (state[:, d] / n) / disc_ref
+        )
 
-    cost = combined(response, disc_total)
-    ineff_traces = [[v] for v in ineff(response).tolist()]
+    cost = combined(total)
+    ineff_traces = [[v] for v in ineff(total[:, :d]).tolist()]
     combined_traces = [[v] for v in cost.tolist()]
     outcomes: list[RunOutcome | None] = [None] * count
     active = np.arange(count)
 
     for iteration in range(1, config.max_iterations + 1):
-        cand_sel, cand_subtree, cand_disc_subtree = _bottom_up(
-            topology, V, D, alpha, beta, subtree, disc_subtree, response, disc_total, ineff
-        )
-        taken = _top_down(
-            topology,
-            children,
-            cand_subtree - subtree,
-            cand_disc_subtree - disc_subtree,
-            response,
-            disc_total,
-            cost,
-            combined,
-        )
+        cand_sel, cand = _bottom_up(topology, P, alpha, beta, subtree, total, ineff)
+        taken = _top_down(topology, children, cand - subtree, total, cost, combined)
         new_sel = np.where(taken, cand_sel, sel)
         changed = (new_sel != sel).any(axis=0)
         sel = new_sel
-        disc, subtree, disc_subtree, disc_total = settle(sel)
-        response = subtree[0]
-        cost = combined(response, disc_total)
-        for b, i, c in zip(active.tolist(), ineff(response).tolist(), cost.tolist()):
+        disc, subtree, total = settle(sel)
+        cost = combined(total)
+        for b, i, c in zip(active.tolist(), ineff(total[:, :d]).tolist(), cost.tolist()):
             ineff_traces[b].append(i)
             combined_traces[b].append(c)
 
@@ -397,7 +409,7 @@ def _run_arrays(topology, V, D, counts, behaviors, config, seeds) -> list[RunOut
             ), "accepted combined-cost trace must be non-increasing"
             outcomes[b] = RunOutcome(
                 selections=dict(zip(agents, sel[:, j].tolist())),
-                global_response=response[j].copy(),
+                global_response=total[j, :d].copy(),
                 global_inefficiency=ineff_traces[b][-1],
                 discomfort_per_agent=dict(zip(agents, disc[:, j].tolist())),
                 iterations_used=iteration,
@@ -410,50 +422,38 @@ def _run_arrays(topology, V, D, counts, behaviors, config, seeds) -> list[RunOut
             break
         keep = ~done
         active = active[keep]
-        sel, subtree, disc_subtree, alpha, beta = (
-            a[:, keep] for a in (sel, subtree, disc_subtree, alpha, beta)
-        )
-        response = subtree[0]
-        disc_total, cost, mean_alpha, mean_beta, ineff_ref = (
-            a[keep] for a in (disc_total, cost, mean_alpha, mean_beta, ineff_ref)
+        sel, subtree, alpha, beta = (a[:, keep] for a in (sel, subtree, alpha, beta))
+        total, cost, mean_alpha, mean_beta, ineff_ref = (
+            a[keep] for a in (total, cost, mean_alpha, mean_beta, ineff_ref)
         )
     return outcomes
 
 
-def _bottom_up(topology, V, D, alpha, beta, subtree, disc_subtree, response, disc_total, ineff):
+def _bottom_up(topology, P, alpha, beta, subtree, total, ineff):
     """Every node's proposal, one tree layer at a time from the leaves up.
 
     A node sees last iteration's accepted state with its own subtree swapped
     for its children's fresh proposals. Layers go in chunks of nodes small
-    enough that the ``(nodes, B, k, d)`` candidate tensor stays bounded.
+    enough that the ``(nodes, B, k, d + 1)`` candidate tensor stays bounded.
     """
-    n, k, d = V.shape
-    runs = response.shape[0]
+    n, k, width = P.shape
+    runs = total.shape[0]
     cand_sel = np.empty((n, runs), dtype=np.intp)
-    cand_subtree = np.empty_like(subtree)
-    cand_disc_subtree = np.empty_like(disc_subtree)
-    step = max(1, _CHUNK_FLOATS // (runs * k * d))
+    cand = np.empty_like(subtree)
+    step = max(1, _CHUNK_FLOATS // (runs * k * (width - 1)))
     for layer in reversed(topology.layers):
         for first in range(0, len(layer), step):
             chunk = layer[first : first + step]
             at = _rows(chunk)
-            child_g = np.zeros((len(chunk), runs, d))
-            child_disc = np.zeros((len(chunk), runs))
-            _add_children(child_g, cand_subtree, topology, chunk)
-            _add_children(child_disc, cand_disc_subtree, topology, chunk)
-            ctx_g = response - subtree[at] + child_g
-            ctx_disc = disc_total - disc_subtree[at] + child_disc
-            choice = _choose(V[at], D[at], alpha[at], beta[at], ctx_g, ctx_disc, n, ineff)
-            nodes = np.arange(at.start, at.stop)[:, None]
+            child = np.zeros((len(chunk), runs, width))
+            _add_children(child, cand, topology, chunk)
+            choice = _choose(P[at], alpha[at], beta[at], total - subtree[at] + child, n, ineff)
             cand_sel[at] = choice
-            cand_subtree[at] = V[nodes, choice] + child_g
-            cand_disc_subtree[at] = D[nodes, choice] + child_disc
-    return cand_sel, cand_subtree, cand_disc_subtree
+            cand[at] = P[np.arange(at.start, at.stop)[:, None], choice] + child
+    return cand_sel, cand
 
 
-def _top_down(
-    topology, children, delta_g, delta_disc, response, disc_total, cost, combined
-) -> np.ndarray:
+def _top_down(topology, children, delta, total, cost, combined) -> np.ndarray:
     """Which nodes adopt their proposal, for every run of the batch at once.
 
     The depth-first walk visits each node once. Per subtree it weighs three
@@ -462,37 +462,37 @@ def _top_down(
     (keep). Whichever leaves the working global state cheapest wins, and
     nothing is kept without a strict gain. Only the whole option needs a
     cost call: keep costs what the caller's running state costs, and parts
-    costs what the last child returned (keep's cost at a leaf).
-    ``children[i]`` lists the rows of row i's children.
+    costs what the last child returned (keep's cost at a leaf). A node whose
+    ``delta`` row is exactly zero in every run makes no call either: its
+    whole option is the running state itself, never strictly cheaper, so a
+    leaf returns the state untouched. ``children[i]`` lists the rows of row
+    i's children; states are ``(B, d + 1)``, as ``combined`` takes them.
     """
-    whole = np.zeros(delta_disc.shape, dtype=bool)
-    parts = np.zeros(delta_disc.shape, dtype=bool)
+    whole = np.zeros(delta.shape[:2], dtype=bool)
+    parts = np.zeros_like(whole)
+    moved = delta.any(axis=(1, 2)).tolist()
 
-    def approve(i, g, disc, cost):
-        g_whole = g + delta_g[i]
-        disc_whole = disc + delta_disc[i]
-        cost_whole = combined(g_whole, disc_whole)
+    def approve(i, g, cost):
+        if not moved[i] and not children[i]:
+            return g, cost
+        g_whole = g + delta[i] if moved[i] else g
+        cost_whole = combined(g_whole) if moved[i] else cost
         if not children[i]:
             w = cost_whole < cost
             whole[i] = w
-            return (
-                np.where(w[:, None], g_whole, g),
-                np.where(w, disc_whole, disc),
-                np.where(w, cost_whole, cost),
-            )
-        g_parts, disc_parts, cost_parts = g, disc, cost
+            return np.where(w[:, None], g_whole, g), np.where(w, cost_whole, cost)
+        g_parts, cost_parts = g, cost
         for child in children[i]:
-            g_parts, disc_parts, cost_parts = approve(child, g_parts, disc_parts, cost_parts)
+            g_parts, cost_parts = approve(child, g_parts, cost_parts)
         w = (cost_whole < cost_parts) & (cost_whole < cost)
         p = (cost_parts < cost) & ~w
         whole[i], parts[i] = w, p
         return (
             np.where(w[:, None], g_whole, np.where(p[:, None], g_parts, g)),
-            np.where(w, disc_whole, np.where(p, disc_parts, disc)),
             np.where(w, cost_whole, np.where(p, cost_parts, cost)),
         )
 
-    approve(0, response, disc_total, cost)
+    approve(0, total, cost)
     # A node adopts its proposal when some node on its root path was approved
     # whole and every node above that one was approved by parts.
     taken = whole.copy()

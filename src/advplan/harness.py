@@ -16,7 +16,8 @@ import math
 import warnings
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 from typing import NamedTuple
 
@@ -81,6 +82,24 @@ ZONE_METRICS = ("inefficiency", "discomfort_total", "discomfort_legit", "comprom
 # adversaries take over), so their zone labels run in reverse.
 REVERSED_ZONE_METRICS = ("discomfort_total", "discomfort_legit")
 
+_KINDS = {Integral: "integers", Real: "numbers", str: "strings"}
+
+
+def _check_types(config, types: dict) -> None:
+    """Raise ``ConfigError`` naming the first field that holds a wrong type.
+
+    ``types`` maps field names to ``_KINDS`` keys; a tuple field is checked
+    item by item, and None passes only where it is the field's default.
+    """
+    optional = {f.name for f in fields(config) if f.default is None}
+    for key, kind in types.items():
+        value = getattr(config, key)
+        if value is None and key in optional:
+            continue
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, bool) or not isinstance(item, kind):
+                raise ConfigError(f"{key} must hold {_KINDS[kind]}, got {item!r}")
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -98,6 +117,8 @@ class DatasetSpec:
     plans_grid: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        ints = ("agents", "plans", "dim", "seed", "agents_grid", "plans_grid")
+        _check_types(self, dict.fromkeys(ints, Integral))
         if self.kind not in ("gaussian", "files"):
             raise ConfigError(f"dataset kind must be 'gaussian' or 'files', got {self.kind!r}")
         if self.kind == "files" and not self.plans_dir:
@@ -129,6 +150,11 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        _check_types(self, {
+            "severities": Real, "scales": Integral, "runs_per_cell": Integral, "placements": str,
+            "max_iterations": Integral, "combination_cap": Integral, "layer_ratios": Integral,
+            "master_seed": Integral, "workers": Integral,
+        })
         if self.runs_per_cell < 1:
             raise ConfigError(f"runs_per_cell must be >= 1, got {self.runs_per_cell}")
         if not self.severities:
@@ -145,6 +171,8 @@ class SweepConfig:
             raise ConfigError("rss inefficiency needs at least one target file")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.combination_cap < 1:
+            raise ConfigError(f"combination_cap must be >= 1, got {self.combination_cap}")
 
 
 def load_config(
@@ -168,9 +196,15 @@ def load_config(
         p = Path(p)
         return str(p if p.is_absolute() else base / p)
 
-    ds = raw.get("dataset")
-    if not isinstance(ds, dict):
-        raise ConfigError("config needs a dataset section")
+    def listed(section: dict, key: str, default=None) -> tuple | None:
+        value = section.get(key, default)
+        if value is not None and not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return None if value is None else tuple(value)
+
+    ds, ineff = raw.get("dataset"), raw.get("inefficiency") or {}
+    if not isinstance(ds, dict) or not isinstance(ineff, dict):
+        raise ConfigError("config needs a dataset mapping, and inefficiency must be one too")
     dataset = DatasetSpec(
         kind=ds.get("kind", "gaussian"),
         name=ds.get("name", ""),
@@ -179,44 +213,29 @@ def load_config(
         plans=ds.get("plans"),
         dim=ds.get("dim", 2),
         seed=ds.get("seed", 0),
-        agents_grid=tuple(ds["agents_grid"]) if ds.get("agents_grid") else None,
-        plans_grid=tuple(ds["plans_grid"]) if ds.get("plans_grid") else None,
+        agents_grid=listed(ds, "agents_grid") or None,
+        plans_grid=listed(ds, "plans_grid") or None,
     )
-    ineff = raw.get("inefficiency", {})
-    targets = ineff.get("target_files", ())
+    targets = listed(ineff, "target_files") or ()
     if "target_file" in ineff:
         targets = (*targets, ineff["target_file"])
-    known = {
-        "dataset",
-        "severities",
-        "scales",
-        "runs_per_cell",
-        "placements",
-        "inefficiency",
-        "max_iterations",
-        "initial_selection",
-        "combination_cap",
-        "layer_ratios",
-        "output_dir",
-        "master_seed",
-        "workers",
-    }
-    stray = set(raw) - known
+    nested = {"inefficiency_kind", "inefficiency_scaling", "target_files"}
+    stray = set(raw) - ({f.name for f in fields(SweepConfig)} - nested | {"inefficiency"})
     if stray:
         raise ConfigError(f"unknown config keys: {sorted(stray)}")
     return SweepConfig(
         dataset=dataset,
-        severities=tuple(raw.get("severities", severity_grid())),
-        scales=tuple(raw["scales"]) if raw.get("scales") is not None else None,
+        severities=listed(raw, "severities", severity_grid()),
+        scales=listed(raw, "scales"),
         runs_per_cell=raw.get("runs_per_cell", 100),
-        placements=tuple(raw.get("placements", ("random",))),
+        placements=listed(raw, "placements", ("random",)),
         inefficiency_kind=ineff.get("kind", "variance"),
         inefficiency_scaling=ineff.get("scaling", "identity"),
         target_files=tuple(resolve(t) for t in targets),
         max_iterations=raw.get("max_iterations", 40),
         initial_selection=raw.get("initial_selection", "first_plan"),
         combination_cap=raw.get("combination_cap", 100),
-        layer_ratios=tuple(raw.get("layer_ratios", LAYER_RATIOS)),
+        layer_ratios=listed(raw, "layer_ratios", LAYER_RATIOS),
         output_dir=resolve(raw.get("output_dir", "results")),
         master_seed=master_seed if master_seed is not None else raw.get("master_seed", 0),
         workers=raw.get("workers", 1),
@@ -280,24 +299,10 @@ class RunRecord:
 
     @classmethod
     def from_row(cls, row: dict[str, str]) -> "RunRecord":
-        return cls(
-            dataset=row["dataset"],
-            signal_id=row["signal_id"],
-            master_seed=int(row["master_seed"]),
-            run_seed=int(row["run_seed"]),
-            beta=float(row["beta"]),
-            adv_count=int(row["adv_count"]),
-            adv_fraction=float(row["adv_fraction"]),
-            placement_mode=row["placement_mode"],
-            layer=int(row["layer"]) if row["layer"] else None,
-            direction=row["direction"],
-            m=int(row["m"]) if row["m"] else None,
-            inefficiency=float(row["inefficiency"]),
-            discomfort_total=float(row["discomfort_total"]),
-            discomfort_legit=float(row["discomfort_legit"]),
-            compromised=float(row["compromised"]),
-            iterations=int(row["iterations"]),
-        )
+        """Parse each field by its annotation; an empty optional field is None."""
+        parse = {"str": str, "int": int, "float": float}
+        parse["int | None"] = lambda v: int(v) if v else None
+        return cls(**{f.name: parse[f.type](row[f.name]) for f in fields(cls)})
 
 
 @dataclass
@@ -380,10 +385,7 @@ class SweepGrid:
             groups.setdefault(key, []).append(r)
         return {
             key: {
-                "inefficiency": float(np.mean([r.inefficiency for r in records])),
-                "discomfort_total": float(np.mean([r.discomfort_total for r in records])),
-                "discomfort_legit": float(np.mean([r.discomfort_legit for r in records])),
-                "compromised": float(np.mean([r.compromised for r in records])),
+                **{m: float(np.mean([getattr(r, m) for r in records])) for m in ZONE_METRICS},
                 "run_count": len(records),
             }
             for key, records in (
@@ -476,7 +478,8 @@ class _Cell(NamedTuple):
     error: AdvplanError | None = None
 
 
-def _profile_for(topology, adversaries, beta: float) -> BehaviorProfile:
+def profile_for(topology, adversaries, beta: float) -> BehaviorProfile:
+    """Adversaries at severity ``beta``; with none, every agent legitimate."""
     if adversaries:
         return make_profile(topology, adversaries, beta)
     return BehaviorProfile.uniform(range(1, topology.node_count + 1), 0.0)
@@ -497,7 +500,7 @@ def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells, is
         for cell in batch:
             if cell.error is not None:
                 raise cell.error
-            profiles.append(_profile_for(topology, cell.adversaries, cell.beta))
+            profiles.append(profile_for(topology, cell.adversaries, cell.beta))
         return run_batch(topology, plan_sets, profiles, run_cfg, [c.run_seed for c in batch])
 
     queue = itertools.chain([_Cell(beta=0.0, run_seed=run_cfg.rng_seed)], cells)
@@ -614,7 +617,8 @@ def run_sweep(cfg: SweepConfig, resume: bool = False) -> SweepGrid:
     ``runs.csv``, sorted, at the end; the result is a pure function of the
     config and master seed, so serial and parallel executions emit identical
     sorted CSVs. A resume skips every (signal, repetition) task whose rows
-    are all in the partial file already.
+    are all in the partial file already. A pool of ``workers`` processes runs
+    the tasks only when more than one task is left for it.
     """
     if "random" not in cfg.placements:
         raise ConfigError("run_sweep needs the 'random' placement enabled")
@@ -663,8 +667,9 @@ def run_sweep(cfg: SweepConfig, resume: bool = False) -> SweepGrid:
                 writer.writerow(record.to_row())
             sink.flush()
 
-        if cfg.workers > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        workers = min(cfg.workers, len(tasks))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
                     pool.submit(_sweep_repetition, cfg, plan_sets, si, signal, rep, scales)
                     for si, signal, rep in tasks
@@ -949,10 +954,7 @@ def analyze(
     _write_dict_csv(
         outdir / "cells.csv",
         cell_rows,
-        [
-            "signal_id", "beta", "adv_count", "adv_fraction", "inefficiency",
-            "discomfort_total", "discomfort_legit", "compromised", "run_count",
-        ],
+        ["signal_id", "beta", "adv_count", "adv_fraction", *ZONE_METRICS, "run_count"],
     )
     _write_dict_csv(
         outdir / "thresholds.csv",
@@ -1023,11 +1025,9 @@ def analyze(
                 x_axis="adversaries",
                 y_axis="severity",
             )
-            with open(base.with_suffix(".csv"), "w", newline="", encoding="utf-8") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["beta", *counts])
-                for b, row_vals in zip(rows_desc, matrix):
-                    writer.writerow([repr(b), *[repr(v) for v in row_vals]])
+            header = ["beta", *counts]
+            rows = [dict(zip(header, [b, *vals])) for b, vals in zip(rows_desc, matrix)]
+            _write_dict_csv(base.with_suffix(".csv"), rows, header)
 
     _write_structural_outputs(grid, outdir, thresholds)
     return bundle
@@ -1043,10 +1043,7 @@ def _write_structural_outputs(grid: SweepGrid, outdir: Path, thresholds: dict) -
         _write_dict_csv(
             outdir / "layer_cells.csv",
             rows,
-            [
-                "signal_id", "layer", "adv_count", "beta", "inefficiency",
-                "discomfort_total", "discomfort_legit", "compromised", "run_count",
-            ],
+            ["signal_id", "layer", "adv_count", "beta", *ZONE_METRICS, "run_count"],
         )
     cumulative_cells = grid.structural_means("cumulative")
     if cumulative_cells:
@@ -1057,10 +1054,7 @@ def _write_structural_outputs(grid: SweepGrid, outdir: Path, thresholds: dict) -
         _write_dict_csv(
             outdir / "cumulative_cells.csv",
             rows,
-            [
-                "signal_id", "direction", "m", "beta", "inefficiency",
-                "discomfort_total", "discomfort_legit", "compromised", "run_count",
-            ],
+            ["signal_id", "direction", "m", "beta", *ZONE_METRICS, "run_count"],
         )
         for signal in sorted({key[0] for key in cumulative_cells}):
             for direction in ("top_down", "bottom_up"):

@@ -40,37 +40,60 @@ class Plan:
             raise InvalidInputError(f"discomfort must be >= 0, got {self.discomfort}")
 
 
-@dataclass(frozen=True, eq=False)
 class PlanSet:
-    """Ordered candidate plans of one agent; the order is the tie-break order."""
+    """Ordered candidate plans of one agent; the order is the tie-break order.
 
-    agent_id: int
-    plans: tuple[Plan, ...]
+    The plans live in one read-only ``(k, d)`` value array and one ``(k,)``
+    discomfort array, built from ``plans`` or passed in as ``values`` and
+    ``discomforts``; ``plans`` is derived from them.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "plans", tuple(self.plans))
-        if not self.plans:
-            raise InvalidSizeError(f"agent {self.agent_id} has no plans")
-        dims = {p.values.shape[0] for p in self.plans}
-        if len(dims) != 1:
-            raise DimensionMismatchError(
-                f"agent {self.agent_id} mixes plan dimensions {sorted(dims)}"
-            )
+    def __init__(self, agent_id: int, plans=(), values=None, discomforts=None) -> None:
+        if values is None:
+            plans = tuple(plans)
+            if not plans:
+                raise InvalidSizeError(f"agent {agent_id} has no plans")
+            dims = {p.values.shape[0] for p in plans}
+            if len(dims) != 1:
+                raise DimensionMismatchError(
+                    f"agent {agent_id} mixes plan dimensions {sorted(dims)}"
+                )
+            values, discomforts = [p.values for p in plans], [p.discomfort for p in plans]
+        self.agent_id = agent_id
+        self._values = np.array(values, dtype=float)
+        self._discomforts = np.array(discomforts, dtype=float)
+        if self._values.ndim != 2 or 0 in self._values.shape:
+            raise InvalidSizeError(f"agent {agent_id} needs a non-empty (k, d) plan array")
+        if self._discomforts.shape != self._values.shape[:1]:
+            raise InvalidSizeError(f"agent {agent_id} needs one discomfort per plan")
+        if (self._discomforts < 0).any():
+            raise InvalidInputError(f"agent {agent_id} has a negative discomfort")
+        self._values.flags.writeable = self._discomforts.flags.writeable = False
+
+    def __reduce__(self):
+        return PlanSet, (self.agent_id, (), self._values, self._discomforts)
+
+    @property
+    def plans(self) -> tuple[Plan, ...]:
+        return tuple(
+            Plan(values=row, discomfort=disc)
+            for row, disc in zip(self._values, self._discomforts.tolist())
+        )
 
     @property
     def k(self) -> int:
-        return len(self.plans)
+        return self._values.shape[0]
 
     @property
     def dimension(self) -> int:
-        return self.plans[0].values.shape[0]
+        return self._values.shape[1]
 
     def value_matrix(self) -> np.ndarray:
-        """Plans stacked as a (k, d) array."""
-        return np.stack([p.values for p in self.plans])
+        """Plans stacked as a read-only (k, d) array."""
+        return self._values
 
     def discomforts(self) -> np.ndarray:
-        return np.array([p.discomfort for p in self.plans], dtype=float)
+        return self._discomforts
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,18 +108,47 @@ class TargetSignal:
             raise InvalidSizeError("target signal must be a non-empty vector")
 
 
-def _parse_plan_line(line: str, path: Path, lineno: int) -> Plan:
-    head, sep, tail = line.partition(":")
-    if not sep:
-        raise ParseError(f"{path}:{lineno}: missing ':' separator")
+def _plan_table(lines: list[str]) -> np.ndarray | None:
+    """Non-blank plan lines as one ``(k, 1 + d)`` array of discomfort and values.
+
+    Every token goes through Python's ``float``; None means some line is
+    malformed, and ``_raise_at_bad_line`` then says which.
+    """
+    rows = [[head, *tail.split(",")] for head, _, tail in (line.partition(":") for line in lines)]
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        return None
     try:
-        discomfort = float(head)
-        values = [float(tok) for tok in tail.split(",")]
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: {exc}") from None
-    if discomfort < 0:
-        raise ParseError(f"{path}:{lineno}: negative discomfort {discomfort}")
-    return Plan(values=np.array(values), discomfort=discomfort)
+        table = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float)
+    except ValueError:
+        return None
+    table = table.reshape(len(rows), width)
+    return None if (table[:, 0] < 0).any() else table
+
+
+def _raise_at_bad_line(path: Path) -> None:
+    """Raise the error of a malformed plan file, naming its first bad line."""
+    width = None
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(map(str.strip, handle), start=1):
+            if not line:
+                continue
+            head, sep, tail = line.partition(":")
+            if not sep:
+                raise ParseError(f"{path}:{lineno}: missing ':' separator")
+            try:
+                discomfort = float(head)
+                values = [float(tok) for tok in tail.split(",")]
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            if discomfort < 0:
+                raise ParseError(f"{path}:{lineno}: negative discomfort {discomfort}")
+            if width is not None and len(values) != width:
+                raise DimensionMismatchError(
+                    f"{path}:{lineno}: plan has {len(values)} values, expected {width}"
+                )
+            width = len(values)
+    raise ParseError(f"{path}: malformed plan file")
 
 
 def load_plan_set(path: Path | str, agent_id: int | None = None) -> PlanSet:
@@ -107,24 +159,13 @@ def load_plan_set(path: Path | str, agent_id: int | None = None) -> PlanSet:
         if not match:
             raise ParseError(f"{path}: file name does not look like agent_<id>.plans")
         agent_id = int(match.group(1))
-    plans: list[Plan] = []
-    dim: int | None = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            plan = _parse_plan_line(line, path, lineno)
-            if dim is None:
-                dim = plan.values.shape[0]
-            elif plan.values.shape[0] != dim:
-                raise DimensionMismatchError(
-                    f"{path}:{lineno}: plan has {plan.values.shape[0]} values, expected {dim}"
-                )
-            plans.append(plan)
-    if not plans:
+    lines = [line for line in map(str.strip, path.read_text(encoding="utf-8").split("\n")) if line]
+    if not lines:
         raise NoDataError(f"{path}: no plans found")
-    return PlanSet(agent_id=agent_id, plans=tuple(plans))
+    table = _plan_table(lines)
+    if table is None:
+        _raise_at_bad_line(path)
+    return PlanSet(agent_id, values=table[:, 1:], discomforts=table[:, 0])
 
 
 def load_plan_sets(path: Path | str, uniform: bool = True) -> list[PlanSet]:
@@ -164,8 +205,8 @@ def save_plan_set(plan_set: PlanSet, directory: Path | str) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"agent_{plan_set.agent_id}.plans"
     lines = [
-        _format_real(p.discomfort) + ":" + ",".join(_format_real(v) for v in p.values)
-        for p in plan_set.plans
+        _format_real(disc) + ":" + ",".join(map(_format_real, row))
+        for disc, row in zip(plan_set.discomforts().tolist(), plan_set.value_matrix().tolist())
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
@@ -192,10 +233,7 @@ def generate_gaussian_plans(
     plan_sets = []
     for agent_id in range(1, n_agents + 1):
         values = rng.standard_normal((k_plans, d))
-        plans = tuple(
-            Plan(values=values[i], discomfort=float(i)) for i in range(k_plans)
-        )
-        plan_sets.append(PlanSet(agent_id=agent_id, plans=plans))
+        plan_sets.append(PlanSet(agent_id, values=values, discomforts=np.arange(k_plans)))
     return plan_sets
 
 

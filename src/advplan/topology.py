@@ -38,27 +38,9 @@ class TreeTopology:
         if set(self.agent_at) != set(range(1, self.node_count + 1)):
             raise InvalidSizeError("agent ids must be a permutation of 1..n")
 
-    @cached_property
-    def _position_of(self) -> dict[int, int]:
-        return {agent: pos + 1 for pos, agent in enumerate(self.agent_at)}
-
     @property
     def layer_count(self) -> int:
         return self.node_count.bit_length()
-
-    def agent_of_position(self, position: int) -> int:
-        self._check_position(position)
-        return self.agent_at[position - 1]
-
-    def position_of_agent(self, agent_id: int) -> int:
-        try:
-            return self._position_of[agent_id]
-        except KeyError:
-            raise RangeError(f"unknown agent id {agent_id}") from None
-
-    def parent_of(self, position: int) -> int | None:
-        self._check_position(position)
-        return position // 2 if position > 1 else None
 
     def children_of(self, position: int) -> list[int]:
         self._check_position(position)

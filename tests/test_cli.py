@@ -1,5 +1,6 @@
 import json
 
+import pytest
 import yaml
 
 from advplan.cli import main
@@ -120,3 +121,54 @@ def test_analyze_no_rows_exit_code(tmp_path):
 
     SweepGrid().write_csv(empty)
     assert main(["analyze", "--results", str(empty), "--out", str(tmp_path / "a")]) == 2
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("workers", "two"),
+        ("workers", 1.5),
+        ("workers", True),
+        ("runs_per_cell", "x"),
+        ("severities", ["abc"]),
+        ("severities", 0.5),
+        ("scales", 5),
+        ("scales", [2.5]),
+        ("max_iterations", 2.5),
+        ("combination_cap", "x"),
+        ("combination_cap", 0),
+        ("master_seed", "s"),
+        ("placements", "random"),
+        ("layer_ratios", [25, "half"]),
+    ],
+)
+def test_wrongly_typed_config_values_exit_2(tmp_path, caplog, key, value):
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw[key] = value
+    path.write_text(yaml.safe_dump(raw))
+    for command in (["sweep"], ["estimate"], ["structural", "--mode", "layer"]):
+        caplog.clear()
+        assert main([command[0], "--config", str(path), *command[1:]]) == 2
+        assert key in caplog.text
+
+
+@pytest.mark.parametrize("key,value", [("dim", "two"), ("agents", 2.5), ("seed", None)])
+def test_wrongly_typed_dataset_values_exit_2(tmp_path, caplog, key, value):
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw["dataset"][key] = value
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert key in caplog.text
+
+
+@pytest.mark.parametrize(
+    "section", [5, {"kind": "rss", "target_files": None}, {"kind": "rss", "target_files": "t"}]
+)
+def test_malformed_inefficiency_section_exits_2(tmp_path, section):
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw["inefficiency"] = section
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["sweep", "--config", str(path)]) == 2

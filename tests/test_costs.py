@@ -4,7 +4,6 @@ import pytest
 
 from advplan.costs import (
     InefficiencyFn,
-    aggregate_discomfort,
     rss_cost,
     scale_vector,
     variance_cost,
@@ -63,23 +62,6 @@ def test_scaling_modes():
     assert np.array_equal(flat, [0.0, 0.0])
     with pytest.raises(InvalidInputError):
         scale_vector(v, "log")
-
-
-def test_aggregate_discomfort():
-    assert aggregate_discomfort([0, 0, 0]) == 0.0
-    assert aggregate_discomfort([1.0]) == 1.0
-    assert aggregate_discomfort([0.2, 0.4, 0.6]) == pytest.approx(0.4)
-    with pytest.raises(InvalidInputError):
-        aggregate_discomfort([])
-
-
-def test_aggregate_discomfort_permutation_invariant_and_bounded():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        values = rng.random(rng.integers(1, 15))
-        shuffled = rng.permutation(values)
-        assert aggregate_discomfort(values) == pytest.approx(aggregate_discomfort(shuffled))
-        assert values.min() <= aggregate_discomfort(values) <= values.max()
 
 
 def test_inefficiency_fn_dispatch():

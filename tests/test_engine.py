@@ -370,3 +370,59 @@ def test_run_batch_validation():
     with pytest.raises(ConfigError):
         run_batch(topo, plan_sets, behaviors[:1], rss, [0])
     assert run_batch(topo, plan_sets, [], config, []) == []
+
+
+@pytest.mark.parametrize("initial", ["first_plan", "random"])
+def test_run_batch_runs_each_distinct_run_once(monkeypatch, initial):
+    topo, plan_sets, behaviors, config, _ = oracle_case(15, 3, 3, "variance", "identity", initial)
+    legit = BehaviorProfile.uniform(range(1, 16), 0.0)
+    # Baseline twice, an adversarial profile rebuilt equal, and seeds that
+    # differ only where the initial selection does not use them.
+    runs = [
+        (behaviors[0], 1), (legit, 1), (behaviors[2], 2), (legit, 3),
+        (BehaviorProfile(beta=dict(behaviors[2].beta)), 2), (behaviors[3], 4),
+    ]
+    sent = []
+    real = engine._run_arrays
+
+    def recording(topology, P, counts, batch, config, seeds):
+        sent.extend(zip(batch, seeds))
+        return real(topology, P, counts, batch, config, seeds)
+
+    monkeypatch.setattr(engine, "_run_arrays", recording)
+    profiles, seeds = zip(*runs)
+    got = run_batch(topo, plan_sets, profiles, config, seeds)
+    if initial == "random":
+        assert sent == [runs[0], runs[2], runs[3], runs[5]]
+    else:
+        assert sent == [runs[0], runs[2], runs[5]]
+    monkeypatch.setattr(engine, "_run_arrays", real)
+    for outcome, (behavior, seed) in zip(got, runs):
+        alone = run(topo, plan_sets, behavior, dataclasses.replace(config, rng_seed=seed))
+        assert_same_outcome(outcome, alone)
+    mutable = ("selections", "global_response", "discomfort_per_agent",
+               "inefficiency_trace", "combined_cost_trace")
+    for a, b in itertools.combinations(got, 2):
+        assert a is not b
+        assert all(getattr(a, f) is not getattr(b, f) for f in mutable)
+
+
+def test_top_down_makes_no_cost_call_for_zero_changes():
+    topo = build_balanced_binary(11)
+    children = [[c - 1 for c in topo.children_of(p)] for p in range(1, 12)]
+    calls = []
+
+    def combined(state):
+        calls.append(state.shape)
+        return -np.ones(state.shape[0])
+
+    delta = np.zeros((11, 2, 4))
+    total, cost = np.ones((2, 4)), np.zeros(2)
+    taken = engine._top_down(topo, children, delta, total, cost, combined)
+    assert calls == [] and not taken.any()
+    # One leaf with a change in one run: only that leaf pays a cost call, and
+    # its cheaper whole option is taken in every run.
+    delta[10, 1, 0] = 1.0
+    taken = engine._top_down(topo, children, delta, total, cost, combined)
+    assert calls == [(2, 4)]
+    assert np.flatnonzero(taken.any(axis=1)).tolist() == [10]

@@ -424,3 +424,28 @@ def test_malformed_rows_raise_parse_error(tmp_path):
         with pytest.raises(ParseError, match=f"{name}:3"):
             SweepGrid.read_csv(path)
         assert cli_main(["analyze", "--results", str(path), "--out", str(tmp_path / "a")]) == 3
+
+
+def test_pool_is_sized_to_the_tasks_left(tmp_path, monkeypatch):
+    serial = tmp_path / "serial"
+    run_sweep(small_config(serial, runs_per_cell=2))
+    expected = (serial / "out" / "runs.csv").read_bytes()
+    first = run_sweep(small_config(tmp_path / "half", runs_per_cell=1))
+    pools = []
+
+    class CountingPool(harness_mod.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", CountingPool)
+    # One repetition left of two: no pool, even with three workers.
+    cfg = small_config(tmp_path, runs_per_cell=2, workers=3)
+    first.write_csv(tmp_path / "out" / "runs.partial.csv")
+    run_sweep(cfg, resume=True)
+    assert pools == []
+    assert (tmp_path / "out" / "runs.csv").read_bytes() == expected
+    # Two repetitions to run: two workers, not three.
+    run_sweep(small_config(tmp_path / "fresh", runs_per_cell=2, workers=3))
+    assert pools == [2]
+    assert (tmp_path / "fresh" / "out" / "runs.csv").read_bytes() == expected

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,73 @@ def test_plan_set_validations():
         )
     with pytest.raises(InvalidInputError):
         Plan(values=[1.0], discomfort=-0.5)
+
+
+def test_loader_arrays_match_python_float(tmp_path):
+    rows = [
+        ("0", ["1e-3", "2.5E+10", "-7.25e-310", "1_000.5"]),
+        (" +0.5 ", ["  -0.0", "+0.0 ", "inf", "-INF"]),
+        ("2_0", ["+1.5", " 3 ", "1E3", "-Infinity"]),
+        ("-0.0", ["0.1", "nan", "12345678901234567890", ".5"]),
+    ]
+    body = "\r\n\r\n".join(head + ":" + ",".join(tail) for head, tail in rows)
+    path = tmp_path / "agent_4.plans"
+    path.write_bytes(("\n  \n" + body + "\r\n\n").encode())
+    ps = load_plan_set(path)
+    values = np.array([[float(tok) for tok in tail] for _, tail in rows])
+    discomforts = np.array([float(head) for head, _ in rows])
+    assert ps.agent_id == 4 and ps.k == 4 and ps.dimension == 4
+    assert ps.value_matrix().tobytes() == values.tobytes()
+    assert ps.discomforts().tobytes() == discomforts.tobytes()
+    assert [p.discomfort for p in ps.plans] == discomforts.tolist()
+    assert all(p.values.tobytes() == row.tobytes() for p, row in zip(ps.plans, values))
+
+
+def test_plan_set_arrays_are_read_only_copies():
+    values = np.arange(6.0).reshape(3, 2)
+    ps = PlanSet(2, values=values, discomforts=[0.0, 1.0, 2.0])
+    values[0, 0] = 99.0
+    assert ps.value_matrix()[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        ps.value_matrix()[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        ps.discomforts()[0] = 5.0
+    rebuilt = PlanSet(2, ps.plans)
+    assert rebuilt.value_matrix().tobytes() == ps.value_matrix().tobytes()
+    assert rebuilt.discomforts().tobytes() == ps.discomforts().tobytes()
+    with pytest.raises(InvalidSizeError):
+        PlanSet(1, values=np.zeros((2, 3)), discomforts=[0.0])
+    with pytest.raises(InvalidInputError):
+        PlanSet(1, values=np.zeros((1, 3)), discomforts=[-1.0])
+
+
+@pytest.mark.parametrize(
+    "text,error,where",
+    [
+        ("0.1:1,2\n\n0.2:1,x\n", ParseError, ":3"),
+        ("0.1:1,2\r\n0.2 1,2\r\n", ParseError, ":2"),
+        ("0.1:1,2\n0.2:1,2\n\n-0.5:1,2\n", ParseError, ":4"),
+        ("0.1:1,2\n0.2:1,2,3\n", DimensionMismatchError, ":2"),
+        ("\n0.1:1\n0.2:1,2\n0.3:1,y\n", DimensionMismatchError, ":3"),
+        ("0.1,0.2:1,2\n", ParseError, ":1"),
+        ("0.1:1:2\n", ParseError, ":1"),
+        ("0.1:\n", ParseError, ":1"),
+        ("\n \r\n\n", NoDataError, ""),
+    ],
+)
+def test_malformed_files_name_their_line(tmp_path, text, error, where):
+    path = tmp_path / "agent_1.plans"
+    path.write_bytes(text.encode())
+    with pytest.raises(error) as err:
+        load_plan_set(path)
+    assert f"agent_1.plans{where}:" in str(err.value)
+
+
+def test_plan_set_pickles_read_only():
+    ps = generate_gaussian_plans(1, 3, 2, seed=5)[0]
+    back = pickle.loads(pickle.dumps(ps))
+    assert back.agent_id == ps.agent_id
+    assert back.value_matrix().tobytes() == ps.value_matrix().tobytes()
+    assert back.discomforts().tobytes() == ps.discomforts().tobytes()
+    assert not back.value_matrix().flags.writeable
+    assert not back.discomforts().flags.writeable
