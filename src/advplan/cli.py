@@ -15,8 +15,7 @@ from pathlib import Path
 from . import harness
 from .adversary import AttackSpec
 from .costs import InefficiencyFn
-from .engine import RunConfig, run_baseline
-from .engine import run as engine_run
+from .engine import RunConfig
 from .errors import AdvplanError, ConfigError
 from .plans import (
     generate_gaussian_plans,
@@ -131,42 +130,40 @@ def _cmd_run(args) -> int:
         raise ConfigError("pass --plans-dir or --agents/--plans")
     n = len(plan_sets)
     topology = build_balanced_binary(n, permutation_seed=args.topology_seed)
-    spec = AttackSpec(
-        severity=args.severity,
-        placement=args.placement,
-        count=args.count,
-        fraction=args.fraction,
-        layer=args.layer,
-        ratio=args.ratio,
-        direction=args.direction,
-        m=args.m,
-        sample_seed=args.seed,
-    )
-    adversaries = spec.materialize(topology)
+    try:
+        spec = AttackSpec(
+            severity=args.severity,
+            placement=args.placement,
+            count=args.count,
+            fraction=args.fraction,
+            layer=args.layer,
+            ratio=args.ratio,
+            direction=args.direction,
+            m=args.m,
+            sample_seed=args.seed,
+        )
+        adversaries = spec.materialize(topology)
+    except AdvplanError as exc:
+        raise ConfigError(f"invalid attack: {exc}") from exc
     target = load_target_signal(args.target).values if args.target else None
     config = RunConfig(
         max_iterations=args.max_iterations,
         inefficiency=InefficiencyFn(kind=args.ineff, target=target, scaling=args.scaling),
         rng_seed=args.seed,
     )
-    profile = harness.profile_for(topology, adversaries, args.severity)
-    outcome = engine_run(topology, plan_sets, profile, config)
-    baseline = run_baseline(topology, plan_sets, config)
-    legitimate = set(outcome.discomfort_per_agent) - adversaries
+    outcome, baseline, metrics = harness.run_attack(
+        topology, plan_sets, config, adversaries, args.severity
+    )
     payload = {
         "agents": n,
         "adversaries": sorted(adversaries),
         "severity": args.severity,
-        "inefficiency": outcome.global_inefficiency,
-        "discomfort_total": outcome.mean_discomfort(),
-        "discomfort_legit": outcome.mean_discomfort(legitimate) if legitimate else 0.0,
+        "inefficiency": metrics["inefficiency"],
+        "discomfort_total": metrics["discomfort_total"],
+        "discomfort_legit": metrics["discomfort_legit"],
         "baseline_inefficiency": baseline.global_inefficiency,
-        "compromised": (
-            outcome.mean_discomfort(legitimate) - baseline.mean_discomfort(legitimate)
-            if legitimate
-            else 0.0
-        ),
-        "iterations": outcome.iterations_used,
+        "compromised": metrics["compromised"],
+        "iterations": metrics["iterations"],
         "combined_cost_trace": outcome.combined_cost_trace,
     }
     if args.selections:

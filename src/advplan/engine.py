@@ -222,20 +222,6 @@ def select_plan(
     return int(choice[0, 0])
 
 
-def subtree_sums(
-    topology: TreeTopology, values_by_pos: list[np.ndarray], selections: np.ndarray
-) -> np.ndarray:
-    """Aggregate selected plans per subtree without double counting.
-
-    Returns an (n, d) array where row p-1 is the elementwise sum of the plans
-    selected inside the subtree rooted at position p: the node's own selection
-    plus its children's aggregates.
-    """
-    n = topology.node_count
-    own = np.array([values_by_pos[p][selections[p]] for p in range(n)], dtype=float)
-    return _subtree_sums(own, topology)
-
-
 def _stack_plans(topology: TreeTopology, plan_sets: list[PlanSet], config: RunConfig):
     """Plans in position order as ``P[n, k, d + 1]``, plus the true counts.
 

@@ -13,6 +13,7 @@ import csv
 import itertools
 import logging
 import math
+import os
 import warnings
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -77,6 +78,13 @@ CSV_COLUMNS = (
 )
 
 PLACEMENT_MODES = ("random", "layer", "cumulative")
+# The columns that, after signal_id, key one cell of each placement mode: cell
+# means group rows by them, and error rows name a failed cell by them.
+CELL_KEYS = {
+    "random": ("beta", "adv_count"),
+    "layer": ("layer", "adv_count", "beta"),
+    "cumulative": ("direction", "m", "beta"),
+}
 ZONE_METRICS = ("inefficiency", "discomfort_total", "discomfort_legit", "compromised")
 # Metrics whose degraded side is the low end (discomfort vanishes when
 # adversaries take over), so their zone labels run in reverse.
@@ -345,52 +353,37 @@ class SweepGrid:
     def signals(self) -> list[str]:
         return sorted({r.signal_id for r in self.rows})
 
-    def cell_means(self) -> dict[tuple[str, float, int], MetricPoint]:
-        """Means per (signal, beta, adversary count) over random-placement rows."""
-        groups: dict[tuple[str, float, int], list[RunRecord]] = {}
-        for r in self.rows:
-            if r.placement_mode != "random":
-                continue
-            groups.setdefault((r.signal_id, r.beta, r.adv_count), []).append(r)
-        cells = {}
-        for key, records in groups.items():
-            # Fixed summation order keeps means identical no matter how the
-            # rows were loaded.
-            records = sorted(records, key=RunRecord.sort_key)
-            cells[key] = MetricPoint(
-                beta=key[1],
-                adversary_fraction=records[0].adv_fraction,
-                inefficiency=float(np.mean([r.inefficiency for r in records])),
-                discomfort_total=float(np.mean([r.discomfort_total for r in records])),
-                discomfort_legitimate=float(np.mean([r.discomfort_legit for r in records])),
-                compromised=float(np.mean([r.compromised for r in records])),
-                run_count=len(records),
-            )
-        return cells
+    def _cells(self, mode: str):
+        """``(key, rows, means)`` per cell of one placement mode.
 
-    def structural_means(self, mode: str) -> dict[tuple, dict[str, float]]:
-        """Mean metrics per structural cell.
-
-        Layer cells key as (signal, layer, adv_count, beta); cumulative cells
-        as (signal, direction, m, beta).
+        The key is the signal plus the mode's ``CELL_KEYS`` columns, and the
+        means follow ``ZONE_METRICS``. Rows are summed in sort order, which
+        keeps means identical no matter how the rows were loaded.
         """
         groups: dict[tuple, list[RunRecord]] = {}
         for r in self.rows:
-            if r.placement_mode != mode:
-                continue
-            if mode == "layer":
-                key = (r.signal_id, r.layer, r.adv_count, r.beta)
-            else:
-                key = (r.signal_id, r.direction, r.m, r.beta)
-            groups.setdefault(key, []).append(r)
+            if r.placement_mode == mode:
+                key = (r.signal_id, *(getattr(r, c) for c in CELL_KEYS[mode]))
+                groups.setdefault(key, []).append(r)
+        for key, records in groups.items():
+            records.sort(key=RunRecord.sort_key)
+            yield key, records, [
+                float(np.mean([getattr(r, m) for r in records])) for m in ZONE_METRICS
+            ]
+
+    def cell_means(self) -> dict[tuple[str, float, int], MetricPoint]:
+        """Means per (signal, beta, adversary count) over random-placement rows."""
+        # MetricPoint lists its metrics in ZONE_METRICS order.
         return {
-            key: {
-                **{m: float(np.mean([getattr(r, m) for r in records])) for m in ZONE_METRICS},
-                "run_count": len(records),
-            }
-            for key, records in (
-                (key, sorted(recs, key=RunRecord.sort_key)) for key, recs in groups.items()
-            )
+            key: MetricPoint(key[1], records[0].adv_fraction, *means, len(records))
+            for key, records, means in self._cells("random")
+        }
+
+    def structural_means(self, mode: str) -> dict[tuple, dict[str, float]]:
+        """Mean metrics and run count per layer or cumulative cell."""
+        return {
+            key: {**dict(zip(ZONE_METRICS, means)), "run_count": len(records)}
+            for key, records, means in self._cells(mode)
         }
 
 
@@ -401,13 +394,19 @@ def _load_dataset(cfg: SweepConfig) -> list[PlanSet]:
     return generate_gaussian_plans(ds.agents, ds.plans, ds.dim, seed=ds.seed)
 
 
-def _signals(cfg: SweepConfig) -> list[tuple[str, TargetSignal | None]]:
+def _signals(cfg: SweepConfig, dimension: int) -> list[tuple[str, TargetSignal | None]]:
+    """``(signal_id, target)`` per target file, each checked against the plans' dimension."""
     if cfg.inefficiency_kind == "variance":
         return [("", None)]
-    return [
-        (str(idx), load_target_signal(path))
-        for idx, path in enumerate(cfg.target_files)
-    ]
+    signals = []
+    for idx, path in enumerate(cfg.target_files):
+        target = load_target_signal(path)
+        if target.values.shape[0] != dimension:
+            raise ConfigError(
+                f"target signal {path} has dimension {target.values.shape[0]}, plans {dimension}"
+            )
+        signals.append((str(idx), target))
+    return signals
 
 
 def _run_config(cfg: SweepConfig, target: TargetSignal | None, rng_seed: int) -> RunConfig:
@@ -424,36 +423,30 @@ def _run_config(cfg: SweepConfig, target: TargetSignal | None, rng_seed: int) ->
     )
 
 
-def _metrics_record(
-    cfg: SweepConfig,
-    signal_id: str,
-    run_seed: int,
-    beta: float,
-    adversaries: set[int],
-    outcome: RunOutcome,
-    baseline: RunOutcome,
-    n: int,
-    placement_mode: str,
-    layer: int | None = None,
-    direction: str = "",
-    m: int | None = None,
-) -> RunRecord:
-    legitimate = set(outcome.discomfort_per_agent) - set(adversaries)
+class _Cell(NamedTuple):
+    """One run of a task: its severity, adversaries, seed and CSV tags.
+
+    ``adv_count`` is the number of adversaries the cell asks for; ``error``
+    holds the exception when the adversary set could not be drawn.
+    """
+
+    beta: float
+    run_seed: int
+    adversaries: frozenset[int] = frozenset()
+    adv_count: int = 0
+    layer: int | None = None
+    direction: str = ""
+    m: int | None = None
+    error: AdvplanError | None = None
+
+
+def _run_metrics(adversaries, outcome: RunOutcome, baseline: RunOutcome) -> dict:
+    """The metric columns of one run's row, given its baseline run."""
+    legitimate = set(outcome.discomfort_per_agent).difference(adversaries)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         comp = compromised_discomfort(outcome, baseline, legitimate)
-    return RunRecord(
-        dataset=cfg.dataset.name,
-        signal_id=signal_id,
-        master_seed=cfg.master_seed,
-        run_seed=run_seed,
-        beta=beta,
-        adv_count=len(adversaries),
-        adv_fraction=len(adversaries) / n,
-        placement_mode=placement_mode,
-        layer=layer,
-        direction=direction,
-        m=m,
+    return dict(
         inefficiency=outcome.global_inefficiency,
         discomfort_total=outcome.mean_discomfort(),
         discomfort_legit=outcome.mean_discomfort(legitimate) if legitimate else 0.0,
@@ -462,20 +455,19 @@ def _metrics_record(
     )
 
 
-class _Cell(NamedTuple):
-    """One run of a batch: its severity, adversaries, seed and CSV tags.
-
-    ``error`` holds the exception when the adversary set could not be drawn.
-    """
-
-    beta: float
-    run_seed: int
-    adversaries: frozenset[int] = frozenset()
-    count: int = 0
-    layer: int | None = None
-    direction: str = ""
-    m: int | None = None
-    error: AdvplanError | None = None
+def _metrics_record(cell: _Cell, outcome: RunOutcome, baseline: RunOutcome, **tags) -> RunRecord:
+    """The row of one run; ``tags`` are dataset, signal_id, master_seed and placement_mode."""
+    return RunRecord(
+        **tags,
+        run_seed=cell.run_seed,
+        beta=cell.beta,
+        adv_count=len(cell.adversaries),
+        adv_fraction=len(cell.adversaries) / len(outcome.discomfort_per_agent),
+        layer=cell.layer,
+        direction=cell.direction,
+        m=cell.m,
+        **_run_metrics(cell.adversaries, outcome, baseline),
+    )
 
 
 def profile_for(topology, adversaries, beta: float) -> BehaviorProfile:
@@ -485,14 +477,27 @@ def profile_for(topology, adversaries, beta: float) -> BehaviorProfile:
     return BehaviorProfile.uniform(range(1, topology.node_count + 1), 0.0)
 
 
-def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells, isolate: bool):
+def run_attack(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, adversaries, beta: float):
+    """``(outcome, baseline, metrics)`` of one attacked run.
+
+    The attacked run and its baseline run as one batch, both seeded with
+    ``run_cfg.rng_seed``; an error raises. ``metrics`` are the metric
+    columns the run's CSV row would have.
+    """
+    profiles = [profile_for(topology, (), 0.0), profile_for(topology, adversaries, beta)]
+    seeds = [run_cfg.rng_seed] * 2
+    baseline, outcome = run_batch(topology, plan_sets, profiles, run_cfg, seeds)
+    return outcome, baseline, _run_metrics(adversaries, outcome, baseline)
+
+
+def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells):
     """Yield ``(cell, outcome)`` for the baseline, then for every cell.
 
     The baseline (every agent legitimate, seeded with ``run_cfg.rng_seed``)
     comes first. Runs go to the engine in the batches of ``split_batches``.
-    With ``isolate``, a batch that fails is run again one cell at a time,
-    and a cell that fails alone yields its exception as the outcome;
-    without it, errors propagate.
+    A batch that fails is run again one cell at a time, and a cell that
+    fails alone yields its exception as the outcome. A ``ConfigError``
+    concerns every cell alike, so it propagates.
     """
 
     def attempt(batch):
@@ -507,9 +512,9 @@ def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells, is
     for batch in split_batches(plan_sets, queue):
         try:
             outcomes = attempt(batch)
+        except ConfigError:
+            raise
         except (AdvplanError, OSError):
-            if not isolate:
-                raise
             outcomes = []
             for cell in batch:
                 try:
@@ -519,75 +524,105 @@ def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells, is
         yield from zip(batch, outcomes)
 
 
-def _cell_seeds(cfg: SweepConfig, signal_index: int, rep: int, scales: tuple[int, ...]):
-    """``(beta, count, run_seed)`` of every cell of one (signal, repetition) task."""
+def _scales(cfg: SweepConfig, n: int) -> tuple[int, ...]:
+    return cfg.scales if cfg.scales is not None else tuple(range(1, n + 1))
+
+
+def _cell_seeds(cfg: SweepConfig, signal_index: int, rep: int, n: int):
+    """``(beta, count, run_seed)`` of every random-placement cell of one task."""
     for beta_index, beta in enumerate(cfg.severities):
-        for count in scales:
+        for count in _scales(cfg, n):
             yield beta, count, derive_seed(
                 cfg.master_seed, "placement", signal_index, beta_index, count, rep
             )
 
 
-def _task_keys(cfg: SweepConfig, signal_index: int, signal_id: str, rep: int, scales):
-    """``RunRecord.sort_key`` of every row the task writes, without running it."""
+def _task_keys(cfg: SweepConfig, signal_index: int, signal_id: str, rep: int, n: int):
+    """``RunRecord.sort_key`` of every row a sweep task writes, without running it."""
     return [
         (cfg.dataset.name, signal_id, "random", -1, "", -1, beta, count, run_seed)
-        for beta, count, run_seed in _cell_seeds(cfg, signal_index, rep, scales)
+        for beta, count, run_seed in _cell_seeds(cfg, signal_index, rep, n)
     ]
 
 
-ERROR_COLUMNS = ("signal_id", "repetition", "beta", "adv_count", "error")
+def _random_cells(cfg: SweepConfig, topology, signal_index: int, rep: int):
+    for beta, count, run_seed in _cell_seeds(cfg, signal_index, rep, topology.node_count):
+        try:
+            adversaries = random_adversaries(topology, count, seed=run_seed)
+            yield _Cell(beta, run_seed, frozenset(adversaries), count)
+        except AdvplanError as exc:
+            yield _Cell(beta, run_seed, adv_count=count, error=exc)
 
 
-def _sweep_repetition(
+def _layer_cells(cfg: SweepConfig, topology, signal_index: int, rep: int):
+    for layer in range(1, topology.layer_count + 1):
+        members = sorted(agents_in_layer(topology, layer))
+        counts = sorted({layer_adversary_count(len(members), p) for p in cfg.layer_ratios})
+        for count in counts:
+            config_seed = derive_seed(cfg.master_seed, "layercfg", layer, count)
+            configs = sample_k_subsets(members, count, cfg.combination_cap, seed=config_seed)
+            for beta_index, beta in enumerate(cfg.severities):
+                for j, adversaries in enumerate(configs):
+                    run_seed = derive_seed(
+                        cfg.master_seed, "layerrun", signal_index, layer, count, beta_index, j
+                    )
+                    yield _Cell(beta, run_seed, adversaries, count, layer=layer)
+
+
+def _cumulative_cells(cfg: SweepConfig, topology, signal_index: int, rep: int):
+    for direction in ("top_down", "bottom_up"):
+        for m in range(1, topology.node_count + 1):
+            adversaries = frozenset(cumulative_positions(topology, direction, m))
+            for beta_index, beta in enumerate(cfg.severities):
+                run_seed = derive_seed(
+                    cfg.master_seed, "cumulative", signal_index, direction, m, beta_index
+                )
+                yield _Cell(beta, run_seed, adversaries, m, direction=direction, m=m)
+
+
+# The cells of one (signal, repetition) task, per placement mode.
+_CELLS = {"random": _random_cells, "layer": _layer_cells, "cumulative": _cumulative_cells}
+
+
+def _run_task(
     cfg: SweepConfig,
     plan_sets: list[PlanSet],
+    mode: str,
     signal_index: int,
     signal: tuple[str, TargetSignal | None],
     rep: int,
-    scales: tuple[int, ...],
 ) -> tuple[list[RunRecord], list[dict]]:
-    """All cells of one (signal, repetition) slice, sharing one baseline.
+    """Rows and error rows of one (signal, repetition) task of a placement mode.
 
-    A failing cell turns into an error entry instead of aborting the slice.
+    The cells share the repetition's topology and one baseline run. A cell
+    that fails becomes an error row instead of aborting the task; error rows
+    name the cell by its ``CELL_KEYS`` columns.
     """
     signal_id, target = signal
-    n = len(plan_sets)
     topo_seed = derive_seed(cfg.master_seed, "topology", rep)
-    topology = build_balanced_binary(n, permutation_seed=topo_seed)
+    topology = build_balanced_binary(len(plan_sets), permutation_seed=topo_seed)
     run_cfg = _run_config(cfg, target, rng_seed=topo_seed)
-
-    def cells():
-        for beta, count, run_seed in _cell_seeds(cfg, signal_index, rep, scales):
-            try:
-                adversaries = random_adversaries(topology, count, seed=run_seed)
-                yield _Cell(beta, run_seed, frozenset(adversaries), count)
-            except AdvplanError as exc:
-                yield _Cell(beta, run_seed, count=count, error=exc)
-
-    records: list[RunRecord] = []
-    errors: list[dict] = []
-    results = _run_cells(topology, plan_sets, run_cfg, cells(), isolate=True)
+    cells = _CELLS[mode](cfg, topology, signal_index, rep)
+    results = _run_cells(topology, plan_sets, run_cfg, cells)
+    keys = CELL_KEYS[mode]
     _, baseline = next(results)
     if isinstance(baseline, Exception):
-        errors.append(
-            {"signal_id": signal_id, "repetition": rep, "beta": "", "adv_count": "",
-             "error": f"baseline: {baseline}"}
-        )
-        return records, errors
+        failed = {**dict.fromkeys(keys, ""), "error": f"baseline: {baseline}"}
+        return [], [{"signal_id": signal_id, "repetition": rep, **failed}]
+    tags = dict(
+        dataset=cfg.dataset.name, signal_id=signal_id, master_seed=cfg.master_seed,
+        placement_mode=mode,
+    )
+    records: list[RunRecord] = []
+    errors: list[dict] = []
     for cell, outcome in results:
         if isinstance(outcome, Exception):
             errors.append(
-                {"signal_id": signal_id, "repetition": rep, "beta": cell.beta,
-                 "adv_count": cell.count, "error": str(outcome)}
+                {"signal_id": signal_id, "repetition": rep,
+                 **{key: getattr(cell, key) for key in keys}, "error": str(outcome)}
             )
         else:
-            records.append(
-                _metrics_record(
-                    cfg, signal_id, cell.run_seed, cell.beta, cell.adversaries, outcome,
-                    baseline, n, "random",
-                )
-            )
+            records.append(_metrics_record(cell, outcome, baseline, **tags))
     return records, errors
 
 
@@ -607,54 +642,51 @@ def _read_partial(path: Path) -> list[RunRecord]:
     return SweepGrid.read_csv(path).rows
 
 
-def run_sweep(cfg: SweepConfig, resume: bool = False) -> SweepGrid:
-    """Execute the random-placement sweep and write the sorted results CSV.
+def _execute(
+    cfg: SweepConfig,
+    plan_sets: list[PlanSet],
+    mode: str,
+    repetitions: range,
+    results_name: str,
+    errors_name: str,
+    resume: bool = False,
+) -> SweepGrid:
+    """Run every (signal, repetition) task of one placement mode.
 
-    Every (severity, scale) cell gets ``runs_per_cell`` runs; repetition ``r``
-    reshuffles the agent-to-position permutation and reuses one cached
-    baseline run per (signal, r) for the compromised-discomfort metric. Rows
-    stream to a partial CSV as they are produced and are finalized into
-    ``runs.csv``, sorted, at the end; the result is a pure function of the
-    config and master seed, so serial and parallel executions emit identical
-    sorted CSVs. A resume skips every (signal, repetition) task whose rows
-    are all in the partial file already. A pool of ``workers`` processes runs
-    the tasks only when more than one task is left for it.
+    Every target's dimension is checked against the plans before any task
+    runs. Rows stream to ``<results>.partial.csv`` as tasks finish; at the
+    end they are written, sorted, to a temporary file that replaces
+    ``results_name``, so a results file is never half written. Failed cells
+    go to ``errors_name``, which a run without failures removes. A pool of
+    ``workers`` processes runs the tasks only when more than one is left.
+    With ``resume`` (random placements only), a finished results file is
+    returned as it is, and every task whose rows are all in the partial file
+    is skipped.
     """
-    if "random" not in cfg.placements:
-        raise ConfigError("run_sweep needs the 'random' placement enabled")
-    plan_sets = _load_dataset(cfg)
-    n = len(plan_sets)
-    scales = cfg.scales if cfg.scales is not None else tuple(range(1, n + 1))
-    for count in scales:
-        if not 0 <= count <= n:
-            raise ConfigError(f"scale {count} outside 0..{n}")
+    signals = _signals(cfg, plan_sets[0].dimension)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    final_path = outdir / "runs.csv"
-    partial_path = outdir / "runs.partial.csv"
+    final_path, errors_path = outdir / results_name, outdir / errors_name
+    partial_path = final_path.with_suffix(".partial.csv")
 
-    existing: list[RunRecord] = []
     if resume and final_path.exists():
-        log.info("sweep already finalized at %s; reusing", final_path)
+        log.info("%s is already finalized; reusing it", final_path)
         return SweepGrid.read_csv(final_path)
-    if resume and partial_path.exists():
-        existing = _read_partial(partial_path)
+    existing = _read_partial(partial_path) if resume and partial_path.exists() else []
     done = {r.sort_key() for r in existing}
-
-    signals = _signals(cfg)
+    n = len(plan_sets)
     tasks = [
         (si, signal, rep)
         for si, signal in enumerate(signals)
-        for rep in range(cfg.runs_per_cell)
-        if not (done and done.issuperset(_task_keys(cfg, si, signal[0], rep, scales)))
+        for rep in repetitions
+        if not (done and done.issuperset(_task_keys(cfg, si, signal[0], rep, n)))
     ]
 
     grid = SweepGrid(rows=list(existing))
     error_rows: list[dict] = []
-    append_mode = bool(existing)
-    with open(partial_path, "a" if append_mode else "w", newline="", encoding="utf-8") as sink:
+    with open(partial_path, "a" if existing else "w", newline="", encoding="utf-8") as sink:
         writer = csv.writer(sink)
-        if not append_mode:
+        if not existing:
             writer.writerow(CSV_COLUMNS)
 
         def emit(result: tuple[list[RunRecord], list[dict]]) -> None:
@@ -670,49 +702,47 @@ def run_sweep(cfg: SweepConfig, resume: bool = False) -> SweepGrid:
         workers = min(cfg.workers, len(tasks))
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_sweep_repetition, cfg, plan_sets, si, signal, rep, scales)
-                    for si, signal, rep in tasks
-                ]
+                futures = [pool.submit(_run_task, cfg, plan_sets, mode, *task) for task in tasks]
                 for future in futures:
                     emit(future.result())
         else:
-            for si, signal, rep in tasks:
-                emit(_sweep_repetition(cfg, plan_sets, si, signal, rep, scales))
+            for task in tasks:
+                emit(_run_task(cfg, plan_sets, mode, *task))
 
-    grid.write_csv(final_path)
-    partial_path.unlink(missing_ok=True)
     if error_rows:
-        _write_dict_csv(outdir / "errors.csv", error_rows, list(ERROR_COLUMNS))
-        log.warning("%d cells failed; see %s", len(error_rows), outdir / "errors.csv")
-    log.info("sweep finished: %d rows -> %s", len(grid.rows), final_path)
+        columns = ["signal_id", "repetition", *CELL_KEYS[mode], "error"]
+        _write_dict_csv(errors_path, error_rows, columns)
+        log.warning("%d cells failed; see %s", len(error_rows), errors_path)
+    else:
+        errors_path.unlink(missing_ok=True)
+    staged = grid.write_csv(final_path.with_name(final_path.name + ".tmp"))
+    os.replace(staged, final_path)
+    partial_path.unlink(missing_ok=True)
+    log.info("%d rows -> %s", len(grid.rows), final_path)
     return grid
 
 
-def _layer_cells(cfg: SweepConfig, topology, signal_index: int):
-    for layer in range(1, topology.layer_count + 1):
-        members = sorted(agents_in_layer(topology, layer))
-        counts = sorted({layer_adversary_count(len(members), p) for p in cfg.layer_ratios})
-        for count in counts:
-            config_seed = derive_seed(cfg.master_seed, "layercfg", layer, count)
-            configs = sample_k_subsets(members, count, cfg.combination_cap, seed=config_seed)
-            for beta_index, beta in enumerate(cfg.severities):
-                for j, adversaries in enumerate(configs):
-                    run_seed = derive_seed(
-                        cfg.master_seed, "layerrun", signal_index, layer, count, beta_index, j
-                    )
-                    yield _Cell(beta, run_seed, adversaries, layer=layer)
+def run_sweep(cfg: SweepConfig, resume: bool = False) -> SweepGrid:
+    """Execute the random-placement sweep and write the sorted results CSV.
 
-
-def _cumulative_cells(cfg: SweepConfig, topology, signal_index: int):
-    for direction in ("top_down", "bottom_up"):
-        for m in range(1, topology.node_count + 1):
-            adversaries = frozenset(cumulative_positions(topology, direction, m))
-            for beta_index, beta in enumerate(cfg.severities):
-                run_seed = derive_seed(
-                    cfg.master_seed, "cumulative", signal_index, direction, m, beta_index
-                )
-                yield _Cell(beta, run_seed, adversaries, direction=direction, m=m)
+    Every (severity, scale) cell gets ``runs_per_cell`` runs; repetition ``r``
+    reshuffles the agent-to-position permutation and reuses one cached
+    baseline run per (signal, r) for the compromised-discomfort metric. The
+    rows go to ``runs.csv`` and failed cells to ``errors.csv``; the result is
+    a pure function of the config and master seed, so serial and parallel
+    executions emit identical sorted CSVs. A resume skips every (signal,
+    repetition) task whose rows are all in ``runs.partial.csv`` already.
+    """
+    if "random" not in cfg.placements:
+        raise ConfigError("run_sweep needs the 'random' placement enabled")
+    plan_sets = _load_dataset(cfg)
+    n = len(plan_sets)
+    for count in _scales(cfg, n):
+        if not 0 <= count <= n:
+            raise ConfigError(f"scale {count} outside 0..{n}")
+    return _execute(
+        cfg, plan_sets, "random", range(cfg.runs_per_cell), "runs.csv", "errors.csv", resume
+    )
 
 
 def run_structural(cfg: SweepConfig, mode: str) -> SweepGrid:
@@ -722,36 +752,17 @@ def run_structural(cfg: SweepConfig, mode: str) -> SweepGrid:
     configured ratios map to (duplicate counts collapse to one set of sampled
     configurations, whose metrics then stand for every ratio mapping to them).
     Cumulative runs grow the adversary set along the breadth-first order and
-    its reverse, one run per (direction, m, severity).
+    its reverse, one run per (direction, m, severity). Each signal is one
+    task; the rows go to ``structural_<mode>.csv`` and failed cells to
+    ``structural_<mode>_errors.csv``.
     """
     mode = mode.strip().lower().replace("-", "_").replace("_wise", "")
     if mode not in ("layer", "cumulative"):
         raise ConfigError(f"structural mode must be 'layer' or 'cumulative', got {mode!r}")
-    plan_sets = _load_dataset(cfg)
-    n = len(plan_sets)
-    topo_seed = derive_seed(cfg.master_seed, "topology", 0)
-    topology = build_balanced_binary(n, permutation_seed=topo_seed)
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    cells_for = _layer_cells if mode == "layer" else _cumulative_cells
-
-    grid = SweepGrid()
-    for si, (signal_id, target) in enumerate(_signals(cfg)):
-        run_cfg = _run_config(cfg, target, rng_seed=topo_seed)
-        results = _run_cells(
-            topology, plan_sets, run_cfg, cells_for(cfg, topology, si), isolate=False
-        )
-        _, baseline = next(results)
-        for cell, outcome in results:
-            grid.rows.append(
-                _metrics_record(
-                    cfg, signal_id, cell.run_seed, cell.beta, cell.adversaries, outcome,
-                    baseline, n, mode, layer=cell.layer, direction=cell.direction, m=cell.m,
-                )
-            )
-
-    grid.write_csv(outdir / f"structural_{mode}.csv")
-    return grid
+    return _execute(
+        cfg, _load_dataset(cfg), mode, range(1),
+        f"structural_{mode}.csv", f"structural_{mode}_errors.csv",
+    )
 
 
 def estimate_experiment_count(cfg: SweepConfig) -> int:
@@ -777,10 +788,9 @@ def estimate_experiment_count(cfg: SweepConfig) -> int:
     else:
         n = ds.agents
     signals = max(1, len(cfg.target_files)) if cfg.inefficiency_kind == "rss" else 1
-    scales = cfg.scales if cfg.scales is not None else tuple(range(1, n + 1))
     per_signal = 0
     if "random" in cfg.placements:
-        per_signal += cfg.runs_per_cell * len(scales)
+        per_signal += cfg.runs_per_cell * len(_scales(cfg, n))
     if "layer" in cfg.placements:
         topology = build_balanced_binary(n, permutation_seed=0)
         for layer in range(1, topology.layer_count + 1):
@@ -1034,54 +1044,41 @@ def analyze(
 
 
 def _write_structural_outputs(grid: SweepGrid, outdir: Path, thresholds: dict) -> None:
-    layer_cells = grid.structural_means("layer")
-    if layer_cells:
-        rows = [
-            {"signal_id": sig, "layer": layer, "adv_count": count, "beta": beta, **metrics}
-            for (sig, layer, count, beta), metrics in sorted(layer_cells.items())
-        ]
-        _write_dict_csv(
-            outdir / "layer_cells.csv",
-            rows,
-            ["signal_id", "layer", "adv_count", "beta", *ZONE_METRICS, "run_count"],
-        )
-    cumulative_cells = grid.structural_means("cumulative")
-    if cumulative_cells:
-        rows = [
-            {"signal_id": sig, "direction": direction, "m": m, "beta": beta, **metrics}
-            for (sig, direction, m, beta), metrics in sorted(cumulative_cells.items())
-        ]
-        _write_dict_csv(
-            outdir / "cumulative_cells.csv",
-            rows,
-            ["signal_id", "direction", "m", "beta", *ZONE_METRICS, "run_count"],
-        )
-        for signal in sorted({key[0] for key in cumulative_cells}):
-            for direction in ("top_down", "bottom_up"):
-                keys = [k for k in cumulative_cells if k[0] == signal and k[1] == direction]
-                if not keys:
-                    continue
-                betas = sorted({k[3] for k in keys})
-                ms = sorted({k[2] for k in keys})
-                matrix = [
-                    [cumulative_cells[(signal, direction, m, b)]["inefficiency"] for m in ms]
-                    for b in reversed(betas)
+    means = {mode: grid.structural_means(mode) for mode in ("layer", "cumulative")}
+    for mode, cells in means.items():
+        if cells:
+            columns = ["signal_id", *CELL_KEYS[mode]]
+            rows = [{**dict(zip(columns, key)), **mean} for key, mean in sorted(cells.items())]
+            _write_dict_csv(
+                outdir / f"{mode}_cells.csv", rows, [*columns, *ZONE_METRICS, "run_count"]
+            )
+    cumulative_cells = means["cumulative"]
+    for signal in sorted({key[0] for key in cumulative_cells}):
+        for direction in ("top_down", "bottom_up"):
+            keys = [k for k in cumulative_cells if k[0] == signal and k[1] == direction]
+            if not keys:
+                continue
+            betas = sorted({k[3] for k in keys})
+            ms = sorted({k[2] for k in keys})
+            matrix = [
+                [cumulative_cells[(signal, direction, m, b)]["inefficiency"] for m in ms]
+                for b in reversed(betas)
+            ]
+            pair = thresholds.get((signal, "inefficiency"))
+            letters = None
+            if pair is not None:
+                letters = [
+                    [classify_rvc(v, pair).value[0].upper() for v in row]
+                    for row in matrix
                 ]
-                pair = thresholds.get((signal, "inefficiency"))
-                letters = None
-                if pair is not None:
-                    letters = [
-                        [classify_rvc(v, pair).value[0].upper() for v in row]
-                        for row in matrix
-                    ]
-                tag = f"_{signal}" if signal else ""
-                render_heatmap(
-                    matrix,
-                    row_labels=[f"{b:g}" for b in reversed(betas)],
-                    col_labels=[str(m) for m in ms],
-                    path=outdir / f"heatmap{tag}_cumulative_{direction}.svg",
-                    title=f"inefficiency, cumulative {direction}",
-                    cell_labels=letters,
-                    x_axis="m",
-                    y_axis="severity",
-                )
+            tag = f"_{signal}" if signal else ""
+            render_heatmap(
+                matrix,
+                row_labels=[f"{b:g}" for b in reversed(betas)],
+                col_labels=[str(m) for m in ms],
+                path=outdir / f"heatmap{tag}_cumulative_{direction}.svg",
+                title=f"inefficiency, cumulative {direction}",
+                cell_labels=letters,
+                x_axis="m",
+                y_axis="severity",
+            )

@@ -3,7 +3,11 @@ import json
 import pytest
 import yaml
 
+from advplan.adversary import AttackSpec, make_profile
 from advplan.cli import main
+from advplan.engine import RunConfig, run, run_baseline
+from advplan.plans import generate_gaussian_plans
+from advplan.topology import build_balanced_binary
 
 
 def test_generate_plans_and_targets(tmp_path, capsys):
@@ -53,6 +57,32 @@ def test_run_rss_against_target(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["discomfort_total"] == 0.0
+
+
+def test_run_json_matches_separate_engine_runs(capsys):
+    """The attacked run and its baseline, batched, give what each run gives alone."""
+    argv = ["run", "--agents", "12", "--plans", "3", "--dim", "3", "--severity", "0.7",
+            "--placement", "layer", "--layer", "3", "--ratio", "50", "--seed", "5",
+            "--topology-seed", "2", "--max-iterations", "8"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    plan_sets = generate_gaussian_plans(12, 3, 3, seed=0)
+    topology = build_balanced_binary(12, permutation_seed=2)
+    adversaries = AttackSpec(0.7, "layer", layer=3, ratio=50, sample_seed=5).materialize(topology)
+    config = RunConfig(max_iterations=8, rng_seed=5)
+    outcome = run(topology, plan_sets, make_profile(topology, adversaries, 0.7), config)
+    baseline = run_baseline(topology, plan_sets, config)
+    legitimate = set(range(1, 13)) - adversaries
+    assert payload["adversaries"] == sorted(adversaries)
+    assert payload["inefficiency"] == outcome.global_inefficiency
+    assert payload["baseline_inefficiency"] == baseline.global_inefficiency
+    assert payload["discomfort_total"] == outcome.mean_discomfort()
+    assert payload["discomfort_legit"] == outcome.mean_discomfort(legitimate)
+    assert payload["compromised"] == (
+        outcome.mean_discomfort(legitimate) - baseline.mean_discomfort(legitimate)
+    )
+    assert payload["iterations"] == outcome.iterations_used
+    assert payload["combined_cost_trace"] == outcome.combined_cost_trace
 
 
 def write_config(tmp_path):
@@ -113,6 +143,48 @@ def test_sweep_bad_config_exit_code(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({"dataset": {"kind": "gaussian"}}))
     assert main(["sweep", "--config", str(path)]) == 2
+
+
+def test_target_dimension_mismatch_exits_2(tmp_path, caplog):
+    path = write_config(tmp_path)
+    (tmp_path / "t.target").write_text("0.0,0.5,1.0\n")
+    raw = yaml.safe_load(path.read_text())
+    raw["inefficiency"] = {"kind": "rss", "target_files": ["t.target"]}
+    path.write_text(yaml.safe_dump(raw))
+    for command in (["sweep"], ["structural", "--mode", "layer"]):
+        caplog.clear()
+        assert main([command[0], "--config", str(path), *command[1:]]) == 2
+        assert "has dimension 3, plans 2" in caplog.text
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_plan_ids_with_a_gap_exit_2(tmp_path, caplog):
+    assert main(["generate", "--agents", "3", "--plans", "2", "--out", str(tmp_path / "p")]) == 0
+    (tmp_path / "p" / "agent_2.plans").unlink()
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw["dataset"] = {"kind": "files", "plans_dir": "p"}
+    raw["scales"] = [0, 1]
+    path.write_text(yaml.safe_dump(raw))
+    for command in (["sweep"], ["structural", "--mode", "cumulative"]):
+        caplog.clear()
+        assert main([command[0], "--config", str(path), *command[1:]]) == 2
+        assert "agent ids" in caplog.text
+    written = {p.name for p in (tmp_path / "out").iterdir()}
+    assert written == {"runs.partial.csv", "structural_cumulative.partial.csv"}
+
+
+@pytest.mark.parametrize(
+    "attack",
+    [
+        ["--severity", "1.5", "--count", "2"],
+        ["--severity", "0.5", "--placement", "layer", "--layer", "2", "--ratio", "30"],
+        ["--severity", "0.5", "--fraction", "2.0"],
+        ["--severity", "0.5"],
+    ],
+)
+def test_run_usage_errors_exit_2(attack):
+    assert main(["run", "--agents", "6", "--plans", "2", *attack]) == 2
 
 
 def test_analyze_no_rows_exit_code(tmp_path):

@@ -16,7 +16,6 @@ from advplan.engine import (
     run_baseline,
     run_batch,
     select_plan,
-    subtree_sums,
 )
 from advplan.errors import ConfigError, DimensionMismatchError, InvalidInputError
 from advplan.plans import Plan, PlanSet, generate_gaussian_plans
@@ -207,30 +206,6 @@ def test_brute_force_quality_on_tiny_instances():
         )
         assert out.global_inefficiency >= costs[0] - 1e-12
         assert out.global_inefficiency <= costs[len(costs) // 5]
-
-
-def test_subtree_sums_match_flat_recomputation():
-    plan_sets = generate_gaussian_plans(13, 3, 2, seed=6)
-    topo = build_balanced_binary(13, permutation_seed=6)
-    values_by_pos = [
-        {ps.agent_id: ps for ps in plan_sets}[topo.agent_at[p]].value_matrix()
-        for p in range(13)
-    ]
-    rng = np.random.default_rng(0)
-    selections = rng.integers(0, 3, size=13)
-    sums = subtree_sums(topo, values_by_pos, selections)
-
-    def descendants(pos):
-        out = [pos]
-        for child in topo.children_of(pos):
-            out.extend(descendants(child))
-        return out
-
-    for pos in range(1, 14):
-        flat = np.sum(
-            [values_by_pos[q - 1][selections[q - 1]] for q in descendants(pos)], axis=0
-        )
-        assert np.allclose(sums[pos - 1], flat)
 
 
 def test_run_config_validation():

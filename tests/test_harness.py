@@ -1,5 +1,6 @@
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import oracle_engine
@@ -293,13 +294,11 @@ def test_record_sorting_is_total(tmp_path):
     assert len(set(keys)) == len(keys)
 
 
-def test_failed_cells_become_error_rows(tmp_path, monkeypatch):
-    import advplan.harness as harness_mod
+def failing_run_batch(monkeypatch, doomed: int) -> None:
+    """Make every engine batch that holds the run seed ``doomed`` fail."""
     from advplan.errors import InvalidInputError
 
     real_run_batch = harness_mod.run_batch
-    # The (beta 0.5, 5 adversaries) cell of repetition 0 fails, in any batch.
-    doomed = derive_seed(7, "placement", 0, 0, 5, 0)
 
     def flaky(topology, plan_sets, behaviors, config, seeds):
         if doomed in seeds:
@@ -307,11 +306,68 @@ def test_failed_cells_become_error_rows(tmp_path, monkeypatch):
         return real_run_batch(topology, plan_sets, behaviors, config, seeds)
 
     monkeypatch.setattr(harness_mod, "run_batch", flaky)
+
+
+def test_failed_cells_become_error_rows(tmp_path, monkeypatch):
+    # The (beta 0.5, 5 adversaries) cell of repetition 0 fails, in any batch.
+    failing_run_batch(monkeypatch, derive_seed(7, "placement", 0, 0, 5, 0))
     cfg = small_config(tmp_path, severities=(0.5,), scales=(0, 5), runs_per_cell=2)
     grid = run_sweep(cfg)
     assert len(grid.rows) == 3
     errors = (tmp_path / "out" / "errors.csv").read_text()
     assert "injected failure" in errors
+
+    # A clean rerun leaves no errors file behind.
+    monkeypatch.undo()
+    assert len(run_sweep(cfg).rows) == 4
+    assert not (tmp_path / "out" / "errors.csv").exists()
+
+
+def test_failed_structural_cells_become_error_rows(tmp_path, monkeypatch):
+    # The (top_down, m=3, beta 0.4) cumulative cell fails.
+    failing_run_batch(monkeypatch, derive_seed(7, "cumulative", 0, "top_down", 3, 0))
+    cfg = small_config(tmp_path, severities=(0.4, 0.8))
+    grid = run_structural(cfg, "cumulative")
+    assert len(grid.rows) == 2 * 2 * 10 - 1
+    assert ("top_down", 3, 0.4) not in {(r.direction, r.m, r.beta) for r in grid.rows}
+    out = tmp_path / "out"
+    assert SweepGrid.read_csv(out / "structural_cumulative.csv").sorted_rows() == grid.sorted_rows()
+    lines = (out / "structural_cumulative_errors.csv").read_text().splitlines()
+    assert lines == [
+        "signal_id,repetition,direction,m,beta,error", ",0,top_down,3,0.4,injected failure"
+    ]
+
+
+def test_interrupted_finalize_leaves_no_results_file(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path, runs_per_cell=2)
+    out = tmp_path / "out"
+    run_sweep(cfg)
+    expected = (out / "runs.csv").read_bytes()
+    (out / "runs.csv").unlink()
+
+    def failing_open(path, mode="r", **kwargs):
+        """Files named runs.csv* fail after their first write."""
+        handle = open(path, mode, **kwargs)
+        if "w" in mode and Path(path).name.startswith("runs.csv"):
+            write, writes = handle.write, []
+
+            def write_once(text):
+                if writes:
+                    raise OSError("disk full")
+                writes.append(text)
+                return write(text)
+
+            handle.write = write_once
+        return handle
+
+    monkeypatch.setattr(harness_mod, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        run_sweep(cfg)
+    monkeypatch.undo()
+    assert not (out / "runs.csv").exists()
+    assert len(SweepGrid.read_csv(out / "runs.partial.csv").rows) == 16
+    run_sweep(cfg, resume=True)
+    assert (out / "runs.csv").read_bytes() == expected
 
 
 def test_target_file_alias(tmp_path):
@@ -382,17 +438,27 @@ def test_resume_skips_finished_tasks(tmp_path, monkeypatch):
 
 
 def test_sweeps_and_structural_runs_match_oracle(tmp_path, monkeypatch):
-    target = tmp_path / "t.target"
-    target.write_text("0.5,-1.0\n")
+    targets = []
+    for name, values in (("t.target", "0.5,-1.0\n"), ("u.target", "-2.0,0.25\n")):
+        targets.append(str(tmp_path / name))
+        (tmp_path / name).write_text(values)
     sweep = dict(initial_selection="random")
     structural = dict(
         severities=(0.4, 1.0), inefficiency_kind="rss", inefficiency_scaling="min-max",
-        target_files=(str(target),), combination_cap=3,
+        target_files=tuple(targets), combination_cap=3,
     )
+    pools = []
+
+    class CountingPool(harness_mod.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", CountingPool)
 
     def outputs(root, workers=1):
         run_sweep(small_config(root, workers=workers, **sweep))
-        cfg = small_config(root, **structural)
+        cfg = small_config(root, workers=workers, **structural)
         run_structural(cfg, "layer")
         run_structural(cfg, "cumulative")
         return {
@@ -401,7 +467,10 @@ def test_sweeps_and_structural_runs_match_oracle(tmp_path, monkeypatch):
         }
 
     serial = outputs(tmp_path / "serial")
+    assert pools == []
     parallel = outputs(tmp_path / "parallel", workers=2)
+    # The sweep's three repetitions, then each structural mode's two signals.
+    assert pools == [2, 2, 2]
     monkeypatch.setattr(harness_mod, "run_batch", oracle_engine.run_batch)
     oracle = outputs(tmp_path / "oracle")
     assert serial == oracle
