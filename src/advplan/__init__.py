@@ -6,16 +6,13 @@ fronts, knee points, and resilience / vulnerability / collapse zones.
 """
 
 from .adversary import (
-    AttackSpec,
     cumulative_positions,
-    enumerate_layer_configs,
     layer_adversary_count,
     make_profile,
     random_adversaries,
     severity_grid,
 )
 from .analytics import (
-    MetricPoint,
     RvcLabel,
     classify_rvc,
     compromised_discomfort,
@@ -26,9 +23,7 @@ from .analytics import (
 from .costs import (
     GlobalResponse,
     InefficiencyFn,
-    rss_cost,
     scale_vector,
-    variance_cost,
 )
 from .engine import (
     BehaviorProfile,
@@ -37,7 +32,6 @@ from .engine import (
     run,
     run_baseline,
     run_batch,
-    select_plan,
 )
 from .harness import (
     SweepConfig,
@@ -49,7 +43,6 @@ from .harness import (
     run_sweep,
 )
 from .plans import (
-    Plan,
     PlanSet,
     TargetSignal,
     generate_gaussian_plans,

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import BehaviorProfile
 from .errors import InvalidInputError, InvalidSizeError, RangeError
-from .topology import TreeTopology, agents_in_layer
+from .topology import TreeTopology
 
 SEVERITY_LEVELS = 30
 LAYER_RATIOS = (25, 50, 75, 100)
@@ -58,15 +57,6 @@ def sample_k_subsets(
             seen.add(pick)
             out.append(frozenset(pick))
     return out
-
-
-def enumerate_layer_configs(
-    topology: TreeTopology, layer: int, p: int, cap: int = 100, seed: int = 0
-) -> list[frozenset[int]]:
-    """Adversary sets confined to one layer at ratio p, capped and seeded."""
-    agents = sorted(agents_in_layer(topology, layer))
-    k = layer_adversary_count(len(agents), p)
-    return sample_k_subsets(agents, k, cap, seed)
 
 
 def _canonical_direction(direction: str) -> str:
@@ -114,53 +104,3 @@ def make_profile(
     return BehaviorProfile(
         beta={a: (beta_d if a in adversaries else 0.0) for a in sorted(all_agents)}
     )
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    """One adversarial setting: severity plus a placement recipe.
-
-    ``placement`` is one of ``random``, ``layer``, ``cumulative``. Random
-    placements need ``count`` or ``fraction``; layer placements a ``layer``
-    and ``ratio``; cumulative placements a ``direction`` and ``m``.
-    """
-
-    severity: float
-    placement: str = "random"
-    count: int | None = None
-    fraction: float | None = None
-    layer: int | None = None
-    ratio: int | None = None
-    direction: str | None = None
-    m: int | None = None
-    sample_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.severity <= 1.0:
-            raise InvalidInputError(f"severity must be in (0, 1], got {self.severity}")
-        if self.placement not in ("random", "layer", "cumulative"):
-            raise InvalidInputError(f"unknown placement {self.placement!r}")
-
-    def resolve_count(self, n: int) -> int:
-        if self.count is not None:
-            return self.count
-        if self.fraction is not None:
-            return round(self.fraction * n)
-        raise InvalidInputError("random placement needs a count or fraction")
-
-    def materialize(self, topology: TreeTopology) -> set[int]:
-        """Concrete adversary set on the given topology."""
-        if self.placement == "random":
-            return random_adversaries(
-                topology, self.resolve_count(topology.node_count), self.sample_seed
-            )
-        if self.placement == "layer":
-            if self.layer is None or self.ratio is None:
-                raise InvalidInputError("layer placement needs layer and ratio")
-            configs = enumerate_layer_configs(
-                topology, self.layer, self.ratio, cap=1, seed=self.sample_seed
-            )
-            return set(configs[0])
-        if self.direction is None or self.m is None:
-            raise InvalidInputError("cumulative placement needs direction and m")
-        return cumulative_positions(topology, self.direction, self.m)

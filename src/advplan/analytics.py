@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,19 +26,6 @@ class RvcLabel(str, Enum):
     RESILIENCE = "resilience"
     VULNERABILITY = "vulnerability"
     COLLAPSE = "collapse"
-
-
-@dataclass(frozen=True)
-class MetricPoint:
-    """Aggregated metrics of one sweep cell (means over run_count runs)."""
-
-    beta: float
-    adversary_fraction: float
-    inefficiency: float
-    discomfort_total: float
-    discomfort_legitimate: float
-    compromised: float
-    run_count: int
 
 
 def compromised_discomfort(

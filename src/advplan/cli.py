@@ -13,7 +13,12 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .adversary import AttackSpec
+from .adversary import (
+    cumulative_positions,
+    layer_adversary_count,
+    random_adversaries,
+    sample_k_subsets,
+)
 from .costs import InefficiencyFn
 from .engine import RunConfig
 from .errors import AdvplanError, ConfigError
@@ -25,7 +30,7 @@ from .plans import (
     save_plan_sets,
     save_target_signal,
 )
-from .topology import build_balanced_binary
+from .topology import agents_in_layer, build_balanced_binary
 
 log = logging.getLogger("advplan")
 
@@ -121,41 +126,48 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _adversaries(args, topology) -> set[int]:
+    """The adversary set ``advplan run`` asks for, drawn as sweep cells draw theirs."""
+    if args.placement == "random":
+        if args.count is None and args.fraction is None:
+            raise ConfigError("random placement needs --count or --fraction")
+        count = args.count if args.count is not None else round(args.fraction * topology.node_count)
+        return random_adversaries(topology, count, seed=args.seed)
+    if args.placement == "layer":
+        if args.layer is None or args.ratio is None:
+            raise ConfigError("layer placement needs --layer and --ratio")
+        members = sorted(agents_in_layer(topology, args.layer))
+        count = layer_adversary_count(len(members), args.ratio)
+        return set(sample_k_subsets(members, count, cap=1, seed=args.seed)[0])
+    if args.direction is None or args.m is None:
+        raise ConfigError("cumulative placement needs --direction and --m")
+    return cumulative_positions(topology, args.direction, args.m)
+
+
 def _cmd_run(args) -> int:
+    if not 0.0 < args.severity <= 1.0:
+        raise ConfigError(f"--severity must be in (0, 1], got {args.severity}")
     if args.plans_dir:
         plan_sets = load_plan_sets(args.plans_dir)
-    elif args.agents is not None and args.plans is not None:
-        plan_sets = generate_gaussian_plans(args.agents, args.plans, args.dim, seed=args.gen_seed)
-    else:
+    elif args.agents is None or args.plans is None:
         raise ConfigError("pass --plans-dir or --agents/--plans")
-    n = len(plan_sets)
-    topology = build_balanced_binary(n, permutation_seed=args.topology_seed)
-    try:
-        spec = AttackSpec(
-            severity=args.severity,
-            placement=args.placement,
-            count=args.count,
-            fraction=args.fraction,
-            layer=args.layer,
-            ratio=args.ratio,
-            direction=args.direction,
-            m=args.m,
-            sample_seed=args.seed,
-        )
-        adversaries = spec.materialize(topology)
-    except AdvplanError as exc:
-        raise ConfigError(f"invalid attack: {exc}") from exc
     target = load_target_signal(args.target).values if args.target else None
-    config = RunConfig(
-        max_iterations=args.max_iterations,
-        inefficiency=InefficiencyFn(kind=args.ineff, target=target, scaling=args.scaling),
-        rng_seed=args.seed,
-    )
+    try:
+        if not args.plans_dir:
+            plan_sets = generate_gaussian_plans(
+                args.agents, args.plans, args.dim, seed=args.gen_seed
+            )
+        topology = build_balanced_binary(len(plan_sets), permutation_seed=args.topology_seed)
+        adversaries = _adversaries(args, topology)
+        ineff = InefficiencyFn(kind=args.ineff, target=target, scaling=args.scaling)
+    except AdvplanError as exc:
+        raise ConfigError(f"invalid run: {exc}") from exc
+    config = RunConfig(max_iterations=args.max_iterations, inefficiency=ineff, rng_seed=args.seed)
     outcome, baseline, metrics = harness.run_attack(
         topology, plan_sets, config, adversaries, args.severity
     )
     payload = {
-        "agents": n,
+        "agents": len(plan_sets),
         "adversaries": sorted(adversaries),
         "severity": args.severity,
         "inefficiency": metrics["inefficiency"],

@@ -18,7 +18,17 @@ from .plans import TargetSignal
 # The global response is a plain length-d float vector.
 GlobalResponse = np.ndarray
 
+INEFFICIENCY_KINDS = ("variance", "rss")
 SCALING_MODES = ("identity", "min-max", "zero-mean-unit-norm")
+
+
+def _canonical_kind(kind: str) -> str:
+    name = kind.strip().lower()
+    if name not in INEFFICIENCY_KINDS:
+        raise InvalidInputError(
+            f"unknown inefficiency kind {kind!r}; pick one of {INEFFICIENCY_KINDS}"
+        )
+    return name
 
 
 def _canonical_scaling(mode: str) -> str:
@@ -74,24 +84,6 @@ def _variance_rows(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def variance_cost(g: GlobalResponse) -> float:
-    """Population variance (divisor d) of the response entries."""
-    g = np.asarray(g, dtype=float).ravel()
-    if g.size == 0:
-        raise InvalidInputError("variance of an empty response is undefined")
-    return float(_variance_rows(g))
-
-
-def rss_cost(g: GlobalResponse, target: TargetSignal | np.ndarray, scaling: str = "identity") -> float:
-    """Sum of squared differences to the target after scaling both vectors."""
-    g = np.asarray(g, dtype=float)
-    t = target.values if isinstance(target, TargetSignal) else np.asarray(target, dtype=float)
-    if g.shape != t.shape:
-        raise DimensionMismatchError(f"response has shape {g.shape}, target {t.shape}")
-    diff = scale_vector(g, scaling) - scale_vector(t, scaling)
-    return float(_sum_squares(diff))
-
-
 @dataclass(frozen=True)
 class InefficiencyFn:
     """Configured system-cost function: plain variance or RSS to a target."""
@@ -101,9 +93,7 @@ class InefficiencyFn:
     scaling: str = "identity"
 
     def __post_init__(self) -> None:
-        kind = self.kind.strip().lower()
-        if kind not in ("variance", "rss"):
-            raise InvalidInputError(f"unknown inefficiency kind {self.kind!r}")
+        kind = _canonical_kind(self.kind)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "scaling", _canonical_scaling(self.scaling))
         if kind == "rss":

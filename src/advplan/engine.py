@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import GlobalResponse, InefficiencyFn, scale_vector
-from .errors import ConfigError, DimensionMismatchError, InvalidInputError
+from .errors import ConfigError, InvalidInputError
 from .plans import PlanSet
 from .topology import TreeTopology
 
@@ -63,14 +63,6 @@ class BehaviorProfile:
 
     def alpha(self, agent_id: int) -> float:
         return 1.0 - self.beta[agent_id]
-
-    @property
-    def adversaries(self) -> set[int]:
-        return {a for a, b in self.beta.items() if b > 0.0}
-
-    @property
-    def legitimate(self) -> set[int]:
-        return {a for a, b in self.beta.items() if b == 0.0}
 
     def mean_weights(self) -> tuple[float, float]:
         """Population means of (alpha, beta), used for the global cost."""
@@ -189,37 +181,6 @@ def _choose(P, alpha, beta, ctx, n: int, ineff: InefficiencyFn) -> np.ndarray:
         + beta[..., None] * scale_vector(disc_costs, "min-max")
     )
     return score.argmin(axis=-1)
-
-
-def select_plan(
-    agent: PlanSet,
-    behavior: tuple[float, float],
-    context_response: GlobalResponse,
-    context_discomforts,
-    ineff: InefficiencyFn,
-) -> int:
-    """Pick the plan index for one agent given the rest of the network.
-
-    ``context_response`` must already exclude the agent's own contribution;
-    ``context_discomforts`` holds the other agents' current discomforts, which
-    the candidate's own discomfort joins through the mean aggregation.
-    """
-    alpha, beta = behavior
-    context_response = np.asarray(context_response, dtype=float)
-    if context_response.shape[0] != agent.dimension:
-        raise DimensionMismatchError(
-            f"context has dimension {context_response.shape[0]}, plans {agent.dimension}"
-        )
-    others = np.asarray(list(context_discomforts), dtype=float)
-    choice = _choose(
-        np.column_stack([agent.value_matrix(), agent.discomforts()])[None],
-        np.array([[alpha]], dtype=float),
-        np.array([[beta]], dtype=float),
-        np.append(context_response, others.sum())[None, None],
-        others.size + 1,
-        ineff,
-    )
-    return int(choice[0, 0])
 
 
 def _stack_plans(topology: TreeTopology, plan_sets: list[PlanSet], config: RunConfig):

@@ -35,7 +35,6 @@ from .adversary import (
     severity_grid,
 )
 from .analytics import (
-    MetricPoint,
     RvcLabel,
     classify_rvc,
     compromised_discomfort,
@@ -43,9 +42,9 @@ from .analytics import (
     multi_otsu,
     pareto_front,
 )
-from .costs import InefficiencyFn
+from .costs import InefficiencyFn, _canonical_kind, _canonical_scaling
 from .engine import BehaviorProfile, RunConfig, RunOutcome, run_batch, split_batches
-from .errors import AdvplanError, ConfigError, DegenerateInputError, ParseError
+from .errors import AdvplanError, ConfigError, DegenerateInputError, InvalidInputError, ParseError
 from .heatmap import render_heatmap
 from .plans import (
     PlanSet,
@@ -134,6 +133,11 @@ class DatasetSpec:
         if self.kind == "gaussian" and not self.agents_grid:
             if self.agents is None or self.plans is None:
                 raise ConfigError("gaussian dataset needs agents and plans counts")
+        if self.kind == "gaussian":
+            for key in ("agents", "plans", "dim"):
+                size = getattr(self, key)
+                if size is not None and size < 1:
+                    raise ConfigError(f"{key} must be >= 1, got {size}")
         if not self.name:
             fallback = self.kind if self.kind == "gaussian" else Path(self.plans_dir).name
             object.__setattr__(self, "name", fallback)
@@ -160,9 +164,16 @@ class SweepConfig:
     def __post_init__(self) -> None:
         _check_types(self, {
             "severities": Real, "scales": Integral, "runs_per_cell": Integral, "placements": str,
-            "max_iterations": Integral, "combination_cap": Integral, "layer_ratios": Integral,
+            "inefficiency_kind": str, "inefficiency_scaling": str, "max_iterations": Integral,
+            "initial_selection": str, "combination_cap": Integral, "layer_ratios": Integral,
             "master_seed": Integral, "workers": Integral,
         })
+        try:
+            # Kinds are compared by name from here on, so the canonical one is kept.
+            object.__setattr__(self, "inefficiency_kind", _canonical_kind(self.inefficiency_kind))
+            _canonical_scaling(self.inefficiency_scaling)
+        except InvalidInputError as exc:
+            raise ConfigError(f"inefficiency: {exc}") from None
         if self.runs_per_cell < 1:
             raise ConfigError(f"runs_per_cell must be >= 1, got {self.runs_per_cell}")
         if not self.severities:
@@ -175,6 +186,9 @@ class SweepConfig:
         for mode in self.placements:
             if mode not in PLACEMENT_MODES:
                 raise ConfigError(f"unknown placement mode {mode!r}")
+        for p in self.layer_ratios:
+            if p not in LAYER_RATIOS:
+                raise ConfigError(f"layer_ratios must lie in {LAYER_RATIOS}, got {p}")
         if self.inefficiency_kind == "rss" and not self.target_files:
             raise ConfigError("rss inefficiency needs at least one target file")
         if self.workers < 1:
@@ -350,41 +364,29 @@ class SweepGrid:
                     raise ParseError(f"{path}:{reader.line_num}: malformed row: {exc}") from None
         return cls(rows=rows)
 
-    def signals(self) -> list[str]:
-        return sorted({r.signal_id for r in self.rows})
+    def cell_means(self, mode: str) -> dict[tuple, dict]:
+        """Mean metrics per cell of one placement mode.
 
-    def _cells(self, mode: str):
-        """``(key, rows, means)`` per cell of one placement mode.
-
-        The key is the signal plus the mode's ``CELL_KEYS`` columns, and the
-        means follow ``ZONE_METRICS``. Rows are summed in sort order, which
-        keeps means identical no matter how the rows were loaded.
+        The key is the signal plus the mode's ``CELL_KEYS`` columns. A value
+        holds the cell's ``adv_fraction``, its ``ZONE_METRICS`` means and
+        ``run_count``, named as the cell CSVs name them. Rows are summed in
+        sort order, which keeps means identical no matter how the rows were
+        loaded.
         """
         groups: dict[tuple, list[RunRecord]] = {}
         for r in self.rows:
             if r.placement_mode == mode:
                 key = (r.signal_id, *(getattr(r, c) for c in CELL_KEYS[mode]))
                 groups.setdefault(key, []).append(r)
+        means = {}
         for key, records in groups.items():
             records.sort(key=RunRecord.sort_key)
-            yield key, records, [
-                float(np.mean([getattr(r, m) for r in records])) for m in ZONE_METRICS
-            ]
-
-    def cell_means(self) -> dict[tuple[str, float, int], MetricPoint]:
-        """Means per (signal, beta, adversary count) over random-placement rows."""
-        # MetricPoint lists its metrics in ZONE_METRICS order.
-        return {
-            key: MetricPoint(key[1], records[0].adv_fraction, *means, len(records))
-            for key, records, means in self._cells("random")
-        }
-
-    def structural_means(self, mode: str) -> dict[tuple, dict[str, float]]:
-        """Mean metrics and run count per layer or cumulative cell."""
-        return {
-            key: {**dict(zip(ZONE_METRICS, means)), "run_count": len(records)}
-            for key, records, means in self._cells(mode)
-        }
+            means[key] = {
+                "adv_fraction": records[0].adv_fraction,
+                **{m: float(np.mean([getattr(r, m) for r in records])) for m in ZONE_METRICS},
+                "run_count": len(records),
+            }
+        return means
 
 
 def _load_dataset(cfg: SweepConfig) -> list[PlanSet]:
@@ -832,10 +834,7 @@ def _front_rows_for(
     ]
     for orientation, slices in axes:
         for fixed, members in slices:
-            points = [
-                (point.inefficiency, point.discomfort_legitimate)
-                for _, point in members
-            ]
+            points = [(cell["inefficiency"], cell["discomfort_legit"]) for _, cell in members]
             front = set(pareto_front(points))
             knee = knee_mmd(sorted(front))
             for (other, _), xy in zip(members, points):
@@ -867,6 +866,33 @@ def _write_dict_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
             )
 
 
+def _write_heatmap(base: Path, title: str, x_axis: str, values: dict, zone_of, knees=()):
+    """Render ``values``, keyed ``(beta, column)``, as ``<base>.svg``.
+
+    Rows run from the highest severity down. ``zone_of`` maps a value to its
+    zone, whose initial labels the cell; None leaves cells unlabelled.
+    ``knees`` lists the ``(beta, column)`` cells to outline. Returns the row
+    severities, the columns and the matrix as drawn.
+    """
+    rows = sorted({b for b, _ in values}, reverse=True)
+    cols = sorted({c for _, c in values})
+    matrix = [[values[(b, c)] for c in cols] for b in rows]
+    render_heatmap(
+        matrix,
+        row_labels=[f"{b:g}" for b in rows],
+        col_labels=[str(c) for c in cols],
+        path=base.with_suffix(".svg"),
+        title=title,
+        knee_cells={(rows.index(b), cols.index(c)) for b, c in knees},
+        cell_labels=None if zone_of is None else [
+            [zone_of(v).value[0].upper() for v in row] for row in matrix
+        ],
+        x_axis=x_axis,
+        y_axis="severity",
+    )
+    return rows, cols, matrix
+
+
 def analyze(
     grid: SweepGrid,
     output_dir: str | Path | None = None,
@@ -875,39 +901,31 @@ def analyze(
 ) -> AnalysisBundle:
     """Segment the sweep grid into R/V/C zones and extract fronts and knees.
 
-    Otsu thresholds are computed per metric over the grid of cell means; a
+    Otsu thresholds are computed per metric over the grid of random-placement
+    cell means, which are the only cells ``exclude_beta`` removes; a
     degenerate metric (fewer than three distinct values) downgrades to a
     single all-resilience zone with a warning. Fronts pair inefficiency with
     legitimate-agent discomfort along both grid orientations. When an output
     directory is given, cells, thresholds, zones, fronts, and per-metric SVG
     heatmaps (with knee and zone overlays) are written there; structural rows
-    present in the grid get their own aggregated CSVs and heatmaps.
+    present in the grid get their own aggregated CSVs, and cumulative rows
+    heatmaps zoned by the grid's inefficiency thresholds.
     """
-    cells = grid.cell_means()
-    if exclude_beta:
-        cells = {
-            key: point for key, point in cells.items() if key[1] not in exclude_beta
-        }
+    means = {mode: grid.cell_means(mode) for mode in PLACEMENT_MODES}
+    cells = {key: cell for key, cell in means["random"].items() if key[1] not in exclude_beta}
+    means["random"] = cells
     thresholds: dict = {}
     zones: dict = {}
     front_rows: list[dict] = []
     zone_rows: list[dict] = []
-    signals = sorted({key[0] for key in cells})
+    complete: list[str] = []
 
-    metric_of = {
-        "inefficiency": lambda p: p.inefficiency,
-        "discomfort_total": lambda p: p.discomfort_total,
-        "discomfort_legit": lambda p: p.discomfort_legitimate,
-        "compromised": lambda p: p.compromised,
-    }
-
-    for signal in signals:
+    for signal in sorted({key[0] for key in cells}):
         keys = sorted(key for key in cells if key[0] == signal)
         betas = sorted({k[1] for k in keys})
         counts = sorted({k[2] for k in keys})
-        complete = all((signal, b, c) in cells for b in betas for c in counts)
         for metric in ZONE_METRICS:
-            values = [metric_of[metric](cells[k]) for k in keys]
+            values = [cells[k][metric] for k in keys]
             try:
                 t1, t2 = multi_otsu(values, classes=3, bins=bins)
                 thresholds[(signal, metric)] = (t1, t2)
@@ -932,9 +950,10 @@ def analyze(
                         "zone": zone.value,
                     }
                 )
-        if complete and keys:
+        if len(keys) == len(betas) * len(counts):
+            complete.append(signal)
             front_rows.extend(_front_rows_for(cells, signal, betas, counts))
-        elif keys:
+        else:
             log.warning("grid for signal %r is ragged; skipping front extraction", signal)
 
     bundle = AnalysisBundle(
@@ -947,25 +966,16 @@ def analyze(
     outdir.mkdir(parents=True, exist_ok=True)
     bundle.output_dir = outdir
 
-    cell_rows = [
-        {
-            "signal_id": key[0],
-            "beta": key[1],
-            "adv_count": key[2],
-            "adv_fraction": point.adversary_fraction,
-            "inefficiency": point.inefficiency,
-            "discomfort_total": point.discomfort_total,
-            "discomfort_legit": point.discomfort_legitimate,
-            "compromised": point.compromised,
-            "run_count": point.run_count,
-        }
-        for key, point in sorted(cells.items())
-    ]
-    _write_dict_csv(
-        outdir / "cells.csv",
-        cell_rows,
-        ["signal_id", "beta", "adv_count", "adv_fraction", *ZONE_METRICS, "run_count"],
-    )
+    for mode, mode_cells in means.items():
+        if mode_cells or mode == "random":
+            columns = ["signal_id", *CELL_KEYS[mode]]
+            rows = [{**dict(zip(columns, key)), **cell} for key, cell in sorted(mode_cells.items())]
+            extra = ["adv_fraction"] if mode == "random" else []
+            _write_dict_csv(
+                outdir / ("cells.csv" if mode == "random" else f"{mode}_cells.csv"),
+                rows,
+                [*columns, *extra, *ZONE_METRICS, "run_count"],
+            )
     _write_dict_csv(
         outdir / "thresholds.csv",
         [
@@ -996,89 +1006,36 @@ def analyze(
         ],
     )
 
-    knee_cells_by_signal: dict[str, set[tuple[float, int]]] = {}
+    knees: dict[str, set[tuple[float, int]]] = {}
     for row in front_rows:
         if row["is_knee"] and row["orientation"] == "per_beta":
-            knee_cells_by_signal.setdefault(row["signal_id"], set()).add(
-                (row["beta"], row["adv_count"])
-            )
-    for signal in signals:
-        keys = [key for key in cells if key[0] == signal]
-        betas = sorted({k[1] for k in keys})
-        counts = sorted({k[2] for k in keys})
-        if not all((signal, b, c) in cells for b in betas for c in counts):
-            continue
-        rows_desc = list(reversed(betas))
+            knees.setdefault(row["signal_id"], set()).add((row["beta"], row["adv_count"]))
+    for signal in complete:
+        tag = f"_{signal}" if signal else ""
         for metric in ZONE_METRICS:
-            matrix = [
-                [metric_of[metric](cells[(signal, b, c)]) for c in counts]
-                for b in rows_desc
-            ]
-            zone_letters = [
-                [zones[(signal, metric, b, c)].value[0].upper() for c in counts]
-                for b in rows_desc
-            ]
-            knees = {
-                (rows_desc.index(b), counts.index(c))
-                for b, c in knee_cells_by_signal.get(signal, set())
-            }
-            tag = f"_{signal}" if signal else ""
+            pair, reverse = thresholds[(signal, metric)], metric in REVERSED_ZONE_METRICS
             base = outdir / f"heatmap{tag}_{metric}"
-            render_heatmap(
-                matrix,
-                row_labels=[f"{b:g}" for b in rows_desc],
-                col_labels=[str(c) for c in counts],
-                path=base.with_suffix(".svg"),
-                title=f"{metric} by severity x adversary count",
-                knee_cells=knees if metric == "inefficiency" else set(),
-                cell_labels=zone_letters,
-                x_axis="adversaries",
-                y_axis="severity",
+            betas, cols, matrix = _write_heatmap(
+                base,
+                f"{metric} by severity x adversary count",
+                "adversaries",
+                {key[1:]: cell[metric] for key, cell in cells.items() if key[0] == signal},
+                lambda v: _zone_for(v, pair, reverse),
+                knees.get(signal, ()) if metric == "inefficiency" else (),
             )
-            header = ["beta", *counts]
-            rows = [dict(zip(header, [b, *vals])) for b, vals in zip(rows_desc, matrix)]
+            header = ["beta", *cols]
+            rows = [dict(zip(header, [b, *vals])) for b, vals in zip(betas, matrix)]
             _write_dict_csv(base.with_suffix(".csv"), rows, header)
-
-    _write_structural_outputs(grid, outdir, thresholds)
+    cumulative = means["cumulative"]
+    for signal, direction in sorted({key[:2] for key in cumulative}):
+        pair = thresholds.get((signal, "inefficiency"))
+        tag = f"_{signal}" if signal else ""
+        _write_heatmap(
+            outdir / f"heatmap{tag}_cumulative_{direction}",
+            f"inefficiency, cumulative {direction}",
+            "m",
+            {(k[3], k[2]): cell["inefficiency"] for k, cell in cumulative.items()
+             if k[:2] == (signal, direction)},
+            None if pair is None else lambda v: classify_rvc(v, pair),
+        )
     return bundle
-
-
-def _write_structural_outputs(grid: SweepGrid, outdir: Path, thresholds: dict) -> None:
-    means = {mode: grid.structural_means(mode) for mode in ("layer", "cumulative")}
-    for mode, cells in means.items():
-        if cells:
-            columns = ["signal_id", *CELL_KEYS[mode]]
-            rows = [{**dict(zip(columns, key)), **mean} for key, mean in sorted(cells.items())]
-            _write_dict_csv(
-                outdir / f"{mode}_cells.csv", rows, [*columns, *ZONE_METRICS, "run_count"]
-            )
-    cumulative_cells = means["cumulative"]
-    for signal in sorted({key[0] for key in cumulative_cells}):
-        for direction in ("top_down", "bottom_up"):
-            keys = [k for k in cumulative_cells if k[0] == signal and k[1] == direction]
-            if not keys:
-                continue
-            betas = sorted({k[3] for k in keys})
-            ms = sorted({k[2] for k in keys})
-            matrix = [
-                [cumulative_cells[(signal, direction, m, b)]["inefficiency"] for m in ms]
-                for b in reversed(betas)
-            ]
-            pair = thresholds.get((signal, "inefficiency"))
-            letters = None
-            if pair is not None:
-                letters = [
-                    [classify_rvc(v, pair).value[0].upper() for v in row]
-                    for row in matrix
-                ]
-            tag = f"_{signal}" if signal else ""
-            render_heatmap(
-                matrix,
-                row_labels=[f"{b:g}" for b in reversed(betas)],
-                col_labels=[str(m) for m in ms],
-                path=outdir / f"heatmap{tag}_cumulative_{direction}.svg",
-                title=f"inefficiency, cumulative {direction}",
-                cell_labels=letters,
-                x_axis="m",
-                y_axis="severity",
-            )

@@ -25,40 +25,14 @@ from .errors import (
 _PLAN_FILE_RE = re.compile(r"^agent_(\d+)\.plans$")
 
 
-@dataclass(frozen=True, eq=False)
-class Plan:
-    """One candidate action vector plus the agent-local cost of picking it."""
-
-    values: np.ndarray
-    discomfort: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise InvalidSizeError("plan values must form a non-empty vector")
-        if self.discomfort < 0:
-            raise InvalidInputError(f"discomfort must be >= 0, got {self.discomfort}")
-
-
 class PlanSet:
     """Ordered candidate plans of one agent; the order is the tie-break order.
 
     The plans live in one read-only ``(k, d)`` value array and one ``(k,)``
-    discomfort array, built from ``plans`` or passed in as ``values`` and
-    ``discomforts``; ``plans`` is derived from them.
+    discomfort array.
     """
 
-    def __init__(self, agent_id: int, plans=(), values=None, discomforts=None) -> None:
-        if values is None:
-            plans = tuple(plans)
-            if not plans:
-                raise InvalidSizeError(f"agent {agent_id} has no plans")
-            dims = {p.values.shape[0] for p in plans}
-            if len(dims) != 1:
-                raise DimensionMismatchError(
-                    f"agent {agent_id} mixes plan dimensions {sorted(dims)}"
-                )
-            values, discomforts = [p.values for p in plans], [p.discomfort for p in plans]
+    def __init__(self, agent_id: int, values, discomforts) -> None:
         self.agent_id = agent_id
         self._values = np.array(values, dtype=float)
         self._discomforts = np.array(discomforts, dtype=float)
@@ -71,14 +45,7 @@ class PlanSet:
         self._values.flags.writeable = self._discomforts.flags.writeable = False
 
     def __reduce__(self):
-        return PlanSet, (self.agent_id, (), self._values, self._discomforts)
-
-    @property
-    def plans(self) -> tuple[Plan, ...]:
-        return tuple(
-            Plan(values=row, discomfort=disc)
-            for row, disc in zip(self._values, self._discomforts.tolist())
-        )
+        return PlanSet, (self.agent_id, self._values, self._discomforts)
 
     @property
     def k(self) -> int:
@@ -168,11 +135,11 @@ def load_plan_set(path: Path | str, agent_id: int | None = None) -> PlanSet:
     return PlanSet(agent_id, values=table[:, 1:], discomforts=table[:, 0])
 
 
-def load_plan_sets(path: Path | str, uniform: bool = True) -> list[PlanSet]:
+def load_plan_sets(path: Path | str) -> list[PlanSet]:
     """Load every ``agent_<id>.plans`` file in a directory, sorted by agent id.
 
-    With ``uniform`` (the default) all agents must agree on plan dimension and
-    plan count, which is what the optimization engine expects.
+    All agents must agree on plan dimension and plan count, which is what the
+    optimization engine expects.
     """
     path = Path(path)
     files = sorted(
@@ -185,13 +152,12 @@ def load_plan_sets(path: Path | str, uniform: bool = True) -> list[PlanSet]:
     if not files:
         raise NoDataError(f"{path} contains no agent_<id>.plans files")
     plan_sets = [load_plan_set(p, agent_id=aid) for aid, p in files]
-    if uniform:
-        dims = {ps.dimension for ps in plan_sets}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"plan dimension differs across agents: {sorted(dims)}")
-        counts = {ps.k for ps in plan_sets}
-        if len(counts) != 1:
-            raise DimensionMismatchError(f"plan count differs across agents: {sorted(counts)}")
+    dims = {ps.dimension for ps in plan_sets}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"plan dimension differs across agents: {sorted(dims)}")
+    counts = {ps.k for ps in plan_sets}
+    if len(counts) != 1:
+        raise DimensionMismatchError(f"plan count differs across agents: {sorted(counts)}")
     return plan_sets
 
 

@@ -46,10 +46,6 @@ class TreeTopology:
         self._check_position(position)
         return [c for c in (2 * position, 2 * position + 1) if c <= self.node_count]
 
-    def layer_of(self, position: int) -> int:
-        self._check_position(position)
-        return position.bit_length()
-
     def positions_in_layer(self, layer: int) -> range:
         if not 1 <= layer <= self.layer_count:
             raise RangeError(

@@ -20,7 +20,7 @@ from advplan.harness import (
     estimate_experiment_count,
     run_sweep,
 )
-from advplan.plans import Plan, PlanSet, generate_gaussian_plans
+from advplan.plans import PlanSet, generate_gaussian_plans
 from advplan.topology import build_balanced_binary
 
 
@@ -69,10 +69,8 @@ def test_criterion_04_degenerate_behavior():
     plan_sets = []
     for agent in range(1, n + 1):
         discomforts = rng.permutation(k).astype(float)
-        plans = tuple(
-            Plan(values=rng.normal(size=3), discomfort=float(d)) for d in discomforts
-        )
-        plan_sets.append(PlanSet(agent_id=agent, plans=plans))
+        values = [rng.normal(size=3) for _ in discomforts]
+        plan_sets.append(PlanSet(agent_id=agent, values=values, discomforts=discomforts))
     topology = build_balanced_binary(n, permutation_seed=1)
     selfish = run(
         topology, plan_sets, BehaviorProfile.uniform(range(1, n + 1), 1.0), RunConfig()
@@ -84,7 +82,7 @@ def test_criterion_04_degenerate_behavior():
     )
     response_ok = np.allclose(
         selfish.global_response,
-        np.sum([by_id[a].plans[i].values for a, i in selfish.selections.items()], axis=0),
+        np.sum([by_id[a].value_matrix()[i] for a, i in selfish.selections.items()], axis=0),
     )
 
     forced_sets = generate_gaussian_plans(60, 1, 2, seed=3)
@@ -260,10 +258,10 @@ def test_criterion_09_gaussian_trend():
         master_seed=2026,
     )
     grid = run_sweep(cfg)
-    cells = grid.cell_means()
+    cells = grid.cell_means("random")
     counts = sorted(key[2] for key in cells)
-    inefficiency = [cells[("", 0.9, c)].inefficiency for c in counts]
-    discomfort = [cells[("", 0.9, c)].discomfort_total for c in counts]
+    inefficiency = [cells[("", 0.9, c)]["inefficiency"] for c in counts]
+    discomfort = [cells[("", 0.9, c)]["discomfort_total"] for c in counts]
     rho = float(spearmanr(counts, inefficiency).statistic)
     monotone = all(b <= a + 1e-9 for a, b in zip(discomfort, discomfort[1:]))
     elapsed = time.perf_counter() - start

@@ -3,9 +3,7 @@ import math
 import pytest
 
 from advplan.adversary import (
-    AttackSpec,
     cumulative_positions,
-    enumerate_layer_configs,
     layer_adversary_count,
     make_profile,
     random_adversaries,
@@ -42,18 +40,20 @@ def test_layer_adversary_count_validation():
 def test_enumerate_layer_configs_exhaustive_when_small():
     t = build_balanced_binary(15, permutation_seed=0)
     # Layer 3 has 4 agents; p=50 needs pairs: C(4,2) = 6.
-    configs = enumerate_layer_configs(t, layer=3, p=50, cap=100, seed=0)
-    assert len(configs) == 6
     members = agents_in_layer(t, 3)
+    k = layer_adversary_count(len(members), 50)
+    configs = sample_k_subsets(list(members), k, cap=100, seed=0)
+    assert len(configs) == 6
     assert all(c <= members and len(c) == 2 for c in configs)
     assert len(set(configs)) == 6
 
 
 def test_enumerate_layer_configs_single_agent_layer():
     t = build_balanced_binary(7, permutation_seed=1)
+    root = agents_in_layer(t, 1)
     for p in (25, 50, 75, 100):
-        configs = enumerate_layer_configs(t, layer=1, p=p)
-        assert configs == [frozenset(agents_in_layer(t, 1))]
+        configs = sample_k_subsets(list(root), layer_adversary_count(len(root), p), cap=100)
+        assert configs == [frozenset(root)]
 
 
 def test_enumerate_layer_configs_capped_sampling():
@@ -65,12 +65,6 @@ def test_enumerate_layer_configs_capped_sampling():
     assert all(len(c) == 5 and c <= set(population) for c in configs)
     again = sample_k_subsets(population, 5, cap=100, seed=4)
     assert configs == again
-
-
-def test_enumerate_layer_configs_out_of_range():
-    t = build_balanced_binary(7)
-    with pytest.raises(RangeError):
-        enumerate_layer_configs(t, layer=9, p=25)
 
 
 def test_cumulative_positions_prefixes():
@@ -109,9 +103,9 @@ def test_make_profile():
     assert profile.beta == {1: 0.0, 2: 0.0, 3: 0.5, 4: 0.0, 5: 0.5, 6: 0.0}
     assert all(profile.alpha(a) + profile.beta[a] == 1.0 for a in range(1, 7))
     empty = make_profile(t, set(), 0.7)
-    assert empty.adversaries == set()
+    assert set(empty.beta.values()) == {0.0}
     full = make_profile(t, set(range(1, 7)), 1.0)
-    assert full.legitimate == set()
+    assert set(full.beta.values()) == {1.0}
 
 
 def test_make_profile_validation():
@@ -134,21 +128,3 @@ def test_random_adversaries_seeded_and_sized():
     assert random_adversaries(t, 0, seed=5) == set()
     with pytest.raises(RangeError):
         random_adversaries(t, 31, seed=5)
-
-
-def test_attack_spec_materialize():
-    t = build_balanced_binary(15, permutation_seed=0)
-    random_set = AttackSpec(severity=0.5, placement="random", count=4).materialize(t)
-    assert len(random_set) == 4
-    frac = AttackSpec(severity=0.5, placement="random", fraction=0.2).materialize(t)
-    assert len(frac) == 3
-    layer = AttackSpec(severity=0.5, placement="layer", layer=3, ratio=50).materialize(t)
-    assert len(layer) == 2
-    cumulative = AttackSpec(
-        severity=0.5, placement="cumulative", direction="top_down", m=2
-    ).materialize(t)
-    assert cumulative == {t.agent_at[0], t.agent_at[1]}
-    with pytest.raises(InvalidInputError):
-        AttackSpec(severity=0.0, placement="random", count=1)
-    with pytest.raises(InvalidInputError):
-        AttackSpec(severity=0.5, placement="random").resolve_count(15)

@@ -3,11 +3,11 @@ import json
 import pytest
 import yaml
 
-from advplan.adversary import AttackSpec, make_profile
+from advplan.adversary import make_profile, random_adversaries, sample_k_subsets
 from advplan.cli import main
 from advplan.engine import RunConfig, run, run_baseline
 from advplan.plans import generate_gaussian_plans
-from advplan.topology import build_balanced_binary
+from advplan.topology import agents_in_layer, build_balanced_binary
 
 
 def test_generate_plans_and_targets(tmp_path, capsys):
@@ -59,6 +59,33 @@ def test_run_rss_against_target(tmp_path, capsys):
     assert payload["discomfort_total"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "placement,draw",
+    [
+        (["--count", "4"], lambda t: random_adversaries(t, 4, seed=5)),
+        (["--fraction", "0.2"], lambda t: random_adversaries(t, 3, seed=5)),
+        (
+            ["--placement", "layer", "--layer", "3", "--ratio", "50"],
+            lambda t: sample_k_subsets(sorted(agents_in_layer(t, 3)), 2, cap=1, seed=5)[0],
+        ),
+        (
+            ["--placement", "cumulative", "--direction", "top_down", "--m", "2"],
+            lambda t: {t.agent_at[0], t.agent_at[1]},
+        ),
+        (
+            ["--placement", "cumulative", "--direction", "bottom-up", "--m", "2"],
+            lambda t: {t.agent_at[13], t.agent_at[14]},
+        ),
+    ],
+)
+def test_run_draws_adversaries_as_sweep_cells(capsys, placement, draw):
+    argv = ["run", "--agents", "15", "--plans", "2", "--severity", "0.5", "--seed", "5",
+            "--topology-seed", "1", *placement]
+    assert main(argv) == 0
+    topology = build_balanced_binary(15, permutation_seed=1)
+    assert json.loads(capsys.readouterr().out)["adversaries"] == sorted(draw(topology))
+
+
 def test_run_json_matches_separate_engine_runs(capsys):
     """The attacked run and its baseline, batched, give what each run gives alone."""
     argv = ["run", "--agents", "12", "--plans", "3", "--dim", "3", "--severity", "0.7",
@@ -68,7 +95,7 @@ def test_run_json_matches_separate_engine_runs(capsys):
     payload = json.loads(capsys.readouterr().out)
     plan_sets = generate_gaussian_plans(12, 3, 3, seed=0)
     topology = build_balanced_binary(12, permutation_seed=2)
-    adversaries = AttackSpec(0.7, "layer", layer=3, ratio=50, sample_seed=5).materialize(topology)
+    adversaries = set(sample_k_subsets(sorted(agents_in_layer(topology, 3)), 2, cap=1, seed=5)[0])
     config = RunConfig(max_iterations=8, rng_seed=5)
     outcome = run(topology, plan_sets, make_profile(topology, adversaries, 0.7), config)
     baseline = run_baseline(topology, plan_sets, config)
@@ -181,6 +208,10 @@ def test_plan_ids_with_a_gap_exit_2(tmp_path, caplog):
         ["--severity", "0.5", "--placement", "layer", "--layer", "2", "--ratio", "30"],
         ["--severity", "0.5", "--fraction", "2.0"],
         ["--severity", "0.5"],
+        ["--severity", "0.5", "--count", "1", "--ineff", "rss"],
+        ["--severity", "0.5", "--count", "1", "--scaling", "bogus"],
+        ["--severity", "0.5", "--count", "1", "--agents", "0"],
+        ["--severity", "0", "--count", "1"],
     ],
 )
 def test_run_usage_errors_exit_2(attack):
@@ -212,6 +243,8 @@ def test_analyze_no_rows_exit_code(tmp_path):
         ("master_seed", "s"),
         ("placements", "random"),
         ("layer_ratios", [25, "half"]),
+        ("layer_ratios", [30]),
+        ("initial_selection", 5),
     ],
 )
 def test_wrongly_typed_config_values_exit_2(tmp_path, caplog, key, value):
@@ -225,7 +258,10 @@ def test_wrongly_typed_config_values_exit_2(tmp_path, caplog, key, value):
         assert key in caplog.text
 
 
-@pytest.mark.parametrize("key,value", [("dim", "two"), ("agents", 2.5), ("seed", None)])
+@pytest.mark.parametrize(
+    "key,value",
+    [("dim", "two"), ("agents", 2.5), ("seed", None), ("agents", 0), ("plans", 0), ("dim", 0)],
+)
 def test_wrongly_typed_dataset_values_exit_2(tmp_path, caplog, key, value):
     path = write_config(tmp_path)
     raw = yaml.safe_load(path.read_text())
@@ -236,11 +272,19 @@ def test_wrongly_typed_dataset_values_exit_2(tmp_path, caplog, key, value):
 
 
 @pytest.mark.parametrize(
-    "section", [5, {"kind": "rss", "target_files": None}, {"kind": "rss", "target_files": "t"}]
+    "section",
+    [
+        5,
+        {"kind": "rss", "target_files": None},
+        {"kind": "rss", "target_files": "t"},
+        {"kind": "varaince"},
+        {"scaling": "bogus"},
+    ],
 )
 def test_malformed_inefficiency_section_exits_2(tmp_path, section):
     path = write_config(tmp_path)
     raw = yaml.safe_load(path.read_text())
     raw["inefficiency"] = section
     path.write_text(yaml.safe_dump(raw))
-    assert main(["sweep", "--config", str(path)]) == 2
+    for command in (["sweep"], ["estimate"], ["structural", "--mode", "layer"]):
+        assert main([command[0], "--config", str(path), *command[1:]]) == 2

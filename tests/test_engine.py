@@ -15,33 +15,44 @@ from advplan.engine import (
     run,
     run_baseline,
     run_batch,
-    select_plan,
 )
-from advplan.errors import ConfigError, DimensionMismatchError, InvalidInputError
-from advplan.plans import Plan, PlanSet, generate_gaussian_plans
+from advplan.errors import ConfigError, InvalidInputError
+from advplan.plans import PlanSet, generate_gaussian_plans
 from advplan.topology import build_balanced_binary
 
 
 def toy_plan_set(agent_id, rows, discomforts):
-    return PlanSet(
-        agent_id=agent_id,
-        plans=tuple(
-            Plan(values=np.array(row, dtype=float), discomfort=d)
-            for row, d in zip(rows, discomforts)
-        ),
+    return PlanSet(agent_id, values=rows, discomforts=discomforts)
+
+
+def choose_one(agent, behavior, context_response, context_discomforts, ineff):
+    """The plan index ``_choose`` picks for one agent in one run.
+
+    ``context_response`` excludes the agent's own plan; ``context_discomforts``
+    are the other agents' discomforts, which the candidate's own joins.
+    """
+    others = np.asarray(context_discomforts, dtype=float)
+    choice = engine._choose(
+        np.column_stack([agent.value_matrix(), agent.discomforts()])[None],
+        np.array([[behavior[0]]]),
+        np.array([[behavior[1]]]),
+        np.append(context_response, others.sum())[None, None],
+        others.size + 1,
+        ineff,
     )
+    return int(choice[0, 0])
 
 
 def test_select_plan_pure_selfish_ignores_context():
     agent = toy_plan_set(1, [[5, 5], [0, 0], [1, 1]], [0.9, 0.4, 0.7])
-    idx = select_plan(agent, (0.0, 1.0), np.array([100.0, -100.0]), [2.0, 3.0], InefficiencyFn())
+    idx = choose_one(agent, (0.0, 1.0), np.array([100.0, -100.0]), [2.0, 3.0], InefficiencyFn())
     assert idx == 1
 
 
 def test_select_plan_pure_altruistic_minimizes_inefficiency():
     # Context [1, -1]: plan [-1, 1] flattens the sum exactly.
     agent = toy_plan_set(1, [[2, 0], [-1, 1], [5, 5]], [0.0, 9.0, 1.0])
-    idx = select_plan(agent, (1.0, 0.0), np.array([1.0, -1.0]), [0.5], InefficiencyFn())
+    idx = choose_one(agent, (1.0, 0.0), np.array([1.0, -1.0]), [0.5], InefficiencyFn())
     assert idx == 1
 
 
@@ -52,22 +63,16 @@ def test_select_plan_matches_exhaustive_weighted_objective():
     ineff = InefficiencyFn()
     alpha = beta = 0.5
 
-    ineff_costs = np.array([ineff(ctx + p.values) for p in agent.plans])
+    ineff_costs = np.array([ineff(ctx + values) for values in agent.value_matrix()])
     disc_costs = np.array(
-        [(sum(others) + p.discomfort) / (len(others) + 1) for p in agent.plans]
+        [(sum(others) + disc) / (len(others) + 1) for disc in agent.discomforts()]
     )
 
     def norm(v):
         return (v - v.min()) / (v.max() - v.min()) if v.max() > v.min() else v * 0
 
     expected = int(np.argmin(alpha * norm(ineff_costs) + beta * norm(disc_costs)))
-    assert select_plan(agent, (alpha, beta), ctx, others, ineff) == expected
-
-
-def test_select_plan_dimension_mismatch():
-    agent = toy_plan_set(1, [[1, 2]], [0.0])
-    with pytest.raises(DimensionMismatchError):
-        select_plan(agent, (1.0, 0.0), np.zeros(3), [], InefficiencyFn())
+    assert choose_one(agent, (alpha, beta), ctx, others, ineff) == expected
 
 
 def test_select_plan_discomfort_rescaling_invariance():
@@ -80,8 +85,8 @@ def test_select_plan_discomfort_rescaling_invariance():
         scaled = toy_plan_set(1, rows, discomforts * float(rng.uniform(0.5, 10)))
         ctx = rng.normal(size=3)
         for beta in (0.0, 0.3, 1.0):
-            a = select_plan(agent, (1 - beta, beta), ctx, [0.1, 0.2], InefficiencyFn())
-            b = select_plan(scaled, (1 - beta, beta), ctx, [0.1, 0.2], InefficiencyFn())
+            a = choose_one(agent, (1 - beta, beta), ctx, [0.1, 0.2], InefficiencyFn())
+            b = choose_one(scaled, (1 - beta, beta), ctx, [0.1, 0.2], InefficiencyFn())
             assert a == b
 
 
@@ -90,7 +95,7 @@ def test_run_forced_when_single_plan():
     topo = build_balanced_binary(5, permutation_seed=2)
     out = run_baseline(topo, plan_sets, RunConfig())
     assert out.iterations_used == 1
-    expected = np.sum([ps.plans[0].values for ps in plan_sets], axis=0)
+    expected = np.sum([ps.value_matrix()[0] for ps in plan_sets], axis=0)
     assert np.allclose(out.global_response, expected)
 
 
@@ -111,7 +116,7 @@ def test_run_all_selfish_selects_minimum_discomfort():
     for agent, idx in out.selections.items():
         discomforts = by_id[agent].discomforts()
         assert discomforts[idx] == discomforts.min()
-        expected_g += by_id[agent].plans[idx].values
+        expected_g += by_id[agent].value_matrix()[idx]
     assert np.allclose(out.global_response, expected_g)
 
 
@@ -126,7 +131,7 @@ def test_run_conservation_and_determinism():
     assert out1.combined_cost_trace == out2.combined_cost_trace
     by_id = {ps.agent_id: ps for ps in plan_sets}
     flat = np.sum(
-        [by_id[a].plans[i].values for a, i in out1.selections.items()], axis=0
+        [by_id[a].value_matrix()[i] for a, i in out1.selections.items()], axis=0
     )
     assert np.allclose(out1.global_response, flat)
 
@@ -231,8 +236,6 @@ def test_behavior_profile_validation_and_views():
     with pytest.raises(InvalidInputError):
         BehaviorProfile(beta={1: 1.5})
     profile = BehaviorProfile(beta={1: 0.0, 2: 0.5, 3: 0.0})
-    assert profile.adversaries == {2}
-    assert profile.legitimate == {1, 3}
     assert profile.alpha(2) == 0.5
     assert profile.mean_weights() == (pytest.approx(5 / 6), pytest.approx(1 / 6))
 

@@ -103,9 +103,9 @@ def test_run_sweep_shape_and_baseline_consistency(tmp_path):
         if record.adv_count == 0:
             assert record.compromised == 0.0
             assert record.adv_fraction == 0.0
-    cells = grid.cell_means()
+    cells = grid.cell_means("random")
     assert len(cells) == 8
-    assert all(point.run_count == 3 for point in cells.values())
+    assert all(cell["run_count"] == 3 for cell in cells.values())
 
 
 def test_run_sweep_csv_round_trip_and_estimate_match(tmp_path):
@@ -276,10 +276,80 @@ def test_analyze_exclude_beta(tmp_path):
     assert {key[1] for key in bundle.cells} == {0.5}
 
 
+CELL_LETTER = 'font-size="9"'
+
+
+def test_analyze_structural_only_results(tmp_path):
+    cfg = small_config(tmp_path, severities=(0.3, 0.9))
+    outdir = tmp_path / "analysis"
+    analyze(run_structural(cfg, "cumulative"), output_dir=outdir)
+    headers = {
+        "cells.csv": "signal_id,beta,adv_count,adv_fraction,inefficiency,discomfort_total,"
+        "discomfort_legit,compromised,run_count",
+        "thresholds.csv": "signal_id,metric,t1,t2",
+        "zones.csv": "signal_id,metric,beta,adv_count,value,zone",
+        "fronts.csv": "signal_id,orientation,fixed,beta,adv_count,inefficiency,"
+        "discomfort_legit,on_front,is_knee",
+    }
+    for name, header in headers.items():
+        assert (outdir / name).read_text().splitlines() == [header]
+    assert (outdir / "cumulative_cells.csv").exists()
+    assert not (outdir / "layer_cells.csv").exists()
+    svgs = sorted(p.name for p in outdir.glob("*.svg"))
+    assert svgs == ["heatmap_cumulative_bottom_up.svg", "heatmap_cumulative_top_down.svg"]
+    assert all(CELL_LETTER not in (outdir / name).read_text() for name in svgs)
+
+
+def test_analyze_degenerate_metric_letters_grid_heatmaps_only(tmp_path):
+    rows = []
+    for beta in (0.5, 1.0):
+        for count in (0, 1, 2):
+            rows.append(
+                RunRecord(
+                    dataset="toy", signal_id="", master_seed=0, run_seed=count,
+                    beta=beta, adv_count=count, adv_fraction=count / 3,
+                    placement_mode="random", layer=None, direction="", m=None,
+                    inefficiency=1.0, discomfort_total=1.0,
+                    discomfort_legit=1.0, compromised=1.0, iterations=1,
+                )
+            )
+            rows.append(
+                RunRecord(
+                    dataset="toy", signal_id="", master_seed=0, run_seed=count,
+                    beta=beta, adv_count=count + 1, adv_fraction=(count + 1) / 3,
+                    placement_mode="cumulative", layer=None, direction="top_down",
+                    m=count + 1, inefficiency=beta * count, discomfort_total=0.5,
+                    discomfort_legit=0.5, compromised=0.0, iterations=2,
+                )
+            )
+    outdir = tmp_path / "analysis"
+    with pytest.warns(UserWarning):
+        analyze(SweepGrid(rows=rows), output_dir=outdir)
+    for metric in ("inefficiency", "discomfort_total", "discomfort_legit", "compromised"):
+        svg = (outdir / f"heatmap_{metric}.svg").read_text()
+        assert svg.count(CELL_LETTER) == svg.count(">R</text>") == 6
+    assert CELL_LETTER not in (outdir / "heatmap_cumulative_top_down.svg").read_text()
+
+
+def test_analyze_exclude_beta_spares_structural_cells(tmp_path):
+    cfg = small_config(tmp_path, severities=(0.5, 1.0), runs_per_cell=1)
+    grid = run_sweep(cfg)
+    for mode in ("layer", "cumulative"):
+        grid.rows.extend(run_structural(cfg, mode).rows)
+    analyze(grid, output_dir=tmp_path / "all")
+    analyze(grid, output_dir=tmp_path / "some", exclude_beta=(1.0,))
+    for name in ("layer_cells.csv", "cumulative_cells.csv"):
+        kept = (tmp_path / "some" / name).read_text()
+        assert kept == (tmp_path / "all" / name).read_text()
+        assert ",1.0," in kept
+    cells = (tmp_path / "some" / "cells.csv").read_text().splitlines()[1:]
+    assert cells and all(line.split(",")[1] == "0.5" for line in cells)
+
+
 def test_structural_means_layer_view(tmp_path):
     cfg = small_config(tmp_path, severities=(0.7,))
     grid = run_structural(cfg, "layer")
-    means = grid.structural_means("layer")
+    means = grid.cell_means("layer")
     # Layer 3 of the 10-agent tree has 4 agents; count=2 averages C(4,2)=6 runs.
     key = ("", 3, 2, 0.7)
     assert key in means

@@ -11,7 +11,6 @@ from advplan.errors import (
     ParseError,
 )
 from advplan.plans import (
-    Plan,
     PlanSet,
     generate_gaussian_plans,
     generate_voting_targets,
@@ -28,8 +27,8 @@ def test_plan_line_round_trip(tmp_path):
     ps = load_plan_sets(tmp_path)[0]
     assert ps.agent_id == 3
     assert ps.k == 1
-    assert ps.plans[0].discomfort == 0.25
-    assert np.array_equal(ps.plans[0].values, [1.0, 2.0])
+    assert ps.discomforts()[0] == 0.25
+    assert np.array_equal(ps.value_matrix()[0], [1.0, 2.0])
 
 
 def test_energy_style_file_shape(tmp_path):
@@ -64,7 +63,6 @@ def test_inconsistent_dimension_across_agents(tmp_path):
     (tmp_path / "agent_2.plans").write_text("0.1:1,2,3\n")
     with pytest.raises(DimensionMismatchError):
         load_plan_sets(tmp_path)
-    assert len(load_plan_sets(tmp_path, uniform=False)) == 2
 
 
 def test_empty_directory(tmp_path):
@@ -90,7 +88,6 @@ def test_gaussian_rank_discomfort():
     assert len(plan_sets) == 10
     for ps in plan_sets:
         assert list(ps.discomforts()) == [0.0, 1.0]
-        assert ps.plans[0].discomfort == 0.0
 
 
 def test_gaussian_determinism_and_seed_sensitivity():
@@ -146,14 +143,9 @@ def test_target_signal_file_round_trip(tmp_path):
 
 def test_plan_set_validations():
     with pytest.raises(InvalidSizeError):
-        PlanSet(agent_id=1, plans=())
-    with pytest.raises(DimensionMismatchError):
-        PlanSet(
-            agent_id=1,
-            plans=(Plan(values=[1.0], discomfort=0), Plan(values=[1.0, 2.0], discomfort=0)),
-        )
+        PlanSet(agent_id=1, values=np.zeros((0, 1)), discomforts=())
     with pytest.raises(InvalidInputError):
-        Plan(values=[1.0], discomfort=-0.5)
+        PlanSet(agent_id=1, values=[[1.0]], discomforts=[-0.5])
 
 
 def test_loader_arrays_match_python_float(tmp_path):
@@ -172,8 +164,6 @@ def test_loader_arrays_match_python_float(tmp_path):
     assert ps.agent_id == 4 and ps.k == 4 and ps.dimension == 4
     assert ps.value_matrix().tobytes() == values.tobytes()
     assert ps.discomforts().tobytes() == discomforts.tobytes()
-    assert [p.discomfort for p in ps.plans] == discomforts.tolist()
-    assert all(p.values.tobytes() == row.tobytes() for p, row in zip(ps.plans, values))
 
 
 def test_plan_set_arrays_are_read_only_copies():
@@ -185,9 +175,6 @@ def test_plan_set_arrays_are_read_only_copies():
         ps.value_matrix()[0, 0] = 5.0
     with pytest.raises(ValueError):
         ps.discomforts()[0] = 5.0
-    rebuilt = PlanSet(2, ps.plans)
-    assert rebuilt.value_matrix().tobytes() == ps.value_matrix().tobytes()
-    assert rebuilt.discomforts().tobytes() == ps.discomforts().tobytes()
     with pytest.raises(InvalidSizeError):
         PlanSet(1, values=np.zeros((2, 3)), discomforts=[0.0])
     with pytest.raises(InvalidInputError):

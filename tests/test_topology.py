@@ -19,7 +19,7 @@ def test_structure_of_seven_node_tree():
     assert t.children_of(1) == [2, 3]
     assert t.children_of(3) == [6, 7]
     assert t.children_of(7) == []
-    assert [t.layer_of(p) for p in range(1, 8)] == [1, 2, 2, 3, 3, 3, 3]
+    assert [list(layer) for layer in t.layers] == [[1], [2, 3], [4, 5, 6, 7]]
     assert len(agents_in_layer(t, 1)) == 1
     assert len(agents_in_layer(t, 3)) == 4
 
