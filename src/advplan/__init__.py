@@ -15,7 +15,6 @@ from .adversary import (
 from .analytics import (
     RvcLabel,
     classify_rvc,
-    compromised_discomfort,
     knee_mmd,
     multi_otsu,
     pareto_front,

@@ -93,14 +93,18 @@ def random_adversaries(topology: TreeTopology, count: int, seed: int = 0) -> set
 def make_profile(
     topology: TreeTopology, adversaries, beta_d: float
 ) -> BehaviorProfile:
-    """Behavior profile with beta_d on the listed agents and 0 elsewhere."""
-    if not 0.0 < beta_d <= 1.0:
-        raise InvalidInputError(f"adversarial severity must be in (0, 1], got {beta_d}")
-    adversaries = set(adversaries)
-    all_agents = set(range(1, topology.node_count + 1))
-    unknown = adversaries - all_agents
-    if unknown:
-        raise InvalidInputError(f"unknown agent ids {sorted(unknown)}")
-    return BehaviorProfile(
-        beta={a: (beta_d if a in adversaries else 0.0) for a in sorted(all_agents)}
-    )
+    """Behavior profile with beta_d on the listed agents and 0 elsewhere.
+
+    With no adversaries every agent is legitimate, whatever ``beta_d``.
+    """
+    n = topology.node_count
+    ids = np.fromiter(adversaries, dtype=np.intp)
+    beta = np.zeros(n)
+    if ids.size:
+        if not 0.0 < beta_d <= 1.0:
+            raise InvalidInputError(f"adversarial severity must be in (0, 1], got {beta_d}")
+        unknown = ids[(ids < 1) | (ids > n)]
+        if unknown.size:
+            raise InvalidInputError(f"unknown agent ids {np.unique(unknown).tolist()}")
+        beta[ids - 1] = beta_d
+    return BehaviorProfile(beta=beta)

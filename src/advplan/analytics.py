@@ -1,4 +1,4 @@
-"""Outcome metrics, Pareto fronts with knee points, and R/V/C segmentation.
+"""Pareto fronts with knee points, and R/V/C segmentation.
 
 All fronts minimize both coordinates. Zone segmentation runs multi-level Otsu
 thresholding on the grid of cell means and splits it into resilience,
@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import warnings
 from enum import Enum
 
 import numpy as np
 
-from .engine import RunOutcome
 from .errors import (
     DegenerateInputError,
     InvalidInputError,
@@ -26,25 +24,6 @@ class RvcLabel(str, Enum):
     RESILIENCE = "resilience"
     VULNERABILITY = "vulnerability"
     COLLAPSE = "collapse"
-
-
-def compromised_discomfort(
-    with_adv: RunOutcome, baseline: RunOutcome, legitimate: set[int]
-) -> float:
-    """Extra mean discomfort the legitimate agents carry versus the baseline."""
-    agents = set(with_adv.discomfort_per_agent)
-    if agents != set(baseline.discomfort_per_agent):
-        raise InvalidInputError("runs cover different agent populations")
-    unknown = set(legitimate) - agents
-    if unknown:
-        raise InvalidInputError(f"legitimate ids not in the runs: {sorted(unknown)}")
-    if not legitimate:
-        warnings.warn(
-            "no legitimate agents; compromised discomfort defined as 0",
-            stacklevel=2,
-        )
-        return 0.0
-    return with_adv.mean_discomfort(legitimate) - baseline.mean_discomfort(legitimate)
 
 
 def pareto_front(points) -> list[tuple[float, float]]:

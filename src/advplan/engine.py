@@ -18,8 +18,8 @@ walk visits each node once per iteration for all runs. ``run`` and
 
 from __future__ import annotations
 
-import copy
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,34 +41,38 @@ _CHUNK_FLOATS = 1 << 16
 _STATE_FLOATS = 1 << 20
 
 
-@dataclass(frozen=True)
+def _read_only(values, dtype) -> np.ndarray:
+    """A read-only copy of ``values`` as an array of ``dtype``."""
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class BehaviorProfile:
     """Per-agent weighting between system inefficiency and own discomfort.
 
-    ``beta[a]`` is agent a's weight on its own discomfort; the inefficiency
-    weight is always ``1 - beta[a]``. Legitimate agents sit at beta 0,
-    adversaries anywhere in (0, 1].
+    ``beta[a - 1]`` is agent a's weight on its own discomfort; the
+    inefficiency weight is always ``1 - beta[a - 1]``. Legitimate agents sit
+    at beta 0, adversaries anywhere in (0, 1]. ``beta`` is given in agent-id
+    order or as a mapping over the agent ids 1..n, and kept as a read-only
+    float array.
     """
 
-    beta: dict[int, float]
+    beta: np.ndarray
 
     def __post_init__(self) -> None:
-        for agent, b in self.beta.items():
-            if not 0.0 <= b <= 1.0:
-                raise InvalidInputError(f"beta for agent {agent} must be in [0, 1], got {b}")
-
-    @classmethod
-    def uniform(cls, agent_ids, beta: float) -> "BehaviorProfile":
-        return cls(beta={int(a): float(beta) for a in agent_ids})
-
-    def alpha(self, agent_id: int) -> float:
-        return 1.0 - self.beta[agent_id]
-
-    def mean_weights(self) -> tuple[float, float]:
-        """Population means of (alpha, beta), used for the global cost."""
-        betas = np.fromiter(self.beta.values(), dtype=float)
-        mean_beta = float(betas.mean())
-        return 1.0 - mean_beta, mean_beta
+        beta = self.beta
+        if isinstance(beta, Mapping):
+            if beta.keys() != set(range(1, len(beta) + 1)):
+                raise ConfigError("behavior profile must cover every agent exactly once")
+            beta = [beta[a] for a in range(1, len(beta) + 1)]
+        beta = _read_only(beta, float)
+        outside = np.flatnonzero(~((beta >= 0.0) & (beta <= 1.0)))
+        if outside.size:
+            a = outside[0]
+            raise InvalidInputError(f"beta for agent {a + 1} must be in [0, 1], got {beta[a]}")
+        object.__setattr__(self, "beta", beta)
 
 
 @dataclass(frozen=True)
@@ -89,28 +93,34 @@ class RunConfig:
         object.__setattr__(self, "initial_selection", mode)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RunOutcome:
-    """Final joint selection plus per-iteration traces of one run."""
+    """Final joint selection plus per-iteration traces of one run.
 
-    selections: dict[int, int]
+    ``selection[a - 1]`` is the plan index agent a ends on and
+    ``discomfort[a - 1]`` that plan's discomfort. The arrays are read-only,
+    so runs that repeat one another share one outcome.
+    """
+
+    selection: np.ndarray
     global_response: GlobalResponse
     global_inefficiency: float
-    discomfort_per_agent: dict[int, float]
+    discomfort: np.ndarray
     iterations_used: int
-    inefficiency_trace: list[float]
-    combined_cost_trace: list[float]
-    mean_alpha: float
-    mean_beta: float
+    inefficiency_trace: tuple[float, ...]
+    combined_cost_trace: tuple[float, ...]
 
-    def mean_discomfort(self, agents=None) -> float:
-        """Mean selected discomfort over the given agents (all by default)."""
-        pool = self.discomfort_per_agent if agents is None else {
-            a: self.discomfort_per_agent[a] for a in agents
-        }
-        if not pool:
-            return 0.0
-        return float(np.mean(list(pool.values())))
+    def __post_init__(self) -> None:
+        arrays = {"selection": np.intp, "global_response": float, "discomfort": float}
+        for name, dtype in arrays.items():
+            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
+        for name in ("inefficiency_trace", "combined_cost_trace"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
+    @property
+    def selections(self) -> dict[int, int]:
+        """``{agent id: plan index}``, derived from ``selection``."""
+        return dict(enumerate(self.selection.tolist(), 1))
 
 
 def _max_batch(n: int, k: int, d: int) -> int:
@@ -232,10 +242,10 @@ def run_batch(
     Run i uses ``behaviors[i]`` and takes ``seeds[i]`` in place of
     ``config.rng_seed``. Each outcome is bit for bit the one the run gives on
     its own: every array operation acts on each run's rows separately. A run
-    is a pure function of its beta values (in profile order) and, under
-    ``random`` initial selection only, its seed; runs that repeat an earlier
-    one are executed once and get their own deep copy of its outcome. The
-    distinct runs go through the arrays in the batches of ``split_batches``.
+    is a pure function of its beta vector and, under ``random`` initial
+    selection only, its seed; runs that repeat an earlier one are executed
+    once and share its read-only outcome. The distinct runs go through the
+    arrays in the batches of ``split_batches``.
     """
     behaviors, seeds = list(behaviors), list(seeds)
     if len(behaviors) != len(seeds):
@@ -245,15 +255,16 @@ def run_batch(
     first_of: dict = {}
     firsts = []
     for j, (b, s) in enumerate(zip(behaviors, seeds)):
-        key = (tuple(b.beta), np.fromiter(b.beta.values(), float).tobytes(), s if seeded else None)
-        firsts.append(first_of.setdefault(key, j))
+        if b.beta.shape != (topology.node_count,):
+            raise ConfigError("behavior profile must cover every agent exactly once")
+        firsts.append(first_of.setdefault((b.beta.tobytes(), s if seeded else None), j))
     done: dict[int, RunOutcome] = {}
     for batch in split_batches(plan_sets, list(first_of.values())):
         runs = _run_arrays(
             topology, P, counts, [behaviors[i] for i in batch], config, [seeds[i] for i in batch]
         )
         done.update(zip(batch, runs))
-    return [done[i] if i == j else copy.deepcopy(done[i]) for j, i in enumerate(firsts)]
+    return [done[i] for i in firsts]
 
 
 def _run_arrays(topology, P, counts, behaviors, config, seeds) -> list[RunOutcome]:
@@ -272,20 +283,17 @@ def _run_arrays(topology, P, counts, behaviors, config, seeds) -> list[RunOutcom
     """
     n, k, d = P.shape[0], P.shape[1], P.shape[2] - 1
     ineff = config.inefficiency
-    agents = topology.agent_at
-    positions = np.asarray(agents)
+    # Row p of the node-major arrays holds agent order[p] + 1, and row
+    # by_id[a - 1] holds agent a.
+    order = np.asarray(topology.agent_at) - 1
+    by_id = np.argsort(order)
     count = len(behaviors)
-    everyone = set(agents)
-    beta = np.empty((n, count))
-    by_agent = np.empty(n + 1)
-    for b, behavior in enumerate(behaviors):
-        if behavior.beta.keys() != everyone:
-            raise ConfigError("behavior profile must cover every agent exactly once")
-        by_agent[list(behavior.beta)] = list(behavior.beta.values())
-        beta[:, b] = by_agent[positions]
+    betas = np.stack([behavior.beta for behavior in behaviors])
+    beta = betas.T[order]
     alpha = 1.0 - beta
-    weights = [behavior.mean_weights() for behavior in behaviors]
-    mean_alpha, mean_beta = np.array(weights).reshape(count, 2).T
+    # Population means of beta and alpha weigh the global cost.
+    mean_beta = betas.mean(axis=1)
+    mean_alpha = 1.0 - mean_beta
 
     if config.initial_selection == "random":
         sel = np.empty((n, count), dtype=np.intp)
@@ -355,15 +363,13 @@ def _run_arrays(topology, P, counts, behaviors, config, seeds) -> list[RunOutcom
                 y <= x + 1e-9 for x, y in zip(trace, trace[1:])
             ), "accepted combined-cost trace must be non-increasing"
             outcomes[b] = RunOutcome(
-                selections=dict(zip(agents, sel[:, j].tolist())),
-                global_response=total[j, :d].copy(),
+                selection=sel[by_id, j],
+                global_response=total[j, :d],
                 global_inefficiency=ineff_traces[b][-1],
-                discomfort_per_agent=dict(zip(agents, disc[:, j].tolist())),
+                discomfort=disc[by_id, j],
                 iterations_used=iteration,
                 inefficiency_trace=ineff_traces[b],
                 combined_cost_trace=trace,
-                mean_alpha=weights[b][0],
-                mean_beta=weights[b][1],
             )
         if done.all():
             break
@@ -466,5 +472,4 @@ def run_baseline(
     topology: TreeTopology, plan_sets: list[PlanSet], config: RunConfig
 ) -> RunOutcome:
     """Reference run with every agent legitimate (beta 0 across the board)."""
-    profile = BehaviorProfile.uniform((ps.agent_id for ps in plan_sets), 0.0)
-    return run(topology, plan_sets, profile, config)
+    return run(topology, plan_sets, BehaviorProfile(beta=np.zeros(topology.node_count)), config)

@@ -37,13 +37,12 @@ from .adversary import (
 from .analytics import (
     RvcLabel,
     classify_rvc,
-    compromised_discomfort,
     knee_mmd,
     multi_otsu,
     pareto_front,
 )
 from .costs import InefficiencyFn, _canonical_kind, _canonical_scaling
-from .engine import BehaviorProfile, RunConfig, RunOutcome, run_batch, split_batches
+from .engine import RunConfig, RunOutcome, run_batch, split_batches
 from .errors import AdvplanError, ConfigError, DegenerateInputError, InvalidInputError, ParseError
 from .heatmap import render_heatmap
 from .plans import (
@@ -442,41 +441,48 @@ class _Cell(NamedTuple):
     error: AdvplanError | None = None
 
 
-def _run_metrics(adversaries, outcome: RunOutcome, baseline: RunOutcome) -> dict:
-    """The metric columns of one run's row, given its baseline run."""
-    legitimate = set(outcome.discomfort_per_agent).difference(adversaries)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        comp = compromised_discomfort(outcome, baseline, legitimate)
+def _run_metrics(topology, adversaries, outcome: RunOutcome, baseline: RunOutcome) -> dict:
+    """The metric columns of one run's row, given its baseline run.
+
+    Compromised discomfort is the legitimate agents' mean discomfort minus
+    their mean in the baseline, 0 when no agent is legitimate. Each mean
+    sums its agents in a fixed order, which sets its last bits:
+    ``discomfort_total`` in tree-position order, the legitimate agents'
+    means in the iteration order of the Python set below. For a small set
+    left by ``set.difference`` that is hash-table order, not ascending ids.
+    Integer discomforts give the same sums in any order; real-valued ones
+    do not, so changing either order changes the CSVs.
+    """
+    n = topology.node_count
+    legitimate = np.fromiter(set(range(1, n + 1)).difference(adversaries), dtype=np.intp) - 1
+    legit, comp = 0.0, 0.0
+    if legitimate.size:
+        legit = float(outcome.discomfort[legitimate].mean())
+        comp = legit - float(baseline.discomfort[legitimate].mean())
     return dict(
         inefficiency=outcome.global_inefficiency,
-        discomfort_total=outcome.mean_discomfort(),
-        discomfort_legit=outcome.mean_discomfort(legitimate) if legitimate else 0.0,
+        discomfort_total=float(outcome.discomfort[np.asarray(topology.agent_at) - 1].mean()),
+        discomfort_legit=legit,
         compromised=comp,
         iterations=outcome.iterations_used,
     )
 
 
-def _metrics_record(cell: _Cell, outcome: RunOutcome, baseline: RunOutcome, **tags) -> RunRecord:
+def _metrics_record(
+    topology, cell: _Cell, outcome: RunOutcome, baseline: RunOutcome, **tags
+) -> RunRecord:
     """The row of one run; ``tags`` are dataset, signal_id, master_seed and placement_mode."""
     return RunRecord(
         **tags,
         run_seed=cell.run_seed,
         beta=cell.beta,
         adv_count=len(cell.adversaries),
-        adv_fraction=len(cell.adversaries) / len(outcome.discomfort_per_agent),
+        adv_fraction=len(cell.adversaries) / topology.node_count,
         layer=cell.layer,
         direction=cell.direction,
         m=cell.m,
-        **_run_metrics(cell.adversaries, outcome, baseline),
+        **_run_metrics(topology, cell.adversaries, outcome, baseline),
     )
-
-
-def profile_for(topology, adversaries, beta: float) -> BehaviorProfile:
-    """Adversaries at severity ``beta``; with none, every agent legitimate."""
-    if adversaries:
-        return make_profile(topology, adversaries, beta)
-    return BehaviorProfile.uniform(range(1, topology.node_count + 1), 0.0)
 
 
 def run_attack(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, adversaries, beta: float):
@@ -486,10 +492,10 @@ def run_attack(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, adversari
     ``run_cfg.rng_seed``; an error raises. ``metrics`` are the metric
     columns the run's CSV row would have.
     """
-    profiles = [profile_for(topology, (), 0.0), profile_for(topology, adversaries, beta)]
+    profiles = [make_profile(topology, (), 0.0), make_profile(topology, adversaries, beta)]
     seeds = [run_cfg.rng_seed] * 2
     baseline, outcome = run_batch(topology, plan_sets, profiles, run_cfg, seeds)
-    return outcome, baseline, _run_metrics(adversaries, outcome, baseline)
+    return outcome, baseline, _run_metrics(topology, adversaries, outcome, baseline)
 
 
 def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells):
@@ -507,7 +513,7 @@ def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells):
         for cell in batch:
             if cell.error is not None:
                 raise cell.error
-            profiles.append(profile_for(topology, cell.adversaries, cell.beta))
+            profiles.append(make_profile(topology, cell.adversaries, cell.beta))
         return run_batch(topology, plan_sets, profiles, run_cfg, [c.run_seed for c in batch])
 
     queue = itertools.chain([_Cell(beta=0.0, run_seed=run_cfg.rng_seed)], cells)
@@ -624,7 +630,7 @@ def _run_task(
                  **{key: getattr(cell, key) for key in keys}, "error": str(outcome)}
             )
         else:
-            records.append(_metrics_record(cell, outcome, baseline, **tags))
+            records.append(_metrics_record(topology, cell, outcome, baseline, **tags))
     return records, errors
 
 
@@ -1028,14 +1034,18 @@ def analyze(
             _write_dict_csv(base.with_suffix(".csv"), rows, header)
     cumulative = means["cumulative"]
     for signal, direction in sorted({key[:2] for key in cumulative}):
+        values = {(k[3], k[2]): cell["inefficiency"] for k, cell in cumulative.items()
+                  if k[:2] == (signal, direction)}
+        if len(values) != len({b for b, _ in values}) * len({m for _, m in values}):
+            log.warning("cumulative %s grid of signal %r is ragged; no heatmap", direction, signal)
+            continue
         pair = thresholds.get((signal, "inefficiency"))
         tag = f"_{signal}" if signal else ""
         _write_heatmap(
             outdir / f"heatmap{tag}_cumulative_{direction}",
             f"inefficiency, cumulative {direction}",
             "m",
-            {(k[3], k[2]): cell["inefficiency"] for k, cell in cumulative.items()
-             if k[:2] == (signal, direction)},
+            values,
             None if pair is None else lambda v: classify_rvc(v, pair),
         )
     return bundle

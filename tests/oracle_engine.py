@@ -118,7 +118,7 @@ def run(topology, plan_sets, behavior: BehaviorProfile, config: RunConfig) -> Ru
     by_agent = {ps.agent_id: ps for ps in plan_sets}
     if set(by_agent) != set(range(1, n + 1)):
         raise ConfigError("plan-set agent ids must cover 1..n exactly")
-    if set(behavior.beta) != set(by_agent):
+    if behavior.beta.shape != (n,):
         raise ConfigError("behavior profile must cover every agent exactly once")
     d = plan_sets[0].dimension
     ineff = config.inefficiency
@@ -126,9 +126,10 @@ def run(topology, plan_sets, behavior: BehaviorProfile, config: RunConfig) -> Ru
     agent_by_pos = [topology.agent_at[p] for p in range(n)]
     values_by_pos = [by_agent[a].value_matrix() for a in agent_by_pos]
     disc_by_pos = [by_agent[a].discomforts() for a in agent_by_pos]
-    alpha_by_pos = np.array([behavior.alpha(a) for a in agent_by_pos])
-    beta_by_pos = np.array([behavior.beta[a] for a in agent_by_pos])
-    mean_alpha, mean_beta = behavior.mean_weights()
+    alpha_by_pos = np.array([1.0 - behavior.beta[a - 1] for a in agent_by_pos])
+    beta_by_pos = np.array([behavior.beta[a - 1] for a in agent_by_pos])
+    mean_beta = float(behavior.beta.mean())
+    mean_alpha = 1.0 - mean_beta
 
     if config.initial_selection == "random":
         rng = np.random.default_rng(config.rng_seed)
@@ -204,18 +205,15 @@ def run(topology, plan_sets, behavior: BehaviorProfile, config: RunConfig) -> Ru
         if not changed:
             break
 
+    pos_by_agent = sorted(range(n), key=lambda p: agent_by_pos[p])
     return RunOutcome(
-        selections={agent_by_pos[p]: int(state.selections[p]) for p in range(n)},
+        selection=[state.selections[p] for p in pos_by_agent],
         global_response=state.response,
         global_inefficiency=float(cost(ineff, state.response)),
-        discomfort_per_agent={
-            agent_by_pos[p]: float(disc_by_pos[p][state.selections[p]]) for p in range(n)
-        },
+        discomfort=[disc_by_pos[p][state.selections[p]] for p in pos_by_agent],
         iterations_used=iterations_used,
         inefficiency_trace=inefficiency_trace,
         combined_cost_trace=combined_trace,
-        mean_alpha=mean_alpha,
-        mean_beta=mean_beta,
     )
 
 

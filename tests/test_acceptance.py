@@ -72,9 +72,7 @@ def test_criterion_04_degenerate_behavior():
         values = [rng.normal(size=3) for _ in discomforts]
         plan_sets.append(PlanSet(agent_id=agent, values=values, discomforts=discomforts))
     topology = build_balanced_binary(n, permutation_seed=1)
-    selfish = run(
-        topology, plan_sets, BehaviorProfile.uniform(range(1, n + 1), 1.0), RunConfig()
-    )
+    selfish = run(topology, plan_sets, BehaviorProfile(beta=np.ones(n)), RunConfig())
     by_id = {ps.agent_id: ps for ps in plan_sets}
     min_ok = all(
         by_id[a].discomforts()[i] == by_id[a].discomforts().min()
@@ -140,11 +138,7 @@ def test_criterion_06_monotone_traces():
         topology = build_balanced_binary(n, permutation_seed=trial)
         count = int(rng.integers(0, n + 1))
         beta = float(rng.uniform(1 / 30, 1.0))
-        profile = (
-            make_profile(topology, random_adversaries(topology, count, seed=trial), beta)
-            if count
-            else BehaviorProfile.uniform(range(1, n + 1), 0.0)
-        )
+        profile = make_profile(topology, random_adversaries(topology, count, seed=trial), beta)
         outcome = run(topology, plan_sets, profile, RunConfig())
         trace = outcome.combined_cost_trace
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:])), f"trial {trial}"

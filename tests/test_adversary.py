@@ -100,18 +100,19 @@ def test_cumulative_positions_validation():
 def test_make_profile():
     t = build_balanced_binary(6)
     profile = make_profile(t, {3, 5}, 0.5)
-    assert profile.beta == {1: 0.0, 2: 0.0, 3: 0.5, 4: 0.0, 5: 0.5, 6: 0.0}
-    assert all(profile.alpha(a) + profile.beta[a] == 1.0 for a in range(1, 7))
-    empty = make_profile(t, set(), 0.7)
-    assert set(empty.beta.values()) == {0.0}
+    assert profile.beta.tolist() == [0.0, 0.0, 0.5, 0.0, 0.5, 0.0]
+    # No adversaries is the all-legitimate profile, whatever the severity.
+    for severity in (0.7, 0.0):
+        assert make_profile(t, set(), severity).beta.tolist() == [0.0] * 6
     full = make_profile(t, set(range(1, 7)), 1.0)
-    assert set(full.beta.values()) == {1.0}
+    assert full.beta.tolist() == [1.0] * 6
 
 
 def test_make_profile_validation():
     t = build_balanced_binary(4)
-    with pytest.raises(InvalidInputError):
-        make_profile(t, {9}, 0.5)
+    for unknown in ({9}, {0}, {-1, 2}):
+        with pytest.raises(InvalidInputError):
+            make_profile(t, unknown, 0.5)
     with pytest.raises(InvalidInputError):
         make_profile(t, {1}, 0.0)
     with pytest.raises(InvalidInputError):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,17 +10,17 @@ from advplan.analytics import (
     _split_scores,
     _splits,
     classify_rvc,
-    compromised_discomfort,
     knee_mmd,
     multi_otsu,
     pareto_front,
 )
-from advplan.engine import RunConfig, run, run_baseline
+from advplan.engine import RunConfig, run_baseline
 from advplan.errors import (
     DegenerateInputError,
     InvalidInputError,
     InvalidThresholdError,
 )
+from advplan.harness import _run_metrics
 from advplan.plans import generate_gaussian_plans
 from advplan.topology import build_balanced_binary
 
@@ -214,41 +216,33 @@ def test_classify_rvc_monotone():
         previous = rank
 
 
+# Compromised discomfort is computed in one place, `harness._run_metrics`.
+
 def test_compromised_discomfort_identical_runs_and_toy_shift():
     plan_sets = generate_gaussian_plans(3, 2, 2, seed=1)
     topo = build_balanced_binary(3, permutation_seed=1)
     base = run_baseline(topo, plan_sets, RunConfig())
-    assert compromised_discomfort(base, base, {1, 2, 3}) == 0.0
+    assert _run_metrics(topo, set(), base, base)["compromised"] == 0.0
 
-    shifted = run_baseline(topo, plan_sets, RunConfig())
-    shifted.discomfort_per_agent = dict(base.discomfort_per_agent)
-    shifted.discomfort_per_agent[2] = base.discomfort_per_agent[2] + 0.4
-    assert compromised_discomfort(shifted, base, {2}) == pytest.approx(0.4)
+    shifted = dataclasses.replace(base, discomfort=base.discomfort + [0.0, 0.4, 0.0])
+    metrics = _run_metrics(topo, {1, 3}, shifted, base)
+    assert metrics["compromised"] == pytest.approx(0.4)
+    assert metrics["discomfort_legit"] == shifted.discomfort[1]
 
 
 def test_compromised_discomfort_empty_legitimate_warns():
+    """With every agent adversarial both legitimate means are defined as 0.
+
+    A fully compromised population is an ordinary grid point (scale = n), so
+    the value is returned without the warning the metric once raised.
+    """
     plan_sets = generate_gaussian_plans(3, 2, 2, seed=2)
     topo = build_balanced_binary(3, permutation_seed=2)
     base = run_baseline(topo, plan_sets, RunConfig())
-    with pytest.warns(UserWarning):
-        assert compromised_discomfort(base, base, set()) == 0.0
-
-
-def test_compromised_discomfort_mismatched_agents():
-    a = run_baseline(
-        build_balanced_binary(3, permutation_seed=0),
-        generate_gaussian_plans(3, 2, 2, seed=0),
-        RunConfig(),
-    )
-    b = run_baseline(
-        build_balanced_binary(4, permutation_seed=0),
-        generate_gaussian_plans(4, 2, 2, seed=0),
-        RunConfig(),
-    )
-    with pytest.raises(InvalidInputError):
-        compromised_discomfort(a, b, {1})
-    with pytest.raises(InvalidInputError):
-        compromised_discomfort(a, a, {9})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        metrics = _run_metrics(topo, {1, 2, 3}, base, base)
+    assert metrics["discomfort_legit"] == metrics["compromised"] == 0.0
 
 
 def between_class_variance(weights, moments, cuts):

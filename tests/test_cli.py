@@ -6,6 +6,7 @@ import yaml
 from advplan.adversary import make_profile, random_adversaries, sample_k_subsets
 from advplan.cli import main
 from advplan.engine import RunConfig, run, run_baseline
+from advplan.harness import _run_metrics
 from advplan.plans import generate_gaussian_plans
 from advplan.topology import agents_in_layer, build_balanced_binary
 
@@ -99,17 +100,13 @@ def test_run_json_matches_separate_engine_runs(capsys):
     config = RunConfig(max_iterations=8, rng_seed=5)
     outcome = run(topology, plan_sets, make_profile(topology, adversaries, 0.7), config)
     baseline = run_baseline(topology, plan_sets, config)
-    legitimate = set(range(1, 13)) - adversaries
     assert payload["adversaries"] == sorted(adversaries)
-    assert payload["inefficiency"] == outcome.global_inefficiency
     assert payload["baseline_inefficiency"] == baseline.global_inefficiency
-    assert payload["discomfort_total"] == outcome.mean_discomfort()
-    assert payload["discomfort_legit"] == outcome.mean_discomfort(legitimate)
-    assert payload["compromised"] == (
-        outcome.mean_discomfort(legitimate) - baseline.mean_discomfort(legitimate)
-    )
+    for name, value in _run_metrics(topology, adversaries, outcome, baseline).items():
+        assert payload[name] == value, name
+    assert payload["inefficiency"] == outcome.global_inefficiency
     assert payload["iterations"] == outcome.iterations_used
-    assert payload["combined_cost_trace"] == outcome.combined_cost_trace
+    assert payload["combined_cost_trace"] == list(outcome.combined_cost_trace)
 
 
 def write_config(tmp_path):
@@ -164,6 +161,26 @@ def test_sweep_estimate_structural_analyze_plot(tmp_path, capsys):
         == 0
     )
     assert list((tmp_path / "plots").glob("*.svg"))
+
+
+def test_analyze_skips_a_ragged_cumulative_heatmap(tmp_path, caplog):
+    """Cumulative rows of 6 agents at one severity and 8 at another leave
+    (severity, m) cells missing; that heatmap is skipped with a warning."""
+    results = []
+    for agents, beta in ((6, 0.5), (8, 1.0)):
+        (tmp_path / str(agents)).mkdir()
+        path = write_config(tmp_path / str(agents))
+        raw = yaml.safe_load(path.read_text())
+        raw["dataset"]["agents"], raw["severities"] = agents, [beta]
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["structural", "--config", str(path), "--mode", "cumulative"]) == 0
+        results.append(str(path.parent / "out" / "structural_cumulative.csv"))
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--results", *results, "--out", str(out)]) == 0
+    assert "ragged" in caplog.text
+    cells = (out / "cumulative_cells.csv").read_text().splitlines()
+    assert len(cells) == 1 + 2 * (6 + 8)
+    assert not list(out.glob("heatmap_cumulative_*.svg"))
 
 
 def test_sweep_bad_config_exit_code(tmp_path):

@@ -109,8 +109,7 @@ def test_run_all_selfish_selects_minimum_discomfort():
             toy_plan_set(agent, rng.normal(size=(k, 2)), discomforts)
         )
     topo = build_balanced_binary(n, permutation_seed=1)
-    profile = BehaviorProfile.uniform(range(1, n + 1), 1.0)
-    out = run(topo, plan_sets, profile, RunConfig())
+    out = run(topo, plan_sets, BehaviorProfile(beta=np.ones(n)), RunConfig())
     by_id = {ps.agent_id: ps for ps in plan_sets}
     expected_g = np.zeros(2)
     for agent, idx in out.selections.items():
@@ -146,11 +145,7 @@ def test_monotone_combined_cost_trace_random_configs():
         topo = build_balanced_binary(n, permutation_seed=trial)
         count = int(rng.integers(0, n + 1))
         beta = float(rng.uniform(0.05, 1.0))
-        profile = (
-            make_profile(topo, random_adversaries(topo, count, seed=trial), beta)
-            if count
-            else BehaviorProfile.uniform(range(1, n + 1), 0.0)
-        )
+        profile = make_profile(topo, random_adversaries(topo, count, seed=trial), beta)
         out = run(topo, plan_sets, profile, RunConfig())
         trace = out.combined_cost_trace
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
@@ -161,7 +156,7 @@ def test_baseline_equals_all_legitimate_run():
     plan_sets = generate_gaussian_plans(10, 3, 2, seed=4)
     topo = build_balanced_binary(10, permutation_seed=4)
     base = run_baseline(topo, plan_sets, RunConfig())
-    same = run(topo, plan_sets, BehaviorProfile.uniform(range(1, 11), 0.0), RunConfig())
+    same = run(topo, plan_sets, BehaviorProfile(beta=np.zeros(10)), RunConfig())
     assert base.selections == same.selections
     assert base.global_inefficiency == same.global_inefficiency
 
@@ -191,7 +186,7 @@ def test_baseline_identical_to_adversarial_when_no_choice():
     plan_sets = generate_gaussian_plans(6, 1, 2, seed=9)
     topo = build_balanced_binary(6, permutation_seed=9)
     base = run_baseline(topo, plan_sets, RunConfig())
-    adv = run(topo, plan_sets, BehaviorProfile.uniform(range(1, 7), 1.0), RunConfig())
+    adv = run(topo, plan_sets, BehaviorProfile(beta=np.ones(6)), RunConfig())
     assert base.selections == adv.selections
     assert base.global_inefficiency == adv.global_inefficiency
 
@@ -227,17 +222,26 @@ def test_run_input_validation():
     with pytest.raises(ConfigError):
         run_baseline(topo, plan_sets, RunConfig())
     topo4 = build_balanced_binary(4)
-    profile = BehaviorProfile.uniform(range(1, 4), 0.0)
     with pytest.raises(ConfigError):
-        run(topo4, plan_sets, profile, RunConfig())
+        run(topo4, plan_sets, BehaviorProfile(beta=np.zeros(3)), RunConfig())
 
 
 def test_behavior_profile_validation_and_views():
-    with pytest.raises(InvalidInputError):
-        BehaviorProfile(beta={1: 1.5})
-    profile = BehaviorProfile(beta={1: 0.0, 2: 0.5, 3: 0.0})
-    assert profile.alpha(2) == 0.5
-    assert profile.mean_weights() == (pytest.approx(5 / 6), pytest.approx(1 / 6))
+    for bad in ({1: 1.5}, {1: 0.0, 2: float("nan")}, [0.0, -0.1]):
+        with pytest.raises(InvalidInputError):
+            BehaviorProfile(beta=bad)
+    with pytest.raises(ConfigError):
+        BehaviorProfile(beta={1: 0.0, 3: 0.5})
+    profile = BehaviorProfile(beta={2: 0.5, 1: 0.0, 3: 0.0})
+    assert profile.beta.dtype == float and profile.beta.tolist() == [0.0, 0.5, 0.0]
+    with pytest.raises(ValueError):
+        profile.beta[0] = 1.0
+    # A mapping and the same values in agent-id order give the same run.
+    plan_sets = generate_gaussian_plans(9, 3, 2, seed=6)
+    topo = build_balanced_binary(9, permutation_seed=6)
+    beta = np.where(np.arange(9) % 3 == 0, 0.7, 0.0)
+    from_map = run(topo, plan_sets, BehaviorProfile(beta=dict(enumerate(beta, 1))), RunConfig())
+    assert_same_outcome(from_map, run(topo, plan_sets, BehaviorProfile(beta=beta), RunConfig()))
 
 
 def test_random_initial_selection_seeded():
@@ -262,20 +266,22 @@ COSTS = [
 
 
 def assert_same_outcome(got: RunOutcome, want: RunOutcome) -> None:
-    """Every field equal, floats bit for bit."""
+    """Every field equal, floats and arrays bit for bit."""
     for f in dataclasses.fields(RunOutcome):
         a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "global_response":
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert a.tobytes() == b.tobytes(), f.name
         else:
-            assert a == b, f.name
+            assert type(a) is type(b) and a == b, f.name
 
 
 def ragged_plan_sets(n, d, seed):
-    """Plan sets whose plan counts differ between agents (1 to 5)."""
+    """Plan sets whose plan counts differ between agents (1 to 5), with
+    real-valued discomforts, so that summation order shows in the last bits."""
     rng = np.random.default_rng(seed)
     return [
-        toy_plan_set(a, rng.standard_normal((k, d)), rng.permutation(k).astype(float))
+        toy_plan_set(a, rng.standard_normal((k, d)), rng.random(k) * 3.0)
         for a, k in zip(range(1, n + 1), rng.integers(1, 6, size=n))
     ]
 
@@ -293,7 +299,7 @@ def oracle_case(n, d, plans, kind, scaling, initial, seed=0):
         initial_selection=initial,
         rng_seed=seed,
     )
-    behaviors = [BehaviorProfile.uniform(range(1, n + 1), 0.0)]
+    behaviors = [make_profile(topo, (), 0.0)]
     for j, (count, beta) in enumerate([(1, 0.3), (n // 3, 0.6), (n // 2, 0.1), (n, 1.0)]):
         behaviors.append(make_profile(topo, random_adversaries(topo, count, seed=j), beta))
     return topo, plan_sets, behaviors, config, [seed + 10 * j for j in range(len(behaviors))]
@@ -341,7 +347,7 @@ def test_run_batch_validation():
     topo, plan_sets, behaviors, config, seeds = oracle_case(13, 2, 3, "variance", "identity", "first_plan")
     with pytest.raises(ConfigError):
         run_batch(topo, plan_sets, behaviors, config, seeds[:-1])
-    partial = BehaviorProfile.uniform(range(1, 13), 0.0)
+    partial = BehaviorProfile(beta=np.zeros(12))
     with pytest.raises(ConfigError):
         run_batch(topo, plan_sets, [behaviors[0], partial], config, [0, 0])
     rss = RunConfig(inefficiency=InefficiencyFn(kind="rss", target=np.zeros(3)))
@@ -353,12 +359,12 @@ def test_run_batch_validation():
 @pytest.mark.parametrize("initial", ["first_plan", "random"])
 def test_run_batch_runs_each_distinct_run_once(monkeypatch, initial):
     topo, plan_sets, behaviors, config, _ = oracle_case(15, 3, 3, "variance", "identity", initial)
-    legit = BehaviorProfile.uniform(range(1, 16), 0.0)
-    # Baseline twice, an adversarial profile rebuilt equal, and seeds that
-    # differ only where the initial selection does not use them.
+    legit = BehaviorProfile(beta=np.zeros(15))
+    # Baseline twice, an adversarial profile rebuilt equal from a mapping,
+    # and seeds that differ only where the initial selection does not use them.
     runs = [
         (behaviors[0], 1), (legit, 1), (behaviors[2], 2), (legit, 3),
-        (BehaviorProfile(beta=dict(behaviors[2].beta)), 2), (behaviors[3], 4),
+        (BehaviorProfile(beta=dict(enumerate(behaviors[2].beta, 1))), 2), (behaviors[3], 4),
     ]
     sent = []
     real = engine._run_arrays
@@ -378,11 +384,15 @@ def test_run_batch_runs_each_distinct_run_once(monkeypatch, initial):
     for outcome, (behavior, seed) in zip(got, runs):
         alone = run(topo, plan_sets, behavior, dataclasses.replace(config, rng_seed=seed))
         assert_same_outcome(outcome, alone)
-    mutable = ("selections", "global_response", "discomfort_per_agent",
-               "inefficiency_trace", "combined_cost_trace")
-    for a, b in itertools.combinations(got, 2):
-        assert a is not b
-        assert all(getattr(a, f) is not getattr(b, f) for f in mutable)
+    # Repeats share the one read-only outcome of the run they repeat.
+    first = [0, 0, 2, 3, 2, 5] if initial == "random" else [0, 0, 2, 0, 2, 5]
+    assert [got.index(outcome) for outcome in got] == first
+    for outcome in got:
+        for name in ("selection", "discomfort", "global_response"):
+            with pytest.raises(ValueError):
+                getattr(outcome, name)[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            outcome.iterations_used = 0
 
 
 def test_top_down_makes_no_cost_call_for_zero_changes():

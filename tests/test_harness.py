@@ -8,7 +8,9 @@ import pytest
 import yaml
 
 import advplan.harness as harness_mod
+from advplan.adversary import make_profile, random_adversaries
 from advplan.cli import main as cli_main
+from advplan.engine import RunConfig, run, run_baseline
 from advplan.errors import ConfigError, ParseError
 from advplan.harness import (
     DatasetSpec,
@@ -22,6 +24,8 @@ from advplan.harness import (
     run_structural,
     run_sweep,
 )
+from advplan.plans import PlanSet, generate_gaussian_plans, save_plan_sets
+from advplan.topology import build_balanced_binary
 
 
 def small_config(tmp_path, **overrides):
@@ -106,6 +110,46 @@ def test_run_sweep_shape_and_baseline_consistency(tmp_path):
     cells = grid.cell_means("random")
     assert len(cells) == 8
     assert all(cell["run_count"] == 3 for cell in cells.values())
+
+
+def test_run_metrics_sum_in_position_and_set_order(tmp_path):
+    """The order each CSV mean sums its agents in is part of the CSV bits.
+
+    ``discomfort_total`` sums in tree-position order; the legitimate agents'
+    means sum in the iteration order of ``set(range(1, n + 1)).difference(
+    adversaries)``, which for a few agents left of many is not ascending. With
+    real-valued discomforts another order changes the last bits, as the
+    sensitivity checks at the end show for this instance.
+    """
+    n = 120
+    rng = np.random.default_rng(12)
+    plans = [PlanSet(a, rng.standard_normal((4, 2)), rng.random(4) * 3.0) for a in range(1, n + 1)]
+    save_plan_sets(plans, tmp_path / "plans")
+    cfg = small_config(
+        tmp_path, dataset=DatasetSpec(kind="files", plans_dir=str(tmp_path / "plans")),
+        severities=(0.5, 1.0), scales=(100, 110, 115, 118), runs_per_cell=1,
+    )
+    run_sweep(cfg)
+    rows = SweepGrid.read_csv(tmp_path / "out" / "runs.csv").rows
+    topo_seed = derive_seed(cfg.master_seed, "topology", 0)
+    topology = build_balanced_binary(n, permutation_seed=topo_seed)
+    baseline = run_baseline(topology, plans, RunConfig(rng_seed=topo_seed))
+    by_position = np.asarray(topology.agent_at) - 1
+    unsorted, total_moves, legit_moves = 0, 0, 0
+    for row in rows:
+        adversaries = random_adversaries(topology, row.adv_count, seed=row.run_seed)
+        profile = make_profile(topology, adversaries, row.beta)
+        disc = run(topology, plans, profile, RunConfig(rng_seed=row.run_seed)).discomfort
+        legit = np.fromiter(set(range(1, n + 1)).difference(adversaries), dtype=int) - 1
+        assert row.discomfort_total == float(np.mean(disc[by_position]))
+        assert row.discomfort_legit == float(np.mean(disc[legit]))
+        assert row.compromised == float(np.mean(disc[legit])) - float(
+            np.mean(baseline.discomfort[legit])
+        )
+        unsorted += legit.tolist() != sorted(legit.tolist())
+        total_moves += row.discomfort_total != float(np.mean(disc))
+        legit_moves += row.discomfort_legit != float(np.mean(disc[np.sort(legit)]))
+    assert len(rows) == 8 and unsorted and total_moves and legit_moves
 
 
 def test_run_sweep_csv_round_trip_and_estimate_match(tmp_path):
