@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -116,7 +117,7 @@ def _cmd_generate(args) -> int:
         wrote.extend(save_plan_sets(plan_sets, out))
         log.info("wrote %d plan files to %s", len(plan_sets), out)
     if args.levels is not None:
-        levels = [float(tok) for tok in args.levels.split(",")]
+        levels = [_level(tok) for tok in args.levels.split(",")]
         targets = generate_voting_targets(levels, d=len(levels))
         for idx, signal in enumerate(targets):
             wrote.append(save_target_signal(signal, out / f"target_{idx:03d}.target"))
@@ -126,11 +127,24 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _level(token: str) -> float:
+    """One ``--levels`` value, a finite number."""
+    try:
+        level = float(token)
+    except ValueError:
+        level = math.nan
+    if not math.isfinite(level):
+        raise ConfigError(f"--levels: {token!r} is not a finite number")
+    return level
+
+
 def _adversaries(args, topology) -> set[int]:
     """The adversary set ``advplan run`` asks for, drawn as sweep cells draw theirs."""
     if args.placement == "random":
         if args.count is None and args.fraction is None:
             raise ConfigError("random placement needs --count or --fraction")
+        if args.fraction is not None and not 0.0 <= args.fraction <= 1.0:
+            raise ConfigError(f"--fraction must be in [0, 1], got {args.fraction}")
         count = args.count if args.count is not None else round(args.fraction * topology.node_count)
         return random_adversaries(topology, count, seed=args.seed)
     if args.placement == "layer":

@@ -39,6 +39,9 @@ _CHUNK_FLOATS = 1 << 16
 # Per-run state arrays of one batch, such as the (n, runs, d) subtree sums,
 # hold about this many floats at most.
 _STATE_FLOATS = 1 << 20
+# The top-down walk costs the whole options of at most this many changed
+# nodes in one stacked cost call.
+_BLOCK_NODES = 16
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -305,6 +308,7 @@ def _run_arrays(topology, P, counts, behaviors, config, seeds) -> list[RunOutcom
 
     rows = np.arange(n)[:, None]
     children = [[c - 1 for c in topology.children_of(p)] for p in range(1, n + 1)]
+    preorder = _preorder(children)
 
     def settle(sel):
         """Per-run state of a joint selection: own discomforts, subtree sums, totals.
@@ -330,10 +334,13 @@ def _run_arrays(topology, P, counts, behaviors, config, seeds) -> list[RunOutcom
     disc_ref = disc_ref if disc_ref > _TINY else 1.0
 
     def combined(state: np.ndarray) -> np.ndarray:
-        """Scalarized cost of ``(B, d + 1)`` states ``[response | discomfort sum]``."""
+        """Scalarized cost of ``(..., B, d + 1)`` states ``[response | discomfort sum]``.
+
+        Every ``(B, d + 1)`` slice of a stack costs what it costs on its own.
+        """
         return (
-            mean_alpha * ineff(state[:, :d]) / ineff_ref
-            + mean_beta * (state[:, d] / n) / disc_ref
+            mean_alpha * ineff(state[..., :d]) / ineff_ref
+            + mean_beta * (state[..., d] / n) / disc_ref
         )
 
     cost = combined(total)
@@ -344,7 +351,7 @@ def _run_arrays(topology, P, counts, behaviors, config, seeds) -> list[RunOutcom
 
     for iteration in range(1, config.max_iterations + 1):
         cand_sel, cand = _bottom_up(topology, P, alpha, beta, subtree, total, ineff)
-        taken = _top_down(topology, children, cand - subtree, total, cost, combined)
+        taken = _top_down(topology, children, preorder, cand - subtree, total, cost, combined)
         new_sel = np.where(taken, cand_sel, sel)
         changed = (new_sel != sel).any(axis=0)
         sel = new_sel
@@ -406,7 +413,17 @@ def _bottom_up(topology, P, alpha, beta, subtree, total, ineff):
     return cand_sel, cand
 
 
-def _top_down(topology, children, delta, total, cost, combined) -> np.ndarray:
+def _preorder(children) -> list[int]:
+    """Rows in the order the depth-first top-down walk first visits them."""
+    order, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        stack.extend(reversed(children[i]))
+    return order
+
+
+def _top_down(topology, children, preorder, delta, total, cost, combined) -> np.ndarray:
     """Which nodes adopt their proposal, for every run of the batch at once.
 
     The depth-first walk visits each node once. Per subtree it weighs three
@@ -414,36 +431,82 @@ def _top_down(topology, children, delta, total, cost, combined) -> np.ndarray:
     let the children decide for themselves (parts), or keep everything
     (keep). Whichever leaves the working global state cheapest wins, and
     nothing is kept without a strict gain. Only the whole option needs a
-    cost call: keep costs what the caller's running state costs, and parts
-    costs what the last child returned (keep's cost at a leaf). A node whose
-    ``delta`` row is exactly zero in every run makes no call either: its
-    whole option is the running state itself, never strictly cheaper, so a
-    leaf returns the state untouched. ``children[i]`` lists the rows of row
-    i's children; states are ``(B, d + 1)``, as ``combined`` takes them.
+    cost: keep costs what the caller's running state costs, and parts costs
+    what the last child returned (keep's cost at a leaf). A node whose
+    ``delta`` row is exactly zero in every run needs none either: its whole
+    option is the running state itself, never strictly cheaper.
+
+    Whole options are costed in blocks. A changed node that finds no cost
+    for its running state stacks ``state + delta`` for itself and for the
+    changed nodes after it in ``preorder``, and costs them in one call.
+    ``approve`` hands on the arrays it was given, or its last child's, until
+    some node approves a change in some run, so the nodes that follow find
+    the same running state and read their costs from the block; the first
+    approval makes a new state, and the next changed node builds a new
+    block. Each stacked state is the same addition from the same arrays as
+    a lone one, and ``combined`` reduces each slice on its own, so the costs
+    have the same bits. ``children[i]`` lists the rows of row i's children;
+    states are ``(B, d + 1)``, stacks ``(..., B, d + 1)``, as ``combined``
+    takes them.
+
+    A state costs more to stack the more runs it holds, and a block is
+    wasted past the first approval, which comes sooner the more runs there
+    are. So block lengths follow how far the walk gets: the first block
+    holds 4 nodes, a block used to its end makes the next one twice as
+    long, one cut short after u nodes makes the next one 2u long, and none
+    is longer than ``_BLOCK_NODES``.
     """
     whole = np.zeros(delta.shape[:2], dtype=bool)
     parts = np.zeros_like(whole)
     moved = delta.any(axis=(1, 2)).tolist()
+    changed = [i for i in preorder if moved[i]]
+    slot = {i: s for s, i in enumerate(changed)}
+    changed_delta = delta[changed]
+    # (state, cost, slot of its first node, stacked states, their costs,
+    # whether each is cheaper than the cost in some run)
+    block = (None, None, 0, None, None, [])
+    size, last = 2, 0
+
+    def whole_option(i, g, cost):
+        """Row i's block and its index in it, for running state ``g``."""
+        nonlocal block, size, last
+        s = slot[i]
+        first, stop = block[2], block[2] + len(block[5])
+        if block[0] is not g or block[1] is not cost or s >= stop:
+            size = min(_BLOCK_NODES, 2 * (size if s >= stop else last - first + 1))
+            states = g + changed_delta[s : s + size]
+            costs = combined(states)
+            block = (g, cost, s, states, costs, (costs < cost).any(axis=1).tolist())
+        last = s
+        return block, s - block[2]
 
     def approve(i, g, cost):
-        if not moved[i] and not children[i]:
-            return g, cost
-        g_whole = g + delta[i] if moved[i] else g
-        cost_whole = combined(g_whole) if moved[i] else cost
-        if not children[i]:
-            w = cost_whole < cost
-            whole[i] = w
-            return np.where(w[:, None], g_whole, g), np.where(w, cost_whole, cost)
+        """Running state and cost after row i's subtree is decided.
+
+        Each run's row comes back either bit for bit as given, cost
+        included, or strictly cheaper. A subtree that changes nothing in any
+        run hands back the given arrays, and a node that approves nothing
+        itself hands back its last child's.
+        """
+        kids = children[i]
+        cheaper = False
+        if moved[i]:
+            (_, _, _, states, costs, flags), j = whole_option(i, g, cost)
+            cheaper = flags[j]
         g_parts, cost_parts = g, cost
-        for child in children[i]:
+        for child in kids:
             g_parts, cost_parts = approve(child, g_parts, cost_parts)
-        w = (cost_whole < cost_parts) & (cost_whole < cost)
-        p = (cost_parts < cost) & ~w
-        whole[i], parts[i] = w, p
-        return (
-            np.where(w[:, None], g_whole, np.where(p[:, None], g_parts, g)),
-            np.where(w, cost_whole, np.where(p, cost_parts, cost)),
-        )
+        # parts beats keep exactly in the runs the children changed, and
+        # g_parts holds keep's rows in all the others; cost_parts never
+        # exceeds cost, so whatever beats parts beats keep.
+        w = costs[j] < cost_parts if cheaper else None
+        if cost_parts is not cost:
+            p = cost_parts < cost
+            parts[i] = p if w is None else p & ~w
+        if w is None or not w.any():
+            return g_parts, cost_parts
+        whole[i] = w
+        return np.where(w[:, None], states[j], g_parts), np.where(w, costs[j], cost_parts)
 
     approve(0, total, cost)
     # A node adopts its proposal when some node on its root path was approved

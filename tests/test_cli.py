@@ -28,6 +28,13 @@ def test_generate_requires_something(tmp_path):
     assert main(["generate", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("levels,bad", [("0,a,1", "'a'"), ("0,,1", "''"), ("0,inf", "'inf'")])
+def test_generate_bad_level_exits_2(tmp_path, caplog, levels, bad):
+    assert main(["generate", "--out", str(tmp_path), "--levels", levels]) == 2
+    assert f"--levels: {bad} is not a finite number" in caplog.text
+    assert not list(tmp_path.iterdir())
+
+
 def test_run_single_outputs_json(tmp_path, capsys):
     code = main(
         [
@@ -229,6 +236,9 @@ def test_plan_ids_with_a_gap_exit_2(tmp_path, caplog):
         ["--severity", "0.5", "--count", "1", "--scaling", "bogus"],
         ["--severity", "0.5", "--count", "1", "--agents", "0"],
         ["--severity", "0", "--count", "1"],
+        ["--severity", "0.5", "--fraction", "nan"],
+        ["--severity", "0.5", "--fraction", "inf"],
+        ["--severity", "0.5", "--fraction", "-0.1"],
     ],
 )
 def test_run_usage_errors_exit_2(attack):

@@ -395,22 +395,130 @@ def test_run_batch_runs_each_distinct_run_once(monkeypatch, initial):
             outcome.iterations_used = 0
 
 
-def test_top_down_makes_no_cost_call_for_zero_changes():
-    topo = build_balanced_binary(11)
-    children = [[c - 1 for c in topo.children_of(p)] for p in range(1, 12)]
+def top_down_case(n):
+    """A topology, its child rows and pre-order, and a recorder of the
+    stacked states a fake cost function is asked for."""
+    topo = build_balanced_binary(n)
+    children = [[c - 1 for c in topo.children_of(p)] for p in range(1, n + 1)]
     calls = []
 
     def combined(state):
+        """Cost is the first response value; records each stack's shape."""
         calls.append(state.shape)
-        return -np.ones(state.shape[0])
+        return state[..., 0].copy()
+
+    return topo, children, engine._preorder(children), calls, combined
+
+
+def test_top_down_makes_no_cost_call_for_zero_changes():
+    topo, children, preorder, calls, _ = top_down_case(11)
+
+    def combined(state):
+        calls.append(state.shape)
+        return -np.ones(state.shape[:-1])
 
     delta = np.zeros((11, 2, 4))
     total, cost = np.ones((2, 4)), np.zeros(2)
-    taken = engine._top_down(topo, children, delta, total, cost, combined)
+    taken = engine._top_down(topo, children, preorder, delta, total, cost, combined)
     assert calls == [] and not taken.any()
-    # One leaf with a change in one run: only that leaf pays a cost call, and
-    # its cheaper whole option is taken in every run.
+    # One leaf with a change in one run: only that leaf's state is costed,
+    # and its cheaper whole option is taken in every run.
     delta[10, 1, 0] = 1.0
-    taken = engine._top_down(topo, children, delta, total, cost, combined)
-    assert calls == [(2, 4)]
+    taken = engine._top_down(topo, children, preorder, delta, total, cost, combined)
+    assert calls == [(1, 2, 4)]
     assert np.flatnonzero(taken.any(axis=1)).tolist() == [10]
+
+
+@pytest.mark.parametrize("block,stacks", [(16, [4, 6, 1]), (4, [4, 4, 3])])
+def test_top_down_approval_starts_a_new_block(monkeypatch, block, stacks):
+    # Every node but the root changes, and every whole option costs more
+    # than keeping, except the first leaf in pre-order (position 8) in run
+    # 1. The first block holds positions 2, 4, 8 and 9; the approval at 8
+    # makes a new running state part-way through it, so 9 starts a new
+    # block, twice as long as the three nodes the cut one served. The
+    # ancestors of 8 approve nothing themselves and hand its state on, so
+    # the walk uses that block to its end, and the next one is longer again.
+    monkeypatch.setattr(engine, "_BLOCK_NODES", block)
+    topo, children, preorder, calls, combined = top_down_case(11)
+    assert [p + 1 for p in preorder] == [1, 2, 4, 8, 9, 5, 10, 11, 3, 6, 7]
+    delta = np.zeros((11, 2, 4))
+    delta[1:, :, 0] = 1.0
+    delta[7, 1, 0] = -1.0
+    total, cost = np.zeros((2, 4)), np.zeros(2)
+    taken = engine._top_down(topo, children, preorder, delta, total, cost, combined)
+    assert [shape[0] for shape in calls] == stacks
+    assert all(shape[1:] == (2, 4) for shape in calls)
+    assert np.argwhere(taken).tolist() == [[7, 1]]
+
+
+@pytest.mark.parametrize("kind,scaling", COSTS)
+@pytest.mark.parametrize("d", [1, 2, 5, 24, 100])
+def test_stacked_states_cost_what_each_state_costs_alone(monkeypatch, kind, scaling, d):
+    # The top-down blocks rely on this: a (K, B, d) stack of responses, or
+    # a (K, B, d + 1) stack of states, costs bit for bit what each (B, d) or
+    # (B, d + 1) slice costs alone.
+    topo, plan_sets, behaviors, config, seeds = oracle_case(7, d, 3, kind, scaling, "first_plan")
+    captured = []
+    real = engine._top_down
+
+    def capture(*args):
+        captured.append((args[-3].shape[0], args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_top_down", capture)
+    run_batch(topo, plan_sets, behaviors, config, seeds)
+    # ``combined`` weighs the runs still active, as of the last walk.
+    (runs, combined), ineff = captured[-1], config.inefficiency
+    rng = np.random.default_rng(d)
+    magnitudes = rng.choice([1e-3, 1.0, 1e4], size=(16, 1, 1))
+    states = rng.standard_normal((16, runs, d + 1)) * magnitudes
+    states[0, 0, :d] = 2.5  # a flat response scales to zeros
+    # Strided response views, as ``combined`` passes them, and contiguous ones.
+    for stack, cost in (
+        (states[..., :d], ineff),
+        (np.ascontiguousarray(states[..., :d]), ineff),
+        (states, combined),
+    ):
+        for K in (1, 3, 16):
+            got = cost(stack[:K])
+            assert got.shape == stack[:K].shape[:-1]
+            for j in range(K):
+                assert got[j].tobytes() == cost(stack[j]).tobytes()
+
+
+@pytest.mark.parametrize("initial", ["first_plan", "random"])
+@pytest.mark.parametrize("block", [1, 3, 16])
+def test_run_batch_matches_oracle_when_approvals_cut_blocks(monkeypatch, initial, block):
+    # High-beta batches with many adversaries approve often part-way through
+    # the walk, so blocks are built and then dropped for a new running state.
+    monkeypatch.setattr(engine, "_BLOCK_NODES", block)
+    n, d = 37, 9
+    topo = build_balanced_binary(n, permutation_seed=5)
+    plan_sets = ragged_plan_sets(n, d, 5)
+    config = RunConfig(initial_selection=initial, rng_seed=5)
+    behaviors = [
+        make_profile(topo, random_adversaries(topo, count, seed=j), beta)
+        for j, (count, beta) in enumerate([(n, 1.0), (30, 0.9), (25, 0.8), (n // 2, 0.95), (n, 0.7)])
+    ]
+    seeds = [5 + j for j in range(len(behaviors))]
+    costed = moved = 0
+    real = engine._top_down
+
+    def counting(topology, children, preorder, delta, total, cost, combined):
+        nonlocal costed, moved
+
+        def counted(state):
+            nonlocal costed
+            costed += int(np.prod(state.shape[:-2]))
+            return combined(state)
+
+        moved += int(delta.any(axis=(1, 2)).sum())
+        return real(topology, children, preorder, delta, total, cost, counted)
+
+    monkeypatch.setattr(engine, "_top_down", counting)
+    got = run_batch(topo, plan_sets, behaviors, config, seeds)
+    want = oracle_engine.run_batch(topo, plan_sets, behaviors, config, seeds)
+    for g, w in zip(got, want):
+        assert_same_outcome(g, w)
+    # Blocks were cut short: more states costed than nodes that needed one.
+    assert costed > moved if block > 1 else costed == moved
