@@ -88,28 +88,32 @@ def _splits(bins: int, classes: int) -> np.ndarray:
 def _split_scores(weights: np.ndarray, moments: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """Between-class variance of every split in ``cuts``, from cumulative sums.
 
-    Each histogram segment's term ``(w / W) * (mu - mu_total) ** 2`` is
-    computed once into a lookup table, zero for empty segments. A split's
-    score starts at 0.0 and adds its segments' terms left to right, the
-    arithmetic of scoring each split on its own, so ties stay exact ties.
+    Empty bins add exact zeros to the cumulative sums, so a histogram segment
+    has the sums, and the term ``(w / W) * (mu - mu_total) ** 2``, of the
+    filled bins it covers: terms are computed once per pair of the F + 1
+    filled-bin boundaries. A split's score starts at 0.0 and adds its
+    segments' terms left to right, the arithmetic of scoring each split on its
+    own, so ties stay exact ties. Those sums are tabulated over boundary
+    sequences and looked up through the filled-bin count at each cut.
     """
-    bins = len(weights)
     total_w = weights[-1]
     total_mu = moments[-1] / total_w
-    lo, hi = np.triu_indices(bins)
-    w = weights[hi] - np.concatenate(([0.0], weights[:-1]))[lo]
-    m = moments[hi] - np.concatenate(([0.0], moments[:-1]))[lo]
-    filled = w > 0
-    w, m = w[filled], m[filled]
-    deviation, inverse = np.unique(m / w - total_mu, return_inverse=True)
-    terms = np.zeros((bins, bins))
-    terms[lo[filled], hi[filled]] = (w / total_w) * _POW(deviation, 2).astype(float)[inverse]
-    sigma = np.zeros(len(cuts))
-    start = 0
-    for end in (*cuts.T, bins - 1):
-        sigma = sigma + terms[start, end]
-        start = end + 1
-    return sigma
+    is_filled = np.diff(weights, prepend=0.0) > 0
+    filled = np.flatnonzero(is_filled)
+    w_at = np.concatenate(([0.0], weights[filled]))
+    m_at = np.concatenate(([0.0], moments[filled]))
+    lo, hi = np.triu_indices(len(w_at), k=1)
+    w = w_at[hi] - w_at[lo]
+    deviation = (m_at[hi] - m_at[lo]) / w - total_mu
+    terms = np.zeros((len(w_at), len(w_at)))
+    terms[lo, hi] = (w / total_w) * _POW(deviation, 2).astype(float)
+    # sums[r1, ..., r_k]: segments from boundary 0 to r1, r1 to r2, ... and
+    # r_k to the last boundary.
+    sums = 0.0 + terms[0]
+    for _ in range(cuts.shape[1] - 1):
+        sums = sums[..., None] + terms
+    sums = sums + terms[:, -1]
+    return sums[tuple(np.cumsum(is_filled)[cuts.T])]
 
 
 def multi_otsu(values, classes: int = 3, bins: int = 256) -> list[float]:
@@ -121,14 +125,18 @@ def multi_otsu(values, classes: int = 3, bins: int = 256) -> list[float]:
     wins. When several splits tie, which happens whenever empty bins separate
     clusters, the middle of each boundary's tying range is taken, so
     well-separated clusters split at their midpoints. Thresholds come back
-    ascending, as bin-edge values.
+    ascending, as bin-edge values. NaN or infinite values raise
+    ``InvalidInputError``.
     """
     data = np.asarray(list(values), dtype=float)
     if classes < 2:
         raise InvalidInputError(f"need at least 2 classes, got {classes}")
     if bins < classes:
         raise InvalidInputError(f"{bins} bins cannot hold {classes} classes")
-    if data.size == 0 or np.unique(data).size < classes:
+    if not np.isfinite(data).all():
+        raise InvalidInputError("values must be finite, got NaN or infinity")
+    # A set, not np.unique: the first np.unique call of a process imports numpy.ma.
+    if len(set(data.tolist())) < classes:
         raise DegenerateInputError(
             f"need at least {classes} distinct values to form {classes} classes"
         )
@@ -154,24 +162,22 @@ def multi_otsu(values, classes: int = 3, bins: int = 256) -> list[float]:
     return thresholds
 
 
-def classify_rvc(
-    value: float, thresholds: tuple[float, float], reverse: bool = False
-) -> RvcLabel:
-    """Map an inefficiency-style value to its zone given two thresholds.
+def rvc_bands(values, thresholds: tuple[float, float], reverse: bool = False) -> np.ndarray:
+    """Zone of each value as an index into ``RvcLabel``, given two thresholds.
 
-    Values at or below the first threshold are resilient, values above the
-    second collapsed. ``reverse`` flips the orientation for metrics where low
-    values are the degraded side (discomfort vanishing under full attack).
+    Values at or below the first threshold are resilient (0), values above
+    the second collapsed (2). ``reverse`` flips the orientation for metrics
+    where low values are the degraded side (discomfort vanishing under full
+    attack).
     """
     t1, t2 = thresholds
     if not t1 < t2:
         raise InvalidThresholdError(f"thresholds must increase, got ({t1}, {t2})")
-    if value <= t1:
-        band = 0
-    elif value <= t2:
-        band = 1
-    else:
-        band = 2
-    if reverse:
-        band = 2 - band
-    return (RvcLabel.RESILIENCE, RvcLabel.VULNERABILITY, RvcLabel.COLLAPSE)[band]
+    values = np.asarray(values, dtype=float)
+    band = 2 - (values <= t1).astype(int) - (values <= t2)
+    return 2 - band if reverse else band
+
+
+def classify_rvc(value: float, thresholds: tuple[float, float], reverse: bool = False) -> RvcLabel:
+    """The zone of one value; see ``rvc_bands``."""
+    return tuple(RvcLabel)[int(rvc_bands(value, thresholds, reverse))]

@@ -109,21 +109,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     out = Path(args.out)
-    wrote = []
-    if args.agents is not None:
-        if args.plans is None:
-            raise ConfigError("--plans is required when generating agent plan files")
-        plan_sets = generate_gaussian_plans(args.agents, args.plans, args.dim, seed=args.seed)
-        wrote.extend(save_plan_sets(plan_sets, out))
-        log.info("wrote %d plan files to %s", len(plan_sets), out)
-    if args.levels is not None:
-        levels = [_level(tok) for tok in args.levels.split(",")]
-        targets = generate_voting_targets(levels, d=len(levels))
-        for idx, signal in enumerate(targets):
-            wrote.append(save_target_signal(signal, out / f"target_{idx:03d}.target"))
-        log.info("wrote %d target files to %s", len(targets), out)
-    if not wrote:
+    if args.agents is not None and args.plans is None:
+        raise ConfigError("--plans is required when generating agent plan files")
+    levels = None if args.levels is None else [_level(tok) for tok in args.levels.split(",")]
+    try:
+        plan_sets = [] if args.agents is None else generate_gaussian_plans(
+            args.agents, args.plans, args.dim, seed=args.seed
+        )
+        targets = [] if levels is None else generate_voting_targets(levels, d=len(levels))
+    except AdvplanError as exc:
+        raise ConfigError(f"invalid generate arguments: {exc}") from exc
+    if not plan_sets and not targets:
         raise ConfigError("nothing to generate: pass --agents/--plans and/or --levels")
+    if plan_sets:
+        save_plan_sets(plan_sets, out)
+        log.info("wrote %d plan files to %s", len(plan_sets), out)
+    for idx, signal in enumerate(targets):
+        save_target_signal(signal, out / f"target_{idx:03d}.target")
+    if targets:
+        log.info("wrote %d target files to %s", len(targets), out)
     return 0
 
 
@@ -228,6 +232,8 @@ def _pooled_grid(paths) -> harness.SweepGrid:
 
 
 def _cmd_analyze(args) -> int:
+    if args.bins < 3:
+        raise ConfigError(f"--bins must be at least 3 to hold three zones, got {args.bins}")
     grid = _pooled_grid(args.results)
     bundle = harness.analyze(
         grid, output_dir=args.out, bins=args.bins, exclude_beta=tuple(args.exclude_beta)

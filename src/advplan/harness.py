@@ -13,6 +13,7 @@ import csv
 import itertools
 import logging
 import math
+import operator
 import os
 import warnings
 import zlib
@@ -36,10 +37,10 @@ from .adversary import (
 )
 from .analytics import (
     RvcLabel,
-    classify_rvc,
     knee_mmd,
     multi_otsu,
     pareto_front,
+    rvc_bands,
 )
 from .costs import InefficiencyFn, _canonical_kind, _canonical_scaling
 from .engine import RunConfig, RunOutcome, run_batch, split_batches
@@ -87,6 +88,7 @@ ZONE_METRICS = ("inefficiency", "discomfort_total", "discomfort_legit", "comprom
 # Metrics whose degraded side is the low end (discomfort vanishes when
 # adversaries take over), so their zone labels run in reverse.
 REVERSED_ZONE_METRICS = ("discomfort_total", "discomfort_legit")
+_RVC = tuple(RvcLabel)
 
 _KINDS = {Integral: "integers", Real: "numbers", str: "strings"}
 
@@ -364,26 +366,28 @@ class SweepGrid:
         return cls(rows=rows)
 
     def cell_means(self, mode: str) -> dict[tuple, dict]:
-        """Mean metrics per cell of one placement mode.
+        """Mean metrics per cell of one placement mode, in cell-key order.
 
         The key is the signal plus the mode's ``CELL_KEYS`` columns. A value
         holds the cell's ``adv_fraction``, its ``ZONE_METRICS`` means and
-        ``run_count``, named as the cell CSVs name them. Rows are summed in
-        sort order, which keeps means identical no matter how the rows were
-        loaded.
+        ``run_count``, named as the cell CSVs name them. The mode's rows are
+        sorted once, by cell and then sort order, so each cell is a contiguous
+        slice of each metric's column, and a mean is the slice's ``.mean()``:
+        it sums in sort order however the rows were loaded. (``np.add.reduceat``
+        and a 2-D ``mean(axis=0)`` sum in other orders, changing last bits.)
         """
-        groups: dict[tuple, list[RunRecord]] = {}
-        for r in self.rows:
-            if r.placement_mode == mode:
-                key = (r.signal_id, *(getattr(r, c) for c in CELL_KEYS[mode]))
-                groups.setdefault(key, []).append(r)
+        cell_of = operator.attrgetter("signal_id", *CELL_KEYS[mode])
+        rows = [r for r in self.rows if r.placement_mode == mode]
+        rows.sort(key=lambda r: (cell_of(r), r.sort_key()))
+        keys = [cell_of(r) for r in rows]
+        columns = {m: np.array([getattr(r, m) for r in rows]) for m in ZONE_METRICS}
+        starts = [i for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
         means = {}
-        for key, records in groups.items():
-            records.sort(key=RunRecord.sort_key)
-            means[key] = {
-                "adv_fraction": records[0].adv_fraction,
-                **{m: float(np.mean([getattr(r, m) for r in records])) for m in ZONE_METRICS},
-                "run_count": len(records),
+        for start, end in zip(starts, [*starts[1:], len(rows)]):
+            means[keys[start]] = {
+                "adv_fraction": rows[start].adv_fraction,
+                **{m: float(column[start:end].mean()) for m, column in columns.items()},
+                "run_count": end - start,
             }
         return means
 
@@ -599,12 +603,13 @@ def _run_task(
     signal_index: int,
     signal: tuple[str, TargetSignal | None],
     rep: int,
-) -> tuple[list[RunRecord], list[dict]]:
+) -> tuple[list[RunRecord], list[list]]:
     """Rows and error rows of one (signal, repetition) task of a placement mode.
 
     The cells share the repetition's topology and one baseline run. A cell
-    that fails becomes an error row instead of aborting the task; error rows
-    name the cell by its ``CELL_KEYS`` columns.
+    that fails becomes an error row instead of aborting the task; an error
+    row holds the signal, the repetition, the cell's ``CELL_KEYS`` columns
+    and the error message.
     """
     signal_id, target = signal
     topo_seed = derive_seed(cfg.master_seed, "topology", rep)
@@ -615,20 +620,16 @@ def _run_task(
     keys = CELL_KEYS[mode]
     _, baseline = next(results)
     if isinstance(baseline, Exception):
-        failed = {**dict.fromkeys(keys, ""), "error": f"baseline: {baseline}"}
-        return [], [{"signal_id": signal_id, "repetition": rep, **failed}]
+        return [], [[signal_id, rep, *[""] * len(keys), f"baseline: {baseline}"]]
     tags = dict(
         dataset=cfg.dataset.name, signal_id=signal_id, master_seed=cfg.master_seed,
         placement_mode=mode,
     )
     records: list[RunRecord] = []
-    errors: list[dict] = []
+    errors: list[list] = []
     for cell, outcome in results:
         if isinstance(outcome, Exception):
-            errors.append(
-                {"signal_id": signal_id, "repetition": rep,
-                 **{key: getattr(cell, key) for key in keys}, "error": str(outcome)}
-            )
+            errors.append([signal_id, rep, *(getattr(cell, key) for key in keys), str(outcome)])
         else:
             records.append(_metrics_record(topology, cell, outcome, baseline, **tags))
     return records, errors
@@ -691,13 +692,13 @@ def _execute(
     ]
 
     grid = SweepGrid(rows=list(existing))
-    error_rows: list[dict] = []
+    error_rows: list[list] = []
     with open(partial_path, "a" if existing else "w", newline="", encoding="utf-8") as sink:
         writer = csv.writer(sink)
         if not existing:
             writer.writerow(CSV_COLUMNS)
 
-        def emit(result: tuple[list[RunRecord], list[dict]]) -> None:
+        def emit(result: tuple[list[RunRecord], list[list]]) -> None:
             records, errors = result
             error_rows.extend(errors)
             for record in records:
@@ -718,8 +719,7 @@ def _execute(
                 emit(_run_task(cfg, plan_sets, mode, *task))
 
     if error_rows:
-        columns = ["signal_id", "repetition", *CELL_KEYS[mode], "error"]
-        _write_dict_csv(errors_path, error_rows, columns)
+        _write_csv(errors_path, ["signal_id", "repetition", *CELL_KEYS[mode], "error"], error_rows)
         log.warning("%d cells failed; see %s", len(error_rows), errors_path)
     else:
         errors_path.unlink(missing_ok=True)
@@ -823,10 +823,11 @@ class AnalysisBundle:
     output_dir: Path | None = None
 
 
-def _zone_for(value: float, thresholds, reverse: bool) -> RvcLabel:
+def _zone_bands(values, thresholds, reverse: bool) -> np.ndarray:
+    """``rvc_bands`` of the values; all resilience (0) without thresholds."""
     if thresholds is None:
-        return RvcLabel.RESILIENCE
-    return classify_rvc(value, thresholds, reverse=reverse)
+        return np.zeros(np.shape(values), dtype=int)
+    return rvc_bands(values, thresholds, reverse=reverse)
 
 
 def _front_rows_for(
@@ -861,24 +862,23 @@ def _front_rows_for(
     return rows
 
 
-def _write_dict_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``rows`` under ``header``; floats go out as their ``repr``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [repr(v) if isinstance(v, float) else str(v) for v in (row[c] for c in columns)]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _write_heatmap(base: Path, title: str, x_axis: str, values: dict, zone_of, knees=()):
+def _write_heatmap(base: Path, title: str, x_axis: str, values: dict, zoning=None, knees=()):
     """Render ``values``, keyed ``(beta, column)``, as ``<base>.svg``.
 
-    Rows run from the highest severity down. ``zone_of`` maps a value to its
-    zone, whose initial labels the cell; None leaves cells unlabelled.
-    ``knees`` lists the ``(beta, column)`` cells to outline. Returns the row
-    severities, the columns and the matrix as drawn.
+    Rows run from the highest severity down. ``zoning`` is the
+    ``(thresholds, reverse)`` pair that ``_zone_bands`` zones the values
+    with, and each cell shows its zone's initial; None leaves cells
+    unlabelled. ``knees`` lists the ``(beta, column)`` cells to outline.
+    Returns the row severities, the columns and the matrix as drawn.
     """
     rows = sorted({b for b, _ in values}, reverse=True)
     cols = sorted({c for _, c in values})
@@ -890,8 +890,8 @@ def _write_heatmap(base: Path, title: str, x_axis: str, values: dict, zone_of, k
         path=base.with_suffix(".svg"),
         title=title,
         knee_cells={(rows.index(b), cols.index(c)) for b, c in knees},
-        cell_labels=None if zone_of is None else [
-            [zone_of(v).value[0].upper() for v in row] for row in matrix
+        cell_labels=None if zoning is None else [
+            ["RVC"[band] for band in row] for row in _zone_bands(matrix, *zoning).tolist()
         ],
         x_axis=x_axis,
         y_axis="severity",
@@ -915,23 +915,29 @@ def analyze(
     directory is given, cells, thresholds, zones, fronts, and per-metric SVG
     heatmaps (with knee and zone overlays) are written there; structural rows
     present in the grid get their own aggregated CSVs, and cumulative rows
-    heatmaps zoned by the grid's inefficiency thresholds.
+    heatmaps zoned by the grid's inefficiency thresholds. A non-finite cell
+    mean that would be thresholded or drawn raises ``InvalidInputError``
+    naming its metric and signal, before any file is written.
     """
     means = {mode: grid.cell_means(mode) for mode in PLACEMENT_MODES}
     cells = {key: cell for key, cell in means["random"].items() if key[1] not in exclude_beta}
     means["random"] = cells
+    for (signal, *cell_key), cell in means["cumulative"].items():
+        if not math.isfinite(cell["inefficiency"]):
+            raise InvalidInputError(f"metric 'inefficiency' of signal {signal!r}: cumulative "
+                                    f"cell {tuple(cell_key)} is not finite")
     thresholds: dict = {}
     zones: dict = {}
     front_rows: list[dict] = []
-    zone_rows: list[dict] = []
+    zone_rows: list[list] = []
     complete: list[str] = []
 
     for signal in sorted({key[0] for key in cells}):
-        keys = sorted(key for key in cells if key[0] == signal)
+        keys = [key for key in cells if key[0] == signal]
         betas = sorted({k[1] for k in keys})
         counts = sorted({k[2] for k in keys})
         for metric in ZONE_METRICS:
-            values = [cells[k][metric] for k in keys]
+            values = np.array([cells[k][metric] for k in keys])
             try:
                 t1, t2 = multi_otsu(values, classes=3, bins=bins)
                 thresholds[(signal, metric)] = (t1, t2)
@@ -942,29 +948,21 @@ def analyze(
                     stacklevel=2,
                 )
                 thresholds[(signal, metric)] = None
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"metric {metric!r} of signal {signal!r}: {exc}") from exc
             reverse = metric in REVERSED_ZONE_METRICS
-            for key, value in zip(keys, values):
-                zone = _zone_for(value, thresholds[(signal, metric)], reverse)
+            bands = _zone_bands(values, thresholds[(signal, metric)], reverse)
+            for key, value, band in zip(keys, values.tolist(), bands.tolist()):
+                zone = _RVC[band]
                 zones[(signal, metric, key[1], key[2])] = zone
-                zone_rows.append(
-                    {
-                        "signal_id": signal,
-                        "metric": metric,
-                        "beta": key[1],
-                        "adv_count": key[2],
-                        "value": value,
-                        "zone": zone.value,
-                    }
-                )
+                zone_rows.append([signal, metric, key[1], key[2], value, zone.value])
         if len(keys) == len(betas) * len(counts):
             complete.append(signal)
             front_rows.extend(_front_rows_for(cells, signal, betas, counts))
         else:
             log.warning("grid for signal %r is ragged; skipping front extraction", signal)
 
-    bundle = AnalysisBundle(
-        cells=cells, thresholds=thresholds, zones=zones, front_rows=front_rows
-    )
+    bundle = AnalysisBundle(cells=cells, thresholds=thresholds, zones=zones, front_rows=front_rows)
     if output_dir is None:
         return bundle
 
@@ -974,42 +972,31 @@ def analyze(
 
     for mode, mode_cells in means.items():
         if mode_cells or mode == "random":
-            columns = ["signal_id", *CELL_KEYS[mode]]
-            rows = [{**dict(zip(columns, key)), **cell} for key, cell in sorted(mode_cells.items())]
             extra = ["adv_fraction"] if mode == "random" else []
-            _write_dict_csv(
+            columns = [*extra, *ZONE_METRICS, "run_count"]
+            _write_csv(
                 outdir / ("cells.csv" if mode == "random" else f"{mode}_cells.csv"),
-                rows,
-                [*columns, *extra, *ZONE_METRICS, "run_count"],
+                ["signal_id", *CELL_KEYS[mode], *columns],
+                [[*key, *(cell[c] for c in columns)] for key, cell in mode_cells.items()],
             )
-    _write_dict_csv(
+    _write_csv(
         outdir / "thresholds.csv",
-        [
-            {
-                "signal_id": signal,
-                "metric": metric,
-                "t1": "" if pair is None else pair[0],
-                "t2": "" if pair is None else pair[1],
-            }
-            for (signal, metric), pair in sorted(thresholds.items())
-        ],
         ["signal_id", "metric", "t1", "t2"],
+        [[*key, *(pair or ("", ""))] for key, pair in sorted(thresholds.items())],
     )
-    _write_dict_csv(
+    _write_csv(
         outdir / "zones.csv",
-        sorted(zone_rows, key=lambda r: (r["signal_id"], r["metric"], r["beta"], r["adv_count"])),
         ["signal_id", "metric", "beta", "adv_count", "value", "zone"],
+        sorted(zone_rows, key=lambda r: r[:4]),
     )
-    _write_dict_csv(
+    front_columns = [
+        "signal_id", "orientation", "fixed", "beta", "adv_count",
+        "inefficiency", "discomfort_legit", "on_front", "is_knee",
+    ]
+    _write_csv(
         outdir / "fronts.csv",
-        sorted(
-            front_rows,
-            key=lambda r: (r["signal_id"], r["orientation"], r["fixed"], r["beta"], r["adv_count"]),
-        ),
-        [
-            "signal_id", "orientation", "fixed", "beta", "adv_count",
-            "inefficiency", "discomfort_legit", "on_front", "is_knee",
-        ],
+        front_columns,
+        sorted([row[c] for c in front_columns] for row in front_rows),
     )
 
     knees: dict[str, set[tuple[float, int]]] = {}
@@ -1026,12 +1013,11 @@ def analyze(
                 f"{metric} by severity x adversary count",
                 "adversaries",
                 {key[1:]: cell[metric] for key, cell in cells.items() if key[0] == signal},
-                lambda v: _zone_for(v, pair, reverse),
+                (pair, reverse),
                 knees.get(signal, ()) if metric == "inefficiency" else (),
             )
-            header = ["beta", *cols]
-            rows = [dict(zip(header, [b, *vals])) for b, vals in zip(betas, matrix)]
-            _write_dict_csv(base.with_suffix(".csv"), rows, header)
+            rows = [[b, *vals] for b, vals in zip(betas, matrix)]
+            _write_csv(base.with_suffix(".csv"), ["beta", *cols], rows)
     cumulative = means["cumulative"]
     for signal, direction in sorted({key[:2] for key in cumulative}):
         values = {(k[3], k[2]): cell["inefficiency"] for k, cell in cumulative.items()
@@ -1046,6 +1032,6 @@ def analyze(
             f"inefficiency, cumulative {direction}",
             "m",
             values,
-            None if pair is None else lambda v: classify_rvc(v, pair),
+            None if pair is None else (pair, False),
         )
     return bundle

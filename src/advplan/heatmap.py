@@ -49,6 +49,8 @@ def render_heatmap(
     if rows != len(row_labels) or cols != len(col_labels):
         raise ValueError("label counts must match the matrix shape")
     lo, hi = float(values.min()), float(values.max())
+    # Python floats: ``_color`` costs several times more on numpy scalars.
+    values = values.tolist()
     left, top = 70, 40
     width = left + cols * cell_size + 150
     height = top + rows * cell_size + 60
@@ -64,7 +66,7 @@ def render_heatmap(
             y = top + i * cell_size
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{cell_size}" height="{cell_size}" '
-                f'fill="{_color(values[i, j], lo, hi)}" stroke="white" stroke-width="0.5"/>'
+                f'fill="{_color(values[i][j], lo, hi)}" stroke="white" stroke-width="0.5"/>'
             )
             if cell_labels is not None:
                 parts.append(

@@ -177,22 +177,40 @@ def test_multi_otsu_degenerate_inputs():
 
 def test_multi_otsu_matches_oracle_and_fills_classes():
     rng = np.random.default_rng(9)
+    cases = []
     for trial in range(30):
-        bins = int(rng.integers(8, 65))
         values = np.concatenate(
             [rng.normal(loc=c, scale=0.3, size=12) for c in rng.choice(10, size=3)]
         )
-        if np.unique(values).size < 3:
+        cases.append((values, int(rng.integers(8, 65)), 3, True))
+    for classes, bins in ((2, 40), (2, 7), (4, 24), (4, 12)):
+        for trial in range(4):
+            centers = rng.choice(20, size=classes + 1, replace=False)
+            values = np.concatenate([rng.normal(loc=c, scale=0.4, size=9) for c in centers])
+            cases.append((values, bins, classes, True))
+    # Lone outliers at both ends leave the bins next to the first and last
+    # bin empty (an auto-ranged histogram always fills those two). Midpoints
+    # of wide plateaus can leave a class empty here, as the oracle does.
+    for classes in (2, 3, 4):
+        core = rng.normal(loc=5.0, scale=0.5, size=40)
+        cases.append((np.concatenate([[-20.0], core, [31.0]]), 64, classes, False))
+        cases.append((np.concatenate([core, [60.0]]), 50, classes, False))
+    for values, bins, classes, fills in cases:
+        if np.unique(values).size < classes:
             continue
-        got = multi_otsu(values, classes=3, bins=bins)
-        assert got == oracle_otsu(values, classes=3, bins=bins)
-        t1, t2 = got
-        counts = [
-            int((values <= t1).sum()),
-            int(((values > t1) & (values <= t2)).sum()),
-            int((values > t2).sum()),
-        ]
+        got = multi_otsu(values, classes=classes, bins=bins)
+        assert got == oracle_otsu(values, classes=classes, bins=bins)
+        if not fills:
+            continue
+        bounds = [-np.inf, *got, np.inf]
+        counts = [int(((values > a) & (values <= b)).sum()) for a, b in zip(bounds, bounds[1:])]
         assert all(c > 0 for c in counts)
+
+
+def test_multi_otsu_rejects_non_finite_values():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError, match="finite"):
+            multi_otsu([0.0, 1.0, 2.0, bad, 4.0], classes=3)
 
 
 def test_classify_rvc_boundaries_and_reverse():
@@ -274,8 +292,33 @@ def test_split_scores_match_per_split_definition():
         ([0.0] * 5 + [1.0] * 7 + [9.0] * 2 + [10.0] * 4, 40, 4),
         ([1.0] * 20 + [9.0] * 20, 64, 2),
     ]
-    for values, bins, classes in cases:
-        hist, edges = np.histogram(np.asarray(values, dtype=float), bins=bins)
+    # Grid-small's shape: 200+ cell means into 256 bins.
+    cases += [(rng.random(n) ** 3, 256, 3) for n in (200, 240)]
+    # Integer-valued data: most bins empty, many splits tie.
+    cases += [
+        (rng.integers(0, 6, 200).astype(float), 256, 3),
+        (rng.integers(-40, 41, 60).astype(float), 97, 4),
+    ]
+    # The fewest and many bins, two to four classes.
+    cases += [
+        ([1.0, 2.0, 3.0, 3.0], 3, 2),
+        ([1.0, 2.0, 3.0, 3.0], 3, 3),
+        (rng.random(220), 300, 2),
+        (rng.random(220) ** 2, 300, 3),
+        (rng.normal(size=90), 50, 4),
+    ]
+    # A histogram range wider than the data leaves its first or last bin
+    # (or both) empty; negative centers make empty bins add -0.0 moments.
+    ranged = [
+        (rng.normal(size=50), (-6.0, 3.0), 40, 3),
+        (rng.normal(size=50), (-3.0, 9.0), 40, 4),
+        (rng.normal(loc=-5.0, size=80), (-12.0, 0.0), 256, 3),
+        (rng.random(30), (-1.0, 2.0), 30, 2),
+    ]
+    cases = [(values, bins, classes, None) for values, bins, classes in cases]
+    cases += [(values, bins, classes, span) for values, span, bins, classes in ranged]
+    for values, bins, classes, span in cases:
+        hist, edges = np.histogram(np.asarray(values, dtype=float), bins=bins, range=span)
         hist = hist.astype(float)
         centers = (edges[:-1] + edges[1:]) / 2.0
         weights, moments = np.cumsum(hist), np.cumsum(hist * centers)

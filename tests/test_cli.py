@@ -35,6 +35,29 @@ def test_generate_bad_level_exits_2(tmp_path, caplog, levels, bad):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--levels", "1,1"], "levels must be distinct"),
+        (["--agents", "0", "--plans", "3"], "must be positive"),
+        (["--agents", "4", "--plans", "0"], "must be positive"),
+        (["--agents", "4", "--plans", "3", "--dim", "0"], "must be positive"),
+        (["--agents", "-2", "--plans", "3"], "must be positive"),
+    ],
+)
+def test_generate_bad_sizes_and_levels_exit_2(tmp_path, caplog, args, message):
+    assert main(["generate", "--out", str(tmp_path / "out"), *args]) == 2
+    assert "config error" in caplog.text and message in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_generate_writes_nothing_when_levels_are_bad(tmp_path):
+    out = tmp_path / "out"
+    args = ["--agents", "4", "--plans", "3", "--levels", "1,1"]
+    assert main(["generate", "--out", str(out), *args]) == 2
+    assert not out.exists()
+
+
 def test_run_single_outputs_json(tmp_path, capsys):
     code = main(
         [
@@ -243,6 +266,48 @@ def test_plan_ids_with_a_gap_exit_2(tmp_path, caplog):
 )
 def test_run_usage_errors_exit_2(attack):
     assert main(["run", "--agents", "6", "--plans", "2", *attack]) == 2
+
+
+@pytest.mark.parametrize("bins", ["0", "2", "-5"])
+def test_analyze_bins_below_3_exit_2(tmp_path, caplog, bins):
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    out = tmp_path / "analysis"
+    argv = ["analyze", "--results", str(tmp_path / "out" / "runs.csv"), "--out", str(out)]
+    assert main([*argv, "--bins", bins]) == 2
+    assert "config error: --bins must be at least 3" in caplog.text
+    assert not out.exists()
+
+
+def _with_values(source, target, column, values):
+    """Copy a results CSV, overwriting ``column`` in its first data rows."""
+    lines = source.read_text().splitlines()
+    index = lines[0].split(",").index(column)
+    for row, value in enumerate(values, start=1):
+        fields = lines[row].split(",")
+        fields[index] = value
+        lines[row] = ",".join(fields)
+    target.write_text("\n".join(lines) + "\n")
+    return target
+
+
+@pytest.mark.parametrize("command", ["analyze", "plot"])
+def test_non_finite_metrics_exit_3_naming_metric_and_signal(tmp_path, caplog, command):
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert main(["structural", "--config", str(cfg), "--mode", "cumulative"]) == 0
+    runs = _with_values(tmp_path / "out" / "runs.csv", tmp_path / "bad_runs.csv",
+                        "inefficiency", ["nan", "inf"])
+    out = tmp_path / "analysis"
+    assert main([command, "--results", str(runs), "--out", str(out)]) == 3
+    assert "runtime error: metric 'inefficiency' of signal ''" in caplog.text
+    assert "must be finite" in caplog.text
+    caplog.clear()
+    cumulative = _with_values(tmp_path / "out" / "structural_cumulative.csv",
+                              tmp_path / "bad_cumulative.csv", "inefficiency", ["-inf"])
+    assert main([command, "--results", str(cumulative), "--out", str(out)]) == 3
+    assert "metric 'inefficiency' of signal '': cumulative cell" in caplog.text
+    assert not out.exists()
 
 
 def test_analyze_no_rows_exit_code(tmp_path):

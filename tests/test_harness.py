@@ -294,6 +294,38 @@ def test_analyze_bundle_and_files(tmp_path):
     assert (outdir / "heatmap_inefficiency.csv").exists()
 
 
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_analyze_bytes_ignore_row_and_pooling_order(tmp_path):
+    """Each cell's mean sums its rows in sort order, so shuffled rows and
+    results pooled in reverse write the same bytes."""
+    cfg = small_config(tmp_path, severities=(0.3, 0.6, 0.9), runs_per_cell=4)
+    grids = [run_sweep(cfg), run_structural(cfg, "layer"), run_structural(cfg, "cumulative")]
+    out = tmp_path / "out"
+    paths = [str(out / name) for name in
+             ("runs.csv", "structural_layer.csv", "structural_cumulative.csv")]
+    assert cli_main(["analyze", "--results", *paths, "--out", str(tmp_path / "forward")]) == 0
+    assert cli_main(["analyze", "--results", *paths[::-1], "--out", str(tmp_path / "reverse")]) == 0
+    rows = [row for grid in grids for row in grid.rows]
+    shuffled = [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
+    bundle = analyze(SweepGrid(rows=shuffled), output_dir=tmp_path / "shuffled")
+    forward = _files(tmp_path / "forward")
+    assert len(forward) == 16
+    assert _files(tmp_path / "reverse") == forward
+    assert _files(tmp_path / "shuffled") == forward
+    # Means are np.mean over each cell's values in sort order, and on this
+    # instance another order changes some mean's last bits.
+    cells: dict[tuple, list[float]] = {}
+    for row in sorted(grids[0].rows, key=RunRecord.sort_key):
+        cells.setdefault(("", row.beta, row.adv_count), []).append(row.inefficiency)
+    assert {key: cell["inefficiency"] for key, cell in bundle.cells.items()} == {
+        key: float(np.mean(values)) for key, values in cells.items()
+    }
+    assert any(np.mean(v) != np.mean(v[::-1]) for v in cells.values())
+
+
 def test_analyze_degenerate_grid_warns_all_resilient(tmp_path):
     rows = []
     for beta in (0.5, 1.0):
