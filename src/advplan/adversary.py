@@ -90,21 +90,26 @@ def random_adversaries(topology: TreeTopology, count: int, seed: int = 0) -> set
     return {int(a) for a in rng.choice(np.arange(1, n + 1), size=count, replace=False)}
 
 
-def make_profile(
-    topology: TreeTopology, adversaries, beta_d: float
-) -> BehaviorProfile:
+def beta_rows(topology: TreeTopology, adversary_sets, severities) -> np.ndarray:
+    """``(B, n)`` beta rows, row i what ``make_profile`` builds from
+    ``adversary_sets[i]`` and ``severities[i]``; one pair raises as it does."""
+    n = topology.node_count
+    sizes = [len(adversaries) for adversaries in adversary_sets]
+    for size, beta_d in zip(sizes, severities):
+        if size and not 0.0 < beta_d <= 1.0:
+            raise InvalidInputError(f"adversarial severity must be in (0, 1], got {beta_d}")
+    ids = np.fromiter(itertools.chain.from_iterable(adversary_sets), np.intp, sum(sizes))
+    unknown = ids[(ids < 1) | (ids > n)]
+    if unknown.size:
+        raise InvalidInputError(f"unknown agent ids {np.unique(unknown).tolist()}")
+    betas = np.zeros((len(sizes), n))
+    betas[np.repeat(np.arange(len(sizes)), sizes), ids - 1] = np.repeat(severities, sizes)
+    return betas
+
+
+def make_profile(topology: TreeTopology, adversaries, beta_d: float) -> BehaviorProfile:
     """Behavior profile with beta_d on the listed agents and 0 elsewhere.
 
     With no adversaries every agent is legitimate, whatever ``beta_d``.
     """
-    n = topology.node_count
-    ids = np.fromiter(adversaries, dtype=np.intp)
-    beta = np.zeros(n)
-    if ids.size:
-        if not 0.0 < beta_d <= 1.0:
-            raise InvalidInputError(f"adversarial severity must be in (0, 1], got {beta_d}")
-        unknown = ids[(ids < 1) | (ids > n)]
-        if unknown.size:
-            raise InvalidInputError(f"unknown agent ids {np.unique(unknown).tolist()}")
-        beta[ids - 1] = beta_d
-    return BehaviorProfile(beta=beta)
+    return BehaviorProfile(beta=beta_rows(topology, [tuple(adversaries)], [beta_d])[0])

@@ -107,7 +107,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seeds(args, *names: str) -> None:
+    """Raise ``ConfigError`` for the first negative seed option; numpy takes none."""
+    for name in names:
+        if getattr(args, name) < 0:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= 0, got {getattr(args, name)}")
+
+
 def _cmd_generate(args) -> int:
+    _check_seeds(args, "seed")
     out = Path(args.out)
     if args.agents is not None and args.plans is None:
         raise ConfigError("--plans is required when generating agent plan files")
@@ -163,6 +171,7 @@ def _adversaries(args, topology) -> set[int]:
 
 
 def _cmd_run(args) -> int:
+    _check_seeds(args, "seed", "gen_seed", "topology_seed")
     if not 0.0 < args.severity <= 1.0:
         raise ConfigError(f"--severity must be in (0, 1], got {args.severity}")
     if args.plans_dir:

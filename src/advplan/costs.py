@@ -20,6 +20,10 @@ GlobalResponse = np.ndarray
 
 INEFFICIENCY_KINDS = ("variance", "rss")
 SCALING_MODES = ("identity", "min-max", "zero-mean-unit-norm")
+# Trailing axes shorter than this are reduced column by column, since numpy
+# pays per row on them. Below 8 elements its sum runs left to right from
+# +0.0, as the columns do; from 8 it sums pairwise, so longer axes keep it.
+SHORT_AXIS = 8
 
 
 def _canonical_kind(kind: str) -> str:
@@ -51,12 +55,40 @@ def _scale_rows(values: np.ndarray, mode: str) -> np.ndarray:
     if mode == "identity":
         return values
     if mode == "min-max":
-        lo = values.min(axis=-1, keepdims=True)
-        shifted, span = values - lo, values.max(axis=-1, keepdims=True) - lo
+        lo = reduce_rows(np.minimum, values)[..., None]
+        shifted, span = values - lo, reduce_rows(np.maximum, values)[..., None] - lo
     else:
-        shifted = values - values.mean(axis=-1, keepdims=True)
+        shifted = values - (reduce_rows(np.add, values) / values.shape[-1])[..., None]
         span = np.sqrt(_sum_squares(shifted))[..., None]
     return np.divide(shifted, span, out=np.zeros_like(shifted), where=span != 0.0)
+
+
+def reduce_rows(ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(values, axis=-1)`` for add, minimum or maximum, same bits."""
+    d = values.shape[-1]
+    if not 0 < d < SHORT_AXIS:
+        return ufunc.reduce(values, axis=-1)
+    out = values[..., 0].copy(order="K")
+    if ufunc is np.add:
+        out += 0.0  # numpy's sum starts from +0.0, which turns -0.0 into +0.0
+    for j in range(1, d):
+        ufunc(out, values[..., j], out=out)
+    return out
+
+
+def argmin_rows(values: np.ndarray) -> np.ndarray:
+    """``values.argmin(axis=-1)``; a short axis without NaN goes column by column,
+    where only a strictly smaller value takes over, so ties keep the first index."""
+    k = values.shape[-1]
+    if not 0 < k < SHORT_AXIS or np.isnan(values).any():
+        return values.argmin(axis=-1)
+    best = values[..., 0].copy(order="K")
+    index = np.zeros(best.shape, dtype=np.intp)
+    for j in range(1, k):
+        better = values[..., j] < best
+        np.copyto(best, values[..., j], where=better)
+        np.copyto(index, j, where=better)
+    return index
 
 
 def _sum_squares(values: np.ndarray) -> np.ndarray:
@@ -72,14 +104,22 @@ def _variance_rows(values: np.ndarray) -> np.ndarray:
     """``np.var(values, axis=-1)`` with numpy's own steps spelled out.
 
     Same operations in the same order, so the same bits, without the
-    dispatch overhead that dominates on the small arrays of the engine.
+    dispatch overhead that dominates on the small arrays of the engine. A
+    short axis squares and sums its deviations column by column.
     """
     d = values.shape[-1]
-    mean = np.add.reduce(values, axis=-1, keepdims=True)
+    mean = reduce_rows(np.add, values)
     mean /= d
-    dev = values - mean
-    np.square(dev, out=dev)
-    out = np.add.reduce(dev, axis=-1)
+    if d >= SHORT_AXIS:
+        dev = values - mean[..., None]
+        np.square(dev, out=dev)
+        out = np.add.reduce(dev, axis=-1)
+    else:
+        out = np.zeros_like(mean)
+        for j in range(d):
+            dev = values[..., j] - mean
+            dev *= dev
+            out += dev
     out /= d
     return out
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import GlobalResponse, InefficiencyFn, scale_vector
+from .costs import SHORT_AXIS, GlobalResponse, InefficiencyFn, argmin_rows, scale_vector
 from .errors import ConfigError, InvalidInputError
 from .plans import PlanSet
 from .topology import TreeTopology
@@ -71,11 +71,16 @@ class BehaviorProfile:
                 raise ConfigError("behavior profile must cover every agent exactly once")
             beta = [beta[a] for a in range(1, len(beta) + 1)]
         beta = _read_only(beta, float)
-        outside = np.flatnonzero(~((beta >= 0.0) & (beta <= 1.0)))
-        if outside.size:
-            a = outside[0]
-            raise InvalidInputError(f"beta for agent {a + 1} must be in [0, 1], got {beta[a]}")
+        _check_betas(beta)
         object.__setattr__(self, "beta", beta)
+
+
+def _check_betas(betas: np.ndarray) -> None:
+    """Raise ``InvalidInputError`` naming the first beta outside [0, 1]."""
+    outside = np.argwhere(~((betas >= 0.0) & (betas <= 1.0)))
+    if outside.size:
+        at = tuple(outside[0])
+        raise InvalidInputError(f"beta for agent {at[-1] + 1} must be in [0, 1], got {betas[at]}")
 
 
 @dataclass(frozen=True)
@@ -136,13 +141,9 @@ def _max_batch(n: int, k: int, d: int) -> int:
 
 
 def split_batches(plan_sets: list[PlanSet], items):
-    """Yield ``items`` in consecutive lists of at most one array batch each.
-
-    ``run_batch`` takes any number of runs over ``plan_sets`` but puts them
-    through its arrays this many at a time. A caller that handles runs per
-    batch, to retry a failed batch say, splits them here and holds only one
-    batch of them at a time.
-    """
+    """Yield ``items`` in consecutive lists of at most one array batch each,
+    the most runs over ``plan_sets`` that ``run_batch`` puts through its
+    arrays at a time; a caller that retries failed batches splits here."""
     k = max(ps.k for ps in plan_sets)
     cap = _max_batch(len(plan_sets), k, plan_sets[0].dimension)
     items = iter(items)
@@ -184,16 +185,26 @@ def _choose(P, alpha, beta, ctx, n: int, ineff: InefficiencyFn) -> np.ndarray:
     ``(m, B)``, and ``ctx`` is the ``(m, B, d + 1)`` rest of the network.
     Both cost terms are min-max normalized over the k candidates so the
     weights interpolate between the pure regimes; ties resolve to the lowest
-    index.
+    index. Variance over a short d reduces column by column, whose bits do
+    not depend on the layout, so there the candidates are built one column
+    at a time as ``(d + 1, m, k, B)`` and every step runs along the runs.
+    RSS products and long sums do depend on it and keep the row-major stack.
     """
-    cand = ctx[:, :, None, :] + P[:, None]
+    m, k, width = P.shape
+    if ineff.kind == "variance" and width - 1 < SHORT_AXIS:
+        cand = np.empty((width, m, k, ctx.shape[1]))
+        for j in range(width):
+            np.add(ctx[:, None, :, j], P[:, :, None, j], out=cand[j])
+        cand = cand.transpose(1, 3, 2, 0)
+    else:
+        cand = ctx[:, :, None, :] + P[:, None]
     ineff_costs = ineff.batch(cand[..., :-1])
     disc_costs = cand[..., -1] / n
     score = (
         alpha[..., None] * scale_vector(ineff_costs, "min-max")
         + beta[..., None] * scale_vector(disc_costs, "min-max")
     )
-    return score.argmin(axis=-1)
+    return argmin_rows(score)
 
 
 def _stack_plans(topology: TreeTopology, plan_sets: list[PlanSet], config: RunConfig):
@@ -236,53 +247,49 @@ def _stack_plans(topology: TreeTopology, plan_sets: list[PlanSet], config: RunCo
 def run_batch(
     topology: TreeTopology,
     plan_sets: list[PlanSet],
-    behaviors,
+    betas,
     config: RunConfig,
     seeds,
 ) -> list[RunOutcome]:
     """Execute several runs that share a topology, plan sets and config.
 
-    Run i uses ``behaviors[i]`` and takes ``seeds[i]`` in place of
-    ``config.rng_seed``. Each outcome is bit for bit the one the run gives on
-    its own: every array operation acts on each run's rows separately. A run
-    is a pure function of its beta vector and, under ``random`` initial
-    selection only, its seed; runs that repeat an earlier one are executed
-    once and share its read-only outcome. The distinct runs go through the
-    arrays in the batches of ``split_batches``.
+    Run i has the ``BehaviorProfile`` beta vector ``betas[i]`` of a ``(B, n)``
+    array and takes ``seeds[i]`` in place of ``config.rng_seed``. Each
+    outcome is bit for bit the one the run gives on its own: every array
+    operation acts on each run's rows separately. A run is a pure function
+    of its beta row and, under ``random`` initial selection only, its seed;
+    runs that repeat an earlier one are executed once and share its
+    read-only outcome. The distinct runs go through the arrays in the
+    batches of ``split_batches``.
     """
-    behaviors, seeds = list(behaviors), list(seeds)
-    if len(behaviors) != len(seeds):
-        raise ConfigError(f"{len(behaviors)} behavior profiles for {len(seeds)} seeds")
+    betas, seeds = np.ascontiguousarray(betas, dtype=float), list(seeds)
+    if betas.shape[:1] != (len(seeds),):
+        raise ConfigError(f"beta rows of shape {betas.shape} for {len(seeds)} seeds")
+    if seeds and betas.shape[1:] != (topology.node_count,):
+        raise ConfigError("beta rows must cover every agent exactly once")
+    _check_betas(betas)
     P, counts = _stack_plans(topology, plan_sets, config)
     seeded = config.initial_selection == "random"
     first_of: dict = {}
-    firsts = []
-    for j, (b, s) in enumerate(zip(behaviors, seeds)):
-        if b.beta.shape != (topology.node_count,):
-            raise ConfigError("behavior profile must cover every agent exactly once")
-        firsts.append(first_of.setdefault((b.beta.tobytes(), s if seeded else None), j))
+    firsts = [
+        first_of.setdefault((row.tobytes(), s if seeded else None), j)
+        for j, (row, s) in enumerate(zip(betas, seeds))
+    ]
     done: dict[int, RunOutcome] = {}
     for batch in split_batches(plan_sets, list(first_of.values())):
-        runs = _run_arrays(
-            topology, P, counts, [behaviors[i] for i in batch], config, [seeds[i] for i in batch]
-        )
+        runs = _run_arrays(topology, P, counts, betas[batch], config, [seeds[i] for i in batch])
         done.update(zip(batch, runs))
     return [done[i] for i in firsts]
 
 
-def _run_arrays(topology, P, counts, behaviors, config, seeds) -> list[RunOutcome]:
+def _run_arrays(topology, P, counts, betas, config, seeds) -> list[RunOutcome]:
     """The iterations of one batch; arrays are node-major, ``(n, B, ...)``.
 
-    Per iteration, positions are processed leaves-to-root: each agent sees the
-    previous global response with its own subtree's stale contribution swapped
-    for the children's fresh aggregates, re-selects, and hands its subtree
-    aggregate upward. The top-down phase then decides, per subtree, between
-    adopting its proposed changes wholesale and keeping the node at its
-    previous selection while the children are considered on their own;
-    whichever leaves the working global state at the strictly lower
-    scalarized cost is kept, so unhelpful proposals revert. A run leaves the
-    batch once a pass approves no change, since it is deterministic from
-    there on.
+    Each iteration is a bottom-up pass, where every agent re-selects against
+    the previous global response with its own subtree swapped for its
+    children's fresh proposals, and a top-down pass that keeps a proposal
+    only at a strictly lower scalarized cost. A run leaves the batch once a
+    pass approves no change, since it is deterministic from there on.
     """
     n, k, d = P.shape[0], P.shape[1], P.shape[2] - 1
     ineff = config.inefficiency
@@ -290,8 +297,7 @@ def _run_arrays(topology, P, counts, behaviors, config, seeds) -> list[RunOutcom
     # by_id[a - 1] holds agent a.
     order = np.asarray(topology.agent_at) - 1
     by_id = np.argsort(order)
-    count = len(behaviors)
-    betas = np.stack([behavior.beta for behavior in behaviors])
+    count = len(betas)
     beta = betas.T[order]
     alpha = 1.0 - beta
     # Population means of beta and alpha weigh the global cost.
@@ -446,15 +452,12 @@ def _top_down(topology, children, preorder, delta, total, cost, combined) -> np.
     block. Each stacked state is the same addition from the same arrays as
     a lone one, and ``combined`` reduces each slice on its own, so the costs
     have the same bits. ``children[i]`` lists the rows of row i's children;
-    states are ``(B, d + 1)``, stacks ``(..., B, d + 1)``, as ``combined``
-    takes them.
+    states are ``(B, d + 1)``, stacks ``(..., B, d + 1)``.
 
-    A state costs more to stack the more runs it holds, and a block is
-    wasted past the first approval, which comes sooner the more runs there
-    are. So block lengths follow how far the walk gets: the first block
-    holds 4 nodes, a block used to its end makes the next one twice as
-    long, one cut short after u nodes makes the next one 2u long, and none
-    is longer than ``_BLOCK_NODES``.
+    A block is wasted past the first approval, so block lengths follow how
+    far the walk gets: 4 nodes first, twice the last length after a block
+    used to its end, 2u after one cut short at u nodes, at most
+    ``_BLOCK_NODES``.
     """
     whole = np.zeros(delta.shape[:2], dtype=bool)
     parts = np.zeros_like(whole)
@@ -528,7 +531,7 @@ def run(
     config: RunConfig,
 ) -> RunOutcome:
     """Execute the iterative optimization until convergence or the limit."""
-    return run_batch(topology, plan_sets, [behavior], config, [config.rng_seed])[0]
+    return run_batch(topology, plan_sets, behavior.beta[None], config, [config.rng_seed])[0]
 
 
 def run_baseline(

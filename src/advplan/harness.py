@@ -28,9 +28,9 @@ import yaml
 
 from .adversary import (
     LAYER_RATIOS,
+    beta_rows,
     cumulative_positions,
     layer_adversary_count,
-    make_profile,
     random_adversaries,
     sample_k_subsets,
     severity_grid,
@@ -89,6 +89,10 @@ ZONE_METRICS = ("inefficiency", "discomfort_total", "discomfort_legit", "comprom
 # adversaries take over), so their zone labels run in reverse.
 REVERSED_ZONE_METRICS = ("discomfort_total", "discomfort_legit")
 _RVC = tuple(RvcLabel)
+FRONT_COLUMNS = (
+    "signal_id", "orientation", "fixed", "beta", "adv_count",
+    "inefficiency", "discomfort_legit", "on_front", "is_knee",
+)
 
 _KINDS = {Integral: "integers", Real: "numbers", str: "strings"}
 
@@ -135,10 +139,10 @@ class DatasetSpec:
             if self.agents is None or self.plans is None:
                 raise ConfigError("gaussian dataset needs agents and plans counts")
         if self.kind == "gaussian":
-            for key in ("agents", "plans", "dim"):
-                size = getattr(self, key)
-                if size is not None and size < 1:
-                    raise ConfigError(f"{key} must be >= 1, got {size}")
+            for key, least in (("agents", 1), ("plans", 1), ("dim", 1), ("seed", 0)):
+                value = getattr(self, key)
+                if value is not None and value < least:
+                    raise ConfigError(f"{key} must be >= {least}, got {value}")
         if not self.name:
             fallback = self.kind if self.kind == "gaussian" else Path(self.plans_dir).name
             object.__setattr__(self, "name", fallback)
@@ -208,7 +212,7 @@ def load_config(
     base = Path(workdir) if workdir is not None else path.parent
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
@@ -298,14 +302,9 @@ class RunRecord:
     iterations: int
 
     def to_row(self) -> list[str]:
-        def fmt(v) -> str:
-            if v is None:
-                return ""
-            if isinstance(v, float):
-                return repr(v)
-            return str(v)
-
-        return [fmt(getattr(self, c)) for c in CSV_COLUMNS]
+        """The CSV fields: floats as their ``repr``, None as an empty field."""
+        values = operator.attrgetter(*CSV_COLUMNS)(self)
+        return ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in values]
 
     def sort_key(self):
         return (
@@ -323,9 +322,11 @@ class RunRecord:
     @classmethod
     def from_row(cls, row: dict[str, str]) -> "RunRecord":
         """Parse each field by its annotation; an empty optional field is None."""
-        parse = {"str": str, "int": int, "float": float}
-        parse["int | None"] = lambda v: int(v) if v else None
-        return cls(**{f.name: parse[f.type](row[f.name]) for f in fields(cls)})
+        return cls(**{name: parse(row[name]) for name, parse in _FIELD_PARSERS})
+
+
+_PARSERS = {"str": str, "int": int, "float": float, "int | None": lambda v: int(v) if v else None}
+_FIELD_PARSERS = tuple((f.name, _PARSERS[f.type]) for f in fields(RunRecord))
 
 
 @dataclass
@@ -337,44 +338,46 @@ class SweepGrid:
     def sorted_rows(self) -> list[RunRecord]:
         return sorted(self.rows, key=RunRecord.sort_key)
 
-    def write_csv(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(CSV_COLUMNS)
-            for record in self.sorted_rows():
-                writer.writerow(record.to_row())
-        return path
+    def write_csv(self, path: str | Path, keyed_rows: list | None = None) -> Path:
+        """Write the rows in sort order; a caller holding ``(sort_key, to_row())``
+        pairs of every row passes them as ``keyed_rows`` (sorted in place)."""
+        if keyed_rows is None:
+            keyed_rows = [(record.sort_key(), record.to_row()) for record in self.rows]
+        keyed_rows.sort(key=operator.itemgetter(0))
+        _write_csv(Path(path), CSV_COLUMNS, (row for _, row in keyed_rows))
+        return Path(path)
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "SweepGrid":
         """Rows of a results CSV; a malformed row raises ``ParseError``."""
         rows = []
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            missing = set(CSV_COLUMNS) - set(reader.fieldnames or CSV_COLUMNS)
-            if missing:
-                raise ParseError(f"{path}: missing columns {sorted(missing)}")
-            for row in reader:
-                try:
-                    if None in row or None in row.values():
-                        raise ValueError(f"{len(row)} fields, expected {len(reader.fieldnames)}")
-                    rows.append(RunRecord.from_row(row))
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{reader.line_num}: malformed row: {exc}") from None
+        try:
+            with open(path, newline="", encoding="utf-8") as handle:
+                reader = csv.DictReader(handle)
+                missing = set(CSV_COLUMNS) - set(reader.fieldnames or CSV_COLUMNS)
+                if missing:
+                    raise ParseError(f"{path}: missing columns {sorted(missing)}")
+                width = len(reader.fieldnames or ())
+                for row in reader:
+                    try:
+                        if None in row or None in row.values():
+                            raise ValueError(f"{len(row)} fields, expected {width}")
+                        rows.append(RunRecord.from_row(row))
+                    except ValueError as exc:
+                        line = reader.line_num
+                        raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
         return cls(rows=rows)
 
     def cell_means(self, mode: str) -> dict[tuple, dict]:
         """Mean metrics per cell of one placement mode, in cell-key order.
 
-        The key is the signal plus the mode's ``CELL_KEYS`` columns. A value
-        holds the cell's ``adv_fraction``, its ``ZONE_METRICS`` means and
-        ``run_count``, named as the cell CSVs name them. The mode's rows are
-        sorted once, by cell and then sort order, so each cell is a contiguous
-        slice of each metric's column, and a mean is the slice's ``.mean()``:
-        it sums in sort order however the rows were loaded. (``np.add.reduceat``
-        and a 2-D ``mean(axis=0)`` sum in other orders, changing last bits.)
+        The key is the signal plus the mode's ``CELL_KEYS`` columns; a value
+        holds ``adv_fraction``, the ``ZONE_METRICS`` means and ``run_count``.
+        Rows are sorted by cell, then sort key, and a mean is the ``.mean()``
+        of a cell's slice of a metric column, so it sums in sort order however
+        the rows were loaded (``np.add.reduceat`` would sum in another).
         """
         cell_of = operator.attrgetter("signal_id", *CELL_KEYS[mode])
         rows = [r for r in self.rows if r.placement_mode == mode]
@@ -445,47 +448,35 @@ class _Cell(NamedTuple):
     error: AdvplanError | None = None
 
 
-def _run_metrics(topology, adversaries, outcome: RunOutcome, baseline: RunOutcome) -> dict:
-    """The metric columns of one run's row, given its baseline run.
-
-    Compromised discomfort is the legitimate agents' mean discomfort minus
-    their mean in the baseline, 0 when no agent is legitimate. Each mean
-    sums its agents in a fixed order, which sets its last bits:
-    ``discomfort_total`` in tree-position order, the legitimate agents'
-    means in the iteration order of the Python set below. For a small set
-    left by ``set.difference`` that is hash-table order, not ascending ids.
-    Integer discomforts give the same sums in any order; real-valued ones
-    do not, so changing either order changes the CSVs.
+def _metric_columns(topology, adversary_sets, outcomes, baseline: RunOutcome) -> dict:
+    """The metric columns of runs ``outcomes[i]`` with ``adversary_sets[i]``
+    that share one baseline run. Compromised discomfort is the legitimate
+    agents' mean discomfort minus their mean in the baseline, 0 without
+    legitimate agents. The order a mean sums its agents in sets its last
+    bits: ``discomfort_total`` sums in tree-position order, the legitimate
+    means in the iteration order of the Python set below (for a small set
+    left by ``set.difference``, hash-table order). Each is a row mean of a
+    C-contiguous matrix, one per count of legitimate agents, which sums a
+    row as its own ``.mean()`` does; ``D[:, order]`` is not C-contiguous.
     """
-    n = topology.node_count
-    legitimate = np.fromiter(set(range(1, n + 1)).difference(adversaries), dtype=np.intp) - 1
-    legit, comp = 0.0, 0.0
-    if legitimate.size:
-        legit = float(outcome.discomfort[legitimate].mean())
-        comp = legit - float(baseline.discomfort[legitimate].mean())
+    D = np.stack([outcome.discomfort for outcome in outcomes])
+    everyone = set(range(1, topology.node_count + 1))
+    legitimate = [np.fromiter(everyone.difference(adv), np.intp) - 1 for adv in adversary_sets]
+    groups: dict[int, list[int]] = {}
+    for i, ids in enumerate(legitimate):
+        groups.setdefault(ids.size, []).append(i)
+    legit, comp = np.zeros(len(outcomes)), np.zeros(len(outcomes))
+    for rows in (rows for size, rows in groups.items() if size):
+        ids = np.stack([legitimate[i] for i in rows])
+        legit[rows] = np.ascontiguousarray(D[np.array(rows)[:, None], ids]).mean(axis=1)
+        comp[rows] = legit[rows] - baseline.discomfort[ids].mean(axis=1)
+    by_position = np.ascontiguousarray(D[:, np.asarray(topology.agent_at) - 1])
     return dict(
-        inefficiency=outcome.global_inefficiency,
-        discomfort_total=float(outcome.discomfort[np.asarray(topology.agent_at) - 1].mean()),
-        discomfort_legit=legit,
-        compromised=comp,
-        iterations=outcome.iterations_used,
-    )
-
-
-def _metrics_record(
-    topology, cell: _Cell, outcome: RunOutcome, baseline: RunOutcome, **tags
-) -> RunRecord:
-    """The row of one run; ``tags`` are dataset, signal_id, master_seed and placement_mode."""
-    return RunRecord(
-        **tags,
-        run_seed=cell.run_seed,
-        beta=cell.beta,
-        adv_count=len(cell.adversaries),
-        adv_fraction=len(cell.adversaries) / topology.node_count,
-        layer=cell.layer,
-        direction=cell.direction,
-        m=cell.m,
-        **_run_metrics(topology, cell.adversaries, outcome, baseline),
+        inefficiency=[outcome.global_inefficiency for outcome in outcomes],
+        discomfort_total=by_position.mean(axis=1).tolist(),
+        discomfort_legit=legit.tolist(),
+        compromised=comp.tolist(),
+        iterations=[outcome.iterations_used for outcome in outcomes],
     )
 
 
@@ -496,29 +487,28 @@ def run_attack(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, adversari
     ``run_cfg.rng_seed``; an error raises. ``metrics`` are the metric
     columns the run's CSV row would have.
     """
-    profiles = [make_profile(topology, (), 0.0), make_profile(topology, adversaries, beta)]
-    seeds = [run_cfg.rng_seed] * 2
-    baseline, outcome = run_batch(topology, plan_sets, profiles, run_cfg, seeds)
-    return outcome, baseline, _run_metrics(topology, adversaries, outcome, baseline)
+    betas = beta_rows(topology, [(), adversaries], [0.0, beta])
+    baseline, outcome = run_batch(topology, plan_sets, betas, run_cfg, [run_cfg.rng_seed] * 2)
+    columns = _metric_columns(topology, [adversaries], [outcome], baseline)
+    return outcome, baseline, {name: column[0] for name, column in columns.items()}
 
 
 def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells):
-    """Yield ``(cell, outcome)`` for the baseline, then for every cell.
+    """Yield ``(cells, outcomes)`` per batch of ``split_batches``.
 
     The baseline (every agent legitimate, seeded with ``run_cfg.rng_seed``)
-    comes first. Runs go to the engine in the batches of ``split_batches``.
-    A batch that fails is run again one cell at a time, and a cell that
-    fails alone yields its exception as the outcome. A ``ConfigError``
-    concerns every cell alike, so it propagates.
+    is the first cell of the first batch. A batch that fails is run again
+    one cell at a time, and a cell that fails alone has its exception as
+    the outcome. A ``ConfigError`` concerns every cell alike, so it
+    propagates.
     """
 
     def attempt(batch):
-        profiles = []
         for cell in batch:
             if cell.error is not None:
                 raise cell.error
-            profiles.append(make_profile(topology, cell.adversaries, cell.beta))
-        return run_batch(topology, plan_sets, profiles, run_cfg, [c.run_seed for c in batch])
+        betas = beta_rows(topology, [c.adversaries for c in batch], [c.beta for c in batch])
+        return run_batch(topology, plan_sets, betas, run_cfg, [c.run_seed for c in batch])
 
     queue = itertools.chain([_Cell(beta=0.0, run_seed=run_cfg.rng_seed)], cells)
     for batch in split_batches(plan_sets, queue):
@@ -533,7 +523,7 @@ def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells):
                     outcomes.extend(attempt([cell]))
                 except (AdvplanError, OSError) as exc:
                     outcomes.append(exc)
-        yield from zip(batch, outcomes)
+        yield batch, outcomes
 
 
 def _scales(cfg: SweepConfig, n: int) -> tuple[int, ...]:
@@ -616,22 +606,34 @@ def _run_task(
     topology = build_balanced_binary(len(plan_sets), permutation_seed=topo_seed)
     run_cfg = _run_config(cfg, target, rng_seed=topo_seed)
     cells = _CELLS[mode](cfg, topology, signal_index, rep)
-    results = _run_cells(topology, plan_sets, run_cfg, cells)
+    batches = _run_cells(topology, plan_sets, run_cfg, cells)
     keys = CELL_KEYS[mode]
-    _, baseline = next(results)
+    first, outcomes = next(batches)
+    baseline = outcomes[0]
     if isinstance(baseline, Exception):
         return [], [[signal_id, rep, *[""] * len(keys), f"baseline: {baseline}"]]
-    tags = dict(
-        dataset=cfg.dataset.name, signal_id=signal_id, master_seed=cfg.master_seed,
-        placement_mode=mode,
-    )
+    n, tags = topology.node_count, (cfg.dataset.name, signal_id, cfg.master_seed)
     records: list[RunRecord] = []
     errors: list[list] = []
-    for cell, outcome in results:
-        if isinstance(outcome, Exception):
-            errors.append([signal_id, rep, *(getattr(cell, key) for key in keys), str(outcome)])
-        else:
-            records.append(_metrics_record(topology, cell, outcome, baseline, **tags))
+    for batch, outcomes in itertools.chain([(first[1:], outcomes[1:])], batches):
+        ran, results = [], []
+        for cell, outcome in zip(batch, outcomes):
+            if isinstance(outcome, Exception):
+                cell_keys = (getattr(cell, key) for key in keys)
+                errors.append([signal_id, rep, *cell_keys, str(outcome)])
+            else:
+                ran.append(cell)
+                results.append(outcome)
+        if not ran:
+            continue
+        columns = _metric_columns(topology, [cell.adversaries for cell in ran], results, baseline)
+        # Positional in CSV_COLUMNS order: the tags, the cell, the metrics.
+        for cell, metrics in zip(ran, zip(*columns.values())):
+            count = len(cell.adversaries)
+            records.append(RunRecord(
+                *tags, cell.run_seed, cell.beta, count, count / n, mode,
+                cell.layer, cell.direction, cell.m, *metrics,
+            ))
     return records, errors
 
 
@@ -662,11 +664,10 @@ def _execute(
 ) -> SweepGrid:
     """Run every (signal, repetition) task of one placement mode.
 
-    Every target's dimension is checked against the plans before any task
-    runs. Rows stream to ``<results>.partial.csv`` as tasks finish; at the
-    end they are written, sorted, to a temporary file that replaces
-    ``results_name``, so a results file is never half written. Failed cells
-    go to ``errors_name``, which a run without failures removes. A pool of
+    Every target's dimension is checked before any task runs. Rows stream
+    to ``<results>.partial.csv`` as tasks finish, then go sorted to a
+    temporary file that replaces ``results_name``. Failed cells go to
+    ``errors_name``, which a run without failures removes. A pool of
     ``workers`` processes runs the tasks only when more than one is left.
     With ``resume`` (random placements only), a finished results file is
     returned as it is, and every task whose rows are all in the partial file
@@ -682,7 +683,9 @@ def _execute(
         log.info("%s is already finalized; reusing it", final_path)
         return SweepGrid.read_csv(final_path)
     existing = _read_partial(partial_path) if resume and partial_path.exists() else []
-    done = {r.sort_key() for r in existing}
+    # Each row is formatted once, for the partial file, and kept with its sort key.
+    keyed_rows = [(r.sort_key(), r.to_row()) for r in existing]
+    done = {key for key, _ in keyed_rows}
     n = len(plan_sets)
     tasks = [
         (si, signal, rep)
@@ -702,10 +705,11 @@ def _execute(
             records, errors = result
             error_rows.extend(errors)
             for record in records:
-                if record.sort_key() in done:
-                    continue
-                grid.rows.append(record)
-                writer.writerow(record.to_row())
+                if (key := record.sort_key()) not in done:
+                    row = record.to_row()
+                    grid.rows.append(record)
+                    keyed_rows.append((key, row))
+                    writer.writerow(row)
             sink.flush()
 
         workers = min(cfg.workers, len(tasks))
@@ -723,7 +727,7 @@ def _execute(
         log.warning("%d cells failed; see %s", len(error_rows), errors_path)
     else:
         errors_path.unlink(missing_ok=True)
-    staged = grid.write_csv(final_path.with_name(final_path.name + ".tmp"))
+    staged = grid.write_csv(final_path.with_name(final_path.name + ".tmp"), keyed_rows)
     os.replace(staged, final_path)
     partial_path.unlink(missing_ok=True)
     log.info("%d rows -> %s", len(grid.rows), final_path)
@@ -734,12 +738,10 @@ def run_sweep(cfg: SweepConfig, resume: bool = False) -> SweepGrid:
     """Execute the random-placement sweep and write the sorted results CSV.
 
     Every (severity, scale) cell gets ``runs_per_cell`` runs; repetition ``r``
-    reshuffles the agent-to-position permutation and reuses one cached
-    baseline run per (signal, r) for the compromised-discomfort metric. The
-    rows go to ``runs.csv`` and failed cells to ``errors.csv``; the result is
-    a pure function of the config and master seed, so serial and parallel
-    executions emit identical sorted CSVs. A resume skips every (signal,
-    repetition) task whose rows are all in ``runs.partial.csv`` already.
+    reshuffles the agent-to-position permutation and shares one baseline run
+    per (signal, r). Rows go to ``runs.csv``, failed cells to ``errors.csv``,
+    both a pure function of the config and master seed. A resume skips every
+    (signal, repetition) task whose rows are all in ``runs.partial.csv``.
     """
     if "random" not in cfg.placements:
         raise ConfigError("run_sweep needs the 'random' placement enabled")
@@ -757,11 +759,10 @@ def run_structural(cfg: SweepConfig, mode: str) -> SweepGrid:
     """Execute layer-wise or cumulative placements on the repetition-0 topology.
 
     Layer-wise runs cover, per layer, every distinct adversary count the
-    configured ratios map to (duplicate counts collapse to one set of sampled
-    configurations, whose metrics then stand for every ratio mapping to them).
+    configured ratios map to (ratios mapping to one count share its runs).
     Cumulative runs grow the adversary set along the breadth-first order and
     its reverse, one run per (direction, m, severity). Each signal is one
-    task; the rows go to ``structural_<mode>.csv`` and failed cells to
+    task; rows go to ``structural_<mode>.csv``, failed cells to
     ``structural_<mode>_errors.csv``.
     """
     mode = mode.strip().lower().replace("-", "_").replace("_wise", "")
@@ -776,11 +777,10 @@ def run_structural(cfg: SweepConfig, mode: str) -> SweepGrid:
 def estimate_experiment_count(cfg: SweepConfig) -> int:
     """Evaluate the experiment-accounting formula without running anything.
 
-    For a campaign dataset (agents_grid / plans_grid present) the count is the
-    per-population product sum. Otherwise it is severity levels x signals x
-    (core sweep runs + layer-wise combinations + cumulative runs), restricted
-    to the placements the config enables. Layer-wise combinations count per
-    distinct per-layer adversary count, mirroring how the runs execute.
+    A campaign dataset (agents_grid / plans_grid) counts the per-population
+    product sum; any other severities x signals x (sweep runs + layer-wise
+    combinations per distinct per-layer count + cumulative runs), over the
+    placements the config enables.
     """
     ds = cfg.dataset
     severities = len(cfg.severities)
@@ -846,19 +846,8 @@ def _front_rows_for(
             knee = knee_mmd(sorted(front))
             for (other, _), xy in zip(members, points):
                 beta, count = (fixed, other) if orientation == "per_beta" else (other, fixed)
-                rows.append(
-                    {
-                        "signal_id": signal,
-                        "orientation": orientation,
-                        "fixed": fixed,
-                        "beta": beta,
-                        "adv_count": count,
-                        "inefficiency": xy[0],
-                        "discomfort_legit": xy[1],
-                        "on_front": xy in front,
-                        "is_knee": xy == knee,
-                    }
-                )
+                values = (signal, orientation, fixed, beta, count, *xy, xy in front, xy == knee)
+                rows.append(dict(zip(FRONT_COLUMNS, values)))
     return rows
 
 
@@ -907,17 +896,14 @@ def analyze(
 ) -> AnalysisBundle:
     """Segment the sweep grid into R/V/C zones and extract fronts and knees.
 
-    Otsu thresholds are computed per metric over the grid of random-placement
-    cell means, which are the only cells ``exclude_beta`` removes; a
-    degenerate metric (fewer than three distinct values) downgrades to a
-    single all-resilience zone with a warning. Fronts pair inefficiency with
-    legitimate-agent discomfort along both grid orientations. When an output
-    directory is given, cells, thresholds, zones, fronts, and per-metric SVG
-    heatmaps (with knee and zone overlays) are written there; structural rows
-    present in the grid get their own aggregated CSVs, and cumulative rows
-    heatmaps zoned by the grid's inefficiency thresholds. A non-finite cell
-    mean that would be thresholded or drawn raises ``InvalidInputError``
-    naming its metric and signal, before any file is written.
+    Otsu thresholds are computed per metric over the random-placement cell
+    means, the only cells ``exclude_beta`` removes; a degenerate metric (fewer
+    than three distinct values) gets one all-resilience zone and a warning.
+    Fronts pair inefficiency with legitimate-agent discomfort along both grid
+    orientations. With an output directory, cells, thresholds, zones, fronts
+    and heatmaps are written there, structural cells and cumulative heatmaps
+    too. A non-finite cell mean that would be thresholded or drawn raises
+    ``InvalidInputError`` naming its metric and signal, before any write.
     """
     means = {mode: grid.cell_means(mode) for mode in PLACEMENT_MODES}
     cells = {key: cell for key, cell in means["random"].items() if key[1] not in exclude_beta}
@@ -989,14 +975,10 @@ def analyze(
         ["signal_id", "metric", "beta", "adv_count", "value", "zone"],
         sorted(zone_rows, key=lambda r: r[:4]),
     )
-    front_columns = [
-        "signal_id", "orientation", "fixed", "beta", "adv_count",
-        "inefficiency", "discomfort_legit", "on_front", "is_knee",
-    ]
     _write_csv(
         outdir / "fronts.csv",
-        front_columns,
-        sorted([row[c] for c in front_columns] for row in front_rows),
+        FRONT_COLUMNS,
+        sorted([row[c] for c in FRONT_COLUMNS] for row in front_rows),
     )
 
     knees: dict[str, set[tuple[float, int]]] = {}

@@ -118,6 +118,14 @@ def _raise_at_bad_line(path: Path) -> None:
     raise ParseError(f"{path}: malformed plan file")
 
 
+def _read_text(path: Path) -> str:
+    """A data file's text; bytes that are not UTF-8 raise ``ParseError``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def load_plan_set(path: Path | str, agent_id: int | None = None) -> PlanSet:
     """Read one plan file; the agent id defaults to the one in the file name."""
     path = Path(path)
@@ -126,7 +134,7 @@ def load_plan_set(path: Path | str, agent_id: int | None = None) -> PlanSet:
         if not match:
             raise ParseError(f"{path}: file name does not look like agent_<id>.plans")
         agent_id = int(match.group(1))
-    lines = [line for line in map(str.strip, path.read_text(encoding="utf-8").split("\n")) if line]
+    lines = [line for line in map(str.strip, _read_text(path).split("\n")) if line]
     if not lines:
         raise NoDataError(f"{path}: no plans found")
     table = _plan_table(lines)
@@ -218,7 +226,7 @@ def generate_voting_targets(levels: list[float], d: int) -> list[TargetSignal]:
 def load_target_signal(path: Path | str) -> TargetSignal:
     """Read a one-line comma-separated target-signal file."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8").strip()
+    text = _read_text(path).strip()
     if not text:
         raise NoDataError(f"{path}: empty target file")
     try:

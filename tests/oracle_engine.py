@@ -217,9 +217,10 @@ def run(topology, plan_sets, behavior: BehaviorProfile, config: RunConfig) -> Ru
     )
 
 
-def run_batch(topology, plan_sets, behaviors, config, seeds) -> list[RunOutcome]:
-    """The array engine's call shape, answered one run at a time."""
+def run_batch(topology, plan_sets, betas, config, seeds) -> list[RunOutcome]:
+    """The array engine's call shape, answered one run at a time: run i has
+    the beta row ``betas[i]``."""
     return [
-        run(topology, plan_sets, behavior, replace(config, rng_seed=seed))
-        for behavior, seed in zip(behaviors, seeds)
+        run(topology, plan_sets, BehaviorProfile(beta=beta), replace(config, rng_seed=seed))
+        for beta, seed in zip(betas, seeds)
     ]

@@ -20,7 +20,7 @@ from advplan.errors import (
     InvalidInputError,
     InvalidThresholdError,
 )
-from advplan.harness import _run_metrics
+from advplan.harness import _metric_columns
 from advplan.plans import generate_gaussian_plans
 from advplan.topology import build_balanced_binary
 
@@ -234,18 +234,18 @@ def test_classify_rvc_monotone():
         previous = rank
 
 
-# Compromised discomfort is computed in one place, `harness._run_metrics`.
+# Compromised discomfort is computed in one place, `harness._metric_columns`.
 
 def test_compromised_discomfort_identical_runs_and_toy_shift():
     plan_sets = generate_gaussian_plans(3, 2, 2, seed=1)
     topo = build_balanced_binary(3, permutation_seed=1)
     base = run_baseline(topo, plan_sets, RunConfig())
-    assert _run_metrics(topo, set(), base, base)["compromised"] == 0.0
+    assert _metric_columns(topo, [set()], [base], base)["compromised"] == [0.0]
 
     shifted = dataclasses.replace(base, discomfort=base.discomfort + [0.0, 0.4, 0.0])
-    metrics = _run_metrics(topo, {1, 3}, shifted, base)
-    assert metrics["compromised"] == pytest.approx(0.4)
-    assert metrics["discomfort_legit"] == shifted.discomfort[1]
+    metrics = _metric_columns(topo, [{1, 3}, set()], [shifted, base], base)
+    assert metrics["compromised"] == [pytest.approx(0.4), 0.0]
+    assert metrics["discomfort_legit"][0] == shifted.discomfort[1]
 
 
 def test_compromised_discomfort_empty_legitimate_warns():
@@ -259,8 +259,8 @@ def test_compromised_discomfort_empty_legitimate_warns():
     base = run_baseline(topo, plan_sets, RunConfig())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        metrics = _run_metrics(topo, {1, 2, 3}, base, base)
-    assert metrics["discomfort_legit"] == metrics["compromised"] == 0.0
+        metrics = _metric_columns(topo, [{1, 2, 3}], [base], base)
+    assert metrics["discomfort_legit"] == metrics["compromised"] == [0.0]
 
 
 def between_class_variance(weights, moments, cuts):

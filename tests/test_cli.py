@@ -6,7 +6,7 @@ import yaml
 from advplan.adversary import make_profile, random_adversaries, sample_k_subsets
 from advplan.cli import main
 from advplan.engine import RunConfig, run, run_baseline
-from advplan.harness import _run_metrics
+from advplan.harness import _metric_columns
 from advplan.plans import generate_gaussian_plans
 from advplan.topology import agents_in_layer, build_balanced_binary
 
@@ -43,6 +43,7 @@ def test_generate_bad_level_exits_2(tmp_path, caplog, levels, bad):
         (["--agents", "4", "--plans", "0"], "must be positive"),
         (["--agents", "4", "--plans", "3", "--dim", "0"], "must be positive"),
         (["--agents", "-2", "--plans", "3"], "must be positive"),
+        (["--agents", "4", "--plans", "3", "--seed", "-1"], "--seed must be >= 0"),
     ],
 )
 def test_generate_bad_sizes_and_levels_exit_2(tmp_path, caplog, args, message):
@@ -132,8 +133,8 @@ def test_run_json_matches_separate_engine_runs(capsys):
     baseline = run_baseline(topology, plan_sets, config)
     assert payload["adversaries"] == sorted(adversaries)
     assert payload["baseline_inefficiency"] == baseline.global_inefficiency
-    for name, value in _run_metrics(topology, adversaries, outcome, baseline).items():
-        assert payload[name] == value, name
+    for name, column in _metric_columns(topology, [adversaries], [outcome], baseline).items():
+        assert [payload[name]] == column, name
     assert payload["inefficiency"] == outcome.global_inefficiency
     assert payload["iterations"] == outcome.iterations_used
     assert payload["combined_cost_trace"] == list(outcome.combined_cost_trace)
@@ -262,6 +263,9 @@ def test_plan_ids_with_a_gap_exit_2(tmp_path, caplog):
         ["--severity", "0.5", "--fraction", "nan"],
         ["--severity", "0.5", "--fraction", "inf"],
         ["--severity", "0.5", "--fraction", "-0.1"],
+        ["--severity", "0.5", "--count", "1", "--seed", "-1"],
+        ["--severity", "0.5", "--count", "1", "--gen-seed", "-1"],
+        ["--severity", "0.5", "--count", "1", "--topology-seed", "-1"],
     ],
 )
 def test_run_usage_errors_exit_2(attack):
@@ -352,7 +356,10 @@ def test_wrongly_typed_config_values_exit_2(tmp_path, caplog, key, value):
 
 @pytest.mark.parametrize(
     "key,value",
-    [("dim", "two"), ("agents", 2.5), ("seed", None), ("agents", 0), ("plans", 0), ("dim", 0)],
+    [
+        ("dim", "two"), ("agents", 2.5), ("seed", None), ("agents", 0), ("plans", 0), ("dim", 0),
+        ("seed", -3),
+    ],
 )
 def test_wrongly_typed_dataset_values_exit_2(tmp_path, caplog, key, value):
     path = write_config(tmp_path)
@@ -380,3 +387,72 @@ def test_malformed_inefficiency_section_exits_2(tmp_path, section):
     path.write_text(yaml.safe_dump(raw))
     for command in (["sweep"], ["estimate"], ["structural", "--mode", "layer"]):
         assert main([command[0], "--config", str(path), *command[1:]]) == 2
+
+
+def test_negative_master_seed_stays_valid(tmp_path):
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw["master_seed"] = -4
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["sweep", "--config", str(path)]) == 0
+    assert main(["sweep", "--config", str(path), "--seed", "-7"]) == 0
+
+
+# A plan line with a byte that is not UTF-8.
+NOT_UTF8 = b"0.0:1.0,2.0\n1.0:3.0,\xff4.0\n"
+
+
+def test_undecodable_plan_file_exits_3(tmp_path, caplog):
+    plans = tmp_path / "p"
+    assert main(["generate", "--agents", "3", "--plans", "2", "--out", str(plans)]) == 0
+    (plans / "agent_1.plans").write_bytes(NOT_UTF8)
+    run = ["run", "--plans-dir", str(plans), "--severity", "0.5", "--count", "1"]
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw["dataset"], raw["scales"] = {"kind": "files", "plans_dir": "p"}, [0, 1]
+    path.write_text(yaml.safe_dump(raw))
+    for argv in (run, ["sweep", "--config", str(path)]):
+        caplog.clear()
+        assert main(argv) == 3
+        assert "agent_1.plans: not UTF-8 text" in caplog.text
+
+
+def test_undecodable_target_file_exits_3(tmp_path, caplog):
+    target = tmp_path / "t.target"
+    target.write_bytes(b"0.5,\xff1.0\n")
+    argv = ["run", "--agents", "5", "--plans", "2", "--severity", "0.5", "--count", "1",
+            "--ineff", "rss", "--target", str(target)]
+    assert main(argv) == 3
+    assert "t.target: not UTF-8 text" in caplog.text
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw["inefficiency"] = {"kind": "rss", "target_files": ["t.target"]}
+    path.write_text(yaml.safe_dump(raw))
+    caplog.clear()
+    assert main(["sweep", "--config", str(path)]) == 3
+    assert "t.target: not UTF-8 text" in caplog.text
+
+
+def test_undecodable_config_exits_2(tmp_path, caplog):
+    path = write_config(tmp_path)
+    path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "config error: cannot read config" in caplog.text
+
+
+def test_undecodable_results_exit_3(tmp_path, caplog):
+    path = write_config(tmp_path)
+    assert main(["sweep", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    data = (out / "runs.csv").read_bytes()
+    bad = data.replace(b"gaussian", b"gauss\xffan", 1)
+    (tmp_path / "bad.csv").write_bytes(bad)
+    analysis = ["analyze", "--results", str(tmp_path / "bad.csv"), "--out", str(tmp_path / "a")]
+    assert main(analysis) == 3
+    assert "bad.csv: not UTF-8 text" in caplog.text
+    # A resume reads its partial file the same way.
+    (out / "runs.csv").unlink()
+    (out / "runs.partial.csv").write_bytes(bad)
+    caplog.clear()
+    assert main(["sweep", "--config", str(path), "--resume"]) == 3
+    assert "runs.partial.csv: not UTF-8 text" in caplog.text

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import oracle_engine
 import pytest
 
-from advplan.costs import InefficiencyFn, scale_vector
+from advplan.costs import InefficiencyFn, _variance_rows, argmin_rows, reduce_rows, scale_vector
 from advplan.errors import DimensionMismatchError, InvalidInputError
 
 
@@ -116,3 +118,36 @@ def test_one_vector_costs_match_the_reference_kernels(scaling):
             target = rng.normal(size=d)
             for fn in (InefficiencyFn(), InefficiencyFn(kind="rss", target=target, scaling=scaling)):
                 assert fn(g) == oracle_engine.cost(fn, g)
+
+
+def layouts(stack):
+    """A ``(..., w + 1)`` stack's ``[..., :-1]`` as a strided view, a C-contiguous
+    copy, and a view of a copy whose last axis lies outermost in memory."""
+    view = stack[..., :-1]
+    column_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(view, -1, 0)), 0, -1)
+    return {"strided": view, "contiguous": np.ascontiguousarray(view), "columns": column_major}
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_row_kernels_match_numpy_bit_for_bit(width):
+    # Real rows at mixed magnitudes, then rows over {+-0.0, +-1} and over
+    # {+-0.0, +-1, NaN}: every such row while there are few, random ones
+    # past that. Ties decide argmin's first-index rule, NaN rows its
+    # NaN-first one, and -0.0 the +0.0 start of numpy's sum.
+    rng = np.random.default_rng(width)
+    real = rng.standard_normal((60, 3, width + 1)) * rng.choice([1e-3, 1.0, 1e4], size=(60, 1, 1))
+    stacks = [real]
+    for special in ([0.0, -0.0, 1.0, -1.0], [0.0, -0.0, 1.0, -1.0, np.nan]):
+        if width <= 5:
+            stacks.append(np.array(list(itertools.product(special, repeat=width + 1))))
+        else:
+            stacks.append(rng.choice(special, size=(5000, width + 1)))
+    for stack in stacks:
+        for name, values in layouts(stack).items():
+            for ufunc in (np.add, np.minimum, np.maximum):
+                want = ufunc.reduce(values, axis=-1)
+                assert reduce_rows(ufunc, values).tobytes() == want.tobytes(), (name, ufunc)
+            assert (argmin_rows(values) == values.argmin(axis=-1)).all(), name
+            with np.errstate(invalid="ignore"):
+                want = np.var(values, axis=-1)
+            assert _variance_rows(values).tobytes() == want.tobytes(), name

@@ -287,7 +287,7 @@ def ragged_plan_sets(n, d, seed):
 
 
 def oracle_case(n, d, plans, kind, scaling, initial, seed=0):
-    """Topology, plan sets, behaviors, config and seeds of one batch."""
+    """Topology, plan sets, beta rows, config and seeds of one batch."""
     topo = build_balanced_binary(n, permutation_seed=seed)
     plan_sets = (
         ragged_plan_sets(n, d, seed) if plans == "ragged"
@@ -299,23 +299,26 @@ def oracle_case(n, d, plans, kind, scaling, initial, seed=0):
         initial_selection=initial,
         rng_seed=seed,
     )
-    behaviors = [make_profile(topo, (), 0.0)]
+    betas = [make_profile(topo, (), 0.0).beta]
     for j, (count, beta) in enumerate([(1, 0.3), (n // 3, 0.6), (n // 2, 0.1), (n, 1.0)]):
-        behaviors.append(make_profile(topo, random_adversaries(topo, count, seed=j), beta))
-    return topo, plan_sets, behaviors, config, [seed + 10 * j for j in range(len(behaviors))]
+        betas.append(make_profile(topo, random_adversaries(topo, count, seed=j), beta).beta)
+    return topo, plan_sets, np.stack(betas), config, [seed + 10 * j for j in range(len(betas))]
 
 
 # n=13, 24 and 37 leave the deepest layer partly filled, n=15 fills it; d=9
-# takes numpy's pairwise summation past its 8-element unrolled block.
+# takes numpy's pairwise summation past its 8-element unrolled block. Axes
+# shorter than 8 are reduced column by column: d=7 and k=7 are the longest
+# such, and k=9 takes plan choice back to numpy's reductions.
 @pytest.mark.parametrize("kind,scaling", COSTS)
 @pytest.mark.parametrize("initial", ["first_plan", "random"])
 @pytest.mark.parametrize(
-    "n,d,plans", [(13, 2, 3), (15, 9, 4), (24, 5, "ragged"), (37, 3, 2)]
+    "n,d,plans",
+    [(13, 2, 3), (15, 9, 4), (24, 5, "ragged"), (37, 3, 2), (20, 7, 7), (17, 3, 9)],
 )
 def test_run_batch_matches_oracle(kind, scaling, initial, n, d, plans):
-    topo, plan_sets, behaviors, config, seeds = oracle_case(n, d, plans, kind, scaling, initial, n)
-    got = run_batch(topo, plan_sets, behaviors, config, seeds)
-    want = oracle_engine.run_batch(topo, plan_sets, behaviors, config, seeds)
+    topo, plan_sets, betas, config, seeds = oracle_case(n, d, plans, kind, scaling, initial, n)
+    got = run_batch(topo, plan_sets, betas, config, seeds)
+    want = oracle_engine.run_batch(topo, plan_sets, betas, config, seeds)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert_same_outcome(g, w)
@@ -327,38 +330,45 @@ def test_run_batch_chunks_and_slices_match_oracle(monkeypatch):
     monkeypatch.setattr(engine, "_CHUNK_FLOATS", 2 * 4 * 5 * 3)
     monkeypatch.setattr(engine, "_STATE_FLOATS", 2 * 24 * 5)
     assert engine._max_batch(24, 4, 5) == 2
-    topo, plan_sets, behaviors, config, seeds = oracle_case(
+    topo, plan_sets, betas, config, seeds = oracle_case(
         24, 5, "ragged", "rss", "min-max", "random", 3
     )
-    got = run_batch(topo, plan_sets, behaviors, config, seeds)
-    want = oracle_engine.run_batch(topo, plan_sets, behaviors, config, seeds)
+    got = run_batch(topo, plan_sets, betas, config, seeds)
+    want = oracle_engine.run_batch(topo, plan_sets, betas, config, seeds)
     for g, w in zip(got, want):
         assert_same_outcome(g, w)
 
 
 def test_run_is_a_one_run_batch():
-    topo, plan_sets, behaviors, config, _ = oracle_case(13, 2, 3, "variance", "identity", "random")
-    alone = run(topo, plan_sets, behaviors[2], config)
-    batched = run_batch(topo, plan_sets, behaviors, config, [config.rng_seed] * len(behaviors))
+    topo, plan_sets, betas, config, _ = oracle_case(13, 2, 3, "variance", "identity", "random")
+    alone = run(topo, plan_sets, BehaviorProfile(beta=betas[2]), config)
+    batched = run_batch(topo, plan_sets, betas, config, [config.rng_seed] * len(betas))
     assert_same_outcome(alone, batched[2])
 
 
 def test_run_batch_validation():
-    topo, plan_sets, behaviors, config, seeds = oracle_case(13, 2, 3, "variance", "identity", "first_plan")
+    topo, plan_sets, betas, config, seeds = oracle_case(13, 2, 3, "variance", "identity", "first_plan")
     with pytest.raises(ConfigError):
-        run_batch(topo, plan_sets, behaviors, config, seeds[:-1])
-    partial = BehaviorProfile(beta=np.zeros(12))
+        run_batch(topo, plan_sets, betas, config, seeds[:-1])
     with pytest.raises(ConfigError):
-        run_batch(topo, plan_sets, [behaviors[0], partial], config, [0, 0])
+        run_batch(topo, plan_sets, np.zeros((2, 12)), config, [0, 0])
+    with pytest.raises(ConfigError):
+        run_batch(topo, plan_sets, betas[0], config, [0])
     rss = RunConfig(inefficiency=InefficiencyFn(kind="rss", target=np.zeros(3)))
     with pytest.raises(ConfigError):
-        run_batch(topo, plan_sets, behaviors[:1], rss, [0])
+        run_batch(topo, plan_sets, betas[:1], rss, [0])
+    outside = betas[:2].copy()
+    outside[1, 4] = 1.5
+    with pytest.raises(InvalidInputError, match="beta for agent 5 must be in"):
+        run_batch(topo, plan_sets, outside, config, [0, 0])
     assert run_batch(topo, plan_sets, [], config, []) == []
+    assert run_batch(topo, plan_sets, np.zeros((0, 13)), config, []) == []
 
 
 @pytest.mark.parametrize("initial", ["first_plan", "random"])
 def test_run_batch_runs_each_distinct_run_once(monkeypatch, initial):
-    topo, plan_sets, behaviors, config, _ = oracle_case(15, 3, 3, "variance", "identity", initial)
+    topo, plan_sets, betas, config, _ = oracle_case(15, 3, 3, "variance", "identity", initial)
+    behaviors = [BehaviorProfile(beta=beta) for beta in betas]
     legit = BehaviorProfile(beta=np.zeros(15))
     # Baseline twice, an adversarial profile rebuilt equal from a mapping,
     # and seeds that differ only where the initial selection does not use them.
@@ -370,16 +380,14 @@ def test_run_batch_runs_each_distinct_run_once(monkeypatch, initial):
     real = engine._run_arrays
 
     def recording(topology, P, counts, batch, config, seeds):
-        sent.extend(zip(batch, seeds))
+        sent.extend(zip((row.tobytes() for row in batch), seeds))
         return real(topology, P, counts, batch, config, seeds)
 
     monkeypatch.setattr(engine, "_run_arrays", recording)
     profiles, seeds = zip(*runs)
-    got = run_batch(topo, plan_sets, profiles, config, seeds)
-    if initial == "random":
-        assert sent == [runs[0], runs[2], runs[3], runs[5]]
-    else:
-        assert sent == [runs[0], runs[2], runs[5]]
+    got = run_batch(topo, plan_sets, np.stack([p.beta for p in profiles]), config, seeds)
+    expected = [0, 2, 3, 5] if initial == "random" else [0, 2, 5]
+    assert sent == [(runs[i][0].beta.tobytes(), runs[i][1]) for i in expected]
     monkeypatch.setattr(engine, "_run_arrays", real)
     for outcome, (behavior, seed) in zip(got, runs):
         alone = run(topo, plan_sets, behavior, dataclasses.replace(config, rng_seed=seed))
@@ -457,7 +465,7 @@ def test_stacked_states_cost_what_each_state_costs_alone(monkeypatch, kind, scal
     # The top-down blocks rely on this: a (K, B, d) stack of responses, or
     # a (K, B, d + 1) stack of states, costs bit for bit what each (B, d) or
     # (B, d + 1) slice costs alone.
-    topo, plan_sets, behaviors, config, seeds = oracle_case(7, d, 3, kind, scaling, "first_plan")
+    topo, plan_sets, betas, config, seeds = oracle_case(7, d, 3, kind, scaling, "first_plan")
     captured = []
     real = engine._top_down
 
@@ -466,7 +474,7 @@ def test_stacked_states_cost_what_each_state_costs_alone(monkeypatch, kind, scal
         return real(*args)
 
     monkeypatch.setattr(engine, "_top_down", capture)
-    run_batch(topo, plan_sets, behaviors, config, seeds)
+    run_batch(topo, plan_sets, betas, config, seeds)
     # ``combined`` weighs the runs still active, as of the last walk.
     (runs, combined), ineff = captured[-1], config.inefficiency
     rng = np.random.default_rng(d)
@@ -496,11 +504,11 @@ def test_run_batch_matches_oracle_when_approvals_cut_blocks(monkeypatch, initial
     topo = build_balanced_binary(n, permutation_seed=5)
     plan_sets = ragged_plan_sets(n, d, 5)
     config = RunConfig(initial_selection=initial, rng_seed=5)
-    behaviors = [
-        make_profile(topo, random_adversaries(topo, count, seed=j), beta)
+    betas = np.stack([
+        make_profile(topo, random_adversaries(topo, count, seed=j), beta).beta
         for j, (count, beta) in enumerate([(n, 1.0), (30, 0.9), (25, 0.8), (n // 2, 0.95), (n, 0.7)])
-    ]
-    seeds = [5 + j for j in range(len(behaviors))]
+    ])
+    seeds = [5 + j for j in range(len(betas))]
     costed = moved = 0
     real = engine._top_down
 
@@ -516,8 +524,8 @@ def test_run_batch_matches_oracle_when_approvals_cut_blocks(monkeypatch, initial
         return real(topology, children, preorder, delta, total, cost, counted)
 
     monkeypatch.setattr(engine, "_top_down", counting)
-    got = run_batch(topo, plan_sets, behaviors, config, seeds)
-    want = oracle_engine.run_batch(topo, plan_sets, behaviors, config, seeds)
+    got = run_batch(topo, plan_sets, betas, config, seeds)
+    want = oracle_engine.run_batch(topo, plan_sets, betas, config, seeds)
     for g, w in zip(got, want):
         assert_same_outcome(g, w)
     # Blocks were cut short: more states costed than nodes that needed one.

@@ -10,7 +10,7 @@ import yaml
 import advplan.harness as harness_mod
 from advplan.adversary import make_profile, random_adversaries
 from advplan.cli import main as cli_main
-from advplan.engine import RunConfig, run, run_baseline
+from advplan.engine import RunConfig, RunOutcome, run, run_baseline
 from advplan.errors import ConfigError, ParseError
 from advplan.harness import (
     DatasetSpec,
@@ -150,6 +150,40 @@ def test_run_metrics_sum_in_position_and_set_order(tmp_path):
         total_moves += row.discomfort_total != float(np.mean(disc))
         legit_moves += row.discomfort_legit != float(np.mean(disc[np.sort(legit)]))
     assert len(rows) == 8 and unsorted and total_moves and legit_moves
+
+
+def test_metric_columns_of_a_batch_are_each_runs_own_means():
+    """A batch's metric columns hold, bit for bit, each run's 1-D means.
+
+    Runs are grouped by their count of legitimate agents, several groups
+    hold more than one run, and one run has no legitimate agent at all.
+    """
+    n = 200
+    topology = build_balanced_binary(n, permutation_seed=3)
+    rng = np.random.default_rng(3)
+
+    def outcome(disc):
+        return RunOutcome(np.zeros(n), np.zeros(2), 0.5, disc, 2, (1.0, 0.5), (1.0, 0.5))
+
+    baseline = outcome(rng.random(n) * 3.0)
+    sizes = [0, 150, 190, 150, 197, 190, 200, 5, 197, 150]
+    adversary_sets = [random_adversaries(topology, size, seed=j) for j, size in enumerate(sizes)]
+    outcomes = [outcome(rng.random(n) * 3.0) for _ in sizes]
+    columns = harness_mod._metric_columns(topology, adversary_sets, outcomes, baseline)
+    by_position = np.asarray(topology.agent_at) - 1
+    for i, (adversaries, run_outcome) in enumerate(zip(adversary_sets, outcomes)):
+        legit = np.fromiter(set(range(1, n + 1)).difference(adversaries), dtype=int) - 1
+        disc = run_outcome.discomfort
+        assert columns["discomfort_total"][i] == float(disc[by_position].mean())
+        if legit.size:
+            assert columns["discomfort_legit"][i] == float(disc[legit].mean())
+            assert columns["compromised"][i] == float(disc[legit].mean()) - float(
+                baseline.discomfort[legit].mean()
+            )
+        else:
+            assert columns["discomfort_legit"][i] == columns["compromised"][i] == 0.0
+    assert columns["inefficiency"] == [0.5] * len(sizes)
+    assert columns["iterations"] == [2] * len(sizes)
 
 
 def test_run_sweep_csv_round_trip_and_estimate_match(tmp_path):
