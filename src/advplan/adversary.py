@@ -36,9 +36,13 @@ def layer_adversary_count(layer_size: int, p: int) -> int:
 
 
 def sample_k_subsets(
-    population: list[int], k: int, cap: int, seed: int = 0
+    population: list[int], k: int, cap: int, seed: int | np.random.Generator = 0
 ) -> list[frozenset[int]]:
-    """All k-subsets if few enough, otherwise cap distinct uniform samples."""
+    """All k-subsets if few enough, otherwise cap distinct uniform samples.
+
+    The samples come from ``np.random.default_rng(seed)``, so ``seed`` is an
+    int or a ``Generator`` to draw from.
+    """
     if cap < 1:
         raise InvalidInputError(f"cap must be >= 1, got {cap}")
     if not 1 <= k <= len(population):
@@ -79,15 +83,39 @@ def cumulative_positions(topology: TreeTopology, direction: str, m: int) -> set[
     return {topology.agent_at[pos - 1] for pos in span}
 
 
-def random_adversaries(topology: TreeTopology, count: int, seed: int = 0) -> set[int]:
-    """Uniform adversary subset of the given size, drawn without replacement."""
+def random_adversary_draws(topology: TreeTopology, counts, states, rng) -> list:
+    """The agent ids of one uniform draw without replacement per cell, in draw order.
+
+    Cell i draws ``counts[i]`` of the n agents from the ``Generator`` ``rng``
+    with its PCG64 set to ``states[i]``, so it draws what
+    ``default_rng(seed).choice(np.arange(1, n + 1), counts[i], replace=False)``
+    draws when ``states[i]`` is that generator's ``bit_generator.state``. The
+    whole state is set for every cell, because a draw can leave a buffered
+    32-bit half behind. A count outside 0..n gives its ``RangeError`` in
+    place of its draw.
+    """
     n = topology.node_count
-    if not 0 <= count <= n:
-        raise RangeError(f"count={count} outside 0..{n}")
-    if count == 0:
-        return set()
+    bit_generator = rng.bit_generator
+    draws = []
+    for count, state in zip(counts, states):
+        if not 0 <= count <= n:
+            draws.append(RangeError(f"count={count} outside 0..{n}"))
+        elif count == 0:
+            draws.append(np.empty(0, dtype=np.int64))
+        else:
+            bit_generator.state = state
+            draws.append(rng.choice(n, size=count, replace=False) + 1)
+    return draws
+
+
+def random_adversaries(topology: TreeTopology, count: int, seed: int = 0) -> set[int]:
+    """Uniform adversary subset of the given size, drawn without replacement:
+    the one cell of ``random_adversary_draws`` seeded as ``default_rng(seed)``."""
     rng = np.random.default_rng(seed)
-    return {int(a) for a in rng.choice(np.arange(1, n + 1), size=count, replace=False)}
+    (drawn,) = random_adversary_draws(topology, [count], [rng.bit_generator.state], rng)
+    if isinstance(drawn, RangeError):
+        raise drawn
+    return set(drawn.tolist())
 
 
 def beta_rows(topology: TreeTopology, adversary_sets, severities) -> np.ndarray:

@@ -331,26 +331,27 @@ def _run_arrays(topology, P, counts, betas, config, seeds) -> list[RunOutcome]:
         return disc, subtree, total
 
     disc, subtree, total = settle(sel)
+    ineff_total = ineff(total[:, :d])
     # Fixed per-run references keep the scalarized cost comparable across
     # iterations; a monotone accepted-cost trace follows from strict-decrease
     # approvals against them.
-    ineff_ref = ineff(total[:, :d])
-    ineff_ref = np.where(ineff_ref > _TINY, ineff_ref, 1.0)
+    ineff_ref = np.where(ineff_total > _TINY, ineff_total, 1.0)
     disc_ref = float(np.mean(P[..., d].max(axis=1)))
     disc_ref = disc_ref if disc_ref > _TINY else 1.0
+
+    def scalarized(ineff_values: np.ndarray, disc_sums: np.ndarray) -> np.ndarray:
+        """Scalarized cost from the inefficiencies and discomfort sums of states."""
+        return mean_alpha * ineff_values / ineff_ref + mean_beta * (disc_sums / n) / disc_ref
 
     def combined(state: np.ndarray) -> np.ndarray:
         """Scalarized cost of ``(..., B, d + 1)`` states ``[response | discomfort sum]``.
 
         Every ``(B, d + 1)`` slice of a stack costs what it costs on its own.
         """
-        return (
-            mean_alpha * ineff(state[..., :d]) / ineff_ref
-            + mean_beta * (state[..., d] / n) / disc_ref
-        )
+        return scalarized(ineff(state[..., :d]), state[..., d])
 
-    cost = combined(total)
-    ineff_traces = [[v] for v in ineff(total[:, :d]).tolist()]
+    cost = scalarized(ineff_total, total[:, d])
+    ineff_traces = [[v] for v in ineff_total.tolist()]
     combined_traces = [[v] for v in cost.tolist()]
     outcomes: list[RunOutcome | None] = [None] * count
     active = np.arange(count)
@@ -362,8 +363,9 @@ def _run_arrays(topology, P, counts, betas, config, seeds) -> list[RunOutcome]:
         changed = (new_sel != sel).any(axis=0)
         sel = new_sel
         disc, subtree, total = settle(sel)
-        cost = combined(total)
-        for b, i, c in zip(active.tolist(), ineff(total[:, :d]).tolist(), cost.tolist()):
+        ineff_total = ineff(total[:, :d])
+        cost = scalarized(ineff_total, total[:, d])
+        for b, i, c in zip(active.tolist(), ineff_total.tolist(), cost.tolist()):
             ineff_traces[b].append(i)
             combined_traces[b].append(c)
 

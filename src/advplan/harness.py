@@ -16,7 +16,6 @@ import math
 import operator
 import os
 import warnings
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
@@ -27,11 +26,12 @@ import numpy as np
 import yaml
 
 from .adversary import (
+    DIRECTIONS,
     LAYER_RATIOS,
     beta_rows,
     cumulative_positions,
     layer_adversary_count,
-    random_adversaries,
+    random_adversary_draws,
     sample_k_subsets,
     severity_grid,
 )
@@ -53,6 +53,7 @@ from .plans import (
     load_plan_sets,
     load_target_signal,
 )
+from .seeding import derive_seed, derive_seeds, pcg64_states
 from .topology import agents_in_layer, build_balanced_binary
 
 log = logging.getLogger(__name__)
@@ -269,17 +270,6 @@ def load_config(
     )
 
 
-def derive_seed(master_seed: int, *tags) -> int:
-    """Stable sub-seed from the master seed and a tag path (ints or strings)."""
-    parts = [master_seed & 0xFFFFFFFF]
-    for tag in tags:
-        if isinstance(tag, str):
-            parts.append(zlib.crc32(tag.encode()))
-        else:
-            parts.append(int(tag) & 0xFFFFFFFF)
-    return int(np.random.SeedSequence(entropy=parts).generate_state(1)[0])
-
-
 @dataclass(frozen=True)
 class RunRecord:
     """One executed run, matching the long-format CSV schema."""
@@ -399,6 +389,11 @@ def _load_dataset(cfg: SweepConfig) -> list[PlanSet]:
     ds = cfg.dataset
     if ds.kind == "files":
         return load_plan_sets(ds.plans_dir)
+    if ds.agents is None or ds.plans is None:
+        raise ConfigError(
+            "a dataset with agents_grid/plans_grid and no agents/plans is a campaign, which "
+            "`advplan estimate` only counts; sweep and structural runs need agents and plans"
+        )
     return generate_gaussian_plans(ds.agents, ds.plans, ds.dim, seed=ds.seed)
 
 
@@ -531,55 +526,69 @@ def _scales(cfg: SweepConfig, n: int) -> tuple[int, ...]:
 
 
 def _cell_seeds(cfg: SweepConfig, signal_index: int, rep: int, n: int):
-    """``(beta, count, run_seed)`` of every random-placement cell of one task."""
-    for beta_index, beta in enumerate(cfg.severities):
-        for count in _scales(cfg, n):
-            yield beta, count, derive_seed(
-                cfg.master_seed, "placement", signal_index, beta_index, count, rep
-            )
+    """Severities, counts and run seeds (a uint32 array) of the random-placement
+    cells of one task, in cell order."""
+    scales = _scales(cfg, n)
+    betas = [beta for beta in cfg.severities for _ in scales]
+    counts = [*scales] * len(cfg.severities)
+    beta_index = np.repeat(np.arange(len(cfg.severities)), len(scales))
+    tags = ("placement", signal_index, beta_index, np.array(counts), rep)
+    return betas, counts, derive_seeds(cfg.master_seed, tags)
 
 
 def _task_keys(cfg: SweepConfig, signal_index: int, signal_id: str, rep: int, n: int):
     """``RunRecord.sort_key`` of every row a sweep task writes, without running it."""
+    betas, counts, seeds = _cell_seeds(cfg, signal_index, rep, n)
     return [
         (cfg.dataset.name, signal_id, "random", -1, "", -1, beta, count, run_seed)
-        for beta, count, run_seed in _cell_seeds(cfg, signal_index, rep, n)
+        for beta, count, run_seed in zip(betas, counts, seeds.tolist())
     ]
 
 
 def _random_cells(cfg: SweepConfig, topology, signal_index: int, rep: int):
-    for beta, count, run_seed in _cell_seeds(cfg, signal_index, rep, topology.node_count):
-        try:
-            adversaries = random_adversaries(topology, count, seed=run_seed)
-            yield _Cell(beta, run_seed, frozenset(adversaries), count)
-        except AdvplanError as exc:
-            yield _Cell(beta, run_seed, adv_count=count, error=exc)
+    betas, counts, seeds = _cell_seeds(cfg, signal_index, rep, topology.node_count)
+    # Every draw sets the whole state, so the generator's own seed never shows.
+    rng = np.random.Generator(np.random.PCG64())
+    draws = random_adversary_draws(topology, counts, pcg64_states(seeds), rng)
+    for beta, count, run_seed, drawn in zip(betas, counts, seeds.tolist(), draws):
+        if isinstance(drawn, AdvplanError):
+            yield _Cell(beta, run_seed, adv_count=count, error=drawn)
+        else:
+            yield _Cell(beta, run_seed, frozenset(drawn.tolist()), count)
 
 
 def _layer_cells(cfg: SweepConfig, topology, signal_index: int, rep: int):
+    groups = []
     for layer in range(1, topology.layer_count + 1):
         members = sorted(agents_in_layer(topology, layer))
         counts = sorted({layer_adversary_count(len(members), p) for p in cfg.layer_ratios})
-        for count in counts:
-            config_seed = derive_seed(cfg.master_seed, "layercfg", layer, count)
-            configs = sample_k_subsets(members, count, cfg.combination_cap, seed=config_seed)
-            for beta_index, beta in enumerate(cfg.severities):
-                for j, adversaries in enumerate(configs):
-                    run_seed = derive_seed(
-                        cfg.master_seed, "layerrun", signal_index, layer, count, beta_index, j
-                    )
-                    yield _Cell(beta, run_seed, adversaries, count, layer=layer)
+        groups.extend((layer, count, members) for count in counts)
+    tags = np.array([group[:2] for group in groups], dtype=np.int64).reshape(-1, 2).T
+    config_seeds = derive_seeds(cfg.master_seed, ("layercfg", *tags))
+    rng = np.random.Generator(np.random.PCG64())
+    picks = []
+    for (layer, count, members), state in zip(groups, pcg64_states(config_seeds)):
+        rng.bit_generator.state = state
+        configs = sample_k_subsets(members, count, cfg.combination_cap, seed=rng)
+        for beta_index, beta in enumerate(cfg.severities):
+            picks.extend((layer, count, beta_index, j, beta, adv) for j, adv in enumerate(configs))
+    tags = np.array([pick[:4] for pick in picks], dtype=np.int64).reshape(-1, 4).T
+    run_seeds = derive_seeds(cfg.master_seed, ("layerrun", signal_index, *tags))
+    for (layer, count, _, _, beta, adversaries), run_seed in zip(picks, run_seeds.tolist()):
+        yield _Cell(beta, run_seed, adversaries, count, layer=layer)
 
 
 def _cumulative_cells(cfg: SweepConfig, topology, signal_index: int, rep: int):
-    for direction in ("top_down", "bottom_up"):
-        for m in range(1, topology.node_count + 1):
+    n, severities = topology.node_count, len(cfg.severities)
+    ms = np.repeat(np.arange(1, n + 1), severities)
+    beta_index = np.tile(np.arange(severities), n)
+    for direction in DIRECTIONS:
+        tags = ("cumulative", signal_index, direction, ms, beta_index)
+        run_seeds = iter(derive_seeds(cfg.master_seed, tags).tolist())
+        for m in range(1, n + 1):
             adversaries = frozenset(cumulative_positions(topology, direction, m))
-            for beta_index, beta in enumerate(cfg.severities):
-                run_seed = derive_seed(
-                    cfg.master_seed, "cumulative", signal_index, direction, m, beta_index
-                )
-                yield _Cell(beta, run_seed, adversaries, m, direction=direction, m=m)
+            for beta in cfg.severities:
+                yield _Cell(beta, next(run_seeds), adversaries, m, direction=direction, m=m)
 
 
 # The cells of one (signal, repetition) task, per placement mode.

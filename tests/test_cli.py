@@ -370,6 +370,22 @@ def test_wrongly_typed_dataset_values_exit_2(tmp_path, caplog, key, value):
     assert key in caplog.text
 
 
+def test_campaign_config_exits_2_but_estimate_counts_it(tmp_path, caplog, capsys):
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw.update(severities=[0.5], scales=[1, 2], runs_per_cell=1)
+    raw["dataset"] = {"kind": "gaussian", "agents_grid": [10, 20], "plans_grid": [2, 4]}
+    path.write_text(yaml.safe_dump(raw))
+    for command in (["sweep"], ["structural", "--mode", "layer"]):
+        caplog.clear()
+        assert main([command[0], "--config", str(path), *command[1:]]) == 2
+        assert "agents_grid/plans_grid" in caplog.text and "estimate" in caplog.text
+    assert not (tmp_path / "out").exists()
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "60"
+
+
 @pytest.mark.parametrize(
     "section",
     [

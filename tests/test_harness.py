@@ -8,10 +8,15 @@ import pytest
 import yaml
 
 import advplan.harness as harness_mod
-from advplan.adversary import make_profile, random_adversaries
+from advplan.adversary import (
+    cumulative_positions,
+    layer_adversary_count,
+    make_profile,
+    random_adversaries,
+)
 from advplan.cli import main as cli_main
 from advplan.engine import RunConfig, RunOutcome, run, run_baseline
-from advplan.errors import ConfigError, ParseError
+from advplan.errors import ConfigError, ParseError, RangeError
 from advplan.harness import (
     DatasetSpec,
     RunRecord,
@@ -25,7 +30,8 @@ from advplan.harness import (
     run_sweep,
 )
 from advplan.plans import PlanSet, generate_gaussian_plans, save_plan_sets
-from advplan.topology import build_balanced_binary
+from advplan.topology import agents_in_layer, build_balanced_binary
+from test_seeding import old_sample_k_subsets, reference_draw, reference_seed
 
 
 def small_config(tmp_path, **overrides):
@@ -96,6 +102,61 @@ def test_derive_seed_stable_and_distinct():
     assert a == derive_seed(5, "placement", 1, 2, 3)
     assert a != derive_seed(5, "placement", 1, 2, 4)
     assert a != derive_seed(6, "placement", 1, 2, 3)
+
+
+def per_cell_task_cells(cfg, topology, signal_index, rep, mode):
+    """A task's cells with one ``SeedSequence`` per seed and one
+    ``default_rng`` per draw, as they were derived cell by cell."""
+    n, cells = topology.node_count, []
+    if mode == "random":
+        for beta_index, beta in enumerate(cfg.severities):
+            for count in cfg.scales:
+                seed = reference_seed(cfg.master_seed, "placement", signal_index, beta_index,
+                                      count, rep)
+                if not 0 <= count <= n:
+                    cells.append((beta, seed, frozenset(), count, None, "", None,
+                                  (RangeError, f"count={count} outside 0..{n}")))
+                    continue
+                ids = reference_draw(n, count, seed) if count else []
+                cells.append((beta, seed, frozenset(ids), count, None, "", None, None))
+    elif mode == "layer":
+        for layer in range(1, topology.layer_count + 1):
+            members = sorted(agents_in_layer(topology, layer))
+            for count in sorted({layer_adversary_count(len(members), p) for p in cfg.layer_ratios}):
+                config_seed = reference_seed(cfg.master_seed, "layercfg", layer, count)
+                configs = old_sample_k_subsets(members, count, cfg.combination_cap, config_seed)
+                for beta_index, beta in enumerate(cfg.severities):
+                    for j, adversaries in enumerate(configs):
+                        seed = reference_seed(cfg.master_seed, "layerrun", signal_index, layer,
+                                              count, beta_index, j)
+                        cells.append((beta, seed, adversaries, count, layer, "", None, None))
+    else:
+        for direction in ("top_down", "bottom_up"):
+            for m in range(1, n + 1):
+                adversaries = frozenset(cumulative_positions(topology, direction, m))
+                for beta_index, beta in enumerate(cfg.severities):
+                    seed = reference_seed(cfg.master_seed, "cumulative", signal_index, direction,
+                                          m, beta_index)
+                    cells.append((beta, seed, adversaries, m, None, direction, m, None))
+    return cells
+
+
+@pytest.mark.parametrize(
+    "mode,cap", [("random", 100), ("layer", 2), ("layer", 100), ("cumulative", 100)]
+)
+def test_task_cells_match_per_cell_seeds_and_draws(tmp_path, mode, cap):
+    cfg = small_config(
+        tmp_path, master_seed=-77, severities=(0.25, 0.5, 1.0), scales=(0, 1, 5, 12, 13, 14),
+        combination_cap=cap,
+    )
+    topology = build_balanced_binary(13, permutation_seed=derive_seed(-77, "topology", 3))
+    cells = list(harness_mod._CELLS[mode](cfg, topology, 1, 3))
+    got = [
+        (*cell[:-1], None if cell.error is None else (type(cell.error), str(cell.error)))
+        for cell in cells
+    ]
+    assert got == per_cell_task_cells(cfg, topology, 1, 3, mode)
+    assert all(type(cell.run_seed) is int for cell in cells)
 
 
 def test_run_sweep_shape_and_baseline_consistency(tmp_path):
