@@ -8,7 +8,6 @@ fronts, knee points, and resilience / vulnerability / collapse zones.
 from .adversary import (
     cumulative_positions,
     layer_adversary_count,
-    make_profile,
     random_adversaries,
     severity_grid,
 )

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from .engine import BehaviorProfile
 from .errors import InvalidInputError, InvalidSizeError, RangeError
 from .topology import TreeTopology
 
@@ -119,8 +118,12 @@ def random_adversaries(topology: TreeTopology, count: int, seed: int = 0) -> set
 
 
 def beta_rows(topology: TreeTopology, adversary_sets, severities) -> np.ndarray:
-    """``(B, n)`` beta rows, row i what ``make_profile`` builds from
-    ``adversary_sets[i]`` and ``severities[i]``; one pair raises as it does."""
+    """``(B, n)`` beta rows: row i holds ``severities[i]`` on the agents of
+    ``adversary_sets[i]`` and 0 elsewhere, all 0 for an empty set.
+
+    A severity outside (0, 1] with a non-empty set, or an agent id outside
+    1..n, raises ``InvalidInputError``.
+    """
     n = topology.node_count
     sizes = [len(adversaries) for adversaries in adversary_sets]
     for size, beta_d in zip(sizes, severities):
@@ -134,10 +137,3 @@ def beta_rows(topology: TreeTopology, adversary_sets, severities) -> np.ndarray:
     betas[np.repeat(np.arange(len(sizes)), sizes), ids - 1] = np.repeat(severities, sizes)
     return betas
 
-
-def make_profile(topology: TreeTopology, adversaries, beta_d: float) -> BehaviorProfile:
-    """Behavior profile with beta_d on the listed agents and 0 elsewhere.
-
-    With no adversaries every agent is legitimate, whatever ``beta_d``.
-    """
-    return BehaviorProfile(beta=beta_rows(topology, [tuple(adversaries)], [beta_d])[0])

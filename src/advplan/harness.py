@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 import yaml
@@ -57,25 +57,6 @@ from .seeding import derive_seed, derive_seeds, pcg64_states
 from .topology import agents_in_layer, build_balanced_binary
 
 log = logging.getLogger(__name__)
-
-CSV_COLUMNS = (
-    "dataset",
-    "signal_id",
-    "master_seed",
-    "run_seed",
-    "beta",
-    "adv_count",
-    "adv_fraction",
-    "placement_mode",
-    "layer",
-    "direction",
-    "m",
-    "inefficiency",
-    "discomfort_total",
-    "discomfort_legit",
-    "compromised",
-    "iterations",
-)
 
 PLACEMENT_MODES = ("random", "layer", "cumulative")
 # The columns that, after signal_id, key one cell of each placement mode: cell
@@ -174,6 +155,8 @@ class SweepConfig:
             "initial_selection": str, "combination_cap": Integral, "layer_ratios": Integral,
             "master_seed": Integral, "workers": Integral,
         })
+        # A severity is written as a float, so 1 reads back as it was written.
+        object.__setattr__(self, "severities", tuple(map(float, self.severities)))
         try:
             # Kinds are compared by name from here on, so the canonical one is kept.
             object.__setattr__(self, "inefficiency_kind", _canonical_kind(self.inefficiency_kind))
@@ -270,9 +253,12 @@ def load_config(
     )
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One executed run, matching the long-format CSV schema."""
+class RunRecord(NamedTuple):
+    """One executed run: its fields are the long-format CSV columns, in order.
+
+    A record is its own CSV row: ``csv.writer`` writes a float as its
+    ``repr`` and None as an empty field.
+    """
 
     dataset: str
     signal_id: str
@@ -291,11 +277,6 @@ class RunRecord:
     compromised: float
     iterations: int
 
-    def to_row(self) -> list[str]:
-        """The CSV fields: floats as their ``repr``, None as an empty field."""
-        values = operator.attrgetter(*CSV_COLUMNS)(self)
-        return ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in values]
-
     def sort_key(self):
         return (
             self.dataset,
@@ -312,11 +293,12 @@ class RunRecord:
     @classmethod
     def from_row(cls, row: dict[str, str]) -> "RunRecord":
         """Parse each field by its annotation; an empty optional field is None."""
-        return cls(**{name: parse(row[name]) for name, parse in _FIELD_PARSERS})
+        return cls._make(parse(row[name]) for name, parse in _FIELD_PARSERS)
 
 
-_PARSERS = {"str": str, "int": int, "float": float, "int | None": lambda v: int(v) if v else None}
-_FIELD_PARSERS = tuple((f.name, _PARSERS[f.type]) for f in fields(RunRecord))
+CSV_COLUMNS = RunRecord._fields
+_PARSERS = {str: str, int: int, float: float, int | None: lambda v: int(v) if v else None}
+_FIELD_PARSERS = tuple((name, _PARSERS[kind]) for name, kind in get_type_hints(RunRecord).items())
 
 
 @dataclass
@@ -325,16 +307,10 @@ class SweepGrid:
 
     rows: list[RunRecord] = field(default_factory=list)
 
-    def sorted_rows(self) -> list[RunRecord]:
-        return sorted(self.rows, key=RunRecord.sort_key)
-
-    def write_csv(self, path: str | Path, keyed_rows: list | None = None) -> Path:
-        """Write the rows in sort order; a caller holding ``(sort_key, to_row())``
-        pairs of every row passes them as ``keyed_rows`` (sorted in place)."""
-        if keyed_rows is None:
-            keyed_rows = [(record.sort_key(), record.to_row()) for record in self.rows]
-        keyed_rows.sort(key=operator.itemgetter(0))
-        _write_csv(Path(path), CSV_COLUMNS, (row for _, row in keyed_rows))
+    def write_csv(self, path: str | Path) -> Path:
+        """Sort the rows in place by ``RunRecord.sort_key`` and write them."""
+        self.rows.sort(key=RunRecord.sort_key)
+        _write_csv(Path(path), CSV_COLUMNS, self.rows)
         return Path(path)
 
     @classmethod
@@ -636,7 +612,7 @@ def _run_task(
         if not ran:
             continue
         columns = _metric_columns(topology, [cell.adversaries for cell in ran], results, baseline)
-        # Positional in CSV_COLUMNS order: the tags, the cell, the metrics.
+        # Positional in field order: the tags, the cell, the metrics.
         for cell, metrics in zip(ran, zip(*columns.values())):
             count = len(cell.adversaries)
             records.append(RunRecord(
@@ -692,9 +668,7 @@ def _execute(
         log.info("%s is already finalized; reusing it", final_path)
         return SweepGrid.read_csv(final_path)
     existing = _read_partial(partial_path) if resume and partial_path.exists() else []
-    # Each row is formatted once, for the partial file, and kept with its sort key.
-    keyed_rows = [(r.sort_key(), r.to_row()) for r in existing]
-    done = {key for key, _ in keyed_rows}
+    done = {record.sort_key() for record in existing}
     n = len(plan_sets)
     tasks = [
         (si, signal, rep)
@@ -703,7 +677,7 @@ def _execute(
         if not (done and done.issuperset(_task_keys(cfg, si, signal[0], rep, n)))
     ]
 
-    grid = SweepGrid(rows=list(existing))
+    grid = SweepGrid(rows=existing)
     error_rows: list[list] = []
     with open(partial_path, "a" if existing else "w", newline="", encoding="utf-8") as sink:
         writer = csv.writer(sink)
@@ -713,12 +687,10 @@ def _execute(
         def emit(result: tuple[list[RunRecord], list[list]]) -> None:
             records, errors = result
             error_rows.extend(errors)
-            for record in records:
-                if (key := record.sort_key()) not in done:
-                    row = record.to_row()
-                    grid.rows.append(record)
-                    keyed_rows.append((key, row))
-                    writer.writerow(row)
+            if done:
+                records = [record for record in records if record.sort_key() not in done]
+            grid.rows.extend(records)
+            writer.writerows(records)
             sink.flush()
 
         workers = min(cfg.workers, len(tasks))
@@ -736,7 +708,7 @@ def _execute(
         log.warning("%d cells failed; see %s", len(error_rows), errors_path)
     else:
         errors_path.unlink(missing_ok=True)
-    staged = grid.write_csv(final_path.with_name(final_path.name + ".tmp"), keyed_rows)
+    staged = grid.write_csv(final_path.with_name(final_path.name + ".tmp"))
     os.replace(staged, final_path)
     partial_path.unlink(missing_ok=True)
     log.info("%d rows -> %s", len(grid.rows), final_path)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from advplan.adversary import make_profile, random_adversaries, severity_grid
+from advplan.adversary import beta_rows, random_adversaries, severity_grid
 from advplan.analytics import RvcLabel, classify_rvc, knee_mmd, multi_otsu, pareto_front
 from advplan.engine import BehaviorProfile, RunConfig, run, run_baseline
 from advplan.harness import (
@@ -138,7 +138,8 @@ def test_criterion_06_monotone_traces():
         topology = build_balanced_binary(n, permutation_seed=trial)
         count = int(rng.integers(0, n + 1))
         beta = float(rng.uniform(1 / 30, 1.0))
-        profile = make_profile(topology, random_adversaries(topology, count, seed=trial), beta)
+        adversaries = random_adversaries(topology, count, seed=trial)
+        profile = BehaviorProfile(beta_rows(topology, [adversaries], [beta])[0])
         outcome = run(topology, plan_sets, profile, RunConfig())
         trace = outcome.combined_cost_trace
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:])), f"trial {trial}"

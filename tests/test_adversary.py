@@ -3,9 +3,9 @@ import math
 import pytest
 
 from advplan.adversary import (
+    beta_rows,
     cumulative_positions,
     layer_adversary_count,
-    make_profile,
     random_adversaries,
     sample_k_subsets,
     severity_grid,
@@ -97,26 +97,25 @@ def test_cumulative_positions_validation():
         cumulative_positions(t, "sideways", 2)
 
 
-def test_make_profile():
+def test_beta_rows():
     t = build_balanced_binary(6)
-    profile = make_profile(t, {3, 5}, 0.5)
-    assert profile.beta.tolist() == [0.0, 0.0, 0.5, 0.0, 0.5, 0.0]
-    # No adversaries is the all-legitimate profile, whatever the severity.
+    assert beta_rows(t, [{3, 5}], [0.5])[0].tolist() == [0.0, 0.0, 0.5, 0.0, 0.5, 0.0]
+    # No adversaries is the all-legitimate row, whatever the severity.
     for severity in (0.7, 0.0):
-        assert make_profile(t, set(), severity).beta.tolist() == [0.0] * 6
-    full = make_profile(t, set(range(1, 7)), 1.0)
-    assert full.beta.tolist() == [1.0] * 6
+        assert beta_rows(t, [set()], [severity])[0].tolist() == [0.0] * 6
+    full = beta_rows(t, [set(range(1, 7))], [1.0])[0]
+    assert full.tolist() == [1.0] * 6
 
 
-def test_make_profile_validation():
+def test_beta_rows_validation():
     t = build_balanced_binary(4)
     for unknown in ({9}, {0}, {-1, 2}):
         with pytest.raises(InvalidInputError):
-            make_profile(t, unknown, 0.5)
+            beta_rows(t, [unknown], [0.5])
     with pytest.raises(InvalidInputError):
-        make_profile(t, {1}, 0.0)
+        beta_rows(t, [{1}], [0.0])
     with pytest.raises(InvalidInputError):
-        make_profile(t, {1}, 1.5)
+        beta_rows(t, [{1}], [1.5])
 
 
 def test_random_adversaries_seeded_and_sized():

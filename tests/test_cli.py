@@ -3,9 +3,9 @@ import json
 import pytest
 import yaml
 
-from advplan.adversary import make_profile, random_adversaries, sample_k_subsets
+from advplan.adversary import beta_rows, random_adversaries, sample_k_subsets
 from advplan.cli import main
-from advplan.engine import RunConfig, run, run_baseline
+from advplan.engine import BehaviorProfile, RunConfig, run, run_baseline
 from advplan.harness import _metric_columns
 from advplan.plans import generate_gaussian_plans
 from advplan.topology import agents_in_layer, build_balanced_binary
@@ -129,7 +129,8 @@ def test_run_json_matches_separate_engine_runs(capsys):
     topology = build_balanced_binary(12, permutation_seed=2)
     adversaries = set(sample_k_subsets(sorted(agents_in_layer(topology, 3)), 2, cap=1, seed=5)[0])
     config = RunConfig(max_iterations=8, rng_seed=5)
-    outcome = run(topology, plan_sets, make_profile(topology, adversaries, 0.7), config)
+    profile = BehaviorProfile(beta_rows(topology, [adversaries], [0.7])[0])
+    outcome = run(topology, plan_sets, profile, config)
     baseline = run_baseline(topology, plan_sets, config)
     assert payload["adversaries"] == sorted(adversaries)
     assert payload["baseline_inefficiency"] == baseline.global_inefficiency

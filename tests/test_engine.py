@@ -6,7 +6,7 @@ import oracle_engine
 import pytest
 
 from advplan import engine
-from advplan.adversary import make_profile, random_adversaries
+from advplan.adversary import beta_rows, random_adversaries
 from advplan.costs import InefficiencyFn
 from advplan.engine import (
     BehaviorProfile,
@@ -122,7 +122,7 @@ def test_run_all_selfish_selects_minimum_discomfort():
 def test_run_conservation_and_determinism():
     plan_sets = generate_gaussian_plans(15, 3, 4, seed=11)
     topo = build_balanced_binary(15, permutation_seed=5)
-    profile = make_profile(topo, random_adversaries(topo, 4, seed=3), 0.6)
+    profile = BehaviorProfile(beta_rows(topo, [random_adversaries(topo, 4, seed=3)], [0.6])[0])
     out1 = run(topo, plan_sets, profile, RunConfig())
     out2 = run(topo, plan_sets, profile, RunConfig())
     assert out1.selections == out2.selections
@@ -145,7 +145,8 @@ def test_monotone_combined_cost_trace_random_configs():
         topo = build_balanced_binary(n, permutation_seed=trial)
         count = int(rng.integers(0, n + 1))
         beta = float(rng.uniform(0.05, 1.0))
-        profile = make_profile(topo, random_adversaries(topo, count, seed=trial), beta)
+        adversaries = random_adversaries(topo, count, seed=trial)
+        profile = BehaviorProfile(beta_rows(topo, [adversaries], [beta])[0])
         out = run(topo, plan_sets, profile, RunConfig())
         trace = out.combined_cost_trace
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
@@ -174,7 +175,7 @@ def test_baseline_not_worse_than_adversarial_statistically():
         adv = random_adversaries(topo, count, seed=trial + 1000)
         out = run(
             topo, plan_sets,
-            make_profile(topo, adv, float(rng.uniform(0.1, 1.0))),
+            BehaviorProfile(beta_rows(topo, [adv], [float(rng.uniform(0.1, 1.0))])[0]),
             RunConfig(),
         )
         if base.global_inefficiency <= out.global_inefficiency + 1e-12:
@@ -299,9 +300,9 @@ def oracle_case(n, d, plans, kind, scaling, initial, seed=0):
         initial_selection=initial,
         rng_seed=seed,
     )
-    betas = [make_profile(topo, (), 0.0).beta]
+    betas = [beta_rows(topo, [()], [0.0])[0]]
     for j, (count, beta) in enumerate([(1, 0.3), (n // 3, 0.6), (n // 2, 0.1), (n, 1.0)]):
-        betas.append(make_profile(topo, random_adversaries(topo, count, seed=j), beta).beta)
+        betas.append(beta_rows(topo, [random_adversaries(topo, count, seed=j)], [beta])[0])
     return topo, plan_sets, np.stack(betas), config, [seed + 10 * j for j in range(len(betas))]
 
 
@@ -505,7 +506,7 @@ def test_run_batch_matches_oracle_when_approvals_cut_blocks(monkeypatch, initial
     plan_sets = ragged_plan_sets(n, d, 5)
     config = RunConfig(initial_selection=initial, rng_seed=5)
     betas = np.stack([
-        make_profile(topo, random_adversaries(topo, count, seed=j), beta).beta
+        beta_rows(topo, [random_adversaries(topo, count, seed=j)], [beta])[0]
         for j, (count, beta) in enumerate([(n, 1.0), (30, 0.9), (25, 0.8), (n // 2, 0.95), (n, 0.7)])
     ])
     seeds = [5 + j for j in range(len(betas))]

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +10,14 @@ import yaml
 
 import advplan.harness as harness_mod
 from advplan.adversary import (
+    beta_rows,
     cumulative_positions,
     layer_adversary_count,
-    make_profile,
     random_adversaries,
+    severity_grid,
 )
 from advplan.cli import main as cli_main
-from advplan.engine import RunConfig, RunOutcome, run, run_baseline
+from advplan.engine import BehaviorProfile, RunConfig, RunOutcome, run, run_baseline
 from advplan.errors import ConfigError, ParseError, RangeError
 from advplan.harness import (
     DatasetSpec,
@@ -199,7 +201,7 @@ def test_run_metrics_sum_in_position_and_set_order(tmp_path):
     unsorted, total_moves, legit_moves = 0, 0, 0
     for row in rows:
         adversaries = random_adversaries(topology, row.adv_count, seed=row.run_seed)
-        profile = make_profile(topology, adversaries, row.beta)
+        profile = BehaviorProfile(beta_rows(topology, [adversaries], [row.beta])[0])
         disc = run(topology, plans, profile, RunConfig(rng_seed=row.run_seed)).discomfort
         legit = np.fromiter(set(range(1, n + 1)).difference(adversaries), dtype=int) - 1
         assert row.discomfort_total == float(np.mean(disc[by_position]))
@@ -251,7 +253,7 @@ def test_run_sweep_csv_round_trip_and_estimate_match(tmp_path):
     cfg = small_config(tmp_path)
     grid = run_sweep(cfg)
     loaded = SweepGrid.read_csv(tmp_path / "out" / "runs.csv")
-    assert loaded.sorted_rows() == grid.sorted_rows()
+    assert loaded.rows == grid.rows
     assert len(grid.rows) == estimate_experiment_count(cfg)
 
 
@@ -261,26 +263,27 @@ def test_run_sweep_determinism(tmp_path):
     bytes_a = (tmp_path / "a" / "out" / "runs.csv").read_bytes()
     bytes_b = (tmp_path / "b" / "out" / "runs.csv").read_bytes()
     assert bytes_a == bytes_b
-    assert a.sorted_rows() == b.sorted_rows()
+    assert a.rows == b.rows
 
 
 def test_run_sweep_resume_from_partial(tmp_path):
     cfg = small_config(tmp_path)
     full = run_sweep(cfg)
-    # Fake an interrupted sweep: keep only the first repetition's rows.
-    partial_rows = [r for r in full.rows][: len(full.rows) // 2]
+    # Fake an interrupted sweep: keep the first half of the rows in sort
+    # order, which leaves every task with rows still to run.
+    partial_rows = full.rows[: len(full.rows) // 2]
     partial = SweepGrid(rows=partial_rows)
     out = tmp_path / "out"
     (out / "runs.csv").unlink()
     partial.write_csv(out / "runs.partial.csv")
     resumed = run_sweep(cfg, resume=True)
-    assert resumed.sorted_rows() == full.sorted_rows()
+    assert resumed.rows == full.rows
 
 
 def test_run_sweep_parallel_matches_serial(tmp_path):
     serial = run_sweep(small_config(tmp_path / "s"))
     parallel = run_sweep(small_config(tmp_path / "p", workers=2))
-    assert serial.sorted_rows() == parallel.sorted_rows()
+    assert serial.rows == parallel.rows
     assert (
         (tmp_path / "s" / "out" / "runs.csv").read_bytes()
         == (tmp_path / "p" / "out" / "runs.csv").read_bytes()
@@ -530,9 +533,82 @@ def test_structural_means_layer_view(tmp_path):
 def test_record_sorting_is_total(tmp_path):
     cfg = small_config(tmp_path)
     grid = run_sweep(cfg)
-    keys = [r.sort_key() for r in grid.sorted_rows()]
+    # The grid a sweep returns holds its rows in sort order.
+    keys = [r.sort_key() for r in grid.rows]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+
+
+def test_written_rows_match_literal_text(tmp_path):
+    """Records go out as ``csv.writer`` writes them, in sort order.
+
+    A float is its ``repr``, None an empty field and an int its digits;
+    reading the file back and writing it again gives the same bytes.
+    """
+
+    def record(signal, seed, beta, count, mode, layer, direction, m, *metrics):
+        return RunRecord("toy", signal, 7, seed, beta, count, count / 10, mode, layer,
+                         direction, m, *metrics)
+
+    rows = [
+        record("1", 99, 0.5, 2, "layer", 3, "", None, 1e16, 2.0, 2.5, 0.0, 6),
+        record("1", 5, 1.0, 4, "cumulative", None, "bottom_up", 4, 0.1, 0.2, 0.25, -0.0, 2),
+        record("", 123, 0.1 + 0.2, 3, "random", None, "", None, 2.5, 1e-05, 0.0, -0.125, 4),
+    ]
+    written = SweepGrid(rows=list(rows)).write_csv(tmp_path / "a.csv")
+    assert written.read_bytes().decode().split("\r\n") == [
+        "dataset,signal_id,master_seed,run_seed,beta,adv_count,adv_fraction,placement_mode,"
+        "layer,direction,m,inefficiency,discomfort_total,discomfort_legit,compromised,iterations",
+        "toy,,7,123,0.30000000000000004,3,0.3,random,,,,2.5,1e-05,0.0,-0.125,4",
+        "toy,1,7,5,1.0,4,0.4,cumulative,,bottom_up,4,0.1,0.2,0.25,-0.0,2",
+        "toy,1,7,99,0.5,2,0.2,layer,3,,,1e+16,2.0,2.5,0.0,6",
+        "",
+    ]
+    loaded = SweepGrid.read_csv(written)
+    assert loaded.rows == rows[::-1]
+    assert loaded.write_csv(tmp_path / "b.csv").read_bytes() == written.read_bytes()
+
+
+def test_resume_writes_integer_severities_as_a_fresh_run_does(tmp_path):
+    """A severity given as 1 is written 1.0, fresh and after a resume alike."""
+    cfg = small_config(tmp_path, severities=(0.5, 1), runs_per_cell=2)
+    out = tmp_path / "out"
+    run_sweep(cfg)
+    fresh = (out / "runs.csv").read_bytes()
+    header, *lines = fresh.splitlines(keepends=True)
+    (out / "runs.csv").unlink()
+    # The partial file holds the rows of severity 1, half of every task.
+    ones = [line for line in lines if line.split(b",")[4] != b"0.5"]
+    (out / "runs.partial.csv").write_bytes(header + b"".join(ones))
+    run_sweep(cfg, resume=True)
+    assert (out / "runs.csv").read_bytes() == fresh
+    assert {line.split(b",")[4] for line in ones} == {b"1.0"}
+
+
+def test_held_memory_per_row_stays_flat(tmp_path):
+    """A sweep holds one small record per row until it finalizes.
+
+    The traced peak of a sweep with twice the repetitions grows by the
+    records of the added rows, well below what holding a record, its sort
+    key and its formatted text for every row costs (about 1,200 B a row).
+    """
+
+    def peak(reps: int, name: str) -> tuple[int, int]:
+        cfg = small_config(
+            tmp_path / name, dataset=DatasetSpec(kind="gaussian", agents=8, plans=2, seed=1),
+            severities=tuple(severity_grid()), scales=None, runs_per_cell=reps,
+        )
+        tracemalloc.start()
+        try:
+            rows = len(run_sweep(cfg).rows)
+            return rows, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1, "warm")  # first calls allocate once, whatever the size
+    (rows, low), (more_rows, high) = peak(4, "low"), peak(8, "high")
+    assert (rows, more_rows) == (4 * 240, 8 * 240)
+    assert (high - low) / (more_rows - rows) < 900
 
 
 def failing_run_batch(monkeypatch, doomed: int) -> None:
@@ -572,7 +648,7 @@ def test_failed_structural_cells_become_error_rows(tmp_path, monkeypatch):
     assert len(grid.rows) == 2 * 2 * 10 - 1
     assert ("top_down", 3, 0.4) not in {(r.direction, r.m, r.beta) for r in grid.rows}
     out = tmp_path / "out"
-    assert SweepGrid.read_csv(out / "structural_cumulative.csv").sorted_rows() == grid.sorted_rows()
+    assert SweepGrid.read_csv(out / "structural_cumulative.csv").rows == grid.rows
     lines = (out / "structural_cumulative_errors.csv").read_text().splitlines()
     assert lines == [
         "signal_id,repetition,direction,m,beta,error", ",0,top_down,3,0.4,injected failure"
