@@ -90,16 +90,15 @@ def random_adversary_draws(topology: TreeTopology, counts, states, rng) -> list:
     ``default_rng(seed).choice(np.arange(1, n + 1), counts[i], replace=False)``
     draws when ``states[i]`` is that generator's ``bit_generator.state``. The
     whole state is set for every cell, because a draw can leave a buffered
-    32-bit half behind. A count outside 0..n gives its ``RangeError`` in
-    place of its draw.
+    32-bit half behind. The first count outside 0..n raises ``RangeError``.
     """
     n = topology.node_count
     bit_generator = rng.bit_generator
     draws = []
     for count, state in zip(counts, states):
         if not 0 <= count <= n:
-            draws.append(RangeError(f"count={count} outside 0..{n}"))
-        elif count == 0:
+            raise RangeError(f"count={count} outside 0..{n}")
+        if count == 0:
             draws.append(np.empty(0, dtype=np.int64))
         else:
             bit_generator.state = state
@@ -112,8 +111,6 @@ def random_adversaries(topology: TreeTopology, count: int, seed: int = 0) -> set
     the one cell of ``random_adversary_draws`` seeded as ``default_rng(seed)``."""
     rng = np.random.default_rng(seed)
     (drawn,) = random_adversary_draws(topology, [count], [rng.bit_generator.state], rng)
-    if isinstance(drawn, RangeError):
-        raise drawn
     return set(drawn.tolist())
 
 

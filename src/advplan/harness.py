@@ -82,15 +82,22 @@ _KINDS = {Integral: "integers", Real: "numbers", str: "strings"}
 def _check_types(config, types: dict) -> None:
     """Raise ``ConfigError`` naming the first field that holds a wrong type.
 
-    ``types`` maps field names to ``_KINDS`` keys; a tuple field is checked
-    item by item, and None passes only where it is the field's default.
+    ``types`` maps field names to ``_KINDS`` keys. A kind in a 1-tuple marks
+    a list field: it must hold a list or tuple, stored as a tuple, whose
+    items are checked. None passes only where it is the field's default.
     """
     optional = {f.name for f in fields(config) if f.default is None}
     for key, kind in types.items():
         value = getattr(config, key)
         if value is None and key in optional:
             continue
-        for item in value if isinstance(value, tuple) else (value,):
+        items = (value,)
+        if isinstance(kind, tuple):
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{key} must be a list, got {value!r}")
+            (kind,), items = kind, tuple(value)
+            object.__setattr__(config, key, items)
+        for item in items:
             if isinstance(item, bool) or not isinstance(item, kind):
                 raise ConfigError(f"{key} must hold {_KINDS[kind]}, got {item!r}")
 
@@ -99,7 +106,7 @@ def _check_types(config, types: dict) -> None:
 class DatasetSpec:
     """Where plans come from: a directory of plan files or a Gaussian spec."""
 
-    kind: str
+    kind: str = "gaussian"
     name: str = ""
     plans_dir: str | None = None
     agents: int | None = None
@@ -111,8 +118,11 @@ class DatasetSpec:
     plans_grid: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        ints = ("agents", "plans", "dim", "seed", "agents_grid", "plans_grid")
-        _check_types(self, dict.fromkeys(ints, Integral))
+        _check_types(self, {
+            "kind": str, "name": str, "plans_dir": str, "agents": Integral,
+            "plans": Integral, "dim": Integral, "seed": Integral,
+            "agents_grid": (Integral,), "plans_grid": (Integral,),
+        })
         if self.kind not in ("gaussian", "files"):
             raise ConfigError(f"dataset kind must be 'gaussian' or 'files', got {self.kind!r}")
         if self.kind == "files" and not self.plans_dir:
@@ -150,9 +160,10 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         _check_types(self, {
-            "severities": Real, "scales": Integral, "runs_per_cell": Integral, "placements": str,
-            "inefficiency_kind": str, "inefficiency_scaling": str, "max_iterations": Integral,
-            "initial_selection": str, "combination_cap": Integral, "layer_ratios": Integral,
+            "severities": (Real,), "scales": (Integral,), "runs_per_cell": Integral,
+            "placements": (str,), "inefficiency_kind": str, "inefficiency_scaling": str,
+            "target_files": (str,), "max_iterations": Integral, "initial_selection": str,
+            "combination_cap": Integral, "layer_ratios": (Integral,), "output_dir": str,
             "master_seed": Integral, "workers": Integral,
         })
         # A severity is written as a float, so 1 reads back as it was written.
@@ -172,6 +183,10 @@ class SweepConfig:
                 raise ConfigError(f"severities must lie in (0, 1], got {b}")
         if self.scales is not None and not self.scales:
             raise ConfigError("scale grid must be non-empty when given")
+        for key in ("severities", "scales"):
+            values = getattr(self, key) or ()
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} must not repeat a value, got {list(values)}")
         for mode in self.placements:
             if mode not in PLACEMENT_MODES:
                 raise ConfigError(f"unknown placement mode {mode!r}")
@@ -191,7 +206,11 @@ def load_config(
     workdir: str | Path | None = None,
     master_seed: int | None = None,
 ) -> SweepConfig:
-    """Parse a YAML sweep config; relative paths resolve against ``workdir``."""
+    """Parse a YAML sweep config; relative paths resolve against ``workdir``.
+
+    Each section goes to its dataclass by field name; a key left out takes
+    the field's default, and an unknown key in any section raises.
+    """
     path = Path(path)
     base = Path(workdir) if workdir is not None else path.parent
     try:
@@ -202,55 +221,37 @@ def load_config(
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a mapping")
-
-    def resolve(p: str) -> str:
-        p = Path(p)
-        return str(p if p.is_absolute() else base / p)
-
-    def listed(section: dict, key: str, default=None) -> tuple | None:
-        value = section.get(key, default)
-        if value is not None and not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
-        return None if value is None else tuple(value)
-
-    ds, ineff = raw.get("dataset"), raw.get("inefficiency") or {}
+    ds, ineff = raw.pop("dataset", None), raw.pop("inefficiency", None) or {}
     if not isinstance(ds, dict) or not isinstance(ineff, dict):
         raise ConfigError("config needs a dataset mapping, and inefficiency must be one too")
-    dataset = DatasetSpec(
-        kind=ds.get("kind", "gaussian"),
-        name=ds.get("name", ""),
-        plans_dir=resolve(ds["plans_dir"]) if ds.get("plans_dir") else None,
-        agents=ds.get("agents"),
-        plans=ds.get("plans"),
-        dim=ds.get("dim", 2),
-        seed=ds.get("seed", 0),
-        agents_grid=listed(ds, "agents_grid") or None,
-        plans_grid=listed(ds, "plans_grid") or None,
-    )
-    targets = listed(ineff, "target_files") or ()
-    if "target_file" in ineff:
-        targets = (*targets, ineff["target_file"])
-    nested = {"inefficiency_kind", "inefficiency_scaling", "target_files"}
-    stray = set(raw) - ({f.name for f in fields(SweepConfig)} - nested | {"inefficiency"})
-    if stray:
-        raise ConfigError(f"unknown config keys: {sorted(stray)}")
-    return SweepConfig(
-        dataset=dataset,
-        severities=listed(raw, "severities", severity_grid()),
-        scales=listed(raw, "scales"),
-        runs_per_cell=raw.get("runs_per_cell", 100),
-        placements=listed(raw, "placements", ("random",)),
-        inefficiency_kind=ineff.get("kind", "variance"),
-        inefficiency_scaling=ineff.get("scaling", "identity"),
-        target_files=tuple(resolve(t) for t in targets),
-        max_iterations=raw.get("max_iterations", 40),
-        initial_selection=raw.get("initial_selection", "first_plan"),
-        combination_cap=raw.get("combination_cap", 100),
-        layer_ratios=listed(raw, "layer_ratios", LAYER_RATIOS),
-        output_dir=resolve(raw.get("output_dir", "results")),
-        master_seed=master_seed if master_seed is not None else raw.get("master_seed", 0),
-        workers=raw.get("workers", 1),
-    )
+    # The inefficiency keys and the SweepConfig fields they fill.
+    nested = {"kind": "inefficiency_kind", "scaling": "inefficiency_scaling",
+              "target_files": "target_files"}
+    for section, values, known in (
+        ("config", raw, {f.name for f in fields(SweepConfig)} - {*nested.values()}),
+        ("dataset", ds, {f.name for f in fields(DatasetSpec)}),
+        ("inefficiency", ineff, {*nested, "target_file"}),
+    ):
+        stray = set(values) - known
+        if stray:
+            raise ConfigError(f"unknown {section} keys: {sorted(stray, key=str)}")
+
+    def resolve(p):
+        # A path of another type is left for the dataclass to reject.
+        return str(base / p) if isinstance(p, str) else p
+
+    targets = ineff.get("target_files", [])
+    if isinstance(targets, list):
+        # ``target_file`` names one more target.
+        alias = [ineff["target_file"]] if "target_file" in ineff else []
+        ineff["target_files"] = [resolve(t) for t in targets + alias]
+    raw.update((name, ineff[key]) for key, name in nested.items() if key in ineff)
+    if "plans_dir" in ds:
+        ds["plans_dir"] = resolve(ds["plans_dir"])
+    raw["output_dir"] = resolve(raw.get("output_dir", SweepConfig.output_dir))
+    if master_seed is not None:
+        raw["master_seed"] = master_seed
+    return SweepConfig(dataset=DatasetSpec(**ds), **raw)
 
 
 class RunRecord(NamedTuple):
@@ -403,11 +404,7 @@ def _run_config(cfg: SweepConfig, target: TargetSignal | None, rng_seed: int) ->
 
 
 class _Cell(NamedTuple):
-    """One run of a task: its severity, adversaries, seed and CSV tags.
-
-    ``adv_count`` is the number of adversaries the cell asks for; ``error``
-    holds the exception when the adversary set could not be drawn.
-    """
+    """One run of a task: its severity, adversaries, seed and CSV tags."""
 
     beta: float
     run_seed: int
@@ -416,7 +413,6 @@ class _Cell(NamedTuple):
     layer: int | None = None
     direction: str = ""
     m: int | None = None
-    error: AdvplanError | None = None
 
 
 def _metric_columns(topology, adversary_sets, outcomes, baseline: RunOutcome) -> dict:
@@ -475,9 +471,6 @@ def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells):
     """
 
     def attempt(batch):
-        for cell in batch:
-            if cell.error is not None:
-                raise cell.error
         betas = beta_rows(topology, [c.adversaries for c in batch], [c.beta for c in batch])
         return run_batch(topology, plan_sets, betas, run_cfg, [c.run_seed for c in batch])
 
@@ -527,10 +520,7 @@ def _random_cells(cfg: SweepConfig, topology, signal_index: int, rep: int):
     rng = np.random.Generator(np.random.PCG64())
     draws = random_adversary_draws(topology, counts, pcg64_states(seeds), rng)
     for beta, count, run_seed, drawn in zip(betas, counts, seeds.tolist(), draws):
-        if isinstance(drawn, AdvplanError):
-            yield _Cell(beta, run_seed, adv_count=count, error=drawn)
-        else:
-            yield _Cell(beta, run_seed, frozenset(drawn.tolist()), count)
+        yield _Cell(beta, run_seed, frozenset(drawn.tolist()), count)
 
 
 def _layer_cells(cfg: SweepConfig, topology, signal_index: int, rep: int):
@@ -656,7 +646,7 @@ def _execute(
     ``workers`` processes runs the tasks only when more than one is left.
     With ``resume`` (random placements only), a finished results file is
     returned as it is, and every task whose rows are all in the partial file
-    is skipped.
+    is skipped; a partial row that no task writes is a ``ConfigError``.
     """
     signals = _signals(cfg, plan_sets[0].dimension)
     outdir = Path(cfg.output_dir)
@@ -669,13 +659,22 @@ def _execute(
         return SweepGrid.read_csv(final_path)
     existing = _read_partial(partial_path) if resume and partial_path.exists() else []
     done = {record.sort_key() for record in existing}
-    n = len(plan_sets)
-    tasks = [
-        (si, signal, rep)
-        for si, signal in enumerate(signals)
-        for rep in repetitions
-        if not (done and done.issuperset(_task_keys(cfg, si, signal[0], rep, n)))
-    ]
+    tasks, written = [], set()
+    for si, signal in enumerate(signals):
+        for rep in repetitions:
+            if done:
+                keys = _task_keys(cfg, si, signal[0], rep, len(plan_sets))
+                written.update(keys)
+                if done.issuperset(keys):
+                    continue
+            tasks.append((si, signal, rep))
+    if not done <= written:
+        for line, record in enumerate(existing, start=2):
+            if record.sort_key() not in written:
+                raise ConfigError(
+                    f"{partial_path}:{line}: this config writes no row {record.sort_key()}; "
+                    "resume with the config that wrote the partial file"
+                )
 
     grid = SweepGrid(rows=existing)
     error_rows: list[list] = []

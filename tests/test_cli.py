@@ -406,6 +406,30 @@ def test_malformed_inefficiency_section_exits_2(tmp_path, section):
         assert main([command[0], "--config", str(path), *command[1:]]) == 2
 
 
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("dataset", "dims", 5),
+        ("inefficiency", "scalling", "min-max"),
+        (None, "output_dir", 5),
+        (None, "output_dir", None),
+        ("inefficiency", "target_files", [1]),
+        ("inefficiency", "target_file", ["a", "b"]),
+        ("dataset", "plans_dir", 5),
+        (None, "scales", [2, 2]),
+        (None, "severities", [0.5, 0.5]),
+    ],
+)
+def test_config_mistakes_exit_2_naming_the_key(tmp_path, caplog, capsys, section, key, value):
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    (raw.setdefault(section, {}) if section else raw)[key] = value
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["estimate", "--config", str(path)]) == 2
+    assert key in caplog.text and "Traceback" not in caplog.text
+    assert capsys.readouterr().out == ""
+
+
 def test_negative_master_seed_stays_valid(tmp_path):
     path = write_config(tmp_path)
     raw = yaml.safe_load(path.read_text())

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import tracemalloc
@@ -72,6 +73,10 @@ def test_load_config_defaults_and_paths(tmp_path):
     assert cfg.output_dir == str(tmp_path / "results")
     assert cfg.master_seed == 3
     assert load_config(path, master_seed=99).master_seed == 99
+    only = write_yaml(tmp_path, {"dataset": {"agents": 8, "plans": 2}})
+    assert load_config(only) == SweepConfig(
+        dataset=DatasetSpec(agents=8, plans=2), output_dir=str(tmp_path / "results")
+    )
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -115,12 +120,8 @@ def per_cell_task_cells(cfg, topology, signal_index, rep, mode):
             for count in cfg.scales:
                 seed = reference_seed(cfg.master_seed, "placement", signal_index, beta_index,
                                       count, rep)
-                if not 0 <= count <= n:
-                    cells.append((beta, seed, frozenset(), count, None, "", None,
-                                  (RangeError, f"count={count} outside 0..{n}")))
-                    continue
                 ids = reference_draw(n, count, seed) if count else []
-                cells.append((beta, seed, frozenset(ids), count, None, "", None, None))
+                cells.append((beta, seed, frozenset(ids), count, None, "", None))
     elif mode == "layer":
         for layer in range(1, topology.layer_count + 1):
             members = sorted(agents_in_layer(topology, layer))
@@ -131,7 +132,7 @@ def per_cell_task_cells(cfg, topology, signal_index, rep, mode):
                     for j, adversaries in enumerate(configs):
                         seed = reference_seed(cfg.master_seed, "layerrun", signal_index, layer,
                                               count, beta_index, j)
-                        cells.append((beta, seed, adversaries, count, layer, "", None, None))
+                        cells.append((beta, seed, adversaries, count, layer, "", None))
     else:
         for direction in ("top_down", "bottom_up"):
             for m in range(1, n + 1):
@@ -139,7 +140,7 @@ def per_cell_task_cells(cfg, topology, signal_index, rep, mode):
                 for beta_index, beta in enumerate(cfg.severities):
                     seed = reference_seed(cfg.master_seed, "cumulative", signal_index, direction,
                                           m, beta_index)
-                    cells.append((beta, seed, adversaries, m, None, direction, m, None))
+                    cells.append((beta, seed, adversaries, m, None, direction, m))
     return cells
 
 
@@ -148,17 +149,18 @@ def per_cell_task_cells(cfg, topology, signal_index, rep, mode):
 )
 def test_task_cells_match_per_cell_seeds_and_draws(tmp_path, mode, cap):
     cfg = small_config(
-        tmp_path, master_seed=-77, severities=(0.25, 0.5, 1.0), scales=(0, 1, 5, 12, 13, 14),
+        tmp_path, master_seed=-77, severities=(0.25, 0.5, 1.0), scales=(0, 1, 5, 12, 13),
         combination_cap=cap,
     )
     topology = build_balanced_binary(13, permutation_seed=derive_seed(-77, "topology", 3))
     cells = list(harness_mod._CELLS[mode](cfg, topology, 1, 3))
-    got = [
-        (*cell[:-1], None if cell.error is None else (type(cell.error), str(cell.error)))
-        for cell in cells
-    ]
-    assert got == per_cell_task_cells(cfg, topology, 1, 3, mode)
+    assert cells == per_cell_task_cells(cfg, topology, 1, 3, mode)
     assert all(type(cell.run_seed) is int for cell in cells)
+    if mode == "random":
+        with pytest.raises(RangeError) as raised:
+            beyond = dataclasses.replace(cfg, scales=(*cfg.scales, 14))
+            list(harness_mod._CELLS[mode](beyond, topology, 1, 3))
+        assert str(raised.value) == "count=14 outside 0..13"
 
 
 def test_run_sweep_shape_and_baseline_consistency(tmp_path):
@@ -699,6 +701,20 @@ def test_target_file_alias(tmp_path):
     )
     cfg = load_config(path)
     assert cfg.target_files == (str(target),)
+
+
+def test_resume_refuses_a_partial_with_rows_its_config_does_not_write(tmp_path):
+    out = tmp_path / "out"
+    run_sweep(small_config(tmp_path, master_seed=1, runs_per_cell=1))
+    (out / "runs.csv").rename(out / "runs.partial.csv")
+    partial = (out / "runs.partial.csv").read_bytes()
+    with pytest.raises(ConfigError) as raised:
+        run_sweep(small_config(tmp_path, master_seed=2, runs_per_cell=1), resume=True)
+    first = SweepGrid.read_csv(out / "runs.partial.csv").rows[0]
+    assert str(raised.value).startswith(f"{out / 'runs.partial.csv'}:2: ")
+    assert str(first.sort_key()) in str(raised.value)
+    assert (out / "runs.partial.csv").read_bytes() == partial
+    assert not (out / "runs.csv").exists()
 
 
 def test_torn_partial_resume_at_every_offset(tmp_path, caplog):
