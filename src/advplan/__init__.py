@@ -42,7 +42,6 @@ from .harness import (
 )
 from .plans import (
     PlanSet,
-    TargetSignal,
     generate_gaussian_plans,
     generate_voting_targets,
     load_plan_sets,

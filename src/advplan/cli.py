@@ -132,8 +132,8 @@ def _cmd_generate(args) -> int:
     if plan_sets:
         save_plan_sets(plan_sets, out)
         log.info("wrote %d plan files to %s", len(plan_sets), out)
-    for idx, signal in enumerate(targets):
-        save_target_signal(signal, out / f"target_{idx:03d}.target")
+    for idx, target in enumerate(targets):
+        save_target_signal(target, out / f"target_{idx:03d}.target")
     if targets:
         log.info("wrote %d target files to %s", len(targets), out)
     return 0
@@ -178,7 +178,7 @@ def _cmd_run(args) -> int:
         plan_sets = load_plan_sets(args.plans_dir)
     elif args.agents is None or args.plans is None:
         raise ConfigError("pass --plans-dir or --agents/--plans")
-    target = load_target_signal(args.target).values if args.target else None
+    target = load_target_signal(args.target) if args.target else None
     try:
         if not args.plans_dir:
             plan_sets = generate_gaussian_plans(
@@ -244,18 +244,18 @@ def _cmd_analyze(args) -> int:
     if args.bins < 3:
         raise ConfigError(f"--bins must be at least 3 to hold three zones, got {args.bins}")
     grid = _pooled_grid(args.results)
-    bundle = harness.analyze(
+    harness.analyze(
         grid, output_dir=args.out, bins=args.bins, exclude_beta=tuple(args.exclude_beta)
     )
-    print(f"analysis written to {bundle.output_dir}")
+    print(f"analysis written to {Path(args.out)}")
     return 0
 
 
 def _cmd_plot(args) -> int:
     grid = _pooled_grid(args.results)
-    bundle = harness.analyze(grid, output_dir=args.out, exclude_beta=tuple(args.exclude_beta))
-    svgs = sorted(p.name for p in Path(bundle.output_dir).glob("*.svg"))
-    print(f"{len(svgs)} heatmaps written to {bundle.output_dir}")
+    harness.analyze(grid, output_dir=args.out, exclude_beta=tuple(args.exclude_beta))
+    svgs = list(Path(args.out).glob("*.svg"))
+    print(f"{len(svgs)} heatmaps written to {Path(args.out)}")
     return 0
 
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidInputError
-from .plans import TargetSignal
+from .errors import DimensionMismatchError, InvalidInputError, InvalidSizeError
 
 # The global response is a plain length-d float vector.
 GlobalResponse = np.ndarray
@@ -139,9 +138,11 @@ class InefficiencyFn:
         if kind == "rss":
             if self.target is None:
                 raise InvalidInputError("rss inefficiency requires a target signal")
-            target = self.target.values if isinstance(self.target, TargetSignal) else self.target
-            object.__setattr__(self, "target", np.asarray(target, dtype=float))
-            object.__setattr__(self, "_scaled_target", _scale_rows(self.target, self.scaling))
+            target = np.asarray(self.target, dtype=float)
+            if target.ndim != 1 or target.size == 0:
+                raise InvalidSizeError("target signal must be a non-empty vector")
+            object.__setattr__(self, "target", target)
+            object.__setattr__(self, "_scaled_target", _scale_rows(target, self.scaling))
 
     def __call__(self, g: GlobalResponse) -> float | np.ndarray:
         """Cost of a response vector; a stacked ``(..., d)`` array gets one per row."""

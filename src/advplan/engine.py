@@ -26,7 +26,7 @@ import numpy as np
 
 from .costs import SHORT_AXIS, GlobalResponse, InefficiencyFn, argmin_rows, scale_vector
 from .errors import ConfigError, InvalidInputError
-from .plans import PlanSet
+from .plans import PlanSet, check_finite
 from .topology import TreeTopology
 
 INITIAL_SELECTION_MODES = ("first_plan", "random")
@@ -45,8 +45,8 @@ _BLOCK_NODES = 16
 
 
 def _read_only(values, dtype) -> np.ndarray:
-    """A read-only copy of ``values`` as an array of ``dtype``."""
-    array = np.array(values, dtype=dtype)
+    """A read-only copy of ``values`` as a C-contiguous array of ``dtype``."""
+    array = np.array(values, dtype=dtype, order="C")
     array.flags.writeable = False
     return array
 
@@ -105,9 +105,9 @@ class RunConfig:
 class RunOutcome:
     """Final joint selection plus per-iteration traces of one run.
 
-    ``selection[a - 1]`` is the plan index agent a ends on and
-    ``discomfort[a - 1]`` that plan's discomfort. The arrays are read-only,
-    so runs that repeat one another share one outcome.
+    ``selection[a - 1]`` is the plan index agent a ends on (an intp array)
+    and ``discomfort[a - 1]`` that plan's discomfort. The engine hands out
+    read-only arrays, so runs that repeat one another share one outcome.
     """
 
     selection: np.ndarray
@@ -117,13 +117,6 @@ class RunOutcome:
     iterations_used: int
     inefficiency_trace: tuple[float, ...]
     combined_cost_trace: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        arrays = {"selection": np.intp, "global_response": float, "discomfort": float}
-        for name, dtype in arrays.items():
-            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
-        for name in ("inefficiency_trace", "combined_cost_trace"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @property
     def selections(self) -> dict[int, int]:
@@ -228,6 +221,8 @@ def _stack_plans(topology: TreeTopology, plan_sets: list[PlanSet], config: RunCo
     ineff = config.inefficiency
     if ineff.kind == "rss" and ineff.target.shape[0] != d:
         raise ConfigError(f"target signal has dimension {ineff.target.shape[0]}, plans {d}")
+    if ineff.kind == "rss" and not np.isfinite(ineff.target).all():
+        raise InvalidInputError(f"target signal {ineff.target.tolist()} holds NaN or an infinity")
 
     ordered = [by_agent[a] for a in topology.agent_at]
     counts = [ps.k for ps in ordered]
@@ -260,7 +255,8 @@ def run_batch(
     of its beta row and, under ``random`` initial selection only, its seed;
     runs that repeat an earlier one are executed once and share its
     read-only outcome. The distinct runs go through the arrays in the
-    batches of ``split_batches``.
+    batches of ``split_batches``. A plan or target that holds NaN or an
+    infinity raises ``InvalidInputError`` naming it, before any iteration.
     """
     betas, seeds = np.ascontiguousarray(betas, dtype=float), list(seeds)
     if betas.shape[:1] != (len(seeds),):
@@ -269,6 +265,8 @@ def run_batch(
         raise ConfigError("beta rows must cover every agent exactly once")
     _check_betas(betas)
     P, counts = _stack_plans(topology, plan_sets, config)
+    if not np.isfinite(P).all():
+        check_finite(plan_sets)
     seeded = config.initial_selection == "random"
     first_of: dict = {}
     firsts = [
@@ -351,8 +349,10 @@ def _run_arrays(topology, P, counts, betas, config, seeds) -> list[RunOutcome]:
         return scalarized(ineff(state[..., :d]), state[..., d])
 
     cost = scalarized(ineff_total, total[:, d])
-    ineff_traces = [[v] for v in ineff_total.tolist()]
-    combined_traces = [[v] for v in cost.tolist()]
+    # traces[0, b] is run b's inefficiency after each iteration, traces[1, b]
+    # its scalarized cost; column 0 holds the initial state.
+    traces = np.empty((2, count, config.max_iterations + 1))
+    traces[:, :, 0] = ineff_total, cost
     outcomes: list[RunOutcome | None] = [None] * count
     active = np.arange(count)
 
@@ -365,27 +365,23 @@ def _run_arrays(topology, P, counts, betas, config, seeds) -> list[RunOutcome]:
         disc, subtree, total = settle(sel)
         ineff_total = ineff(total[:, :d])
         cost = scalarized(ineff_total, total[:, d])
-        for b, i, c in zip(active.tolist(), ineff_total.tolist(), cost.tolist()):
-            ineff_traces[b].append(i)
-            combined_traces[b].append(c)
+        traces[:, active, iteration] = ineff_total, cost
 
         done = ~changed if iteration < config.max_iterations else np.ones_like(changed)
-        for j in np.flatnonzero(done).tolist():
-            b = int(active[j])
-            trace = combined_traces[b]
-            # Approval rule makes this hold by construction; guard against regressions.
-            assert all(
-                y <= x + 1e-9 for x, y in zip(trace, trace[1:])
-            ), "accepted combined-cost trace must be non-increasing"
-            outcomes[b] = RunOutcome(
-                selection=sel[by_id, j],
-                global_response=total[j, :d],
-                global_inefficiency=ineff_traces[b][-1],
-                discomfort=disc[by_id, j],
-                iterations_used=iteration,
-                inefficiency_trace=ineff_traces[b],
-                combined_cost_trace=trace,
-            )
+        finished = active[done]
+        cost_trace = traces[1, finished, : iteration + 1]
+        # Approval rule makes this hold by construction; guard against regressions.
+        assert (
+            cost_trace[:, 1:] <= cost_trace[:, :-1] + 1e-9
+        ).all(), "accepted combined-cost trace must be non-increasing"
+        # The finished runs' outcomes are rows of one read-only block per array.
+        selection = _read_only(sel[:, done][by_id].T, np.intp)
+        discomfort = _read_only(disc[:, done][by_id].T, float)
+        response = _read_only(total[done, :d], float)
+        ineff_rows, cost_rows = traces[:, finished, : iteration + 1].tolist()
+        for j, b in enumerate(finished.tolist()):
+            outcomes[b] = RunOutcome(selection[j], response[j], ineff_rows[j][-1], discomfort[j],
+                                     iteration, tuple(ineff_rows[j]), tuple(cost_rows[j]))
         if done.all():
             break
         keep = ~done

@@ -48,7 +48,6 @@ from .errors import AdvplanError, ConfigError, DegenerateInputError, InvalidInpu
 from .heatmap import render_heatmap
 from .plans import (
     PlanSet,
-    TargetSignal,
     generate_gaussian_plans,
     load_plan_sets,
     load_target_signal,
@@ -320,16 +319,16 @@ class SweepGrid:
         rows = []
         try:
             with open(path, newline="", encoding="utf-8") as handle:
-                reader = csv.DictReader(handle)
-                missing = set(CSV_COLUMNS) - set(reader.fieldnames or CSV_COLUMNS)
+                reader = csv.reader(handle)
+                header = next(reader, CSV_COLUMNS)
+                missing = set(CSV_COLUMNS) - set(header)
                 if missing:
                     raise ParseError(f"{path}: missing columns {sorted(missing)}")
-                width = len(reader.fieldnames or ())
-                for row in reader:
+                for row in filter(None, reader):
                     try:
-                        if None in row or None in row.values():
-                            raise ValueError(f"{len(row)} fields, expected {width}")
-                        rows.append(RunRecord.from_row(row))
+                        if len(row) != len(header):
+                            raise ValueError(f"{len(row)} fields, expected {len(header)}")
+                        rows.append(RunRecord.from_row(dict(zip(header, row))))
                     except ValueError as exc:
                         line = reader.line_num
                         raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
@@ -374,33 +373,22 @@ def _load_dataset(cfg: SweepConfig) -> list[PlanSet]:
     return generate_gaussian_plans(ds.agents, ds.plans, ds.dim, seed=ds.seed)
 
 
-def _signals(cfg: SweepConfig, dimension: int) -> list[tuple[str, TargetSignal | None]]:
-    """``(signal_id, target)`` per target file, each checked against the plans' dimension."""
+def _signals(cfg: SweepConfig, dimension: int) -> list[tuple[str, np.ndarray | None]]:
+    """``(signal_id, target)`` per target file, each checked against the plans'
+    dimension and for NaN and infinities."""
     if cfg.inefficiency_kind == "variance":
         return [("", None)]
     signals = []
     for idx, path in enumerate(cfg.target_files):
         target = load_target_signal(path)
-        if target.values.shape[0] != dimension:
+        if target.shape[0] != dimension:
             raise ConfigError(
-                f"target signal {path} has dimension {target.values.shape[0]}, plans {dimension}"
+                f"target signal {path} has dimension {target.shape[0]}, plans {dimension}"
             )
+        if not np.isfinite(target).all():
+            raise InvalidInputError(f"target signal {path} holds NaN or an infinity")
         signals.append((str(idx), target))
     return signals
-
-
-def _run_config(cfg: SweepConfig, target: TargetSignal | None, rng_seed: int) -> RunConfig:
-    ineff = InefficiencyFn(
-        kind=cfg.inefficiency_kind,
-        target=None if target is None else target.values,
-        scaling=cfg.inefficiency_scaling,
-    )
-    return RunConfig(
-        max_iterations=cfg.max_iterations,
-        inefficiency=ineff,
-        rng_seed=rng_seed,
-        initial_selection=cfg.initial_selection,
-    )
 
 
 class _Cell(NamedTuple):
@@ -461,13 +449,13 @@ def run_attack(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, adversari
 
 
 def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells):
-    """Yield ``(cells, outcomes)`` per batch of ``split_batches``.
+    """Yield ``(cells, outcomes)`` per batch of ``split_batches`` that runs.
 
     The baseline (every agent legitimate, seeded with ``run_cfg.rng_seed``)
     is the first cell of the first batch. A batch that fails is run again
-    one cell at a time, and a cell that fails alone has its exception as
-    the outcome. A ``ConfigError`` concerns every cell alike, so it
-    propagates.
+    one cell at a time: each cell yields ``([cell], outcomes)``, or
+    ``([cell], error)`` when it fails alone. A ``ConfigError`` concerns
+    every cell alike, so it propagates.
     """
 
     def attempt(batch):
@@ -477,17 +465,15 @@ def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells):
     queue = itertools.chain([_Cell(beta=0.0, run_seed=run_cfg.rng_seed)], cells)
     for batch in split_batches(plan_sets, queue):
         try:
-            outcomes = attempt(batch)
+            yield batch, attempt(batch)
         except ConfigError:
             raise
         except (AdvplanError, OSError):
-            outcomes = []
             for cell in batch:
                 try:
-                    outcomes.extend(attempt([cell]))
+                    yield [cell], attempt([cell])
                 except (AdvplanError, OSError) as exc:
-                    outcomes.append(exc)
-        yield batch, outcomes
+                    yield [cell], exc
 
 
 def _scales(cfg: SweepConfig, n: int) -> tuple[int, ...]:
@@ -566,7 +552,7 @@ def _run_task(
     plan_sets: list[PlanSet],
     mode: str,
     signal_index: int,
-    signal: tuple[str, TargetSignal | None],
+    signal: tuple[str, np.ndarray | None],
     rep: int,
 ) -> tuple[list[RunRecord], list[list]]:
     """Rows and error rows of one (signal, repetition) task of a placement mode.
@@ -579,31 +565,31 @@ def _run_task(
     signal_id, target = signal
     topo_seed = derive_seed(cfg.master_seed, "topology", rep)
     topology = build_balanced_binary(len(plan_sets), permutation_seed=topo_seed)
-    run_cfg = _run_config(cfg, target, rng_seed=topo_seed)
+    ineff = InefficiencyFn(cfg.inefficiency_kind, target, cfg.inefficiency_scaling)
+    run_cfg = RunConfig(
+        cfg.max_iterations, ineff, rng_seed=topo_seed, initial_selection=cfg.initial_selection
+    )
     cells = _CELLS[mode](cfg, topology, signal_index, rep)
     batches = _run_cells(topology, plan_sets, run_cfg, cells)
     keys = CELL_KEYS[mode]
     first, outcomes = next(batches)
+    if isinstance(outcomes, Exception):
+        return [], [[signal_id, rep, *[""] * len(keys), f"baseline: {outcomes}"]]
     baseline = outcomes[0]
-    if isinstance(baseline, Exception):
-        return [], [[signal_id, rep, *[""] * len(keys), f"baseline: {baseline}"]]
     n, tags = topology.node_count, (cfg.dataset.name, signal_id, cfg.master_seed)
     records: list[RunRecord] = []
     errors: list[list] = []
     for batch, outcomes in itertools.chain([(first[1:], outcomes[1:])], batches):
-        ran, results = [], []
-        for cell, outcome in zip(batch, outcomes):
-            if isinstance(outcome, Exception):
-                cell_keys = (getattr(cell, key) for key in keys)
-                errors.append([signal_id, rep, *cell_keys, str(outcome)])
-            else:
-                ran.append(cell)
-                results.append(outcome)
-        if not ran:
+        if isinstance(outcomes, Exception):
+            cell_keys = (getattr(batch[0], key) for key in keys)
+            errors.append([signal_id, rep, *cell_keys, str(outcomes)])
             continue
-        columns = _metric_columns(topology, [cell.adversaries for cell in ran], results, baseline)
+        if not batch:  # the baseline ran in a batch of its own
+            continue
+        adversary_sets = [cell.adversaries for cell in batch]
+        columns = _metric_columns(topology, adversary_sets, outcomes, baseline)
         # Positional in field order: the tags, the cell, the metrics.
-        for cell, metrics in zip(ran, zip(*columns.values())):
+        for cell, metrics in zip(batch, zip(*columns.values())):
             count = len(cell.adversaries)
             records.append(RunRecord(
                 *tags, cell.run_seed, cell.beta, count, count / n, mode,
@@ -800,7 +786,6 @@ class AnalysisBundle:
     thresholds: dict
     zones: dict
     front_rows: list[dict]
-    output_dir: Path | None = None
 
 
 def _zone_bands(values, thresholds, reverse: bool) -> np.ndarray:
@@ -934,7 +919,6 @@ def analyze(
 
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    bundle.output_dir = outdir
 
     for mode, mode_cells in means.items():
         if mode_cells or mode == "random":

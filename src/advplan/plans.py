@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,16 +62,14 @@ class PlanSet:
         return self._discomforts
 
 
-@dataclass(frozen=True, eq=False)
-class TargetSignal:
-    """System-wide target vector the aggregate response is steered towards."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise InvalidSizeError("target signal must be a non-empty vector")
+def check_finite(plan_sets: list[PlanSet]) -> None:
+    """Raise ``InvalidInputError`` naming the first agent and plan that hold
+    NaN or an infinity, which the loader parses as Python's ``float`` does."""
+    for ps in plan_sets:
+        bad = ~np.isfinite(ps.value_matrix()).all(axis=1) | ~np.isfinite(ps.discomforts())
+        if bad.any():
+            plan = bad.argmax()
+            raise InvalidInputError(f"agent {ps.agent_id} plan {plan} holds NaN or an infinity")
 
 
 def _plan_table(lines: list[str]) -> np.ndarray | None:
@@ -147,7 +144,7 @@ def load_plan_sets(path: Path | str) -> list[PlanSet]:
     """Load every ``agent_<id>.plans`` file in a directory, sorted by agent id.
 
     All agents must agree on plan dimension and plan count, which is what the
-    optimization engine expects.
+    optimization engine expects, and every value must be finite.
     """
     path = Path(path)
     files = sorted(
@@ -166,6 +163,7 @@ def load_plan_sets(path: Path | str) -> list[PlanSet]:
     counts = {ps.k for ps in plan_sets}
     if len(counts) != 1:
         raise DimensionMismatchError(f"plan count differs across agents: {sorted(counts)}")
+    check_finite(plan_sets)
     return plan_sets
 
 
@@ -211,33 +209,29 @@ def generate_gaussian_plans(
     return plan_sets
 
 
-def generate_voting_targets(levels: list[float], d: int) -> list[TargetSignal]:
-    """All orderings of the level values, one target signal per permutation."""
+def generate_voting_targets(levels: list[float], d: int) -> list[np.ndarray]:
+    """All orderings of the level values, one target vector per permutation."""
     if len(set(levels)) != len(levels):
         raise InvalidInputError(f"levels must be distinct, got {levels}")
     if d != len(levels):
         raise InvalidInputError(f"d={d} must equal the number of levels ({len(levels)})")
-    return [
-        TargetSignal(values=np.array(perm, dtype=float))
-        for perm in itertools.permutations(levels)
-    ]
+    return [np.array(perm, dtype=float) for perm in itertools.permutations(levels)]
 
 
-def load_target_signal(path: Path | str) -> TargetSignal:
-    """Read a one-line comma-separated target-signal file."""
+def load_target_signal(path: Path | str) -> np.ndarray:
+    """Read a one-line comma-separated target-signal file as a float vector."""
     path = Path(path)
     text = _read_text(path).strip()
     if not text:
         raise NoDataError(f"{path}: empty target file")
     try:
-        values = [float(tok) for tok in text.split(",")]
+        return np.array([float(tok) for tok in text.split(",")])
     except ValueError as exc:
         raise ParseError(f"{path}:1: {exc}") from None
-    return TargetSignal(values=np.array(values))
 
 
-def save_target_signal(signal: TargetSignal, path: Path | str) -> Path:
+def save_target_signal(target: np.ndarray, path: Path | str) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(",".join(_format_real(v) for v in signal.values) + "\n", encoding="utf-8")
+    path.write_text(",".join(map(_format_real, target)) + "\n", encoding="utf-8")
     return path

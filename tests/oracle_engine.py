@@ -207,13 +207,13 @@ def run(topology, plan_sets, behavior: BehaviorProfile, config: RunConfig) -> Ru
 
     pos_by_agent = sorted(range(n), key=lambda p: agent_by_pos[p])
     return RunOutcome(
-        selection=[state.selections[p] for p in pos_by_agent],
+        selection=np.array([state.selections[p] for p in pos_by_agent], dtype=np.intp),
         global_response=state.response,
         global_inefficiency=float(cost(ineff, state.response)),
-        discomfort=[disc_by_pos[p][state.selections[p]] for p in pos_by_agent],
+        discomfort=np.array([disc_by_pos[p][state.selections[p]] for p in pos_by_agent]),
         iterations_used=iterations_used,
-        inefficiency_trace=inefficiency_trace,
-        combined_cost_trace=combined_trace,
+        inefficiency_trace=tuple(inefficiency_trace),
+        combined_cost_trace=tuple(combined_trace),
     )
 
 

@@ -315,6 +315,38 @@ def test_non_finite_metrics_exit_3_naming_metric_and_signal(tmp_path, caplog, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_plan_or_target_values_exit_3(tmp_path, caplog, capsys, token):
+    """NaN or an infinity in a plan or target file stops a command before it
+    runs or writes anything, with a message naming the agent or the file."""
+    plans = tmp_path / "p"
+    assert main(["generate", "--agents", "5", "--plans", "2", "--out", str(plans)]) == 0
+    agent_3 = plans / "agent_3.plans"
+    agent_3.write_text(f"0.0:{token},0.5\n" + agent_3.read_text().split("\n", 1)[1])
+    (tmp_path / "t.target").write_text(f"0.5,{token}\n")
+    raw = yaml.safe_load(write_config(tmp_path).read_text())
+    configs = {
+        "files.yaml": {**raw, "dataset": {"kind": "files", "plans_dir": "p"}, "scales": [0, 1]},
+        "rss.yaml": {**raw, "inefficiency": {"kind": "rss", "target_files": ["t.target"]}},
+    }
+    for name, config in configs.items():
+        (tmp_path / name).write_text(yaml.safe_dump(config))
+    cases = [
+        (["sweep", "--config", str(tmp_path / "files.yaml")], "agent 3 plan 0"),
+        (["structural", "--config", str(tmp_path / "files.yaml"), "--mode", "cumulative"],
+         "agent 3 plan 0"),
+        (["run", "--plans-dir", str(plans), "--severity", "0.5", "--count", "1"], "agent 3 plan 0"),
+        (["sweep", "--config", str(tmp_path / "rss.yaml")], "t.target"),
+    ]
+    for argv, named in cases:
+        caplog.clear()
+        assert main(argv) == 3
+        assert "runtime error: " in caplog.text and named in caplog.text
+        assert "holds NaN or an infinity" in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_no_rows_exit_code(tmp_path):
     empty = tmp_path / "empty.csv"
     from advplan.harness import SweepGrid

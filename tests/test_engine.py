@@ -227,6 +227,24 @@ def test_run_input_validation():
         run(topo4, plan_sets, BehaviorProfile(beta=np.zeros(3)), RunConfig())
 
 
+def test_run_batch_rejects_non_finite_plans_and_targets(monkeypatch):
+    """NaN or an infinity in a plan value, a discomfort or the RSS target
+    raises, naming the agent and plan or the target, before any iteration."""
+    topo = build_balanced_binary(4)
+    plan_sets = generate_gaussian_plans(4, 3, 2, seed=0)
+    monkeypatch.setattr(engine, "_run_arrays", lambda *args: pytest.fail("ran an iteration"))
+    values = plan_sets[2].value_matrix().copy()
+    values[1, 0] = -np.inf
+    for agent, plan, bad in ((3, 1, toy_plan_set(3, values, plan_sets[2].discomforts())),
+                             (1, 2, toy_plan_set(1, plan_sets[0].value_matrix(), [0, 1, np.nan]))):
+        with_bad = [bad if ps.agent_id == agent else ps for ps in plan_sets]
+        with pytest.raises(InvalidInputError, match=f"agent {agent} plan {plan} holds NaN"):
+            run_batch(topo, with_bad, np.zeros((1, 4)), RunConfig(), [0])
+    rss = RunConfig(inefficiency=InefficiencyFn("rss", target=[0.5, np.nan]))
+    with pytest.raises(InvalidInputError, match=r"target signal \[0.5, nan\] holds NaN"):
+        run_batch(topo, plan_sets, np.zeros((1, 4)), rss, [0])
+
+
 def test_behavior_profile_validation_and_views():
     for bad in ({1: 1.5}, {1: 0.0, 2: float("nan")}, [0.0, -0.1]):
         with pytest.raises(InvalidInputError):

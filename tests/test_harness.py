@@ -642,6 +642,25 @@ def test_failed_cells_become_error_rows(tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "errors.csv").exists()
 
 
+def test_run_cells_keeps_errors_beside_their_outcome_lists(tmp_path, monkeypatch):
+    """A failed batch comes back cell by cell, and only a cell that fails
+    alone comes back as its error, never inside a list of outcomes."""
+    cfg = small_config(tmp_path, severities=(0.5,))
+    plan_sets = harness_mod._load_dataset(cfg)
+    topology = build_balanced_binary(len(plan_sets), permutation_seed=11)
+    cells = list(harness_mod._random_cells(cfg, topology, 0, 0))
+    failing_run_batch(monkeypatch, cells[2].run_seed)
+    yielded = list(harness_mod._run_cells(topology, plan_sets, RunConfig(rng_seed=11), cells))
+    assert [cell for batch, _ in yielded for cell in batch][1:] == cells
+    for batch, outcomes in yielded:
+        if isinstance(outcomes, Exception):
+            assert batch == [cells[2]] and str(outcomes) == "injected failure"
+        else:
+            assert len(outcomes) == len(batch)
+            assert all(isinstance(outcome, RunOutcome) for outcome in outcomes)
+    assert sum(isinstance(outcomes, Exception) for _, outcomes in yielded) == 1
+
+
 def test_failed_structural_cells_become_error_rows(tmp_path, monkeypatch):
     # The (top_down, m=3, beta 0.4) cumulative cell fails.
     failing_run_batch(monkeypatch, derive_seed(7, "cumulative", 0, "top_down", 3, 0))
@@ -826,6 +845,11 @@ def test_malformed_rows_raise_parse_error(tmp_path):
         with pytest.raises(ParseError, match=f"{name}:3"):
             SweepGrid.read_csv(path)
         assert cli_main(["analyze", "--results", str(path), "--out", str(tmp_path / "a")]) == 3
+    # A short or long row reports the fields it really has.
+    short = broken["short.csv"][2].count(",") + 1
+    for name, count in (("short.csv", short), ("long.csv", 17)):
+        with pytest.raises(ParseError, match=f"malformed row: {count} fields, expected 16$"):
+            SweepGrid.read_csv(tmp_path / name)
 
 
 def test_pool_is_sized_to_the_tasks_left(tmp_path, monkeypatch):

@@ -115,13 +115,14 @@ def test_gaussian_rejects_bad_sizes(bad):
 def test_voting_targets_five_levels():
     targets = generate_voting_targets([0, 0.25, 0.5, 0.75, 1], d=5)
     assert len(targets) == 120
-    as_tuples = {tuple(t.values) for t in targets}
+    as_tuples = {tuple(t) for t in targets}
     assert len(as_tuples) == 120
 
 
 def test_voting_targets_small_cases():
     two = generate_voting_targets([0, 1], d=2)
-    assert [list(t.values) for t in two] == [[0, 1], [1, 0]]
+    assert [t.tolist() for t in two] == [[0, 1], [1, 0]]
+    assert all(t.dtype == float for t in two)
     assert len(generate_voting_targets([0, 0.5, 1], d=3)) == 6
 
 
@@ -133,12 +134,10 @@ def test_voting_targets_rejects_bad_input():
 
 
 def test_target_signal_file_round_trip(tmp_path):
-    from advplan.plans import TargetSignal
-
-    signal = TargetSignal(values=np.array([0.25, 0.5, 1.0]))
-    path = save_target_signal(signal, tmp_path / "t.target")
+    target = np.array([0.25, 0.5, 1.0])
+    path = save_target_signal(target, tmp_path / "t.target")
     back = load_target_signal(path)
-    assert np.array_equal(back.values, signal.values)
+    assert back.dtype == float and np.array_equal(back, target)
 
 
 def test_plan_set_validations():
