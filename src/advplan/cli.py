@@ -7,6 +7,7 @@ failures inside an otherwise valid setup.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -42,7 +43,9 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it as it was."""
     parser = argparse.ArgumentParser(prog="advplan", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -184,6 +187,8 @@ def _cmd_run(args) -> int:
             plan_sets = generate_gaussian_plans(
                 args.agents, args.plans, args.dim, seed=args.gen_seed
             )
+        if args.ineff == "rss" and target is not None:
+            harness.check_target(args.target, target, plan_sets[0].dimension)
         topology = build_balanced_binary(len(plan_sets), permutation_seed=args.topology_seed)
         adversaries = _adversaries(args, topology)
         ineff = InefficiencyFn(kind=args.ineff, target=target, scaling=args.scaling)

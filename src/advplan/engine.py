@@ -137,8 +137,7 @@ def split_batches(plan_sets: list[PlanSet], items):
     """Yield ``items`` in consecutive lists of at most one array batch each,
     the most runs over ``plan_sets`` that ``run_batch`` puts through its
     arrays at a time; a caller that retries failed batches splits here."""
-    k = max(ps.k for ps in plan_sets)
-    cap = _max_batch(len(plan_sets), k, plan_sets[0].dimension)
+    cap = _max_batch(len(plan_sets), plan_sets[0].k, plan_sets[0].dimension)
     items = iter(items)
     while batch := list(itertools.islice(items, cap)):
         yield batch
@@ -201,12 +200,9 @@ def _choose(P, alpha, beta, ctx, n: int, ineff: InefficiencyFn) -> np.ndarray:
 
 
 def _stack_plans(topology: TreeTopology, plan_sets: list[PlanSet], config: RunConfig):
-    """Plans in position order as ``P[n, k, d + 1]``, plus the true counts.
+    """Plans in position order as ``P[n, k, d + 1]``; every agent holds k plans.
 
     ``P[p, i]`` is plan i of position p + 1: its values, then its discomfort.
-    Agents with fewer plans than the largest set repeat their last plan; the
-    copies tie with it and ties go to the lower index, so they are never
-    chosen over it.
     """
     n = topology.node_count
     if len(plan_sets) != n:
@@ -214,9 +210,11 @@ def _stack_plans(topology: TreeTopology, plan_sets: list[PlanSet], config: RunCo
     by_agent = {ps.agent_id: ps for ps in plan_sets}
     if by_agent.keys() != set(range(1, n + 1)):
         raise ConfigError("plan-set agent ids must cover 1..n exactly")
-    dims = {ps.dimension for ps in plan_sets}
+    dims, counts = {ps.dimension for ps in plan_sets}, {ps.k for ps in plan_sets}
     if len(dims) != 1:
         raise ConfigError(f"plan dimensions differ across agents: {sorted(dims)}")
+    if len(counts) != 1:
+        raise ConfigError(f"plan counts differ across agents: {sorted(counts)}")
     d = dims.pop()
     ineff = config.inefficiency
     if ineff.kind == "rss" and ineff.target.shape[0] != d:
@@ -225,18 +223,10 @@ def _stack_plans(topology: TreeTopology, plan_sets: list[PlanSet], config: RunCo
         raise InvalidInputError(f"target signal {ineff.target.tolist()} holds NaN or an infinity")
 
     ordered = [by_agent[a] for a in topology.agent_at]
-    counts = [ps.k for ps in ordered]
-    k = max(counts)
-    P = np.empty((n, k, d + 1))
-    if min(counts) == k:
-        P[..., :d] = np.stack([ps.value_matrix() for ps in ordered])
-        P[..., d] = np.stack([ps.discomforts() for ps in ordered])
-        return P, counts
-    for p, ps in enumerate(ordered):
-        P[p, : ps.k, :d] = ps.value_matrix()
-        P[p, : ps.k, d] = ps.discomforts()
-        P[p, ps.k :] = P[p, ps.k - 1]
-    return P, counts
+    P = np.empty((n, counts.pop(), d + 1))
+    P[..., :d] = np.stack([ps.value_matrix() for ps in ordered])
+    P[..., d] = np.stack([ps.discomforts() for ps in ordered])
+    return P
 
 
 def run_batch(
@@ -255,8 +245,9 @@ def run_batch(
     of its beta row and, under ``random`` initial selection only, its seed;
     runs that repeat an earlier one are executed once and share its
     read-only outcome. The distinct runs go through the arrays in the
-    batches of ``split_batches``. A plan or target that holds NaN or an
-    infinity raises ``InvalidInputError`` naming it, before any iteration.
+    batches of ``split_batches``. Plan sets that differ in dimension or plan
+    count raise ``ConfigError``, and a plan or target that holds NaN or an
+    infinity ``InvalidInputError`` naming it, before any iteration.
     """
     betas, seeds = np.ascontiguousarray(betas, dtype=float), list(seeds)
     if betas.shape[:1] != (len(seeds),):
@@ -264,7 +255,7 @@ def run_batch(
     if seeds and betas.shape[1:] != (topology.node_count,):
         raise ConfigError("beta rows must cover every agent exactly once")
     _check_betas(betas)
-    P, counts = _stack_plans(topology, plan_sets, config)
+    P = _stack_plans(topology, plan_sets, config)
     if not np.isfinite(P).all():
         check_finite(plan_sets)
     seeded = config.initial_selection == "random"
@@ -275,12 +266,12 @@ def run_batch(
     ]
     done: dict[int, RunOutcome] = {}
     for batch in split_batches(plan_sets, list(first_of.values())):
-        runs = _run_arrays(topology, P, counts, betas[batch], config, [seeds[i] for i in batch])
+        runs = _run_arrays(topology, P, betas[batch], config, [seeds[i] for i in batch])
         done.update(zip(batch, runs))
     return [done[i] for i in firsts]
 
 
-def _run_arrays(topology, P, counts, betas, config, seeds) -> list[RunOutcome]:
+def _run_arrays(topology, P, betas, config, seeds) -> list[RunOutcome]:
     """The iterations of one batch; arrays are node-major, ``(n, B, ...)``.
 
     Each iteration is a bottom-up pass, where every agent re-selects against
@@ -302,13 +293,11 @@ def _run_arrays(topology, P, counts, betas, config, seeds) -> list[RunOutcome]:
     mean_beta = betas.mean(axis=1)
     mean_alpha = 1.0 - mean_beta
 
+    # One array draw per run gives the integers of one draw per position.
+    sel = np.zeros((n, count), dtype=np.intp)
     if config.initial_selection == "random":
-        sel = np.empty((n, count), dtype=np.intp)
         for b, seed in enumerate(seeds):
-            rng = np.random.default_rng(seed)
-            sel[:, b] = [rng.integers(c) for c in counts]
-    else:
-        sel = np.zeros((n, count), dtype=np.intp)
+            sel[:, b] = np.random.default_rng(seed).integers(k, size=n)
 
     rows = np.arange(n)[:, None]
     children = [[c - 1 for c in topology.children_of(p)] for p in range(1, n + 1)]

@@ -20,7 +20,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
-from typing import NamedTuple, get_type_hints
+from types import UnionType
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -75,30 +76,33 @@ FRONT_COLUMNS = (
     "inefficiency", "discomfort_legit", "on_front", "is_knee",
 )
 
-_KINDS = {Integral: "integers", Real: "numbers", str: "strings"}
+_KINDS = {int: (Integral, "integers"), float: (Real, "numbers"), str: (str, "strings")}
 
 
-def _check_types(config, types: dict) -> None:
-    """Raise ``ConfigError`` naming the first field that holds a wrong type.
+def _check_types(config) -> None:
+    """Raise ``ConfigError`` naming the first field whose value its annotation
+    does not admit.
 
-    ``types`` maps field names to ``_KINDS`` keys. A kind in a 1-tuple marks
-    a list field: it must hold a list or tuple, stored as a tuple, whose
-    items are checked. None passes only where it is the field's default.
+    ``int``, ``float`` and ``str`` admit their ``_KINDS`` values, never a
+    bool; ``tuple[X, ...]`` a list or tuple of X values, stored as a tuple;
+    and ``X | None`` None too. Any other annotation is a class to be an
+    instance of.
     """
-    optional = {f.name for f in fields(config) if f.default is None}
-    for key, kind in types.items():
+    for key, hint in get_type_hints(type(config)).items():
         value = getattr(config, key)
-        if value is None and key in optional:
+        hint, *optional = get_args(hint) if get_origin(hint) is UnionType else (hint,)
+        if value is None and optional:
             continue
         items = (value,)
-        if isinstance(kind, tuple):
+        if get_origin(hint) is tuple:
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{key} must be a list, got {value!r}")
-            (kind,), items = kind, tuple(value)
+            hint, items = get_args(hint)[0], tuple(value)
             object.__setattr__(config, key, items)
+        kind, noun = _KINDS.get(hint, (hint, hint.__name__))
         for item in items:
             if isinstance(item, bool) or not isinstance(item, kind):
-                raise ConfigError(f"{key} must hold {_KINDS[kind]}, got {item!r}")
+                raise ConfigError(f"{key} must hold {noun}, got {item!r}")
 
 
 @dataclass(frozen=True)
@@ -117,11 +121,7 @@ class DatasetSpec:
     plans_grid: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        _check_types(self, {
-            "kind": str, "name": str, "plans_dir": str, "agents": Integral,
-            "plans": Integral, "dim": Integral, "seed": Integral,
-            "agents_grid": (Integral,), "plans_grid": (Integral,),
-        })
+        _check_types(self)
         if self.kind not in ("gaussian", "files"):
             raise ConfigError(f"dataset kind must be 'gaussian' or 'files', got {self.kind!r}")
         if self.kind == "files" and not self.plans_dir:
@@ -158,13 +158,7 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        _check_types(self, {
-            "severities": (Real,), "scales": (Integral,), "runs_per_cell": Integral,
-            "placements": (str,), "inefficiency_kind": str, "inefficiency_scaling": str,
-            "target_files": (str,), "max_iterations": Integral, "initial_selection": str,
-            "combination_cap": Integral, "layer_ratios": (Integral,), "output_dir": str,
-            "master_seed": Integral, "workers": Integral,
-        })
+        _check_types(self)
         # A severity is written as a float, so 1 reads back as it was written.
         object.__setattr__(self, "severities", tuple(map(float, self.severities)))
         try:
@@ -173,6 +167,9 @@ class SweepConfig:
             _canonical_scaling(self.inefficiency_scaling)
         except InvalidInputError as exc:
             raise ConfigError(f"inefficiency: {exc}") from None
+        # The run settings follow RunConfig's rule; the mode keeps its canonical name.
+        run = RunConfig(self.max_iterations, initial_selection=self.initial_selection)
+        object.__setattr__(self, "initial_selection", run.initial_selection)
         if self.runs_per_cell < 1:
             raise ConfigError(f"runs_per_cell must be >= 1, got {self.runs_per_cell}")
         if not self.severities:
@@ -290,13 +287,9 @@ class RunRecord(NamedTuple):
             self.run_seed,
         )
 
-    @classmethod
-    def from_row(cls, row: dict[str, str]) -> "RunRecord":
-        """Parse each field by its annotation; an empty optional field is None."""
-        return cls._make(parse(row[name]) for name, parse in _FIELD_PARSERS)
-
 
 CSV_COLUMNS = RunRecord._fields
+# Each RunRecord field is parsed by its annotation; an empty optional field is None.
 _PARSERS = {str: str, int: int, float: float, int | None: lambda v: int(v) if v else None}
 _FIELD_PARSERS = tuple((name, _PARSERS[kind]) for name, kind in get_type_hints(RunRecord).items())
 
@@ -324,11 +317,14 @@ class SweepGrid:
                 missing = set(CSV_COLUMNS) - set(header)
                 if missing:
                     raise ParseError(f"{path}: missing columns {sorted(missing)}")
+                # A column named twice is read from its last place.
+                at = {name: i for i, name in enumerate(header)}
+                columns = [(at[name], parse) for name, parse in _FIELD_PARSERS]
                 for row in filter(None, reader):
                     try:
                         if len(row) != len(header):
                             raise ValueError(f"{len(row)} fields, expected {len(header)}")
-                        rows.append(RunRecord.from_row(dict(zip(header, row))))
+                        rows.append(RunRecord._make(parse(row[i]) for i, parse in columns))
                     except ValueError as exc:
                         line = reader.line_num
                         raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
@@ -373,22 +369,22 @@ def _load_dataset(cfg: SweepConfig) -> list[PlanSet]:
     return generate_gaussian_plans(ds.agents, ds.plans, ds.dim, seed=ds.seed)
 
 
+def check_target(path, target: np.ndarray, dimension: int) -> np.ndarray:
+    """``target``, the signal read from ``path``, if it has the plans' dimension."""
+    if len(target) != dimension:
+        raise ConfigError(f"target signal {path} has dimension {len(target)}, plans {dimension}")
+    return target
+
+
 def _signals(cfg: SweepConfig, dimension: int) -> list[tuple[str, np.ndarray | None]]:
     """``(signal_id, target)`` per target file, each checked against the plans'
-    dimension and for NaN and infinities."""
+    dimension."""
     if cfg.inefficiency_kind == "variance":
         return [("", None)]
-    signals = []
-    for idx, path in enumerate(cfg.target_files):
-        target = load_target_signal(path)
-        if target.shape[0] != dimension:
-            raise ConfigError(
-                f"target signal {path} has dimension {target.shape[0]}, plans {dimension}"
-            )
-        if not np.isfinite(target).all():
-            raise InvalidInputError(f"target signal {path} holds NaN or an infinity")
-        signals.append((str(idx), target))
-    return signals
+    return [
+        (str(idx), check_target(path, load_target_signal(path), dimension))
+        for idx, path in enumerate(cfg.target_files)
+    ]
 
 
 class _Cell(NamedTuple):
@@ -509,12 +505,19 @@ def _random_cells(cfg: SweepConfig, topology, signal_index: int, rep: int):
         yield _Cell(beta, run_seed, frozenset(drawn.tolist()), count)
 
 
-def _layer_cells(cfg: SweepConfig, topology, signal_index: int, rep: int):
+def _layer_groups(cfg: SweepConfig, topology) -> list[tuple[int, int, list[int]]]:
+    """``(layer, count, members)`` per layer and distinct adversary count that
+    the configured ratios map to, with the layer's agents sorted."""
     groups = []
     for layer in range(1, topology.layer_count + 1):
         members = sorted(agents_in_layer(topology, layer))
         counts = sorted({layer_adversary_count(len(members), p) for p in cfg.layer_ratios})
         groups.extend((layer, count, members) for count in counts)
+    return groups
+
+
+def _layer_cells(cfg: SweepConfig, topology, signal_index: int, rep: int):
+    groups = _layer_groups(cfg, topology)
     tags = np.array([group[:2] for group in groups], dtype=np.int64).reshape(-1, 2).T
     config_seeds = derive_seeds(cfg.master_seed, ("layercfg", *tags))
     rng = np.random.Generator(np.random.PCG64())
@@ -767,12 +770,10 @@ def estimate_experiment_count(cfg: SweepConfig) -> int:
         per_signal += cfg.runs_per_cell * len(_scales(cfg, n))
     if "layer" in cfg.placements:
         topology = build_balanced_binary(n, permutation_seed=0)
-        for layer in range(1, topology.layer_count + 1):
-            size = len(topology.positions_in_layer(layer))
-            counts = {layer_adversary_count(size, p) for p in cfg.layer_ratios}
-            per_signal += sum(
-                min(cfg.combination_cap, math.comb(size, k)) for k in counts
-            )
+        per_signal += sum(
+            min(cfg.combination_cap, math.comb(len(members), count))
+            for _, count, members in _layer_groups(cfg, topology)
+        )
     if "cumulative" in cfg.placements:
         per_signal += 2 * n
     return severities * signals * per_signal
@@ -880,7 +881,6 @@ def analyze(
     thresholds: dict = {}
     zones: dict = {}
     front_rows: list[dict] = []
-    zone_rows: list[list] = []
     complete: list[str] = []
 
     for signal in sorted({key[0] for key in cells}):
@@ -903,10 +903,8 @@ def analyze(
                 raise InvalidInputError(f"metric {metric!r} of signal {signal!r}: {exc}") from exc
             reverse = metric in REVERSED_ZONE_METRICS
             bands = _zone_bands(values, thresholds[(signal, metric)], reverse)
-            for key, value, band in zip(keys, values.tolist(), bands.tolist()):
-                zone = _RVC[band]
-                zones[(signal, metric, key[1], key[2])] = zone
-                zone_rows.append([signal, metric, key[1], key[2], value, zone.value])
+            for key, band in zip(keys, bands.tolist()):
+                zones[(signal, metric, key[1], key[2])] = _RVC[band]
         if len(keys) == len(betas) * len(counts):
             complete.append(signal)
             front_rows.extend(_front_rows_for(cells, signal, betas, counts))
@@ -937,7 +935,10 @@ def analyze(
     _write_csv(
         outdir / "zones.csv",
         ["signal_id", "metric", "beta", "adv_count", "value", "zone"],
-        sorted(zone_rows, key=lambda r: r[:4]),
+        [
+            [s, m, b, c, cells[(s, b, c)][m], zone.value]
+            for (s, m, b, c), zone in sorted(zones.items())
+        ],
     )
     _write_csv(
         outdir / "fronts.csv",

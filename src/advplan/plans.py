@@ -219,15 +219,19 @@ def generate_voting_targets(levels: list[float], d: int) -> list[np.ndarray]:
 
 
 def load_target_signal(path: Path | str) -> np.ndarray:
-    """Read a one-line comma-separated target-signal file as a float vector."""
+    """Read a one-line comma-separated target-signal file as a float vector;
+    NaN or an infinity raises ``InvalidInputError`` naming the file."""
     path = Path(path)
     text = _read_text(path).strip()
     if not text:
         raise NoDataError(f"{path}: empty target file")
     try:
-        return np.array([float(tok) for tok in text.split(",")])
+        target = np.array([float(tok) for tok in text.split(",")])
     except ValueError as exc:
         raise ParseError(f"{path}:1: {exc}") from None
+    if not np.isfinite(target).all():
+        raise InvalidInputError(f"target signal {path} holds NaN or an infinity")
+    return target
 
 
 def save_target_signal(target: np.ndarray, path: Path | str) -> Path:

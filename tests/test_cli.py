@@ -232,6 +232,10 @@ def test_target_dimension_mismatch_exits_2(tmp_path, caplog):
         assert main([command[0], "--config", str(path), *command[1:]]) == 2
         assert "has dimension 3, plans 2" in caplog.text
     assert not list((tmp_path / "out").glob("*.csv"))
+    caplog.clear()
+    run = ["run", "--agents", "5", "--plans", "2", "--severity", "0.5", "--count", "1"]
+    assert main([*run, "--ineff", "rss", "--target", str(tmp_path / "t.target")]) == 2
+    assert f"target signal {tmp_path / 't.target'} has dimension 3" in caplog.text
 
 
 def test_plan_ids_with_a_gap_exit_2(tmp_path, caplog):
@@ -337,6 +341,8 @@ def test_non_finite_plan_or_target_values_exit_3(tmp_path, caplog, capsys, token
          "agent 3 plan 0"),
         (["run", "--plans-dir", str(plans), "--severity", "0.5", "--count", "1"], "agent 3 plan 0"),
         (["sweep", "--config", str(tmp_path / "rss.yaml")], "t.target"),
+        (["run", "--agents", "5", "--plans", "2", "--severity", "0.5", "--count", "1",
+          "--ineff", "rss", "--target", str(tmp_path / "t.target")], "t.target"),
     ]
     for argv, named in cases:
         caplog.clear()
@@ -450,6 +456,8 @@ def test_malformed_inefficiency_section_exits_2(tmp_path, section):
         ("dataset", "plans_dir", 5),
         (None, "scales", [2, 2]),
         (None, "severities", [0.5, 0.5]),
+        (None, "max_iterations", 0),
+        (None, "initial_selection", "bogus"),
     ],
 )
 def test_config_mistakes_exit_2_naming_the_key(tmp_path, caplog, capsys, section, key, value):
@@ -460,6 +468,58 @@ def test_config_mistakes_exit_2_naming_the_key(tmp_path, caplog, capsys, section
     assert main(["estimate", "--config", str(path)]) == 2
     assert key in caplog.text and "Traceback" not in caplog.text
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("key,value", [("max_iterations", 0), ("initial_selection", "bogus")])
+def test_bad_run_settings_exit_2_before_any_file(tmp_path, caplog, key, value):
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw[key] = value
+    path.write_text(yaml.safe_dump(raw))
+    for command in (["sweep"], ["estimate"], ["structural", "--mode", "layer"]):
+        caplog.clear()
+        assert main([command[0], "--config", str(path), *command[1:]]) == 2
+        assert key in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_estimate_equals_the_rows_every_placement_writes(tmp_path, capsys):
+    """All placements and two targets; a combination cap of 2 makes the
+    layer-wise runs sample their adversary sets in the layers of 4 agents."""
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.target").write_text("0.5,-0.5\n")
+    raw.update(placements=["random", "layer", "cumulative"], combination_cap=2)
+    raw["inefficiency"] = {"kind": "rss", "target_files": ["a.target", "b.target"]}
+    path.write_text(yaml.safe_dump(raw))
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(path)]) == 0
+    estimate = int(capsys.readouterr().out)
+    for command in (["sweep"], *(["structural", "--mode", m] for m in ("layer", "cumulative"))):
+        assert main([command[0], "--config", str(path), *command[1:]]) == 0
+    written = sum(
+        len((tmp_path / "out" / name).read_text().splitlines()) - 1
+        for name in ("runs.csv", "structural_layer.csv", "structural_cumulative.csv")
+    )
+    # Layers of 1, 2, 4 and 1 agents: 1, 2 + 1, 2 + 2 + 2 + 1 and 1 sets.
+    assert written == estimate == 2 * 2 * (2 * 3 + (1 + 3 + 7 + 1) + 2 * 8)
+
+
+def test_two_calls_in_one_process_share_no_options(tmp_path):
+    """The parser is built once per process; options of one call do not
+    carry over to the next."""
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw["severities"] = [0.5, 0.9]
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["sweep", "--config", str(path)]) == 0
+    results = ["--results", str(tmp_path / "out" / "runs.csv")]
+    assert main(["analyze", *results, "--out", str(tmp_path / "a"), "--exclude-beta", "0.9"]) == 0
+    assert main(["analyze", *results, "--out", str(tmp_path / "b")]) == 0
+    cells = [(tmp_path / out / "cells.csv").read_text().splitlines()[1:] for out in "ab"]
+    betas = [{line.split(",")[1] for line in lines} for lines in cells]
+    assert betas == [{"0.5"}, {"0.5", "0.9"}]
 
 
 def test_negative_master_seed_stays_valid(tmp_path):

@@ -245,6 +245,17 @@ def test_run_batch_rejects_non_finite_plans_and_targets(monkeypatch):
         run_batch(topo, plan_sets, np.zeros((1, 4)), rss, [0])
 
 
+def test_run_batch_rejects_differing_plan_counts(monkeypatch):
+    """Every agent holds the same number of plans; plan sets that differ
+    raise, naming the counts, before any iteration."""
+    topo = build_balanced_binary(4)
+    plan_sets = generate_gaussian_plans(4, 3, 2, seed=0)
+    plan_sets[1] = toy_plan_set(2, plan_sets[1].value_matrix()[:2], [0, 1])
+    monkeypatch.setattr(engine, "_run_arrays", lambda *args: pytest.fail("ran an iteration"))
+    with pytest.raises(ConfigError, match=r"plan counts differ across agents: \[2, 3\]"):
+        run_batch(topo, plan_sets, np.zeros((1, 4)), RunConfig(), [0])
+
+
 def test_behavior_profile_validation_and_views():
     for bad in ({1: 1.5}, {1: 0.0, 2: float("nan")}, [0.0, -0.1]):
         with pytest.raises(InvalidInputError):
@@ -296,12 +307,11 @@ def assert_same_outcome(got: RunOutcome, want: RunOutcome) -> None:
 
 
 def ragged_plan_sets(n, d, seed):
-    """Plan sets whose plan counts differ between agents (1 to 5), with
-    real-valued discomforts, so that summation order shows in the last bits."""
+    """Plan sets of 5 plans each whose discomforts are ragged reals, not
+    plan ranks, so that summation order shows in the last bits."""
     rng = np.random.default_rng(seed)
     return [
-        toy_plan_set(a, rng.standard_normal((k, d)), rng.random(k) * 3.0)
-        for a, k in zip(range(1, n + 1), rng.integers(1, 6, size=n))
+        toy_plan_set(a, rng.standard_normal((5, d)), rng.random(5) * 3.0) for a in range(1, n + 1)
     ]
 
 
@@ -398,9 +408,9 @@ def test_run_batch_runs_each_distinct_run_once(monkeypatch, initial):
     sent = []
     real = engine._run_arrays
 
-    def recording(topology, P, counts, batch, config, seeds):
+    def recording(topology, P, batch, config, seeds):
         sent.extend(zip((row.tobytes() for row in batch), seeds))
-        return real(topology, P, counts, batch, config, seeds)
+        return real(topology, P, batch, config, seeds)
 
     monkeypatch.setattr(engine, "_run_arrays", recording)
     profiles, seeds = zip(*runs)
