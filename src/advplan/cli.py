@@ -27,8 +27,6 @@ from .errors import AdvplanError, ConfigError
 from .plans import (
     generate_gaussian_plans,
     generate_voting_targets,
-    load_plan_sets,
-    load_target_signal,
     save_plan_sets,
     save_target_signal,
 )
@@ -174,21 +172,18 @@ def _adversaries(args, topology) -> set[int]:
 
 
 def _cmd_run(args) -> int:
-    _check_seeds(args, "seed", "gen_seed", "topology_seed")
+    _check_seeds(args, "seed", "topology_seed")
     if not 0.0 < args.severity <= 1.0:
         raise ConfigError(f"--severity must be in (0, 1], got {args.severity}")
-    if args.plans_dir:
-        plan_sets = load_plan_sets(args.plans_dir)
-    elif args.agents is None or args.plans is None:
-        raise ConfigError("pass --plans-dir or --agents/--plans")
-    target = load_target_signal(args.target) if args.target else None
+    # The plan flags are a dataset, loaded and checked as a config's dataset is.
+    plan_sets = harness.load_dataset(harness.DatasetSpec(
+        "files" if args.plans_dir else "gaussian", plans_dir=args.plans_dir,
+        agents=args.agents, plans=args.plans, dim=args.dim, seed=args.gen_seed,
+    ))
+    # As in a sweep, a target is read only for RSS.
+    rss_target = args.ineff == "rss" and args.target
+    target = harness.load_target(args.target, plan_sets[0].dimension) if rss_target else None
     try:
-        if not args.plans_dir:
-            plan_sets = generate_gaussian_plans(
-                args.agents, args.plans, args.dim, seed=args.gen_seed
-            )
-        if args.ineff == "rss" and target is not None:
-            harness.check_target(args.target, target, plan_sets[0].dimension)
         topology = build_balanced_binary(len(plan_sets), permutation_seed=args.topology_seed)
         adversaries = _adversaries(args, topology)
         ineff = InefficiencyFn(kind=args.ineff, target=target, scaling=args.scaling)
@@ -232,6 +227,9 @@ def _cmd_structural(args) -> int:
 
 def _cmd_estimate(args) -> int:
     cfg = harness.load_config(args.config, workdir=args.workdir, master_seed=args.seed)
+    if not cfg.dataset.agents_grid:
+        # A campaign has no one population to load; any other config is checked as sweep's is.
+        harness.load_inputs(cfg, cfg.placements)
     print(harness.estimate_experiment_count(cfg))
     return 0
 

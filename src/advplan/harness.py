@@ -357,8 +357,8 @@ class SweepGrid:
         return means
 
 
-def _load_dataset(cfg: SweepConfig) -> list[PlanSet]:
-    ds = cfg.dataset
+def load_dataset(ds: DatasetSpec) -> list[PlanSet]:
+    """The plan sets of a dataset; a campaign has no one population to load."""
     if ds.kind == "files":
         return load_plan_sets(ds.plans_dir)
     if ds.agents is None or ds.plans is None:
@@ -369,22 +369,27 @@ def _load_dataset(cfg: SweepConfig) -> list[PlanSet]:
     return generate_gaussian_plans(ds.agents, ds.plans, ds.dim, seed=ds.seed)
 
 
-def check_target(path, target: np.ndarray, dimension: int) -> np.ndarray:
-    """``target``, the signal read from ``path``, if it has the plans' dimension."""
+def load_target(path, dimension: int) -> np.ndarray:
+    """The target signal in ``path``, refused unless it has the plans' dimension."""
+    target = load_target_signal(path)
     if len(target) != dimension:
         raise ConfigError(f"target signal {path} has dimension {len(target)}, plans {dimension}")
     return target
 
 
-def _signals(cfg: SweepConfig, dimension: int) -> list[tuple[str, np.ndarray | None]]:
-    """``(signal_id, target)`` per target file, each checked against the plans'
-    dimension."""
+def load_inputs(cfg: SweepConfig, modes: tuple[str, ...]) -> tuple[list[PlanSet], list[tuple]]:
+    """The plan sets and ``(signal_id, target)`` pairs that the rows of the
+    placement ``modes`` run on, checked before a command writes a file: random
+    rows need every scale in 0..n, and each RSS target the plans' dimension."""
+    plan_sets = load_dataset(cfg.dataset)
+    n, d = len(plan_sets), plan_sets[0].dimension
+    if "random" in modes:
+        for count in _scales(cfg, n):
+            if not 0 <= count <= n:
+                raise ConfigError(f"scale {count} outside 0..{n}")
     if cfg.inefficiency_kind == "variance":
-        return [("", None)]
-    return [
-        (str(idx), check_target(path, load_target_signal(path), dimension))
-        for idx, path in enumerate(cfg.target_files)
-    ]
+        return plan_sets, [("", None)]
+    return plan_sets, [(str(i), load_target(path, d)) for i, path in enumerate(cfg.target_files)]
 
 
 class _Cell(NamedTuple):
@@ -619,7 +624,6 @@ def _read_partial(path: Path) -> list[RunRecord]:
 
 def _execute(
     cfg: SweepConfig,
-    plan_sets: list[PlanSet],
     mode: str,
     repetitions: range,
     results_name: str,
@@ -628,25 +632,25 @@ def _execute(
 ) -> SweepGrid:
     """Run every (signal, repetition) task of one placement mode.
 
-    Every target's dimension is checked before any task runs. Rows stream
-    to ``<results>.partial.csv`` as tasks finish, then go sorted to a
+    ``load_inputs`` checks the inputs before any file is written. Rows
+    stream to ``<results>.partial.csv`` as tasks finish, then go sorted to a
     temporary file that replaces ``results_name``. Failed cells go to
     ``errors_name``, which a run without failures removes. A pool of
     ``workers`` processes runs the tasks only when more than one is left.
-    With ``resume`` (random placements only), a finished results file is
-    returned as it is, and every task whose rows are all in the partial file
-    is skipped; a partial row that no task writes is a ``ConfigError``.
+    With ``resume`` (random placements only), the rows so far are read from
+    the partial file or, without one, from the results file; a row that no
+    task writes is a ``ConfigError``, and every task whose rows are all
+    there is skipped.
     """
-    signals = _signals(cfg, plan_sets[0].dimension)
+    plan_sets, signals = load_inputs(cfg, (mode,))
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     final_path, errors_path = outdir / results_name, outdir / errors_name
     partial_path = final_path.with_suffix(".partial.csv")
 
-    if resume and final_path.exists():
-        log.info("%s is already finalized; reusing it", final_path)
-        return SweepGrid.read_csv(final_path)
-    existing = _read_partial(partial_path) if resume and partial_path.exists() else []
+    # A resume reads the partial file, or the results file when no partial is left.
+    source = next(filter(Path.exists, (partial_path, final_path)), None) if resume else None
+    existing = _read_partial(source) if source else []
     done = {record.sort_key() for record in existing}
     tasks, written = [], set()
     for si, signal in enumerate(signals):
@@ -661,9 +665,12 @@ def _execute(
         for line, record in enumerate(existing, start=2):
             if record.sort_key() not in written:
                 raise ConfigError(
-                    f"{partial_path}:{line}: this config writes no row {record.sort_key()}; "
-                    "resume with the config that wrote the partial file"
+                    f"{source}:{line}: this config writes no row {record.sort_key()}; "
+                    "resume with the config that wrote the file"
                 )
+    if source == final_path:
+        # The finished rows become the partial file that the tasks left extend.
+        os.replace(final_path, partial_path)
 
     grid = SweepGrid(rows=existing)
     error_rows: list[list] = []
@@ -710,18 +717,12 @@ def run_sweep(cfg: SweepConfig, resume: bool = False) -> SweepGrid:
     reshuffles the agent-to-position permutation and shares one baseline run
     per (signal, r). Rows go to ``runs.csv``, failed cells to ``errors.csv``,
     both a pure function of the config and master seed. A resume skips every
-    (signal, repetition) task whose rows are all in ``runs.partial.csv``.
+    (signal, repetition) task whose rows are all in ``runs.partial.csv``, or
+    in ``runs.csv`` when no partial file is left.
     """
     if "random" not in cfg.placements:
         raise ConfigError("run_sweep needs the 'random' placement enabled")
-    plan_sets = _load_dataset(cfg)
-    n = len(plan_sets)
-    for count in _scales(cfg, n):
-        if not 0 <= count <= n:
-            raise ConfigError(f"scale {count} outside 0..{n}")
-    return _execute(
-        cfg, plan_sets, "random", range(cfg.runs_per_cell), "runs.csv", "errors.csv", resume
-    )
+    return _execute(cfg, "random", range(cfg.runs_per_cell), "runs.csv", "errors.csv", resume)
 
 
 def run_structural(cfg: SweepConfig, mode: str) -> SweepGrid:
@@ -734,13 +735,9 @@ def run_structural(cfg: SweepConfig, mode: str) -> SweepGrid:
     task; rows go to ``structural_<mode>.csv``, failed cells to
     ``structural_<mode>_errors.csv``.
     """
-    mode = mode.strip().lower().replace("-", "_").replace("_wise", "")
     if mode not in ("layer", "cumulative"):
         raise ConfigError(f"structural mode must be 'layer' or 'cumulative', got {mode!r}")
-    return _execute(
-        cfg, _load_dataset(cfg), mode, range(1),
-        f"structural_{mode}.csv", f"structural_{mode}_errors.csv",
-    )
+    return _execute(cfg, mode, range(1), f"structural_{mode}.csv", f"structural_{mode}_errors.csv")
 
 
 def estimate_experiment_count(cfg: SweepConfig) -> int:
@@ -760,11 +757,8 @@ def estimate_experiment_count(cfg: SweepConfig) -> int:
             a * severities * len(ds.plans_grid) * cfg.runs_per_cell
             for a in ds.agents_grid
         )
-    if ds.kind == "files":
-        n = len(load_plan_sets(ds.plans_dir))
-    else:
-        n = ds.agents
-    signals = max(1, len(cfg.target_files)) if cfg.inefficiency_kind == "rss" else 1
+    n = len(load_plan_sets(ds.plans_dir)) if ds.kind == "files" else ds.agents
+    signals = len(cfg.target_files) if cfg.inefficiency_kind == "rss" else 1
     per_signal = 0
     if "random" in cfg.placements:
         per_signal += cfg.runs_per_cell * len(_scales(cfg, n))

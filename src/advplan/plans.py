@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     InvalidInputError,
     InvalidSizeError,
@@ -143,8 +144,8 @@ def load_plan_set(path: Path | str, agent_id: int | None = None) -> PlanSet:
 def load_plan_sets(path: Path | str) -> list[PlanSet]:
     """Load every ``agent_<id>.plans`` file in a directory, sorted by agent id.
 
-    All agents must agree on plan dimension and plan count, which is what the
-    optimization engine expects, and every value must be finite.
+    The ids of n files must be 1..n, and all agents must agree on plan
+    dimension and count, as the engine expects; every value must be finite.
     """
     path = Path(path)
     files = sorted(
@@ -156,6 +157,10 @@ def load_plan_sets(path: Path | str) -> list[PlanSet]:
         raise NoDataError(f"{path} is not a directory")
     if not files:
         raise NoDataError(f"{path} contains no agent_<id>.plans files")
+    n = len(files)
+    missing = set(range(1, n + 1)).difference(aid for aid, _ in files)
+    if missing:
+        raise ConfigError(f"{path}: agent ids must be 1..{n}, and agent {min(missing)} has none")
     plan_sets = [load_plan_set(p, agent_id=aid) for aid, p in files]
     dims = {ps.dimension for ps in plan_sets}
     if len(dims) != 1:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 import yaml
 
@@ -7,7 +8,7 @@ from advplan.adversary import beta_rows, random_adversaries, sample_k_subsets
 from advplan.cli import main
 from advplan.engine import BehaviorProfile, RunConfig, run, run_baseline
 from advplan.harness import _metric_columns
-from advplan.plans import generate_gaussian_plans
+from advplan.plans import PlanSet, generate_gaussian_plans, save_plan_sets
 from advplan.topology import agents_in_layer, build_balanced_binary
 
 
@@ -227,15 +228,39 @@ def test_target_dimension_mismatch_exits_2(tmp_path, caplog):
     raw = yaml.safe_load(path.read_text())
     raw["inefficiency"] = {"kind": "rss", "target_files": ["t.target"]}
     path.write_text(yaml.safe_dump(raw))
-    for command in (["sweep"], ["structural", "--mode", "layer"]):
+    for command in (["sweep"], ["estimate"], ["structural", "--mode", "layer"]):
         caplog.clear()
         assert main([command[0], "--config", str(path), *command[1:]]) == 2
         assert "has dimension 3, plans 2" in caplog.text
-    assert not list((tmp_path / "out").glob("*.csv"))
+    assert not (tmp_path / "out").exists()
     caplog.clear()
     run = ["run", "--agents", "5", "--plans", "2", "--severity", "0.5", "--count", "1"]
     assert main([*run, "--ineff", "rss", "--target", str(tmp_path / "t.target")]) == 2
     assert f"target signal {tmp_path / 't.target'} has dimension 3" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "change,code,message",
+    [
+        ({"scales": [0, 4, 12]}, 2, "config error: scale 12 outside 0..8"),
+        ({"inefficiency": {"kind": "rss", "target_files": ["gone.target"]}}, 3, "gone.target"),
+    ],
+    ids=["scale", "missing-target"],
+)
+def test_estimate_refuses_what_sweep_refuses(tmp_path, caplog, capsys, change, code, message):
+    """A scale above n or a missing target file: ``estimate`` counts no
+    config that ``sweep`` refuses, and both say why in the same words."""
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    path.write_text(yaml.safe_dump({**raw, **change}))
+    logged = []
+    for command in ("estimate", "sweep"):
+        caplog.clear()
+        assert main([command, "--config", str(path)]) == code
+        logged.append(caplog.text)
+    assert message in logged[0] and logged[0] == logged[1]
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_plan_ids_with_a_gap_exit_2(tmp_path, caplog):
@@ -246,12 +271,11 @@ def test_plan_ids_with_a_gap_exit_2(tmp_path, caplog):
     raw["dataset"] = {"kind": "files", "plans_dir": "p"}
     raw["scales"] = [0, 1]
     path.write_text(yaml.safe_dump(raw))
-    for command in (["sweep"], ["structural", "--mode", "cumulative"]):
+    for command in (["sweep"], ["estimate"], ["structural", "--mode", "cumulative"]):
         caplog.clear()
         assert main([command[0], "--config", str(path), *command[1:]]) == 2
         assert "agent ids" in caplog.text
-    written = {p.name for p in (tmp_path / "out").iterdir()}
-    assert written == {"runs.partial.csv", "structural_cumulative.partial.csv"}
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -339,8 +363,11 @@ def test_non_finite_plan_or_target_values_exit_3(tmp_path, caplog, capsys, token
         (["sweep", "--config", str(tmp_path / "files.yaml")], "agent 3 plan 0"),
         (["structural", "--config", str(tmp_path / "files.yaml"), "--mode", "cumulative"],
          "agent 3 plan 0"),
+        (["estimate", "--config", str(tmp_path / "files.yaml")], "agent 3 plan 0"),
         (["run", "--plans-dir", str(plans), "--severity", "0.5", "--count", "1"], "agent 3 plan 0"),
         (["sweep", "--config", str(tmp_path / "rss.yaml")], "t.target"),
+        (["estimate", "--config", str(tmp_path / "rss.yaml")], "t.target"),
+        (["structural", "--config", str(tmp_path / "rss.yaml"), "--mode", "layer"], "t.target"),
         (["run", "--agents", "5", "--plans", "2", "--severity", "0.5", "--count", "1",
           "--ineff", "rss", "--target", str(tmp_path / "t.target")], "t.target"),
     ]
@@ -483,11 +510,18 @@ def test_bad_run_settings_exit_2_before_any_file(tmp_path, caplog, key, value):
     assert not (tmp_path / "out").exists()
 
 
-def test_estimate_equals_the_rows_every_placement_writes(tmp_path, capsys):
+@pytest.mark.parametrize("kind", ["gaussian", "files"])
+def test_estimate_equals_the_rows_every_placement_writes(tmp_path, capsys, kind):
     """All placements and two targets; a combination cap of 2 makes the
-    layer-wise runs sample their adversary sets in the layers of 4 agents."""
+    layer-wise runs sample their adversary sets in the layers of 4 agents.
+    The files dataset has 8 agents of 2 plans with real-valued discomforts."""
     path = write_config(tmp_path)
     raw = yaml.safe_load(path.read_text())
+    if kind == "files":
+        rng = np.random.default_rng(3)
+        plans = [PlanSet(a, rng.standard_normal((2, 2)), rng.random(2) * 3.0) for a in range(1, 9)]
+        save_plan_sets(plans, tmp_path / "p")
+        raw["dataset"] = {"kind": "files", "plans_dir": "p"}
     for name in ("a", "b"):
         (tmp_path / f"{name}.target").write_text("0.5,-0.5\n")
     raw.update(placements=["random", "layer", "cumulative"], combination_cap=2)
@@ -589,3 +623,26 @@ def test_undecodable_results_exit_3(tmp_path, caplog):
     caplog.clear()
     assert main(["sweep", "--config", str(path), "--resume"]) == 3
     assert "runs.partial.csv: not UTF-8 text" in caplog.text
+
+
+def test_resume_checks_and_completes_a_finished_runs_csv(tmp_path, caplog):
+    """Without a partial file, a resume reads runs.csv as it would read one:
+    a row its config does not write is refused, and missing tasks run."""
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path)]) == 0
+    finished = (out / "runs.csv").read_bytes()
+    assert main(["sweep", "--config", str(path), "--resume"]) == 0
+    assert (out / "runs.csv").read_bytes() == finished
+    # Another master seed writes none of these rows.
+    assert main(["sweep", "--config", str(path), "--resume", "--seed", "2"]) == 2
+    assert f"{out / 'runs.csv'}:2: this config writes no row" in caplog.text
+    assert (out / "runs.csv").read_bytes() == finished
+    assert not (out / "runs.partial.csv").exists()
+    # A third repetition per cell: the bytes of a fresh sweep.
+    raw = yaml.safe_load(path.read_text())
+    path.write_text(yaml.safe_dump({**raw, "runs_per_cell": 3}))
+    assert main(["sweep", "--config", str(path), "--resume"]) == 0
+    resumed = (out / "runs.csv").read_bytes()
+    assert main(["sweep", "--config", str(path)]) == 0
+    assert resumed == (out / "runs.csv").read_bytes() != finished

@@ -646,7 +646,7 @@ def test_run_cells_keeps_errors_beside_their_outcome_lists(tmp_path, monkeypatch
     """A failed batch comes back cell by cell, and only a cell that fails
     alone comes back as its error, never inside a list of outcomes."""
     cfg = small_config(tmp_path, severities=(0.5,))
-    plan_sets = harness_mod._load_dataset(cfg)
+    plan_sets = harness_mod.load_dataset(cfg.dataset)
     topology = build_balanced_binary(len(plan_sets), permutation_seed=11)
     cells = list(harness_mod._random_cells(cfg, topology, 0, 0))
     failing_run_batch(monkeypatch, cells[2].run_seed)

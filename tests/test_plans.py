@@ -1,9 +1,11 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
 
 from advplan.errors import (
+    ConfigError,
     DimensionMismatchError,
     InvalidInputError,
     InvalidSizeError,
@@ -24,7 +26,7 @@ from advplan.plans import (
 
 def test_plan_line_round_trip(tmp_path):
     (tmp_path / "agent_3.plans").write_text("0.25:1.0,2.0\n")
-    ps = load_plan_sets(tmp_path)[0]
+    ps = load_plan_set(tmp_path / "agent_3.plans")
     assert ps.agent_id == 3
     assert ps.k == 1
     assert ps.discomforts()[0] == 0.25
@@ -62,6 +64,19 @@ def test_inconsistent_dimension_across_agents(tmp_path):
     (tmp_path / "agent_1.plans").write_text("0.1:1,2\n")
     (tmp_path / "agent_2.plans").write_text("0.1:1,2,3\n")
     with pytest.raises(DimensionMismatchError):
+        load_plan_sets(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "names", [["agent_1", "agent_3"], ["agent_0", "agent_1"], ["agent_1", "agent_01"]]
+)
+def test_agent_ids_must_be_1_to_n(tmp_path, names):
+    """n plan files hold agents 1..n: a gap, an agent 0 or an id named twice
+    is refused, naming the directory, before any file is parsed."""
+    for name in names:
+        (tmp_path / f"{name}.plans").write_text("not a plan\n")
+    message = rf"^{re.escape(str(tmp_path))}: agent ids must be 1\.\.2, and agent 2 has none$"
+    with pytest.raises(ConfigError, match=message):
         load_plan_sets(tmp_path)
 
 
