@@ -8,7 +8,7 @@ both vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,7 +125,11 @@ def _variance_rows(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InefficiencyFn:
-    """Configured system-cost function: plain variance or RSS to a target."""
+    """Configured system-cost function: plain variance or RSS to a target.
+
+    The RSS target is one vector of length d, or a ``(B, d)`` stack whose
+    row b is run b's own target; each row is scaled as a lone vector is.
+    """
 
     kind: str = "variance"
     target: np.ndarray | None = None
@@ -139,24 +143,30 @@ class InefficiencyFn:
             if self.target is None:
                 raise InvalidInputError("rss inefficiency requires a target signal")
             target = np.asarray(self.target, dtype=float)
-            if target.ndim != 1 or target.size == 0:
-                raise InvalidSizeError("target signal must be a non-empty vector")
+            if target.ndim not in (1, 2) or target.shape[-1] == 0:
+                raise InvalidSizeError("target signal must be a non-empty vector or rows of them")
             object.__setattr__(self, "target", target)
             object.__setattr__(self, "_scaled_target", _scale_rows(target, self.scaling))
 
+    def take(self, runs) -> InefficiencyFn:
+        """This cost for the runs that ``runs`` indexes out of a target stack."""
+        return self if self.kind == "variance" else replace(self, target=self.target[runs])
+
     def __call__(self, g: GlobalResponse) -> float | np.ndarray:
-        """Cost of a response vector; a stacked ``(..., d)`` array gets one per row."""
+        """Cost of a response vector; a stacked ``(..., d)`` array gets one per row,
+        and a ``(B, d)`` target stack is matched to the last two axes."""
         g = np.asarray(g, dtype=float)
         if self.kind == "variance":
             if g.size == 0:
                 raise InvalidInputError("variance of an empty response is undefined")
             cost = _variance_rows(g)
         else:
-            cost = _sum_squares(self._diff(g))
-        return float(cost) if g.ndim == 1 else cost
+            cost = _sum_squares(self._scaled(g) - self._scaled_target)
+        return float(cost) if np.ndim(cost) == 0 else cost
 
     def batch(self, candidates: np.ndarray) -> np.ndarray:
-        """Cost of every row of a ``(..., k, d)`` stack of candidate responses.
+        """Cost of every row of a ``(..., k, d)`` stack of candidate responses;
+        a ``(B, d)`` target stack is matched to the ``(B, k)`` axes.
 
         This is the plan-selection kernel. For RSS it reduces with ``einsum``,
         while ``__call__`` uses a dot product per row; the two may differ in
@@ -165,12 +175,12 @@ class InefficiencyFn:
         candidates = np.asarray(candidates, dtype=float)
         if self.kind == "variance":
             return _variance_rows(candidates)
-        diff = self._diff(candidates)
+        diff = self._scaled(candidates) - self._scaled_target[..., None, :]
         return np.einsum("...j,...j->...", diff, diff)
 
-    def _diff(self, g: np.ndarray) -> np.ndarray:
-        if g.shape[-1] != self.target.shape[0]:
+    def _scaled(self, g: np.ndarray) -> np.ndarray:
+        if g.shape[-1] != self.target.shape[-1]:
             raise DimensionMismatchError(
-                f"response has dimension {g.shape[-1]}, target {self.target.shape[0]}"
+                f"response has dimension {g.shape[-1]}, target {self.target.shape[-1]}"
             )
-        return _scale_rows(g, self.scaling) - self._scaled_target
+        return _scale_rows(g, self.scaling)

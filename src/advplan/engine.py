@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -217,10 +217,13 @@ def _stack_plans(topology: TreeTopology, plan_sets: list[PlanSet], config: RunCo
         raise ConfigError(f"plan counts differ across agents: {sorted(counts)}")
     d = dims.pop()
     ineff = config.inefficiency
-    if ineff.kind == "rss" and ineff.target.shape[0] != d:
-        raise ConfigError(f"target signal has dimension {ineff.target.shape[0]}, plans {d}")
-    if ineff.kind == "rss" and not np.isfinite(ineff.target).all():
-        raise InvalidInputError(f"target signal {ineff.target.tolist()} holds NaN or an infinity")
+    if ineff.kind == "rss":
+        if ineff.target.shape[-1] != d:
+            raise ConfigError(f"target signal has dimension {ineff.target.shape[-1]}, plans {d}")
+        rows = ineff.target.reshape(-1, d)
+        bad = rows[~np.isfinite(rows).all(axis=1)]
+        if len(bad):
+            raise InvalidInputError(f"target signal {bad[0].tolist()} holds NaN or an infinity")
 
     ordered = [by_agent[a] for a in topology.agent_at]
     P = np.empty((n, counts.pop(), d + 1))
@@ -239,15 +242,17 @@ def run_batch(
     """Execute several runs that share a topology, plan sets and config.
 
     Run i has the ``BehaviorProfile`` beta vector ``betas[i]`` of a ``(B, n)``
-    array and takes ``seeds[i]`` in place of ``config.rng_seed``. Each
-    outcome is bit for bit the one the run gives on its own: every array
-    operation acts on each run's rows separately. A run is a pure function
-    of its beta row and, under ``random`` initial selection only, its seed;
-    runs that repeat an earlier one are executed once and share its
-    read-only outcome. The distinct runs go through the arrays in the
-    batches of ``split_batches``. Plan sets that differ in dimension or plan
-    count raise ``ConfigError``, and a plan or target that holds NaN or an
-    infinity ``InvalidInputError`` naming it, before any iteration.
+    array and takes ``seeds[i]`` in place of ``config.rng_seed``. An RSS
+    target is every run's, or a ``(B, d)`` stack gives run i the row
+    ``target[i]``. Each outcome is bit for bit the one the run gives on its
+    own: every array operation acts on each run's rows separately. A run is
+    a pure function of its beta row, its target and, under ``random``
+    initial selection only, its seed; runs that repeat an earlier one are
+    executed once and share its read-only outcome. The distinct runs go
+    through the arrays in the batches of ``split_batches``. Plan sets that
+    differ in dimension or plan count raise ``ConfigError``, and a plan or
+    target that holds NaN or an infinity ``InvalidInputError`` naming it,
+    before any iteration.
     """
     betas, seeds = np.ascontiguousarray(betas, dtype=float), list(seeds)
     if betas.shape[:1] != (len(seeds),):
@@ -258,15 +263,22 @@ def run_batch(
     P = _stack_plans(topology, plan_sets, config)
     if not np.isfinite(P).all():
         check_finite(plan_sets)
+    ineff, targets = config.inefficiency, [None] * len(seeds)
+    if ineff.kind == "rss":
+        if ineff.target.ndim == 2 and len(ineff.target) != len(seeds):
+            raise ConfigError(f"{len(ineff.target)} target rows for {len(seeds)} seeds")
+        ineff = replace(ineff, target=np.broadcast_to(ineff.target, (len(seeds), P.shape[2] - 1)))
+        targets = [row.tobytes() for row in ineff.target]
     seeded = config.initial_selection == "random"
     first_of: dict = {}
     firsts = [
-        first_of.setdefault((row.tobytes(), s if seeded else None), j)
-        for j, (row, s) in enumerate(zip(betas, seeds))
+        first_of.setdefault((row.tobytes(), target, s if seeded else None), j)
+        for j, (row, target, s) in enumerate(zip(betas, targets, seeds))
     ]
     done: dict[int, RunOutcome] = {}
     for batch in split_batches(plan_sets, list(first_of.values())):
-        runs = _run_arrays(topology, P, betas[batch], config, [seeds[i] for i in batch])
+        batch_config = replace(config, inefficiency=ineff.take(batch))
+        runs = _run_arrays(topology, P, betas[batch], batch_config, [seeds[i] for i in batch])
         done.update(zip(batch, runs))
     return [done[i] for i in firsts]
 
@@ -278,7 +290,8 @@ def _run_arrays(topology, P, betas, config, seeds) -> list[RunOutcome]:
     the previous global response with its own subtree swapped for its
     children's fresh proposals, and a top-down pass that keeps a proposal
     only at a strictly lower scalarized cost. A run leaves the batch once a
-    pass approves no change, since it is deterministic from there on.
+    pass approves no change, since it is deterministic from there on. An
+    RSS target is a ``(B, d)`` stack, one row per run.
     """
     n, k, d = P.shape[0], P.shape[1], P.shape[2] - 1
     ineff = config.inefficiency
@@ -375,6 +388,7 @@ def _run_arrays(topology, P, betas, config, seeds) -> list[RunOutcome]:
             break
         keep = ~done
         active = active[keep]
+        ineff = ineff.take(keep)
         sel, subtree, alpha, beta = (a[:, keep] for a in (sel, subtree, alpha, beta))
         total, cost, mean_alpha, mean_beta, ineff_ref = (
             a[keep] for a in (total, cost, mean_alpha, mean_beta, ineff_ref)

@@ -17,7 +17,7 @@ import operator
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 from pathlib import Path
 from types import UnionType
@@ -77,6 +77,9 @@ FRONT_COLUMNS = (
 )
 
 _KINDS = {int: (Integral, "integers"), float: (Real, "numbers"), str: (str, "strings")}
+# libyaml's parser under PyYAML's own safe constructor and resolver: the
+# objects of ``yaml.safe_load``, parsed several times faster.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 def _check_types(config) -> None:
@@ -210,7 +213,7 @@ def load_config(
     path = Path(path)
     base = Path(workdir) if workdir is not None else path.parent
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -393,10 +396,14 @@ def load_inputs(cfg: SweepConfig, modes: tuple[str, ...]) -> tuple[list[PlanSet]
 
 
 class _Cell(NamedTuple):
-    """One run of a task: its severity, adversaries, seed and CSV tags."""
+    """One run of a task: its severity, seed, signal, adversaries and CSV tags.
+
+    ``signal`` indexes the config's signals; an RSS run takes its target.
+    """
 
     beta: float
     run_seed: int
+    signal: int = 0
     adversaries: frozenset[int] = frozenset()
     adv_count: int = 0
     layer: int | None = None
@@ -404,11 +411,11 @@ class _Cell(NamedTuple):
     m: int | None = None
 
 
-def _metric_columns(topology, adversary_sets, outcomes, baseline: RunOutcome) -> dict:
+def _metric_columns(topology, adversary_sets, outcomes, baselines: list[RunOutcome]) -> dict:
     """The metric columns of runs ``outcomes[i]`` with ``adversary_sets[i]``
-    that share one baseline run. Compromised discomfort is the legitimate
-    agents' mean discomfort minus their mean in the baseline, 0 without
-    legitimate agents. The order a mean sums its agents in sets its last
+    and baseline run ``baselines[i]``. Compromised discomfort is the
+    legitimate agents' mean discomfort minus their mean in the baseline, 0
+    without legitimate agents. The order a mean sums its agents in sets its last
     bits: ``discomfort_total`` sums in tree-position order, the legitimate
     means in the iteration order of the Python set below (for a small set
     left by ``set.difference``, hash-table order). Each is a row mean of a
@@ -416,6 +423,7 @@ def _metric_columns(topology, adversary_sets, outcomes, baseline: RunOutcome) ->
     row as its own ``.mean()`` does; ``D[:, order]`` is not C-contiguous.
     """
     D = np.stack([outcome.discomfort for outcome in outcomes])
+    D0 = np.stack([baseline.discomfort for baseline in baselines])
     everyone = set(range(1, topology.node_count + 1))
     legitimate = [np.fromiter(everyone.difference(adv), np.intp) - 1 for adv in adversary_sets]
     groups: dict[int, list[int]] = {}
@@ -423,9 +431,9 @@ def _metric_columns(topology, adversary_sets, outcomes, baseline: RunOutcome) ->
         groups.setdefault(ids.size, []).append(i)
     legit, comp = np.zeros(len(outcomes)), np.zeros(len(outcomes))
     for rows in (rows for size, rows in groups.items() if size):
-        ids = np.stack([legitimate[i] for i in rows])
-        legit[rows] = np.ascontiguousarray(D[np.array(rows)[:, None], ids]).mean(axis=1)
-        comp[rows] = legit[rows] - baseline.discomfort[ids].mean(axis=1)
+        ids, at = np.stack([legitimate[i] for i in rows]), np.array(rows)[:, None]
+        legit[rows] = np.ascontiguousarray(D[at, ids]).mean(axis=1)
+        comp[rows] = legit[rows] - D0[at, ids].mean(axis=1)
     by_position = np.ascontiguousarray(D[:, np.asarray(topology.agent_at) - 1])
     return dict(
         inefficiency=[outcome.global_inefficiency for outcome in outcomes],
@@ -445,26 +453,26 @@ def run_attack(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, adversari
     """
     betas = beta_rows(topology, [(), adversaries], [0.0, beta])
     baseline, outcome = run_batch(topology, plan_sets, betas, run_cfg, [run_cfg.rng_seed] * 2)
-    columns = _metric_columns(topology, [adversaries], [outcome], baseline)
+    columns = _metric_columns(topology, [adversaries], [outcome], [baseline])
     return outcome, baseline, {name: column[0] for name, column in columns.items()}
 
 
 def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells):
     """Yield ``(cells, outcomes)`` per batch of ``split_batches`` that runs.
 
-    The baseline (every agent legitimate, seeded with ``run_cfg.rng_seed``)
-    is the first cell of the first batch. A batch that fails is run again
-    one cell at a time: each cell yields ``([cell], outcomes)``, or
-    ``([cell], error)`` when it fails alone. A ``ConfigError`` concerns
-    every cell alike, so it propagates.
+    An RSS cell runs against row ``cell.signal`` of ``run_cfg``'s target
+    stack. A batch that fails is run again one cell at a time: each cell
+    yields ``([cell], outcomes)``, or ``([cell], error)`` when it fails
+    alone. A ``ConfigError`` concerns every cell alike, so it propagates.
     """
 
     def attempt(batch):
         betas = beta_rows(topology, [c.adversaries for c in batch], [c.beta for c in batch])
-        return run_batch(topology, plan_sets, betas, run_cfg, [c.run_seed for c in batch])
+        ineff = run_cfg.inefficiency.take([c.signal for c in batch])
+        return run_batch(topology, plan_sets, betas, replace(run_cfg, inefficiency=ineff),
+                         [c.run_seed for c in batch])
 
-    queue = itertools.chain([_Cell(beta=0.0, run_seed=run_cfg.rng_seed)], cells)
-    for batch in split_batches(plan_sets, queue):
+    for batch in split_batches(plan_sets, cells):
         try:
             yield batch, attempt(batch)
         except ConfigError:
@@ -507,7 +515,7 @@ def _random_cells(cfg: SweepConfig, topology, signal_index: int, rep: int):
     rng = np.random.Generator(np.random.PCG64())
     draws = random_adversary_draws(topology, counts, pcg64_states(seeds), rng)
     for beta, count, run_seed, drawn in zip(betas, counts, seeds.tolist(), draws):
-        yield _Cell(beta, run_seed, frozenset(drawn.tolist()), count)
+        yield _Cell(beta, run_seed, signal_index, frozenset(drawn.tolist()), count)
 
 
 def _layer_groups(cfg: SweepConfig, topology) -> list[tuple[int, int, list[int]]]:
@@ -535,7 +543,7 @@ def _layer_cells(cfg: SweepConfig, topology, signal_index: int, rep: int):
     tags = np.array([pick[:4] for pick in picks], dtype=np.int64).reshape(-1, 4).T
     run_seeds = derive_seeds(cfg.master_seed, ("layerrun", signal_index, *tags))
     for (layer, count, _, _, beta, adversaries), run_seed in zip(picks, run_seeds.tolist()):
-        yield _Cell(beta, run_seed, adversaries, count, layer=layer)
+        yield _Cell(beta, run_seed, signal_index, adversaries, count, layer=layer)
 
 
 def _cumulative_cells(cfg: SweepConfig, topology, signal_index: int, rep: int):
@@ -548,10 +556,11 @@ def _cumulative_cells(cfg: SweepConfig, topology, signal_index: int, rep: int):
         for m in range(1, n + 1):
             adversaries = frozenset(cumulative_positions(topology, direction, m))
             for beta in cfg.severities:
-                yield _Cell(beta, next(run_seeds), adversaries, m, direction=direction, m=m)
+                yield _Cell(beta, next(run_seeds), signal_index, adversaries, m,
+                            direction=direction, m=m)
 
 
-# The cells of one (signal, repetition) task, per placement mode.
+# The cells of one (signal, repetition) pair, per placement mode.
 _CELLS = {"random": _random_cells, "layer": _layer_cells, "cumulative": _cumulative_cells}
 
 
@@ -559,49 +568,66 @@ def _run_task(
     cfg: SweepConfig,
     plan_sets: list[PlanSet],
     mode: str,
-    signal_index: int,
-    signal: tuple[str, np.ndarray | None],
+    signals: list[tuple[str, np.ndarray | None]],
+    group: list[int],
     rep: int,
 ) -> tuple[list[RunRecord], list[list]]:
-    """Rows and error rows of one (signal, repetition) task of a placement mode.
+    """Rows and error rows of one repetition of a placement mode, for the
+    signals ``signals[si]`` with si in ``group``.
 
-    The cells share the repetition's topology and one baseline run. A cell
-    that fails becomes an error row instead of aborting the task; an error
-    row holds the signal, the repetition, the cell's ``CELL_KEYS`` columns
-    and the error message.
+    The cells of all those signals share the repetition's topology and go
+    through the engine together, each run against its own signal's target,
+    and each signal has one baseline run. A cell that fails becomes an error
+    row instead of aborting the task; an error row holds the signal, the
+    repetition, the cell's ``CELL_KEYS`` columns and the error message, and
+    each signal's error rows come in cell order. A signal whose baseline
+    fails has that one error row and no rows.
     """
-    signal_id, target = signal
     topo_seed = derive_seed(cfg.master_seed, "topology", rep)
     topology = build_balanced_binary(len(plan_sets), permutation_seed=topo_seed)
-    ineff = InefficiencyFn(cfg.inefficiency_kind, target, cfg.inefficiency_scaling)
+    targets = None if cfg.inefficiency_kind == "variance" else np.stack([t for _, t in signals])
+    ineff = InefficiencyFn(cfg.inefficiency_kind, targets, cfg.inefficiency_scaling)
     run_cfg = RunConfig(
         cfg.max_iterations, ineff, rng_seed=topo_seed, initial_selection=cfg.initial_selection
     )
-    cells = _CELLS[mode](cfg, topology, signal_index, rep)
-    batches = _run_cells(topology, plan_sets, run_cfg, cells)
+    # Each signal's baseline comes before its cells, so it is known first.
+    cells = itertools.chain(
+        (_Cell(beta=0.0, run_seed=topo_seed, signal=si) for si in group),
+        *(_CELLS[mode](cfg, topology, si, rep) for si in group),
+    )
     keys = CELL_KEYS[mode]
-    first, outcomes = next(batches)
-    if isinstance(outcomes, Exception):
-        return [], [[signal_id, rep, *[""] * len(keys), f"baseline: {outcomes}"]]
-    baseline = outcomes[0]
-    n, tags = topology.node_count, (cfg.dataset.name, signal_id, cfg.master_seed)
+    n = topology.node_count
+    baselines: dict[int, RunOutcome | Exception] = {}
     records: list[RunRecord] = []
     errors: list[list] = []
-    for batch, outcomes in itertools.chain([(first[1:], outcomes[1:])], batches):
+    for batch, outcomes in _run_cells(topology, plan_sets, run_cfg, cells):
         if isinstance(outcomes, Exception):
-            cell_keys = (getattr(batch[0], key) for key in keys)
-            errors.append([signal_id, rep, *cell_keys, str(outcomes)])
+            outcomes = [outcomes]
+        ran = []
+        for cell, outcome in zip(batch, outcomes):
+            signal_id, failed = signals[cell.signal][0], isinstance(outcome, Exception)
+            if cell.signal not in baselines:
+                baselines[cell.signal] = outcome
+                if failed:
+                    errors.append([signal_id, rep, *[""] * len(keys), f"baseline: {outcome}"])
+            elif isinstance(baselines[cell.signal], Exception):
+                continue
+            elif failed:
+                cell_keys = (getattr(cell, key) for key in keys)
+                errors.append([signal_id, rep, *cell_keys, str(outcome)])
+            else:
+                ran.append((cell, outcome, baselines[cell.signal]))
+        if not ran:
             continue
-        if not batch:  # the baseline ran in a batch of its own
-            continue
+        batch, outcomes, batch_baselines = zip(*ran)
         adversary_sets = [cell.adversaries for cell in batch]
-        columns = _metric_columns(topology, adversary_sets, outcomes, baseline)
+        columns = _metric_columns(topology, adversary_sets, outcomes, batch_baselines)
         # Positional in field order: the tags, the cell, the metrics.
         for cell, metrics in zip(batch, zip(*columns.values())):
             count = len(cell.adversaries)
             records.append(RunRecord(
-                *tags, cell.run_seed, cell.beta, count, count / n, mode,
-                cell.layer, cell.direction, cell.m, *metrics,
+                cfg.dataset.name, signals[cell.signal][0], cfg.master_seed, cell.run_seed,
+                cell.beta, count, count / n, mode, cell.layer, cell.direction, cell.m, *metrics,
             ))
     return records, errors
 
@@ -622,6 +648,21 @@ def _read_partial(path: Path) -> list[RunRecord]:
     return SweepGrid.read_csv(path).rows
 
 
+def _group_signals(left: dict[int, list[int]], tasks: int) -> list[tuple[list[int], int]]:
+    """``(signal indices, repetition)`` per task: each repetition's signals
+    ``left[rep]`` cut into consecutive groups, the fewest that make at least
+    ``tasks`` tasks, by cutting the repetition with the longest groups next."""
+    parts = {rep: 1 for rep, group in left.items() if group}
+    for _ in range(tasks - len(parts)):
+        rep = max(parts, key=lambda r: len(left[r]) / parts[r])
+        parts[rep] += 1
+    tasks = []
+    for rep, p in parts.items():
+        group, size = left[rep], len(left[rep])
+        tasks.extend((group[i * size // p : (i + 1) * size // p], rep) for i in range(p))
+    return tasks
+
+
 def _execute(
     cfg: SweepConfig,
     mode: str,
@@ -630,17 +671,21 @@ def _execute(
     errors_name: str,
     resume: bool = False,
 ) -> SweepGrid:
-    """Run every (signal, repetition) task of one placement mode.
+    """Run every (signal, repetition) pair of one placement mode.
 
-    ``load_inputs`` checks the inputs before any file is written. Rows
-    stream to ``<results>.partial.csv`` as tasks finish, then go sorted to a
-    temporary file that replaces ``results_name``. Failed cells go to
-    ``errors_name``, which a run without failures removes. A pool of
-    ``workers`` processes runs the tasks only when more than one is left.
-    With ``resume`` (random placements only), the rows so far are read from
-    the partial file or, without one, from the results file; a row that no
-    task writes is a ``ConfigError``, and every task whose rows are all
-    there is skipped.
+    ``load_inputs`` checks the inputs before any file is written. A task is
+    one repetition with a consecutive group of its signals, whose runs share
+    engine batches; each repetition's signals form the fewest groups that
+    give ``min(workers, pairs left)`` tasks at least, so one worker runs one
+    task per repetition. A pool of that many processes runs the tasks when
+    it is more than one. Rows stream to ``<results>.partial.csv`` as tasks
+    finish, then go sorted to a temporary file that replaces
+    ``results_name``. Failed cells go to ``errors_name`` in (signal,
+    repetition, cell) order; a run without failures removes it. With
+    ``resume`` (random placements only), the rows so far are read from the
+    partial file or, without one, from the results file; a row that no pair
+    writes is a ``ConfigError``, and every pair whose rows are all there is
+    skipped.
     """
     plan_sets, signals = load_inputs(cfg, (mode,))
     outdir = Path(cfg.output_dir)
@@ -652,7 +697,8 @@ def _execute(
     source = next(filter(Path.exists, (partial_path, final_path)), None) if resume else None
     existing = _read_partial(source) if source else []
     done = {record.sort_key() for record in existing}
-    tasks, written = [], set()
+    left: dict[int, list[int]] = {rep: [] for rep in repetitions}
+    written: set = set()
     for si, signal in enumerate(signals):
         for rep in repetitions:
             if done:
@@ -660,7 +706,7 @@ def _execute(
                 written.update(keys)
                 if done.issuperset(keys):
                     continue
-            tasks.append((si, signal, rep))
+            left[rep].append(si)
     if not done <= written:
         for line, record in enumerate(existing, start=2):
             if record.sort_key() not in written:
@@ -688,17 +734,23 @@ def _execute(
             writer.writerows(records)
             sink.flush()
 
-        workers = min(cfg.workers, len(tasks))
+        workers = min(cfg.workers, sum(map(len, left.values())))
+        tasks = _group_signals(left, workers)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_task, cfg, plan_sets, mode, *task) for task in tasks]
+                futures = [
+                    pool.submit(_run_task, cfg, plan_sets, mode, signals, *task) for task in tasks
+                ]
                 for future in futures:
                     emit(future.result())
         else:
             for task in tasks:
-                emit(_run_task(cfg, plan_sets, mode, *task))
+                emit(_run_task(cfg, plan_sets, mode, signals, *task))
 
     if error_rows:
+        # Tasks run repetition by repetition; the file lists signal by signal.
+        order = {signal_id: si for si, (signal_id, _) in enumerate(signals)}
+        error_rows.sort(key=lambda row: (order[row[0]], row[1]))
         _write_csv(errors_path, ["signal_id", "repetition", *CELL_KEYS[mode], "error"], error_rows)
         log.warning("%d cells failed; see %s", len(error_rows), errors_path)
     else:
@@ -714,11 +766,12 @@ def run_sweep(cfg: SweepConfig, resume: bool = False) -> SweepGrid:
     """Execute the random-placement sweep and write the sorted results CSV.
 
     Every (severity, scale) cell gets ``runs_per_cell`` runs; repetition ``r``
-    reshuffles the agent-to-position permutation and shares one baseline run
-    per (signal, r). Rows go to ``runs.csv``, failed cells to ``errors.csv``,
-    both a pure function of the config and master seed. A resume skips every
-    (signal, repetition) task whose rows are all in ``runs.partial.csv``, or
-    in ``runs.csv`` when no partial file is left.
+    reshuffles the agent-to-position permutation and has one baseline run
+    per (signal, r); with one worker, all of r's signals run in one task.
+    Rows go to ``runs.csv``, failed cells to ``errors.csv``, both a pure
+    function of the config and master seed. A resume skips every (signal,
+    repetition) pair whose rows are all in ``runs.partial.csv``, or in
+    ``runs.csv`` when no partial file is left.
     """
     if "random" not in cfg.placements:
         raise ConfigError("run_sweep needs the 'random' placement enabled")
@@ -731,8 +784,9 @@ def run_structural(cfg: SweepConfig, mode: str) -> SweepGrid:
     Layer-wise runs cover, per layer, every distinct adversary count the
     configured ratios map to (ratios mapping to one count share its runs).
     Cumulative runs grow the adversary set along the breadth-first order and
-    its reverse, one run per (direction, m, severity). Each signal is one
-    task; rows go to ``structural_<mode>.csv``, failed cells to
+    its reverse, one run per (direction, m, severity). The signals run in
+    one task, or in as many groups as there are workers to busy; rows go to
+    ``structural_<mode>.csv``, failed cells to
     ``structural_<mode>_errors.csv``.
     """
     if mode not in ("layer", "cumulative"):
@@ -740,13 +794,15 @@ def run_structural(cfg: SweepConfig, mode: str) -> SweepGrid:
     return _execute(cfg, mode, range(1), f"structural_{mode}.csv", f"structural_{mode}_errors.csv")
 
 
-def estimate_experiment_count(cfg: SweepConfig) -> int:
+def estimate_experiment_count(cfg: SweepConfig, agents: int | None = None) -> int:
     """Evaluate the experiment-accounting formula without running anything.
 
     A campaign dataset (agents_grid / plans_grid) counts the per-population
     product sum; any other severities x signals x (sweep runs + layer-wise
     combinations per distinct per-layer count + cumulative runs), over the
-    placements the config enables.
+    placements the config enables. ``agents`` is the population size n,
+    the dataset's ``agents`` when not given; a files dataset has no size of
+    its own, so its caller passes the count of the plan sets it loaded.
     """
     ds = cfg.dataset
     severities = len(cfg.severities)
@@ -757,7 +813,9 @@ def estimate_experiment_count(cfg: SweepConfig) -> int:
             a * severities * len(ds.plans_grid) * cfg.runs_per_cell
             for a in ds.agents_grid
         )
-    n = len(load_plan_sets(ds.plans_dir)) if ds.kind == "files" else ds.agents
+    n = ds.agents if agents is None else agents
+    if n is None:
+        raise ConfigError("counting a files dataset needs its agent count")
     signals = len(cfg.target_files) if cfg.inefficiency_kind == "rss" else 1
     per_signal = 0
     if "random" in cfg.placements:

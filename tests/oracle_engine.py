@@ -219,8 +219,13 @@ def run(topology, plan_sets, behavior: BehaviorProfile, config: RunConfig) -> Ru
 
 def run_batch(topology, plan_sets, betas, config, seeds) -> list[RunOutcome]:
     """The array engine's call shape, answered one run at a time: run i has
-    the beta row ``betas[i]``."""
+    the beta row ``betas[i]`` and, from a ``(B, d)`` RSS target stack, the
+    target row ``target[i]``."""
+    ineff = config.inefficiency
+    stacked = ineff.target is not None and ineff.target.ndim == 2
+    targets = ineff.target if stacked else [ineff.target] * len(seeds)
     return [
-        run(topology, plan_sets, BehaviorProfile(beta=beta), replace(config, rng_seed=seed))
-        for beta, seed in zip(betas, seeds)
+        run(topology, plan_sets, BehaviorProfile(beta=beta),
+            replace(config, rng_seed=seed, inefficiency=replace(ineff, target=target)))
+        for beta, target, seed in zip(betas, targets, seeds)
     ]

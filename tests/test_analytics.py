@@ -240,10 +240,10 @@ def test_compromised_discomfort_identical_runs_and_toy_shift():
     plan_sets = generate_gaussian_plans(3, 2, 2, seed=1)
     topo = build_balanced_binary(3, permutation_seed=1)
     base = run_baseline(topo, plan_sets, RunConfig())
-    assert _metric_columns(topo, [set()], [base], base)["compromised"] == [0.0]
+    assert _metric_columns(topo, [set()], [base], [base])["compromised"] == [0.0]
 
     shifted = dataclasses.replace(base, discomfort=base.discomfort + [0.0, 0.4, 0.0])
-    metrics = _metric_columns(topo, [{1, 3}, set()], [shifted, base], base)
+    metrics = _metric_columns(topo, [{1, 3}, set()], [shifted, base], [base, base])
     assert metrics["compromised"] == [pytest.approx(0.4), 0.0]
     assert metrics["discomfort_legit"][0] == shifted.discomfort[1]
 
@@ -259,7 +259,7 @@ def test_compromised_discomfort_empty_legitimate_warns():
     base = run_baseline(topo, plan_sets, RunConfig())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        metrics = _metric_columns(topo, [{1, 2, 3}], [base], base)
+        metrics = _metric_columns(topo, [{1, 2, 3}], [base], [base])
     assert metrics["discomfort_legit"] == metrics["compromised"] == [0.0]
 
 

@@ -135,7 +135,7 @@ def test_run_json_matches_separate_engine_runs(capsys):
     baseline = run_baseline(topology, plan_sets, config)
     assert payload["adversaries"] == sorted(adversaries)
     assert payload["baseline_inefficiency"] == baseline.global_inefficiency
-    for name, column in _metric_columns(topology, [adversaries], [outcome], baseline).items():
+    for name, column in _metric_columns(topology, [adversaries], [outcome], [baseline]).items():
         assert [payload[name]] == column, name
     assert payload["inefficiency"] == outcome.global_inefficiency
     assert payload["iterations"] == outcome.iterations_used

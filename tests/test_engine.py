@@ -432,6 +432,51 @@ def test_run_batch_runs_each_distinct_run_once(monkeypatch, initial):
             outcome.iterations_used = 0
 
 
+@pytest.mark.parametrize("scaling", ["identity", "min-max", "zero-mean-unit-norm"])
+@pytest.mark.parametrize("initial", ["first_plan", "random"])
+@pytest.mark.parametrize("d", [3, 9])
+def test_target_stack_gives_each_run_its_own_result(monkeypatch, scaling, initial, d):
+    """Row i of a ``(B, d)`` target stack is run i's target: each outcome is
+    bit for bit the run alone with its 1-D target, and the oracle's. Runs
+    that differ only in their target both run; a repeat runs once."""
+    topo, plan_sets, betas, config, seeds = oracle_case(15, d, 4, "rss", scaling, initial, 2)
+    targets = np.random.default_rng(5).standard_normal((4, d))
+    # (beta row, target row, seed) per run.
+    runs = [(0, 0, 0), (0, 1, 0), (2, 2, 2), (2, 2, 2), (3, 0, 3), (4, 3, 4), (1, 1, 1)]
+    rows, picks, run_seeds = (list(column) for column in zip(*runs))
+    stack = targets[picks]
+    stacked = dataclasses.replace(
+        config, inefficiency=InefficiencyFn("rss", target=stack, scaling=scaling)
+    )
+    sent = []
+    real = engine._run_arrays
+
+    def recording(topology, P, batch, batch_config, batch_seeds):
+        rows_sent = zip(batch, batch_config.inefficiency.target, batch_seeds)
+        sent.extend((beta.tobytes(), target.tobytes(), s) for beta, target, s in rows_sent)
+        return real(topology, P, batch, batch_config, batch_seeds)
+
+    monkeypatch.setattr(engine, "_run_arrays", recording)
+    got = run_batch(topo, plan_sets, betas[rows], stacked, [seeds[i] for i in run_seeds])
+    distinct = [0, 1, 2, 4, 5, 6]
+    assert sent == [
+        (betas[rows[i]].tobytes(), stack[i].tobytes(), seeds[run_seeds[i]]) for i in distinct
+    ]
+    assert got[3] is got[2]
+    monkeypatch.setattr(engine, "_run_arrays", real)
+    want = oracle_engine.run_batch(topo, plan_sets, betas[rows], stacked,
+                                   [seeds[i] for i in run_seeds])
+    for i, (outcome, oracle) in enumerate(zip(got, want)):
+        alone = dataclasses.replace(
+            config, inefficiency=InefficiencyFn("rss", target=stack[i], scaling=scaling)
+        )
+        lone = run_batch(topo, plan_sets, betas[rows[i]][None], alone, [seeds[run_seeds[i]]])
+        assert_same_outcome(outcome, lone[0])
+        assert_same_outcome(outcome, oracle)
+    with pytest.raises(ConfigError, match="7 target rows for 6 seeds"):
+        run_batch(topo, plan_sets, betas[rows][:6], stacked, [0] * 6)
+
+
 def top_down_case(n):
     """A topology, its child rows and pre-order, and a recorder of the
     stacked states a fake cost function is asked for."""

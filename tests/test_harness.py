@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import logging
 import math
@@ -79,6 +80,30 @@ def test_load_config_defaults_and_paths(tmp_path):
     )
 
 
+@pytest.mark.parametrize("text", [
+    "a: .inf\nb: -.Inf\nc: .nan\n",
+    "a: ~\nb: null\nc:\n",
+    "a: yes\nb: No\nc: on\nd: off\ne: true\n",
+    "a: 1e3\nb: 1.0e3\nc: 0x1f\nd: 017\ne: 1_000\nf: 1:30\ng: -0.0\nh: '3'\n",
+    "base: &b {x: 1, y: [2, 3]}\nother: *b\nmerged: {<<: *b, y: 4}\n",
+    "a: 2001-12-14\nb: !!str 12\n",
+    "dataset:\n\tkind: gaussian\n",
+    "a: [1, 2\n",
+])
+def test_config_yaml_parses_alike_under_both_loaders(tmp_path, text):
+    from conftest import yaml_parses
+
+    if yaml.__with_libyaml__:
+        assert harness_mod._YAML_LOADER is yaml.CSafeLoader
+        assert yaml_parses(text, yaml.CSafeLoader) == yaml_parses(text, yaml.SafeLoader)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    if yaml_parses(text, yaml.SafeLoader) == "YAMLError":
+        with pytest.raises(ConfigError, match="cannot parse config"):
+            load_config(path)
+        assert cli_main(["estimate", "--config", str(path)]) == 2
+
+
 def test_load_config_rejects_unknown_keys(tmp_path):
     path = write_yaml(
         tmp_path,
@@ -121,7 +146,7 @@ def per_cell_task_cells(cfg, topology, signal_index, rep, mode):
                 seed = reference_seed(cfg.master_seed, "placement", signal_index, beta_index,
                                       count, rep)
                 ids = reference_draw(n, count, seed) if count else []
-                cells.append((beta, seed, frozenset(ids), count, None, "", None))
+                cells.append((beta, seed, signal_index, frozenset(ids), count, None, "", None))
     elif mode == "layer":
         for layer in range(1, topology.layer_count + 1):
             members = sorted(agents_in_layer(topology, layer))
@@ -132,7 +157,9 @@ def per_cell_task_cells(cfg, topology, signal_index, rep, mode):
                     for j, adversaries in enumerate(configs):
                         seed = reference_seed(cfg.master_seed, "layerrun", signal_index, layer,
                                               count, beta_index, j)
-                        cells.append((beta, seed, adversaries, count, layer, "", None))
+                        cells.append(
+                            (beta, seed, signal_index, adversaries, count, layer, "", None)
+                        )
     else:
         for direction in ("top_down", "bottom_up"):
             for m in range(1, n + 1):
@@ -140,7 +167,7 @@ def per_cell_task_cells(cfg, topology, signal_index, rep, mode):
                 for beta_index, beta in enumerate(cfg.severities):
                     seed = reference_seed(cfg.master_seed, "cumulative", signal_index, direction,
                                           m, beta_index)
-                    cells.append((beta, seed, adversaries, m, None, direction, m))
+                    cells.append((beta, seed, signal_index, adversaries, m, None, direction, m))
     return cells
 
 
@@ -221,7 +248,8 @@ def test_metric_columns_of_a_batch_are_each_runs_own_means():
     """A batch's metric columns hold, bit for bit, each run's 1-D means.
 
     Runs are grouped by their count of legitimate agents, several groups
-    hold more than one run, and one run has no legitimate agent at all.
+    hold more than one run, and one run has no legitimate agent at all. The
+    runs take turns between two baselines, as runs of two signals do.
     """
     n = 200
     topology = build_balanced_binary(n, permutation_seed=3)
@@ -230,13 +258,16 @@ def test_metric_columns_of_a_batch_are_each_runs_own_means():
     def outcome(disc):
         return RunOutcome(np.zeros(n), np.zeros(2), 0.5, disc, 2, (1.0, 0.5), (1.0, 0.5))
 
-    baseline = outcome(rng.random(n) * 3.0)
+    pair = [outcome(rng.random(n) * 3.0) for _ in range(2)]
     sizes = [0, 150, 190, 150, 197, 190, 200, 5, 197, 150]
     adversary_sets = [random_adversaries(topology, size, seed=j) for j, size in enumerate(sizes)]
     outcomes = [outcome(rng.random(n) * 3.0) for _ in sizes]
-    columns = harness_mod._metric_columns(topology, adversary_sets, outcomes, baseline)
+    baselines = [pair[j % 2] for j in range(len(sizes))]
+    columns = harness_mod._metric_columns(topology, adversary_sets, outcomes, baselines)
     by_position = np.asarray(topology.agent_at) - 1
-    for i, (adversaries, run_outcome) in enumerate(zip(adversary_sets, outcomes)):
+    for i, (adversaries, run_outcome, baseline) in enumerate(
+        zip(adversary_sets, outcomes, baselines)
+    ):
         legit = np.fromiter(set(range(1, n + 1)).difference(adversaries), dtype=int) - 1
         disc = run_outcome.discomfort
         assert columns["discomfort_total"][i] == float(disc[by_position].mean())
@@ -651,7 +682,7 @@ def test_run_cells_keeps_errors_beside_their_outcome_lists(tmp_path, monkeypatch
     cells = list(harness_mod._random_cells(cfg, topology, 0, 0))
     failing_run_batch(monkeypatch, cells[2].run_seed)
     yielded = list(harness_mod._run_cells(topology, plan_sets, RunConfig(rng_seed=11), cells))
-    assert [cell for batch, _ in yielded for cell in batch][1:] == cells
+    assert [cell for batch, _ in yielded for cell in batch] == cells
     for batch, outcomes in yielded:
         if isinstance(outcomes, Exception):
             assert batch == [cells[2]] and str(outcomes) == "injected failure"
@@ -674,6 +705,159 @@ def test_failed_structural_cells_become_error_rows(tmp_path, monkeypatch):
     assert lines == [
         "signal_id,repetition,direction,m,beta,error", ",0,top_down,3,0.4,injected failure"
     ]
+
+
+def rss_config(tmp_path, **overrides):
+    """``small_config`` with three min-max scaled RSS targets."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    files = []
+    for i in range(3):
+        files.append(str(tmp_path / f"t{i}.target"))
+        (tmp_path / f"t{i}.target").write_text(f"{0.5 * i - 1.0!r},{1.5 - i!r}\n")
+    return small_config(tmp_path, inefficiency_kind="rss", inefficiency_scaling="min-max",
+                        target_files=tuple(files), **overrides)
+
+
+def failing_runs(monkeypatch, doomed) -> None:
+    """Make every engine batch fail that holds a run of seed s against
+    target t, for each ``(s, t)`` in ``doomed``; the message names the seed."""
+    from advplan.errors import InvalidInputError
+
+    real_run_batch = harness_mod.run_batch
+
+    def flaky(topology, plan_sets, betas, config, seeds):
+        target = config.inefficiency.target
+        rows = np.broadcast_to(target, (len(seeds), target.shape[-1])).tolist()
+        for seed, row in zip(seeds, rows):
+            if (seed, tuple(row)) in doomed:
+                raise InvalidInputError(f"injected failure at seed {seed}")
+        return real_run_batch(topology, plan_sets, betas, config, seeds)
+
+    monkeypatch.setattr(harness_mod, "run_batch", flaky)
+
+
+def test_failed_cells_of_several_signals_keep_their_order(tmp_path, monkeypatch):
+    """Error rows come in (signal, repetition, cell) order, however the runs
+    were batched; a failed baseline stands for its whole (signal, repetition)."""
+    cfg = rss_config(tmp_path, runs_per_cell=2)
+    clean = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path / "clean"))).rows
+    _, signals = harness_mod.load_inputs(cfg, ("random",))
+    topo_seeds = [derive_seed(7, "topology", rep) for rep in range(2)]
+
+    def cells(si, rep):
+        topology = build_balanced_binary(10, permutation_seed=topo_seeds[rep])
+        return list(harness_mod._random_cells(cfg, topology, si, rep))
+
+    # Cell indices that fail per (signal, repetition); repetition 1 of signal
+    # 2 also loses its baseline.
+    doomed = {(1, 0): [5, 2], (1, 1): [0], (2, 0): [7], (2, 1): [3]}
+    plants = {
+        (cells(si, rep)[i].run_seed, tuple(signals[si][1]))
+        for (si, rep), picks in doomed.items() for i in picks
+    }
+    plants.add((topo_seeds[1], tuple(signals[2][1])))
+    failing_runs(monkeypatch, plants)
+    expected, lost = [], set()
+    for (si, rep), picks in sorted(doomed.items()):
+        if (si, rep) == (2, 1):
+            message = f"baseline: injected failure at seed {topo_seeds[1]}"
+            expected.append(["2", "1", "", "", message])
+            lost.update((str(si), cell.run_seed) for cell in cells(si, rep))
+            continue
+        for i in sorted(picks):
+            cell = cells(si, rep)[i]
+            expected.append([str(si), str(rep), repr(cell.beta), str(cell.adv_count),
+                             f"injected failure at seed {cell.run_seed}"])
+            lost.add((str(si), cell.run_seed))
+    header = ["signal_id", "repetition", "beta", "adv_count", "error"]
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        grid = run_sweep(dataclasses.replace(cfg, workers=workers, output_dir=str(out)))
+        with open(out / "errors.csv", newline="", encoding="utf-8") as handle:
+            assert list(csv.reader(handle)) == [header, *expected]
+        assert grid.rows == [r for r in clean if (r.signal_id, r.run_seed) not in lost]
+
+
+def test_several_signals_give_the_same_bytes_at_any_worker_count(tmp_path, monkeypatch):
+    pools = []
+
+    class CountingPool(harness_mod.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", CountingPool)
+
+    def config(root, workers):
+        return rss_config(root, runs_per_cell=2, workers=workers, initial_selection="random",
+                          severities=(0.4, 1.0), combination_cap=3)
+
+    def outputs(root, workers):
+        cfg = config(root, workers)
+        run_sweep(cfg)
+        run_structural(cfg, "layer")
+        run_structural(cfg, "cumulative")
+        return {
+            name: (root / "out" / name).read_bytes()
+            for name in ("runs.csv", "structural_layer.csv", "structural_cumulative.csv")
+        }
+
+    serial = outputs(tmp_path / "w1", 1)
+    assert pools == []
+    for workers in (2, 3):
+        assert outputs(tmp_path / f"w{workers}", workers) == serial
+    # min(workers, signals x repetitions): 3 x 2 for the sweep, 3 x 1 for each
+    # structural mode.
+    assert pools == [2, 2, 2, 3, 3, 3]
+
+    # A partial that holds only signal 0 of repetition 0 leaves 5 tasks' rows.
+    for workers in (1, 3):
+        pools.clear()
+        cfg = config(tmp_path / f"resume{workers}", workers)
+        keys = set(harness_mod._task_keys(cfg, 0, "0", 0, 10))
+        rows = SweepGrid.read_csv(tmp_path / "w1" / "out" / "runs.csv").rows
+        partial = SweepGrid(rows=[row for row in rows if row.sort_key() in keys])
+        assert len(partial.rows) == 8
+        partial.write_csv(Path(cfg.output_dir) / "runs.partial.csv")
+        run_sweep(cfg, resume=True)
+        assert pools == ([3] if workers == 3 else [])
+        assert (Path(cfg.output_dir) / "runs.csv").read_bytes() == serial["runs.csv"]
+
+
+def test_one_engine_batch_per_repetition(tmp_path, monkeypatch):
+    """With one worker, a repetition's signals share a task and its batches:
+    a baseline per signal, then every signal's cells, each against its own
+    target row."""
+    cfg = rss_config(tmp_path, runs_per_cell=2)
+    _, signals = harness_mod.load_inputs(cfg, ("random",))
+    sent = []
+    real_run_batch = harness_mod.run_batch
+
+    def recording(topology, plan_sets, betas, config, seeds):
+        sent.append((list(seeds), config.inefficiency.target.tolist()))
+        return real_run_batch(topology, plan_sets, betas, config, seeds)
+
+    monkeypatch.setattr(harness_mod, "run_batch", recording)
+    run_sweep(cfg)
+    assert len(sent) == 2
+    for rep, (seeds, targets) in enumerate(sent):
+        topology = build_balanced_binary(10, permutation_seed=derive_seed(7, "topology", rep))
+        cells = [
+            cell for si in range(3) for cell in harness_mod._random_cells(cfg, topology, si, rep)
+        ]
+        assert seeds == [derive_seed(7, "topology", rep)] * 3 + [cell.run_seed for cell in cells]
+        rows = [0, 1, 2] + [cell.signal for cell in cells]
+        assert targets == [signals[si][1].tolist() for si in rows]
+
+
+def test_group_signals_makes_the_fewest_tasks_that_busy_the_workers():
+    group = harness_mod._group_signals
+    assert group({0: [0, 1, 2], 1: [0, 1, 2]}, 1) == [([0, 1, 2], 0), ([0, 1, 2], 1)]
+    assert group({0: [0, 1, 2], 1: [0, 1, 2]}, 3) == [([0], 0), ([1, 2], 0), ([0, 1, 2], 1)]
+    assert group({0: [1, 2], 1: [0, 1, 2], 2: []}, 5) == [
+        ([1], 0), ([2], 0), ([0], 1), ([1], 1), ([2], 1)
+    ]
+    assert group({0: [0, 1, 2, 3, 4]}, 2) == [([0, 1], 0), ([2, 3, 4], 0)]
 
 
 def test_interrupted_finalize_leaves_no_results_file(tmp_path, monkeypatch):
