@@ -59,7 +59,13 @@ def _scale_rows(values: np.ndarray, mode: str) -> np.ndarray:
     else:
         shifted = values - (reduce_rows(np.add, values) / values.shape[-1])[..., None]
         span = np.sqrt(_sum_squares(shifted))[..., None]
-    return np.divide(shifted, span, out=np.zeros_like(shifted), where=span != 0.0)
+    # A flat row (span 0) scales to +0.0: it is zeroed and divided by 1, so
+    # a row of mixed +-0.0, whose shift may hold -0.0, gives +0.0 too.
+    flat = span == 0.0
+    if flat.any():
+        span[flat] = 1.0
+        np.copyto(shifted, 0.0, where=flat)
+    return np.divide(shifted, span, out=shifted)
 
 
 def reduce_rows(ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:

@@ -513,6 +513,9 @@ def _top_down(topology, children, preorder, delta, total, cost, combined) -> np.
         return np.where(w[:, None], states[j], g_parts), np.where(w, costs[j], cost_parts)
 
     approve(0, total, cost)
+    # The recursive closure refers to itself, a cycle that would keep the
+    # last block and changed_delta alive until the garbage collector runs.
+    del approve
     # A node adopts its proposal when some node on its root path was approved
     # whole and every node above that one was approved by parts.
     taken = whole.copy()

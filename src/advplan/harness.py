@@ -10,6 +10,7 @@ those rows afterwards.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import logging
 import math
@@ -82,6 +83,11 @@ _KINDS = {int: (Integral, "integers"), float: (Real, "numbers"), str: (str, "str
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
+# A config class's annotations, evaluated once: ``get_type_hints`` evaluates
+# every string annotation again on each call.
+_type_hints = functools.cache(get_type_hints)
+
+
 def _check_types(config) -> None:
     """Raise ``ConfigError`` naming the first field whose value its annotation
     does not admit.
@@ -91,7 +97,7 @@ def _check_types(config) -> None:
     and ``X | None`` None too. Any other annotation is a class to be an
     instance of.
     """
-    for key, hint in get_type_hints(type(config)).items():
+    for key, hint in _type_hints(type(config)).items():
         value = getattr(config, key)
         hint, *optional = get_args(hint) if get_origin(hint) is UnionType else (hint,)
         if value is None and optional:
@@ -461,28 +467,34 @@ def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells):
     """Yield ``(cells, outcomes)`` per batch of ``split_batches`` that runs.
 
     An RSS cell runs against row ``cell.signal`` of ``run_cfg``'s target
-    stack. A batch that fails is run again one cell at a time: each cell
-    yields ``([cell], outcomes)``, or ``([cell], error)`` when it fails
-    alone. A ``ConfigError`` concerns every cell alike, so it propagates.
+    stack. A batch that fails is run again as its two halves, and so on down
+    to single cells, so a bad cell costs about log2(B) more engine calls;
+    the cells still come back in order, and a cell that fails alone yields
+    ``([cell], error)``. A ``ConfigError`` concerns every cell alike, so it
+    propagates.
     """
 
     def attempt(batch):
         betas = beta_rows(topology, [c.adversaries for c in batch], [c.beta for c in batch])
         ineff = run_cfg.inefficiency.take([c.signal for c in batch])
-        return run_batch(topology, plan_sets, betas, replace(run_cfg, inefficiency=ineff),
-                         [c.run_seed for c in batch])
-
-    for batch in split_batches(plan_sets, cells):
         try:
-            yield batch, attempt(batch)
+            return run_batch(topology, plan_sets, betas, replace(run_cfg, inefficiency=ineff),
+                             [c.run_seed for c in batch])
         except ConfigError:
             raise
-        except (AdvplanError, OSError):
-            for cell in batch:
-                try:
-                    yield [cell], attempt([cell])
-                except (AdvplanError, OSError) as exc:
-                    yield [cell], exc
+        except (AdvplanError, OSError) as exc:
+            return exc
+
+    for batch in split_batches(plan_sets, cells):
+        pending = [batch]
+        while pending:
+            batch = pending.pop()
+            outcomes = attempt(batch)
+            if isinstance(outcomes, Exception) and len(batch) > 1:
+                half = len(batch) // 2
+                pending += [batch[half:], batch[:half]]
+            else:
+                yield batch, outcomes
 
 
 def _scales(cfg: SweepConfig, n: int) -> tuple[int, ...]:

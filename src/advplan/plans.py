@@ -8,6 +8,7 @@ line of comma-separated reals.
 from __future__ import annotations
 
 import itertools
+import os
 import re
 from pathlib import Path
 
@@ -44,6 +45,16 @@ class PlanSet:
             raise InvalidInputError(f"agent {agent_id} has a negative discomfort")
         self._values.flags.writeable = self._discomforts.flags.writeable = False
 
+    @classmethod
+    def _of_table(cls, agent_id: int, table: np.ndarray) -> PlanSet:
+        """The plans of a checked ``(k, 1 + d)`` table, discomforts first, as
+        ``_plan_table`` builds it: one compact copy per array, no re-checks."""
+        plan_set = cls.__new__(cls)
+        plan_set.agent_id = agent_id
+        plan_set._values, plan_set._discomforts = table[:, 1:].copy(), table[:, 0].copy()
+        plan_set._values.flags.writeable = plan_set._discomforts.flags.writeable = False
+        return plan_set
+
     def __reduce__(self):
         return PlanSet, (self.agent_id, self._values, self._discomforts)
 
@@ -67,10 +78,10 @@ def check_finite(plan_sets: list[PlanSet]) -> None:
     """Raise ``InvalidInputError`` naming the first agent and plan that hold
     NaN or an infinity, which the loader parses as Python's ``float`` does."""
     for ps in plan_sets:
+        if np.isfinite(ps.value_matrix()).all() and np.isfinite(ps.discomforts()).all():
+            continue
         bad = ~np.isfinite(ps.value_matrix()).all(axis=1) | ~np.isfinite(ps.discomforts())
-        if bad.any():
-            plan = bad.argmax()
-            raise InvalidInputError(f"agent {ps.agent_id} plan {plan} holds NaN or an infinity")
+        raise InvalidInputError(f"agent {ps.agent_id} plan {bad.argmax()} holds NaN or an infinity")
 
 
 def _plan_table(lines: list[str]) -> np.ndarray | None:
@@ -91,7 +102,7 @@ def _plan_table(lines: list[str]) -> np.ndarray | None:
     return None if (table[:, 0] < 0).any() else table
 
 
-def _raise_at_bad_line(path: Path) -> None:
+def _raise_at_bad_line(path: str) -> None:
     """Raise the error of a malformed plan file, naming its first bad line."""
     width = None
     with open(path, encoding="utf-8") as handle:
@@ -116,12 +127,24 @@ def _raise_at_bad_line(path: Path) -> None:
     raise ParseError(f"{path}: malformed plan file")
 
 
-def _read_text(path: Path) -> str:
+def _read_text(path: Path | str) -> str:
     """A data file's text; bytes that are not UTF-8 raise ``ParseError``."""
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _load_plan_file(path: str, agent_id: int) -> PlanSet:
+    """Agent ``agent_id``'s plans from the file at ``path``, which errors name."""
+    lines = [line for line in map(str.strip, _read_text(path).split("\n")) if line]
+    if not lines:
+        raise NoDataError(f"{path}: no plans found")
+    table = _plan_table(lines)
+    if table is None:
+        _raise_at_bad_line(path)
+    return PlanSet._of_table(agent_id, table)
 
 
 def load_plan_set(path: Path | str, agent_id: int | None = None) -> PlanSet:
@@ -132,13 +155,7 @@ def load_plan_set(path: Path | str, agent_id: int | None = None) -> PlanSet:
         if not match:
             raise ParseError(f"{path}: file name does not look like agent_<id>.plans")
         agent_id = int(match.group(1))
-    lines = [line for line in map(str.strip, _read_text(path).split("\n")) if line]
-    if not lines:
-        raise NoDataError(f"{path}: no plans found")
-    table = _plan_table(lines)
-    if table is None:
-        _raise_at_bad_line(path)
-    return PlanSet(agent_id, values=table[:, 1:], discomforts=table[:, 0])
+    return _load_plan_file(str(path), agent_id)
 
 
 def load_plan_sets(path: Path | str) -> list[PlanSet]:
@@ -146,22 +163,26 @@ def load_plan_sets(path: Path | str) -> list[PlanSet]:
 
     The ids of n files must be 1..n, and all agents must agree on plan
     dimension and count, as the engine expects; every value must be finite.
+    Files are parsed one at a time, so only one file's tokens are held.
     """
     path = Path(path)
-    files = sorted(
-        (int(m.group(1)), p)
-        for p in path.iterdir()
-        if (m := _PLAN_FILE_RE.match(p.name))
-    ) if path.is_dir() else None
-    if files is None:
+    if not path.is_dir():
         raise NoDataError(f"{path} is not a directory")
+    # str(path / name) for every name, from a single Path join.
+    prefix = str(path / "_")[:-1]
+    with os.scandir(path) as entries:
+        files = sorted(
+            (int(m.group(1)), prefix + entry.name)
+            for entry in entries
+            if (m := _PLAN_FILE_RE.match(entry.name))
+        )
     if not files:
         raise NoDataError(f"{path} contains no agent_<id>.plans files")
     n = len(files)
     missing = set(range(1, n + 1)).difference(aid for aid, _ in files)
     if missing:
         raise ConfigError(f"{path}: agent ids must be 1..{n}, and agent {min(missing)} has none")
-    plan_sets = [load_plan_set(p, agent_id=aid) for aid, p in files]
+    plan_sets = [_load_plan_file(file, aid) for aid, file in files]
     dims = {ps.dimension for ps in plan_sets}
     if len(dims) != 1:
         raise DimensionMismatchError(f"plan dimension differs across agents: {sorted(dims)}")

@@ -4,7 +4,15 @@ import numpy as np
 import oracle_engine
 import pytest
 
-from advplan.costs import InefficiencyFn, _variance_rows, argmin_rows, reduce_rows, scale_vector
+from advplan.costs import (
+    InefficiencyFn,
+    _scale_rows,
+    _sum_squares,
+    _variance_rows,
+    argmin_rows,
+    reduce_rows,
+    scale_vector,
+)
 from advplan.errors import DimensionMismatchError, InvalidInputError
 
 
@@ -151,3 +159,38 @@ def test_row_kernels_match_numpy_bit_for_bit(width):
             with np.errstate(invalid="ignore"):
                 want = np.var(values, axis=-1)
             assert _variance_rows(values).tobytes() == want.tobytes(), name
+
+
+def masked_scale_rows(values, mode):
+    """The scaling as a masked divide: rows whose span is 0 stay +0.0."""
+    if mode == "min-max":
+        lo = reduce_rows(np.minimum, values)[..., None]
+        shifted, span = values - lo, reduce_rows(np.maximum, values)[..., None] - lo
+    else:
+        shifted = values - (reduce_rows(np.add, values) / values.shape[-1])[..., None]
+        span = np.sqrt(_sum_squares(shifted))[..., None]
+    return np.divide(shifted, span, out=np.zeros_like(shifted), where=span != 0.0)
+
+
+@pytest.mark.parametrize("mode", ["min-max", "zero-mean-unit-norm"])
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 7, 8, 9, 24])
+def test_scaled_rows_match_the_masked_divide_bit_for_bit(mode, width):
+    """Flat rows (mixed +-0.0 among them), NaN and infinite rows, rows so
+    small that their squares underflow, real rows, and lone 1-D vectors."""
+    rng = np.random.default_rng(100 + width)
+    special = [0.0, -0.0, 1.0, -1.0, np.nan]
+    stack = rng.standard_normal((3, 4, 5, width)) * rng.choice([1e-3, 1.0, 1e4], size=(3, 4, 5, 1))
+    stack[0, 0] = 2.5
+    stack[0, 1] = rng.choice([0.0, -0.0], size=(5, width))
+    stack[0, 2] = rng.choice(special, size=(5, width))
+    stack[0, 3, :, 0] = np.nan
+    stack[1, 0] = rng.choice([1e-200, -1e-200, 0.0, 3e-170], size=(5, width))
+    stack[1, 1, :, -1] = np.inf
+    stack[1, 2] = rng.choice([np.inf, -np.inf, 1.0], size=(5, width))
+    stack[1, 3] = -0.0
+    cases = [stack, stack[:, :, 0], *stack.reshape(-1, width)]
+    for values in cases:
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = _scale_rows(values, mode), masked_scale_rows(values, mode)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()

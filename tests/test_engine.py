@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 
 import numpy as np
@@ -604,3 +605,20 @@ def test_run_batch_matches_oracle_when_approvals_cut_blocks(monkeypatch, initial
         assert_same_outcome(g, w)
     # Blocks were cut short: more states costed than nodes that needed one.
     assert costed > moved if block > 1 else costed == moved
+
+
+def test_a_batch_leaves_no_reference_cycles():
+    """Every array of a batch is freed when it returns, not at the next
+    garbage collection, so the next batch does not stack on top of it."""
+    topology = build_balanced_binary(31, permutation_seed=2)
+    plan_sets = generate_gaussian_plans(31, 4, 6, seed=2)
+    betas = beta_rows(topology, [random_adversaries(topology, 10, seed=s) for s in range(5)],
+                      [0.6] * 5)
+    gc.collect()
+    gc.disable()
+    try:
+        outcomes = run_batch(topology, plan_sets, betas, RunConfig(), range(5))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert max(o.iterations_used for o in outcomes) > 1

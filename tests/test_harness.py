@@ -644,18 +644,22 @@ def test_held_memory_per_row_stays_flat(tmp_path):
     assert (high - low) / (more_rows - rows) < 900
 
 
-def failing_run_batch(monkeypatch, doomed: int) -> None:
-    """Make every engine batch that holds the run seed ``doomed`` fail."""
+def failing_run_batch(monkeypatch, doomed: int) -> list[int]:
+    """Make every engine batch that holds the run seed ``doomed`` fail; the
+    returned list gets the size of every batch sent, in call order."""
     from advplan.errors import InvalidInputError
 
     real_run_batch = harness_mod.run_batch
+    sizes = []
 
     def flaky(topology, plan_sets, behaviors, config, seeds):
+        sizes.append(len(seeds))
         if doomed in seeds:
             raise InvalidInputError("injected failure")
         return real_run_batch(topology, plan_sets, behaviors, config, seeds)
 
     monkeypatch.setattr(harness_mod, "run_batch", flaky)
+    return sizes
 
 
 def test_failed_cells_become_error_rows(tmp_path, monkeypatch):
@@ -674,18 +678,22 @@ def test_failed_cells_become_error_rows(tmp_path, monkeypatch):
 
 
 def test_run_cells_keeps_errors_beside_their_outcome_lists(tmp_path, monkeypatch):
-    """A failed batch comes back cell by cell, and only a cell that fails
-    alone comes back as its error, never inside a list of outcomes."""
-    cfg = small_config(tmp_path, severities=(0.5,))
+    """A failed batch is retried by halves, and only a cell that fails alone
+    comes back as its error, never inside a list of outcomes."""
+    cfg = small_config(tmp_path, severities=(0.5, 1.0), scales=tuple(range(11)))
     plan_sets = harness_mod.load_dataset(cfg.dataset)
     topology = build_balanced_binary(len(plan_sets), permutation_seed=11)
     cells = list(harness_mod._random_cells(cfg, topology, 0, 0))
-    failing_run_batch(monkeypatch, cells[2].run_seed)
+    sizes = failing_run_batch(monkeypatch, cells[13].run_seed)
     yielded = list(harness_mod._run_cells(topology, plan_sets, RunConfig(rng_seed=11), cells))
     assert [cell for batch, _ in yielded for cell in batch] == cells
+    # 22 cells: the batch, then halves of the failing part down to cell 13,
+    # where a retry cell by cell would make 1 + 22 calls.
+    assert sizes == [22, 11, 11, 5, 2, 3, 1, 2, 6]
+    assert [len(batch) for batch, _ in yielded] == [11, 2, 1, 2, 6]
     for batch, outcomes in yielded:
         if isinstance(outcomes, Exception):
-            assert batch == [cells[2]] and str(outcomes) == "injected failure"
+            assert batch == [cells[13]] and str(outcomes) == "injected failure"
         else:
             assert len(outcomes) == len(batch)
             assert all(isinstance(outcome, RunOutcome) for outcome in outcomes)
@@ -718,14 +726,17 @@ def rss_config(tmp_path, **overrides):
                         target_files=tuple(files), **overrides)
 
 
-def failing_runs(monkeypatch, doomed) -> None:
+def failing_runs(monkeypatch, doomed) -> list[int]:
     """Make every engine batch fail that holds a run of seed s against
-    target t, for each ``(s, t)`` in ``doomed``; the message names the seed."""
+    target t, for each ``(s, t)`` in ``doomed``; the message names the seed.
+    The returned list gets the size of every batch sent in this process."""
     from advplan.errors import InvalidInputError
 
     real_run_batch = harness_mod.run_batch
+    calls = []
 
     def flaky(topology, plan_sets, betas, config, seeds):
+        calls.append(len(seeds))
         target = config.inefficiency.target
         rows = np.broadcast_to(target, (len(seeds), target.shape[-1])).tolist()
         for seed, row in zip(seeds, rows):
@@ -734,6 +745,7 @@ def failing_runs(monkeypatch, doomed) -> None:
         return real_run_batch(topology, plan_sets, betas, config, seeds)
 
     monkeypatch.setattr(harness_mod, "run_batch", flaky)
+    return calls
 
 
 def test_failed_cells_of_several_signals_keep_their_order(tmp_path, monkeypatch):
@@ -756,7 +768,7 @@ def test_failed_cells_of_several_signals_keep_their_order(tmp_path, monkeypatch)
         for (si, rep), picks in doomed.items() for i in picks
     }
     plants.add((topo_seeds[1], tuple(signals[2][1])))
-    failing_runs(monkeypatch, plants)
+    calls = failing_runs(monkeypatch, plants)
     expected, lost = [], set()
     for (si, rep), picks in sorted(doomed.items()):
         if (si, rep) == (2, 1):
@@ -776,6 +788,9 @@ def test_failed_cells_of_several_signals_keep_their_order(tmp_path, monkeypatch)
         with open(out / "errors.csv", newline="", encoding="utf-8") as handle:
             assert list(csv.reader(handle)) == [header, *expected]
         assert grid.rows == [r for r in clean if (r.signal_id, r.run_seed) not in lost]
+        if workers == 1:
+            # Failed batches are retried by halves; cell by cell would take 56 calls.
+            assert len(calls) == 44
 
 
 def test_several_signals_give_the_same_bytes_at_any_worker_count(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,3 +226,117 @@ def test_plan_set_pickles_read_only():
     assert back.discomforts().tobytes() == ps.discomforts().tobytes()
     assert not back.value_matrix().flags.writeable
     assert not back.discomforts().flags.writeable
+
+
+# Each agent's file spells the same 4 x 4 table in its own syntax: every
+# token form of test_loader_arrays_match_python_float, CRLF and lone CR line
+# ends, and blank or whitespace-only lines anywhere.
+SYNTAX_ROWS = [
+    ("0", ["1e-3", "2.5E+10", "-7.25e-310", "1_000.5"]),
+    (" +0.5 ", ["  -0.0", "+0.0 ", "inf", "-INF"]),
+    ("2_0", ["+1.5", " 3 ", "1E3", "-Infinity"]),
+    ("-0.0", ["0.1", "nan", "12345678901234567890", ".5"]),
+]
+SYNTAX_FILES = {
+    1: "\n".join(h + ":" + ",".join(t) for h, t in SYNTAX_ROWS) + "\n",
+    2: "\r\n".join(h + ":" + ",".join(t) for h, t in SYNTAX_ROWS),
+    3: "\n  \n" + "\r\n\r\n".join(h + ":" + ",".join(t) for h, t in SYNTAX_ROWS) + "\r\n\n",
+    4: "\t\n" + "\r".join(h + ":" + ",".join(t) for h, t in SYNTAX_ROWS) + "\r \r",
+    5: "\n\n".join(" " + h + ":" + ",".join(t) + " \t" for h, t in SYNTAX_ROWS),
+}
+
+
+def test_directory_load_equals_each_file_alone(tmp_path):
+    """Every agent of a directory gets the arrays of its file loaded alone,
+    bit for bit and read-only, which are ``float`` of each token."""
+    for agent, text in SYNTAX_FILES.items():
+        (tmp_path / f"agent_{agent}.plans").write_bytes(text.encode())
+    (tmp_path / "notes.txt").write_text("not a plan file\n")
+    values = np.array([[float(tok) for tok in tail] for _, tail in SYNTAX_ROWS])
+    discomforts = np.array([float(head) for head, _ in SYNTAX_ROWS])
+    singles = [load_plan_set(tmp_path / f"agent_{agent}.plans") for agent in SYNTAX_FILES]
+    with pytest.raises(InvalidInputError, match="^agent 1 plan 1 holds NaN or an infinity$"):
+        load_plan_sets(tmp_path)
+    for ps in singles:
+        assert ps.value_matrix().tobytes() == values.tobytes()
+        assert ps.discomforts().tobytes() == discomforts.tobytes()
+
+    # The same tokens, finite, through the directory loader.
+    finite = {"inf": "1e308", "-INF": "-2_5", "-Infinity": "-7", "nan": "0.0"}
+    rows = [(h, [finite.get(tok, tok) for tok in t]) for h, t in SYNTAX_ROWS]
+    for agent, text in SYNTAX_FILES.items():
+        for (_, tail), (_, clean) in zip(SYNTAX_ROWS, rows):
+            text = text.replace(",".join(tail), ",".join(clean))
+        (tmp_path / f"agent_{agent}.plans").write_bytes(text.encode())
+    values = np.array([[float(tok) for tok in tail] for _, tail in rows])
+    loaded = load_plan_sets(tmp_path)
+    assert [ps.agent_id for ps in loaded] == list(SYNTAX_FILES)
+    for ps in loaded:
+        alone = load_plan_set(tmp_path / f"agent_{ps.agent_id}.plans")
+        for got, want in ((ps.value_matrix(), alone.value_matrix()),
+                          (ps.discomforts(), alone.discomforts())):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+        assert ps.value_matrix().tobytes() == values.tobytes()
+        assert ps.discomforts().tobytes() == discomforts.tobytes()
+        back = pickle.loads(pickle.dumps(ps))
+        assert back.value_matrix().tobytes() == values.tobytes()
+
+
+def write_agents(directory, texts):
+    for agent, text in texts.items():
+        (directory / f"agent_{agent}.plans").write_bytes(text.encode())
+
+
+def test_directory_errors_name_the_first_bad_file(tmp_path):
+    """A file that does not parse is reported before any other fault, and
+    the first such file by agent id wins."""
+    write_agents(tmp_path, {1: "0:1,2\n", 2: "0:1,2\n1:1,x\n", 3: "\n \n", 4: "0:1\n"})
+    with pytest.raises(ParseError) as err:
+        load_plan_sets(tmp_path)
+    assert str(err.value) == (
+        f"{tmp_path / 'agent_2.plans'}:2: could not convert string to float: 'x'"
+    )
+    (tmp_path / "agent_2.plans").write_text("0:1,2\n1:1,2\n")
+    with pytest.raises(NoDataError, match=r"agent_3\.plans: no plans found$"):
+        load_plan_sets(tmp_path)
+
+
+def test_directory_checks_dimension_then_count_then_finiteness(tmp_path):
+    """Across agents, a dimension mismatch is reported before a count
+    mismatch, and both before a non-finite value."""
+    write_agents(tmp_path, {1: "0:nan,1\n1:1,2\n", 2: "0:1,2,3\n", 3: "0:1,2\n"})
+    with pytest.raises(DimensionMismatchError) as err:
+        load_plan_sets(tmp_path)
+    assert str(err.value) == "plan dimension differs across agents: [2, 3]"
+    (tmp_path / "agent_2.plans").write_text("0:1,2\n")
+    with pytest.raises(DimensionMismatchError) as err:
+        load_plan_sets(tmp_path)
+    assert str(err.value) == "plan count differs across agents: [1, 2]"
+    write_agents(tmp_path, {1: "0:0,1\n", 2: "0:1,2\n1:inf,2\n", 3: "0:1,2\n1:1,nan\n"})
+    (tmp_path / "agent_1.plans").write_text("0:0,1\n1:1,2\n")
+    with pytest.raises(InvalidInputError) as err:
+        load_plan_sets(tmp_path)
+    assert str(err.value) == "agent 2 plan 1 holds NaN or an infinity"
+    write_agents(tmp_path, {2: "0:1,2\n1:1,2\n", 3: "nan:1,2\n1:1,2\n"})
+    with pytest.raises(InvalidInputError, match="^agent 3 plan 0 holds NaN or an infinity$"):
+        load_plan_sets(tmp_path)
+
+
+def test_directory_load_holds_one_files_tokens_at_a_time(tmp_path):
+    """Beyond the arrays it returns, a load holds about one file's text and
+    tokens: 200 files of 10 x 24 plans hold 400 kB of arrays, and their
+    tokens as strings would take more than 3 MB at once."""
+    save_plan_sets(generate_gaussian_plans(200, 10, 24, seed=3), tmp_path)
+    load_plan_sets(tmp_path)  # first calls allocate once, whatever the size
+    tracemalloc.start()
+    try:
+        plan_sets = load_plan_sets(tmp_path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(ps.value_matrix().nbytes + ps.discomforts().nbytes for ps in plan_sets) == 400_000
+    assert peak - held < 200_000
