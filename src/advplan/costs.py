@@ -81,21 +81,6 @@ def reduce_rows(ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def argmin_rows(values: np.ndarray) -> np.ndarray:
-    """``values.argmin(axis=-1)``; a short axis without NaN goes column by column,
-    where only a strictly smaller value takes over, so ties keep the first index."""
-    k = values.shape[-1]
-    if not 0 < k < SHORT_AXIS or np.isnan(values).any():
-        return values.argmin(axis=-1)
-    best = values[..., 0].copy(order="K")
-    index = np.zeros(best.shape, dtype=np.intp)
-    for j in range(1, k):
-        better = values[..., j] < best
-        np.copyto(best, values[..., j], where=better)
-        np.copyto(index, j, where=better)
-    return index
-
-
 def _sum_squares(values: np.ndarray) -> np.ndarray:
     """``row @ row`` for every row of a ``(..., d)`` stack.
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .costs import SHORT_AXIS, GlobalResponse, InefficiencyFn, argmin_rows, scale_vector
+from .costs import SHORT_AXIS, GlobalResponse, InefficiencyFn, scale_vector
 from .errors import ConfigError, InvalidInputError
 from .plans import PlanSet, check_finite
 from .topology import TreeTopology
@@ -81,6 +81,17 @@ def _check_betas(betas: np.ndarray) -> None:
     if outside.size:
         at = tuple(outside[0])
         raise InvalidInputError(f"beta for agent {at[-1] + 1} must be in [0, 1], got {betas[at]}")
+
+
+def check_magnitude(n: int, d: int, *values: np.ndarray) -> None:
+    """Raise ``InvalidInputError`` unless plan and target ``values`` keep the costs of n
+    agents in d dimensions finite: a cost sums d squares of at most 2n times their
+    largest magnitude, and the scalarized cost divides it by as little as ``_TINY``."""
+    largest = max(max(v.max(), -v.min()) for v in values)
+    bound = np.sqrt(np.finfo(float).max * _TINY / (2 * d)) / (2 * n)
+    if largest > bound:
+        raise InvalidInputError(f"plan or target values reach {largest:.6g}; the costs of {n} "
+                                f"agents in {d} dimensions stay finite only up to {bound:.6g}")
 
 
 @dataclass(frozen=True)
@@ -196,7 +207,7 @@ def _choose(P, alpha, beta, ctx, n: int, ineff: InefficiencyFn) -> np.ndarray:
         alpha[..., None] * scale_vector(ineff_costs, "min-max")
         + beta[..., None] * scale_vector(disc_costs, "min-max")
     )
-    return argmin_rows(score)
+    return score.argmin(axis=-1)
 
 
 def _stack_plans(topology: TreeTopology, plan_sets: list[PlanSet], config: RunConfig):
@@ -229,6 +240,9 @@ def _stack_plans(topology: TreeTopology, plan_sets: list[PlanSet], config: RunCo
     P = np.empty((n, counts.pop(), d + 1))
     P[..., :d] = np.stack([ps.value_matrix() for ps in ordered])
     P[..., d] = np.stack([ps.discomforts() for ps in ordered])
+    if not np.isfinite(P).all():
+        check_finite(plan_sets)
+    check_magnitude(n, d, P, *([ineff.target] if ineff.kind == "rss" else []))
     return P
 
 
@@ -251,8 +265,8 @@ def run_batch(
     executed once and share its read-only outcome. The distinct runs go
     through the arrays in the batches of ``split_batches``. Plan sets that
     differ in dimension or plan count raise ``ConfigError``, and a plan or
-    target that holds NaN or an infinity ``InvalidInputError`` naming it,
-    before any iteration.
+    target holding NaN, an infinity (naming it) or values that overflow a
+    cost (``check_magnitude``) ``InvalidInputError``, before any iteration.
     """
     betas, seeds = np.ascontiguousarray(betas, dtype=float), list(seeds)
     if betas.shape[:1] != (len(seeds),):
@@ -261,8 +275,6 @@ def run_batch(
         raise ConfigError("beta rows must cover every agent exactly once")
     _check_betas(betas)
     P = _stack_plans(topology, plan_sets, config)
-    if not np.isfinite(P).all():
-        check_finite(plan_sets)
     ineff, targets = config.inefficiency, [None] * len(seeds)
     if ineff.kind == "rss":
         if ineff.target.ndim == 2 and len(ineff.target) != len(seeds):

@@ -45,7 +45,7 @@ from .analytics import (
     rvc_bands,
 )
 from .costs import InefficiencyFn, _canonical_kind, _canonical_scaling
-from .engine import RunConfig, RunOutcome, run_batch, split_batches
+from .engine import RunConfig, RunOutcome, check_magnitude, run_batch, split_batches
 from .errors import AdvplanError, ConfigError, DegenerateInputError, InvalidInputError, ParseError
 from .heatmap import render_heatmap
 from .plans import (
@@ -387,18 +387,20 @@ def load_target(path, dimension: int) -> np.ndarray:
 
 
 def load_inputs(cfg: SweepConfig, modes: tuple[str, ...]) -> tuple[list[PlanSet], list[tuple]]:
-    """The plan sets and ``(signal_id, target)`` pairs that the rows of the
-    placement ``modes`` run on, checked before a command writes a file: random
-    rows need every scale in 0..n, and each RSS target the plans' dimension."""
+    """The plan sets and ``(signal_id, target)`` pairs that the rows of the placement
+    ``modes`` run on, checked before a command writes a file: random rows need every
+    scale in 0..n, each RSS target the plans' dimension, and costs that stay finite."""
     plan_sets = load_dataset(cfg.dataset)
     n, d = len(plan_sets), plan_sets[0].dimension
     if "random" in modes:
         for count in _scales(cfg, n):
             if not 0 <= count <= n:
                 raise ConfigError(f"scale {count} outside 0..{n}")
-    if cfg.inefficiency_kind == "variance":
-        return plan_sets, [("", None)]
-    return plan_sets, [(str(i), load_target(path, d)) for i, path in enumerate(cfg.target_files)]
+    paths = cfg.target_files if cfg.inefficiency_kind == "rss" else ()
+    targets = [load_target(path, d) for path in paths]
+    plans = [a for ps in plan_sets for a in (ps.value_matrix(), ps.discomforts())]
+    check_magnitude(n, d, np.concatenate(plans, axis=None), *targets)
+    return plan_sets, [(str(i), target) for i, target in enumerate(targets)] or [("", None)]
 
 
 class _Cell(NamedTuple):

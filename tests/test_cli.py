@@ -380,6 +380,27 @@ def test_non_finite_plan_or_target_values_exit_3(tmp_path, caplog, capsys, token
     assert not (tmp_path / "out").exists()
 
 
+def test_plan_values_whose_costs_overflow_exit_3(tmp_path, caplog, capsys):
+    """Finite plan values so large that the costs overflow (8 agents with 3
+    plans of 3 values, N(0, 1) times 1e200) stop every command before any
+    cost is computed or any file written, with no numpy warning."""
+    rng = np.random.default_rng(0)
+    save_plan_sets([PlanSet(a, rng.standard_normal((3, 3)) * 1e200, rng.random(3))
+                    for a in range(1, 9)], tmp_path / "p")
+    raw = yaml.safe_load(write_config(tmp_path).read_text())
+    config = tmp_path / "files.yaml"
+    config.write_text(yaml.safe_dump({**raw, "dataset": {"kind": "files", "plans_dir": "p"}}))
+    for argv in (["run", "--plans-dir", str(tmp_path / "p"), "--severity", "0.5", "--count", "2"],
+                 ["sweep", "--config", str(config)],
+                 ["structural", "--config", str(config), "--mode", "layer"],
+                 ["estimate", "--config", str(config)]):
+        caplog.clear()
+        assert main(argv) == 3
+        assert "the costs of 8 agents in 3 dimensions stay finite only" in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_no_rows_exit_code(tmp_path):
     empty = tmp_path / "empty.csv"
     from advplan.harness import SweepGrid

@@ -9,7 +9,6 @@ from advplan.costs import (
     _scale_rows,
     _sum_squares,
     _variance_rows,
-    argmin_rows,
     reduce_rows,
     scale_vector,
 )
@@ -140,8 +139,8 @@ def layouts(stack):
 def test_row_kernels_match_numpy_bit_for_bit(width):
     # Real rows at mixed magnitudes, then rows over {+-0.0, +-1} and over
     # {+-0.0, +-1, NaN}: every such row while there are few, random ones
-    # past that. Ties decide argmin's first-index rule, NaN rows its
-    # NaN-first one, and -0.0 the +0.0 start of numpy's sum.
+    # past that. NaN rows decide the NaN rule of min and max, ties between
+    # +-0.0 which zero they keep, and -0.0 the +0.0 start of numpy's sum.
     rng = np.random.default_rng(width)
     real = rng.standard_normal((60, 3, width + 1)) * rng.choice([1e-3, 1.0, 1e4], size=(60, 1, 1))
     stacks = [real]
@@ -155,7 +154,6 @@ def test_row_kernels_match_numpy_bit_for_bit(width):
             for ufunc in (np.add, np.minimum, np.maximum):
                 want = ufunc.reduce(values, axis=-1)
                 assert reduce_rows(ufunc, values).tobytes() == want.tobytes(), (name, ufunc)
-            assert (argmin_rows(values) == values.argmin(axis=-1)).all(), name
             with np.errstate(invalid="ignore"):
                 want = np.var(values, axis=-1)
             assert _variance_rows(values).tobytes() == want.tobytes(), name

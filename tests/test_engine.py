@@ -91,6 +91,45 @@ def test_select_plan_discomfort_rescaling_invariance():
             assert a == b
 
 
+# Planted score rows over k = 4 plans and the index each must choose: the
+# first minimum wins a tie, -0.0 ties with +0.0, the first NaN wins, and
+# infinities order as numbers.
+PLANTED_SCORES = [
+    ([0.5, 0.25, 0.25, 0.75], 1),
+    ([1.0, 1.0, 1.0, 1.0], 0),
+    ([0.0, -0.0, 0.0, -0.0], 0),
+    ([0.5, -0.0, 0.0, -0.0], 1),
+    ([0.5, 0.25, np.nan, np.nan], 2),
+    ([np.nan, 0.0, np.nan, -np.inf], 0),
+    ([np.inf, np.inf, np.inf, np.inf], 0),
+    ([np.inf, 1.0, -np.inf, -np.inf], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,d,columns", [("variance", 2, True), ("rss", 2, False), ("variance", 9, False)]
+)
+def test_choose_applies_the_tie_rules_in_every_layout(monkeypatch, kind, d, columns):
+    # Each (node, run) gets one planted row as its scaled inefficiency, laid
+    # out as the real one is, and a -0.0 discomfort term: the score is then
+    # 1.0 * row + 0.0 * -0.0, the planted bits.
+    rows = np.array([row for row, _ in PLANTED_SCORES]).reshape(2, 4, 4)
+    layouts = []
+
+    def planted(values, mode):
+        out = np.empty_like(values)
+        out[...] = rows if not layouts else -0.0
+        layouts.append(values.strides[-1] == values.itemsize)
+        return out
+
+    monkeypatch.setattr(engine, "scale_vector", planted)
+    ineff = InefficiencyFn(kind=kind, target=np.zeros(d) if kind == "rss" else None)
+    P, ctx = np.zeros((2, 4, d + 1)), np.zeros((2, 4, d + 1))
+    choice = engine._choose(P, np.ones((2, 4)), np.zeros((2, 4)), ctx, 3, ineff)
+    assert layouts[0] is not columns
+    assert choice.tolist() == np.reshape([want for _, want in PLANTED_SCORES], (2, 4)).tolist()
+
+
 def test_run_forced_when_single_plan():
     plan_sets = generate_gaussian_plans(5, 1, 3, seed=2)
     topo = build_balanced_binary(5, permutation_seed=2)
@@ -246,6 +285,31 @@ def test_run_batch_rejects_non_finite_plans_and_targets(monkeypatch):
         run_batch(topo, plan_sets, np.zeros((1, 4)), rss, [0])
 
 
+# Largest plan or target magnitude whose costs stay finite for n = 8, d = 3.
+BOUND = np.sqrt(np.finfo(float).max * 1e-12 / (2 * 3)) / (2 * 8)
+
+
+def overflowing(scale, seed=0):
+    """8 agents with 3 plans of 3 values each, N(0, 1) times ``scale``."""
+    rng = np.random.default_rng(seed)
+    return [toy_plan_set(a, rng.standard_normal((3, 3)) * scale, rng.random(3))
+            for a in range(1, 9)]
+
+
+def test_run_batch_rejects_values_whose_costs_overflow(monkeypatch):
+    """Finite plans, discomforts or targets so large that a cost of n agents
+    in d dimensions would overflow raise before any iteration."""
+    topo, plan_sets = build_balanced_binary(8), overflowing(1.0)
+    monkeypatch.setattr(engine, "_run_arrays", lambda *args: pytest.fail("ran an iteration"))
+    huge_disc = [toy_plan_set(1, plan_sets[0].value_matrix(), [0.0, 1.1 * BOUND, 1.0]),
+                 *plan_sets[1:]]
+    for sets, ineff in ((overflowing(1e200), InefficiencyFn()),
+                        (huge_disc, InefficiencyFn()),
+                        (plan_sets, InefficiencyFn("rss", target=[0.0, 1.1 * BOUND, 0.0]))):
+        with pytest.raises(InvalidInputError, match="8 agents in 3 dimensions stay finite"):
+            run_batch(topo, sets, np.zeros((2, 8)), RunConfig(inefficiency=ineff), [0, 1])
+
+
 def test_run_batch_rejects_differing_plan_counts(monkeypatch):
     """Every agent holds the same number of plans; plan sets that differ
     raise, naming the counts, before any iteration."""
@@ -352,6 +416,30 @@ def test_run_batch_matches_oracle(kind, scaling, initial, n, d, plans):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert_same_outcome(g, w)
+
+
+@pytest.mark.parametrize("kind,scaling", COSTS)
+def test_values_just_inside_the_bound_run_without_overflow(kind, scaling):
+    """Values at 0.99 of the bound run every cost kernel with no numpy
+    overflow warning, which tier-1 turns into a failure. The flat start's
+    inefficiency, the scalarized cost's reference, is barely above 1e-12."""
+    values = np.stack([ps.value_matrix() for ps in overflowing(1.0, seed=3)])
+    values *= 0.99 * BOUND / np.abs(values).max()
+    flat_start = values.copy()
+    flat_start[:, 0] = 0.0
+    flat_start[0, 0, 1] = 3e-6
+    discomforts = np.tile([0.99 * BOUND, 0.0, 0.5], (8, 1))
+    topo = build_balanced_binary(8, permutation_seed=1)
+    betas = beta_rows(topo, [(), {1, 4, 6}, {2, 3}], [0.0, 0.5, 1.0])
+    spread = np.array([0.5, -0.25, 0.75]) * BOUND
+    for plans, target in ((values, spread), (flat_start, np.zeros(3))):
+        plan_sets = [toy_plan_set(a, plans[a - 1], discomforts[a - 1]) for a in range(1, 9)]
+        ineff = InefficiencyFn(kind, target=target if kind == "rss" else None, scaling=scaling)
+        for initial in ("first_plan", "random"):
+            config = RunConfig(inefficiency=ineff, initial_selection=initial)
+            for outcome in run_batch(topo, plan_sets, betas, config, [0, 1, 2]):
+                assert np.isfinite(outcome.combined_cost_trace).all()
+                assert np.isfinite(outcome.global_inefficiency)
 
 
 def test_run_batch_chunks_and_slices_match_oracle(monkeypatch):
