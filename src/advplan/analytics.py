@@ -7,7 +7,6 @@ vulnerability, and collapse bands.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from enum import Enum
 
@@ -54,13 +53,13 @@ def knee_mmd(front) -> tuple[float, float]:
     pts = [(float(x), float(y)) for x, y in front]
     if not pts:
         raise InvalidInputError("cannot locate a knee on an empty front")
-    arr = np.asarray(pts)
-    spans = arr.max(axis=0) - arr.min(axis=0)
-    normed = np.zeros_like(arr)
-    for j in range(2):
-        if spans[j] > 0:
-            normed[:, j] = (arr[:, j] - arr[:, j].min()) / spans[j]
-    dist = normed.sum(axis=1)
+    # Python floats: the operations numpy's normalization does, per point.
+    normed = []
+    for coords in zip(*pts):
+        lo = min(coords)
+        span = max(coords) - lo
+        normed.append([(c - lo) / span for c in coords] if span > 0 else [0.0] * len(pts))
+    dist = [nx + ny for nx, ny in zip(*normed)]
     order = sorted(range(len(pts)), key=lambda i: (dist[i], pts[i][0], pts[i][1]))
     return pts[order[0]]
 
@@ -70,31 +69,19 @@ def knee_mmd(front) -> tuple[float, float]:
 _POW = np.frompyfunc(pow, 2, 1)
 
 
-@functools.lru_cache(maxsize=8)
-def _splits(bins: int, classes: int) -> np.ndarray:
-    """Every split of ``bins`` bins into ``classes`` classes, one row each.
+def _split_scores(weights: np.ndarray, moments: np.ndarray, classes: int):
+    """``(scores, at)``: the between-class variance of every split, tabulated
+    over the filled-bin boundaries its cuts fall at.
 
-    Row ``(c1, ..., c_{classes-1})`` cuts after those bin indices; rows come
-    in ``itertools.combinations`` order. The cached array is read-only.
-    """
-    cuts = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(bins - 1), classes - 1)),
-        dtype=np.intp,
-    ).reshape(-1, classes - 1)
-    cuts.flags.writeable = False
-    return cuts
-
-
-def _split_scores(weights: np.ndarray, moments: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """Between-class variance of every split in ``cuts``, from cumulative sums.
-
-    Empty bins add exact zeros to the cumulative sums, so a histogram segment
-    has the sums, and the term ``(w / W) * (mu - mu_total) ** 2``, of the
-    filled bins it covers: terms are computed once per pair of the F + 1
-    filled-bin boundaries. A split's score starts at 0.0 and adds its
-    segments' terms left to right, the arithmetic of scoring each split on its
-    own, so ties stay exact ties. Those sums are tabulated over boundary
-    sequences and looked up through the filled-bin count at each cut.
+    ``at[c]`` is the boundary of a cut after bin c: the count of filled bins
+    up to and including c, from 0 to F. ``scores[r1, ..., rk]``, for k =
+    ``classes`` - 1, is the score of every split whose cuts fall at
+    boundaries r1 <= ... <= rk. Empty bins add exact zeros to the cumulative
+    sums, so a histogram segment has the sums, and the term ``(w / W) * (mu -
+    mu_total) ** 2``, of the filled bins it covers: terms are computed once
+    per pair of the F + 1 boundaries. A score starts at 0.0 and adds its
+    segments' terms left to right, the arithmetic of scoring each split on
+    its own, so ties stay exact ties.
     """
     total_w = weights[-1]
     total_mu = moments[-1] / total_w
@@ -107,28 +94,67 @@ def _split_scores(weights: np.ndarray, moments: np.ndarray, cuts: np.ndarray) ->
     deviation = (m_at[hi] - m_at[lo]) / w - total_mu
     terms = np.zeros((len(w_at), len(w_at)))
     terms[lo, hi] = (w / total_w) * _POW(deviation, 2).astype(float)
-    # sums[r1, ..., r_k]: segments from boundary 0 to r1, r1 to r2, ... and
+    # scores[r1, ..., r_k]: segments from boundary 0 to r1, r1 to r2, ... and
     # r_k to the last boundary.
-    sums = 0.0 + terms[0]
-    for _ in range(cuts.shape[1] - 1):
-        sums = sums[..., None] + terms
-    sums = sums + terms[:, -1]
-    return sums[tuple(np.cumsum(is_filled)[cuts.T])]
+    scores = 0.0 + terms[0]
+    for _ in range(classes - 2):
+        scores = scores[..., None] + terms
+    return scores + terms[:, -1], np.cumsum(is_filled)[:-1]
+
+
+def _plateau_cuts(weights: np.ndarray, moments: np.ndarray, classes: int) -> list[int]:
+    """The middle of each cut's range over the splits of the histogram with
+    cumulative ``weights`` and ``moments`` that score within 1e-9 of the best.
+
+    A split is ``classes`` - 1 increasing cuts, each after one of the first
+    bins - 1 bins, and its score is an entry of ``_split_scores``' table. An
+    entry is some split's score when its boundaries can hold increasing
+    cuts: the cuts at boundary r form a contiguous range, and j equal
+    boundaries need j cuts inside it. So the best score and its plateau are
+    found on the table, and at each place of a boundary sequence its
+    smallest and largest cut come from those ranges.
+    """
+    scores, at = _split_scores(weights, moments, classes)
+    k = classes - 1
+    # Boundaries between the first and last cut's; each holds at least one cut.
+    first, last = int(at[0]), int(at[-1])
+    room = np.bincount(at - first)
+    lowest = np.searchsorted(at, np.arange(first, last + 1))
+    r = np.ix_(*[np.arange(len(room))] * k)
+    reachable = np.ones((len(room),) * k, dtype=bool)
+    for i, j in itertools.combinations(range(k), 2):
+        reachable &= (r[i] < r[j]) | ((r[i] == r[j]) & (room[r[i]] > j - i))
+    scores = np.where(reachable, scores[(slice(first, last + 1),) * k], -np.inf)
+    best = scores.max()
+    # Splits that differ only in where empty bins land score identically up
+    # to summation noise; a relative tolerance keeps the whole plateau.
+    winners = np.argwhere(scores >= best - 1e-9 * abs(best))
+    mids = []
+    for j in range(k):
+        r = winners[:, j]
+        before = (winners[:, :j] == r[:, None]).sum(axis=1)
+        after = (winners[:, j + 1:] == r[:, None]).sum(axis=1)
+        smallest = lowest[r] + before
+        largest = lowest[r] + room[r] - 1 - after
+        mids.append((int(smallest.min()) + int(largest.max())) // 2)
+    return mids
 
 
 def multi_otsu(values, classes: int = 3, bins: int = 256) -> list[float]:
     """Histogram thresholds separating the values into the given class count.
 
-    The values are binned into equal-width bins over [min, max]; every
-    combination of class boundaries is scored and the one maximizing
-    between-class variance (equivalently minimizing intra-class variance)
-    wins. When several splits tie, which happens whenever empty bins separate
-    clusters, the middle of each boundary's tying range is taken, so
-    well-separated clusters split at their midpoints. Thresholds come back
-    ascending, as bin-edge values. NaN or infinite values raise
+    The values are binned into equal-width bins over [min, max], and the
+    split of the bins into classes maximizing between-class variance
+    (equivalently minimizing intra-class variance) wins; scores are found on
+    the table of filled-bin boundaries, so the cost grows with the distinct
+    values, not with ``bins``. When several splits tie, which happens
+    whenever empty bins separate clusters, the middle of each boundary's
+    tying range is taken, so well-separated clusters split at their
+    midpoints. Thresholds come back ascending, as bin-edge values. NaN or
+    infinite values, and values so large that a score would overflow, raise
     ``InvalidInputError``.
     """
-    data = np.asarray(list(values), dtype=float)
+    data = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
     if classes < 2:
         raise InvalidInputError(f"need at least 2 classes, got {classes}")
     if bins < classes:
@@ -140,23 +166,19 @@ def multi_otsu(values, classes: int = 3, bins: int = 256) -> list[float]:
         raise DegenerateInputError(
             f"need at least {classes} distinct values to form {classes} classes"
         )
-    hist, edges = np.histogram(data, bins=bins)
-    hist = hist.astype(float)
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    weights = np.cumsum(hist)
-    moments = np.cumsum(hist * centers)
-
-    cuts = _splits(bins, classes)
-    scores = _split_scores(weights, moments, cuts)
-    best = scores.max()
-    # Splits that differ only in where empty bins land score identically up
-    # to summation noise; a relative tolerance keeps the whole plateau.
-    cutoff = best - 1e-9 * abs(best)
-    winners = cuts[scores >= cutoff]
-    mids = [
-        (int(winners[:, j].min()) + int(winners[:, j].max())) // 2
-        for j in range(classes - 1)
-    ]
+    try:
+        # A score that overflows raises here: numpy's arithmetic under this
+        # state, and libm's pow in the scores.
+        with np.errstate(over="raise"):
+            hist, edges = np.histogram(data, bins=bins)
+            hist = hist.astype(float)
+            centers = (edges[:-1] + edges[1:]) / 2.0
+            mids = _plateau_cuts(np.cumsum(hist), np.cumsum(hist * centers), classes)
+    except (FloatingPointError, OverflowError):
+        lo, hi = float(data.min()), float(data.max())
+        raise InvalidInputError(
+            f"values from {lo!r} to {hi!r} are too large for the scores to stay finite"
+        ) from None
     thresholds = [float(edges[m + 1]) for m in mids]
     assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
     return thresholds

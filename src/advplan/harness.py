@@ -346,24 +346,67 @@ class SweepGrid:
 
         The key is the signal plus the mode's ``CELL_KEYS`` columns; a value
         holds ``adv_fraction``, the ``ZONE_METRICS`` means and ``run_count``.
-        Rows are sorted by cell, then sort key, and a mean is the ``.mean()``
-        of a cell's slice of a metric column, so it sums in sort order however
-        the rows were loaded (``np.add.reduceat`` would sum in another).
         """
-        cell_of = operator.attrgetter("signal_id", *CELL_KEYS[mode])
-        rows = [r for r in self.rows if r.placement_mode == mode]
-        rows.sort(key=lambda r: (cell_of(r), r.sort_key()))
-        keys = [cell_of(r) for r in rows]
-        columns = {m: np.array([getattr(r, m) for r in rows]) for m in ZONE_METRICS}
-        starts = [i for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
-        means = {}
-        for start, end in zip(starts, [*starts[1:], len(rows)]):
-            means[keys[start]] = {
-                "adv_fraction": rows[start].adv_fraction,
-                **{m: float(column[start:end].mean()) for m, column in columns.items()},
-                "run_count": end - start,
-            }
-        return means
+        return _cell_table(self.rows, mode).as_dict()
+
+
+class _CellTable:
+    """The cells of one placement mode as columns, in cell-key order: each
+    cell's key, its first row's ``adv_fraction``, its ``ZONE_METRICS`` means
+    (one array per metric) and its row count. A plain class: a ``NamedTuple``
+    would compile code each time advplan is imported."""
+
+    __slots__ = ("keys", "adv_fraction", "means", "run_count")
+
+    def __init__(self, keys: list[tuple], adv_fraction: list[float],
+                 means: dict[str, np.ndarray], run_count: list[int]):
+        self.keys, self.adv_fraction, self.means, self.run_count = (
+            keys, adv_fraction, means, run_count)
+
+    def as_dict(self) -> dict[tuple, dict]:
+        names = ("adv_fraction", *ZONE_METRICS, "run_count")
+        columns = (self.adv_fraction, *(self.means[m].tolist() for m in ZONE_METRICS),
+                   self.run_count)
+        return {key: dict(zip(names, cell)) for key, cell in zip(self.keys, zip(*columns))}
+
+
+_ZONE_FIELDS = operator.itemgetter(*(CSV_COLUMNS.index(m) for m in ZONE_METRICS))
+
+
+def _cell_table(rows: list[RunRecord], mode: str, exclude_beta=()) -> _CellTable:
+    """The cell means of the rows of placement ``mode``, less the cells of
+    the severities in ``exclude_beta``.
+
+    Rows are sorted by cell, then sort key, and a mean is the row mean of a
+    C-contiguous ``(cells, run_count)`` matrix, one matrix per distinct run
+    count: that sums a cell in sort order as the ``.mean()`` of its own slice
+    does, however the rows were loaded (``np.add.reduceat`` and a column
+    mean would sum in other orders).
+    """
+    cell_of = operator.attrgetter("signal_id", *CELL_KEYS[mode])
+    rows = [r for r in rows if r.placement_mode == mode and r.beta not in exclude_beta]
+    rows.sort(key=lambda r: (cell_of(r), r.sort_key()))
+    keys = list(map(cell_of, rows))
+    starts = [0, *(i for i in range(1, len(keys)) if keys[i] != keys[i - 1])][: len(keys)]
+    sizes = np.diff([*starts, len(rows)])
+    values = np.array(list(map(_ZONE_FIELDS, rows)), dtype=float).reshape(-1, len(ZONE_METRICS)).T
+    means = np.empty((len(ZONE_METRICS), len(starts)))
+    for size in set(sizes.tolist()):
+        cells = np.flatnonzero(sizes == size)
+        at = np.asarray(starts)[cells, None] + np.arange(size)
+        # ``values[:, at]`` is not laid out in C order.
+        means[:, cells] = np.ascontiguousarray(values[:, at]).mean(axis=2)
+    # A key equal to that of an earlier cell not sorted next to it (only a
+    # NaN in the keys can do that) takes the earlier place with its own means,
+    # as assigning into a dict does.
+    cell_at = {keys[start]: cell for cell, start in enumerate(starts)}
+    cells = list(cell_at.values())
+    return _CellTable(
+        list(cell_at),
+        [rows[starts[cell]].adv_fraction for cell in cells],
+        dict(zip(ZONE_METRICS, means[:, cells])),
+        sizes[cells].tolist(),
+    )
 
 
 def load_dataset(ds: DatasetSpec) -> list[PlanSet]:
@@ -469,9 +512,12 @@ def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells):
     """Yield ``(cells, outcomes)`` per batch of ``split_batches`` that runs.
 
     An RSS cell runs against row ``cell.signal`` of ``run_cfg``'s target
-    stack. A batch that fails is run again as its two halves, and so on down
-    to single cells, so a bad cell costs about log2(B) more engine calls;
-    the cells still come back in order, and a cell that fails alone yields
+    stack. A batch that fails is run again as its two halves, and a half
+    that fails is halved in turn, unless it is a second half whose first
+    half failed too: then it goes cell by cell. So a bad cell costs about
+    2·log2(B) more engine calls, and the retries of a failed batch of B cells
+    send fewer than 3B runs, where halving alone could send B·log2(B). The
+    cells still come back in order, and a cell that fails alone yields
     ``([cell], error)``. A ``ConfigError`` concerns every cell alike, so it
     propagates.
     """
@@ -488,15 +534,21 @@ def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells):
             return exc
 
     for batch in split_batches(plan_sets, cells):
-        pending = [batch]
+        # (cells, flag): the two halves of a batch share a flag, set once the
+        # first of them fails. The first half runs, with its own halves,
+        # before the second.
+        pending = [(batch, [False])]
         while pending:
-            batch = pending.pop()
+            batch, failed = pending.pop()
             outcomes = attempt(batch)
-            if isinstance(outcomes, Exception) and len(batch) > 1:
-                half = len(batch) // 2
-                pending += [batch[half:], batch[:half]]
-            else:
+            if not isinstance(outcomes, Exception) or len(batch) == 1:
                 yield batch, outcomes
+            elif failed[0]:
+                pending += [([cell], [False]) for cell in reversed(batch)]
+            else:
+                failed[0] = True
+                half, flag = len(batch) // 2, [False]
+                pending += [(batch[half:], flag), (batch[:half], flag)]
 
 
 def _scales(cfg: SweepConfig, n: int) -> tuple[int, ...]:
@@ -862,24 +914,27 @@ def _zone_bands(values, thresholds, reverse: bool) -> np.ndarray:
     return rvc_bands(values, thresholds, reverse=reverse)
 
 
-def _front_rows_for(
-    cells: dict, signal: str, betas: list[float], counts: list[int]
-) -> list[dict]:
-    """Pareto fronts and knees per fixed-severity row and fixed-scale column."""
+def _front_rows_for(table: _CellTable, signal: str, index: dict, betas, counts) -> list[tuple]:
+    """Pareto fronts and knees per fixed-severity row and fixed-scale column.
+
+    ``index`` maps a ``(beta, count)`` of ``signal`` to its cell in
+    ``table``; a row holds the ``FRONT_COLUMNS`` values and then that cell.
+    """
     rows = []
+    xs, ys = table.means["inefficiency"].tolist(), table.means["discomfort_legit"].tolist()
     axes = [
-        ("per_beta", [(b, [(c, cells[(signal, b, c)]) for c in counts]) for b in betas]),
-        ("per_scale", [(c, [(b, cells[(signal, b, c)]) for b in betas]) for c in counts]),
+        ("per_beta", [(b, [(c, index[(b, c)]) for c in counts]) for b in betas]),
+        ("per_scale", [(c, [(b, index[(b, c)]) for b in betas]) for c in counts]),
     ]
     for orientation, slices in axes:
         for fixed, members in slices:
-            points = [(cell["inefficiency"], cell["discomfort_legit"]) for _, cell in members]
+            points = [(xs[cell], ys[cell]) for _, cell in members]
             front = set(pareto_front(points))
             knee = knee_mmd(sorted(front))
-            for (other, _), xy in zip(members, points):
+            for (other, cell), xy in zip(members, points):
                 beta, count = (fixed, other) if orientation == "per_beta" else (other, fixed)
-                values = (signal, orientation, fixed, beta, count, *xy, xy in front, xy == knee)
-                rows.append(dict(zip(FRONT_COLUMNS, values)))
+                rows.append((signal, orientation, fixed, beta, count, *xy, xy in front,
+                             xy == knee, cell))
     return rows
 
 
@@ -892,18 +947,27 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _write_heatmap(base: Path, title: str, x_axis: str, values: dict, zoning=None, knees=()):
-    """Render ``values``, keyed ``(beta, column)``, as ``<base>.svg``.
+def _heatmap_grid(index: dict) -> tuple[list, list, np.ndarray]:
+    """``(rows, cols, cells)`` of a heatmap of the cells ``index`` maps
+    ``(beta, column)`` to: the severities from the highest down, the columns,
+    and the cell drawn at each place."""
+    rows = sorted({b for b, _ in index}, reverse=True)
+    cols = sorted({c for _, c in index})
+    return rows, cols, np.array([[index[(b, c)] for c in cols] for b in rows], dtype=np.intp)
 
-    Rows run from the highest severity down. ``zoning`` is the
-    ``(thresholds, reverse)`` pair that ``_zone_bands`` zones the values
-    with, and each cell shows its zone's initial; None leaves cells
-    unlabelled. ``knees`` lists the ``(beta, column)`` cells to outline.
-    Returns the row severities, the columns and the matrix as drawn.
+
+def _write_heatmap(base: Path, title: str, x_axis: str, layout, values: np.ndarray,
+                   zoning=None, knees=()) -> None:
+    """Render the cells of a ``_heatmap_grid`` ``layout``, with ``values``
+    per cell, as ``<base>.svg``.
+
+    ``zoning`` is the ``(thresholds, reverse)`` pair that ``_zone_bands``
+    zones the values with, and each cell shows its zone's initial; None
+    leaves cells unlabelled. ``knees`` lists the ``(beta, column)`` cells to
+    outline.
     """
-    rows = sorted({b for b, _ in values}, reverse=True)
-    cols = sorted({c for _, c in values})
-    matrix = [[values[(b, c)] for c in cols] for b in rows]
+    rows, cols, cells = layout
+    matrix = values[cells]
     render_heatmap(
         matrix,
         row_labels=[f"{b:g}" for b in rows],
@@ -917,7 +981,6 @@ def _write_heatmap(base: Path, title: str, x_axis: str, values: dict, zoning=Non
         x_axis=x_axis,
         y_axis="severity",
     )
-    return rows, cols, matrix
 
 
 def analyze(
@@ -934,27 +997,36 @@ def analyze(
     Fronts pair inefficiency with legitimate-agent discomfort along both grid
     orientations. With an output directory, cells, thresholds, zones, fronts
     and heatmaps are written there, structural cells and cumulative heatmaps
-    too. A non-finite cell mean that would be thresholded or drawn raises
-    ``InvalidInputError`` naming its metric and signal, before any write.
+    too. A non-finite cell mean that would be thresholded or drawn, or one too
+    large to score, raises ``InvalidInputError`` naming its metric and signal,
+    before any write.
     """
-    means = {mode: grid.cell_means(mode) for mode in PLACEMENT_MODES}
-    cells = {key: cell for key, cell in means["random"].items() if key[1] not in exclude_beta}
-    means["random"] = cells
-    for (signal, *cell_key), cell in means["cumulative"].items():
-        if not math.isfinite(cell["inefficiency"]):
-            raise InvalidInputError(f"metric 'inefficiency' of signal {signal!r}: cumulative "
-                                    f"cell {tuple(cell_key)} is not finite")
+    tables = {
+        mode: _cell_table(grid.rows, mode, exclude_beta if mode == "random" else ())
+        for mode in PLACEMENT_MODES
+    }
+    random, cumulative = tables["random"], tables["cumulative"]
+    for cell in np.flatnonzero(~np.isfinite(cumulative.means["inefficiency"]))[:1].tolist():
+        signal, *cell_key = cumulative.keys[cell]
+        raise InvalidInputError(f"metric 'inefficiency' of signal {signal!r}: cumulative "
+                                f"cell {tuple(cell_key)} is not finite")
     thresholds: dict = {}
-    zones: dict = {}
-    front_rows: list[dict] = []
-    complete: list[str] = []
+    # (signal, metric, beta, adv_count, cell, band) per cell and metric.
+    zone_rows: list[tuple] = []
+    front_rows: list[tuple] = []
+    # (beta, adv_count) -> cell, per signal with a complete grid.
+    complete: dict[str, dict] = {}
+    by_signal: dict[str, list[int]] = {}
+    for cell, key in enumerate(random.keys):
+        by_signal.setdefault(key[0], []).append(cell)
 
-    for signal in sorted({key[0] for key in cells}):
-        keys = [key for key in cells if key[0] == signal]
+    for signal in sorted(by_signal):
+        cells = by_signal[signal]
+        keys = [random.keys[cell] for cell in cells]
         betas = sorted({k[1] for k in keys})
         counts = sorted({k[2] for k in keys})
         for metric in ZONE_METRICS:
-            values = np.array([cells[k][metric] for k in keys])
+            values = random.means[metric][cells]
             try:
                 t1, t2 = multi_otsu(values, classes=3, bins=bins)
                 thresholds[(signal, metric)] = (t1, t2)
@@ -968,74 +1040,96 @@ def analyze(
             except InvalidInputError as exc:
                 raise InvalidInputError(f"metric {metric!r} of signal {signal!r}: {exc}") from exc
             reverse = metric in REVERSED_ZONE_METRICS
-            bands = _zone_bands(values, thresholds[(signal, metric)], reverse)
-            for key, band in zip(keys, bands.tolist()):
-                zones[(signal, metric, key[1], key[2])] = _RVC[band]
+            bands = _zone_bands(values, thresholds[(signal, metric)], reverse).tolist()
+            zone_rows += [(signal, metric, key[1], key[2], cell, band)
+                          for key, cell, band in zip(keys, cells, bands)]
         if len(keys) == len(betas) * len(counts):
-            complete.append(signal)
-            front_rows.extend(_front_rows_for(cells, signal, betas, counts))
+            complete[signal] = {key[1:]: cell for key, cell in zip(keys, cells)}
+            front_rows.extend(_front_rows_for(random, signal, complete[signal], betas, counts))
         else:
             log.warning("grid for signal %r is ragged; skipping front extraction", signal)
 
-    bundle = AnalysisBundle(cells=cells, thresholds=thresholds, zones=zones, front_rows=front_rows)
+    bundle = AnalysisBundle(
+        cells=random.as_dict(),
+        thresholds=thresholds,
+        zones={row[:4]: _RVC[row[5]] for row in zone_rows},
+        front_rows=[dict(zip(FRONT_COLUMNS, row)) for row in front_rows],
+    )
     if output_dir is None:
         return bundle
 
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    for mode, mode_cells in means.items():
-        if mode_cells or mode == "random":
-            extra = ["adv_fraction"] if mode == "random" else []
-            columns = [*extra, *ZONE_METRICS, "run_count"]
-            _write_csv(
-                outdir / ("cells.csv" if mode == "random" else f"{mode}_cells.csv"),
-                ["signal_id", *CELL_KEYS[mode], *columns],
-                [[*key, *(cell[c] for c in columns)] for key, cell in mode_cells.items()],
-            )
+    # Each cell mean is formatted once, as the ``repr`` that ``csv.writer``
+    # would write for it, and reused by every table that shows it.
+    texts = {
+        mode: {m: list(map(repr, table.means[m].tolist())) for m in ZONE_METRICS}
+        for mode, table in tables.items()
+    }
+    for mode, table in tables.items():
+        if not table.keys and mode != "random":
+            continue
+        extra = ["adv_fraction"] if mode == "random" else []
+        columns = [
+            *(getattr(table, name) for name in extra),
+            *(texts[mode][m] for m in ZONE_METRICS),
+            table.run_count,
+        ]
+        _write_csv(
+            outdir / ("cells.csv" if mode == "random" else f"{mode}_cells.csv"),
+            ["signal_id", *CELL_KEYS[mode], *extra, *ZONE_METRICS, "run_count"],
+            [[*key, *cell] for key, cell in zip(table.keys, zip(*columns))],
+        )
     _write_csv(
         outdir / "thresholds.csv",
         ["signal_id", "metric", "t1", "t2"],
         [[*key, *(pair or ("", ""))] for key, pair in sorted(thresholds.items())],
     )
+    zone_rows.sort(key=operator.itemgetter(0, 1, 2, 3))
     _write_csv(
         outdir / "zones.csv",
         ["signal_id", "metric", "beta", "adv_count", "value", "zone"],
-        [
-            [s, m, b, c, cells[(s, b, c)][m], zone.value]
-            for (s, m, b, c), zone in sorted(zones.items())
-        ],
+        [[s, m, b, c, texts["random"][m][cell], _RVC[band].value]
+         for s, m, b, c, cell, band in zone_rows],
     )
+    ineff, legit = texts["random"]["inefficiency"], texts["random"]["discomfort_legit"]
     _write_csv(
         outdir / "fronts.csv",
         FRONT_COLUMNS,
-        sorted([row[c] for c in FRONT_COLUMNS] for row in front_rows),
+        [[*row[:5], ineff[row[-1]], legit[row[-1]], *row[7:9]]
+         for row in sorted(front_rows, key=operator.itemgetter(slice(0, len(FRONT_COLUMNS))))],
     )
 
     knees: dict[str, set[tuple[float, int]]] = {}
-    for row in front_rows:
+    for row in bundle.front_rows:
         if row["is_knee"] and row["orientation"] == "per_beta":
             knees.setdefault(row["signal_id"], set()).add((row["beta"], row["adv_count"]))
-    for signal in complete:
+    for signal, index in complete.items():
         tag = f"_{signal}" if signal else ""
+        layout = _heatmap_grid(index)
         for metric in ZONE_METRICS:
             pair, reverse = thresholds[(signal, metric)], metric in REVERSED_ZONE_METRICS
             base = outdir / f"heatmap{tag}_{metric}"
-            betas, cols, matrix = _write_heatmap(
+            _write_heatmap(
                 base,
                 f"{metric} by severity x adversary count",
                 "adversaries",
-                {key[1:]: cell[metric] for key, cell in cells.items() if key[0] == signal},
+                layout,
+                random.means[metric],
                 (pair, reverse),
                 knees.get(signal, ()) if metric == "inefficiency" else (),
             )
-            rows = [[b, *vals] for b, vals in zip(betas, matrix)]
-            _write_csv(base.with_suffix(".csv"), ["beta", *cols], rows)
-    cumulative = means["cumulative"]
-    for signal, direction in sorted({key[:2] for key in cumulative}):
-        values = {(k[3], k[2]): cell["inefficiency"] for k, cell in cumulative.items()
-                  if k[:2] == (signal, direction)}
-        if len(values) != len({b for b, _ in values}) * len({m for _, m in values}):
+            column = texts["random"][metric]
+            _write_csv(base.with_suffix(".csv"), ["beta", *layout[1]], [
+                [b, *(column[cell] for cell in cells)]
+                for b, cells in zip(layout[0], layout[2].tolist())
+            ])
+    by_direction: dict[tuple, dict] = {}
+    for cell, key in enumerate(cumulative.keys):
+        by_direction.setdefault(key[:2], {})[(key[3], key[2])] = cell
+    for signal, direction in sorted(by_direction):
+        index = by_direction[(signal, direction)]
+        if len(index) != len({b for b, _ in index}) * len({m for _, m in index}):
             log.warning("cumulative %s grid of signal %r is ragged; no heatmap", direction, signal)
             continue
         pair = thresholds.get((signal, "inefficiency"))
@@ -1044,7 +1138,8 @@ def analyze(
             outdir / f"heatmap{tag}_cumulative_{direction}",
             f"inefficiency, cumulative {direction}",
             "m",
-            values,
+            _heatmap_grid(index),
+            cumulative.means["inefficiency"],
             None if pair is None else (pair, False),
         )
     return bundle

@@ -6,24 +6,27 @@ per-cell letters (zone labels) and outlined knee cells overlay the grid.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 
-_RAMP = ((0.20, 0.28, 0.62), (0.98, 0.92, 0.45), (0.75, 0.12, 0.13))
+# The ramp's three stops; a value's colour mixes the two around it.
+_RAMP = np.array(((0.20, 0.28, 0.62), (0.98, 0.92, 0.45), (0.75, 0.12, 0.13)))
 
 
-def _color(value: float, lo: float, hi: float) -> str:
-    if hi <= lo:
-        t = 0.5
-    else:
-        t = (value - lo) / (hi - lo)
-    if t <= 0.5:
-        a, b, u = _RAMP[0], _RAMP[1], t * 2
-    else:
-        a, b, u = _RAMP[1], _RAMP[2], (t - 0.5) * 2
-    rgb = [round(255 * ((1 - u) * x + u * y)) for x, y in zip(a, b)]
-    return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
+def _colors(values: np.ndarray, lo: float, hi: float) -> list[str]:
+    """``rgb(...)`` of each value on the ramp over [lo, hi]; a flat range takes
+    its middle. One array step does, per value, the IEEE operations of mixing
+    it alone in Python floats, and ``np.rint`` rounds half to even as
+    ``round`` does."""
+    t = np.full(values.shape, 0.5) if hi <= lo else (values - lo) / (hi - lo)
+    low = t <= 0.5
+    u = np.where(low, t * 2, (t - 0.5) * 2)[:, None]
+    start = np.where(low[:, None], _RAMP[0], _RAMP[1])
+    stop = np.where(low[:, None], _RAMP[1], _RAMP[2])
+    rgb = np.rint(255 * ((1 - u) * start + u * stop)).astype(int).tolist()
+    return [f"rgb({r},{g},{b})" for r, g, b in rgb]
 
 
 def render_heatmap(
@@ -40,17 +43,18 @@ def render_heatmap(
 ) -> Path:
     """Write one heatmap SVG; returns the path.
 
-    ``matrix`` is row-major (row 0 renders at the top). ``knee_cells`` holds
-    (row, col) indices drawn with a bold outline; ``cell_labels`` overlays one
-    short string per cell.
+    ``matrix`` is row-major (row 0 renders at the top) and spans a finite
+    range, or is flat: a flat matrix, infinite ones too, takes the ramp's
+    middle colour. ``knee_cells`` holds (row, col) indices drawn with a bold
+    outline; ``cell_labels`` overlays one short string per cell.
     """
     values = np.asarray(matrix, dtype=float)
     rows, cols = values.shape
     if rows != len(row_labels) or cols != len(col_labels):
         raise ValueError("label counts must match the matrix shape")
     lo, hi = float(values.min()), float(values.max())
-    # Python floats: ``_color`` costs several times more on numpy scalars.
-    values = values.tolist()
+    if not (hi == lo or math.isfinite(hi - lo)):
+        raise ValueError(f"heatmap values must span a finite range, got {lo!r} to {hi!r}")
     left, top = 70, 40
     width = left + cols * cell_size + 150
     height = top + rows * cell_size + 60
@@ -60,13 +64,16 @@ def render_heatmap(
         f'font-family="sans-serif" font-size="11">',
         f'<text x="{left}" y="20" font-size="13">{title}</text>',
     ]
+    # The legend's min, mid and max swatches are coloured with the cells.
+    legend = [lo + frac * (hi - lo) for frac in (0.0, 0.5, 1.0)]
+    colors = _colors(np.append(values.ravel(), legend), lo, hi)
     for i in range(rows):
         for j in range(cols):
             x = left + j * cell_size
             y = top + i * cell_size
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{cell_size}" height="{cell_size}" '
-                f'fill="{_color(values[i][j], lo, hi)}" stroke="white" stroke-width="0.5"/>'
+                f'fill="{colors[i * cols + j]}" stroke="white" stroke-width="0.5"/>'
             )
             if cell_labels is not None:
                 parts.append(
@@ -104,12 +111,11 @@ def render_heatmap(
 
     # Simple legend: min, mid, max swatches.
     lx = left + cols * cell_size + 20
-    for idx, frac in enumerate((0.0, 0.5, 1.0)):
-        value = lo + frac * (hi - lo)
+    for idx, (value, color) in enumerate(zip(legend, colors[-3:])):
         y = top + idx * 22
         parts.append(
             f'<rect x="{lx}" y="{y}" width="16" height="16" '
-            f'fill="{_color(value, lo, hi)}" stroke="gray" stroke-width="0.5"/>'
+            f'fill="{color}" stroke="gray" stroke-width="0.5"/>'
         )
         parts.append(f'<text x="{lx + 22}" y="{y + 12}">{value:.4g}</text>')
     parts.append("</svg>")

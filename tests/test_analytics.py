@@ -1,14 +1,15 @@
 import dataclasses
-import math
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
+import oracle_analysis
 from advplan.analytics import (
     RvcLabel,
+    _plateau_cuts,
     _split_scores,
-    _splits,
     classify_rvc,
     knee_mmd,
     multi_otsu,
@@ -134,6 +135,26 @@ def test_knee_matches_oracle_and_is_front_member():
         knee = knee_mmd(front)
         assert knee in front
         assert knee == oracle_knee(front)
+
+
+def test_knee_matches_the_array_normalization_bit_for_bit():
+    """Normalizing in Python floats picks the knee numpy's arrays pick, on
+    fronts of up to 30 points with ties, exact zeros of both signs and flat
+    coordinates."""
+    rng = np.random.default_rng(30)
+    for trial in range(400):
+        size = int(rng.integers(1, 31))
+        if trial % 3 == 0:
+            pts = rng.integers(-3, 4, size=(size, 2)) * 0.5
+        else:
+            pts = rng.standard_normal((size, 2)) * 10.0 ** rng.integers(-6, 7, size=2)
+        if trial % 5 == 0:
+            pts[:, trial % 2] = 0.0
+        if trial % 7 == 0:
+            pts[rng.random(size) < 0.5] *= -1.0
+        front = [tuple(p) for p in pts.tolist()]
+        assert knee_mmd(front) == oracle_analysis.knee_mmd(front)
+        assert repr(knee_mmd(front)) == repr(oracle_analysis.knee_mmd(front))
 
 
 def test_knee_affine_rescale_invariance():
@@ -279,7 +300,8 @@ def between_class_variance(weights, moments, cuts):
     return sigma
 
 
-def test_split_scores_match_per_split_definition():
+def split_cases():
+    """``(values, bins, classes, histogram range)`` cases for the split scorer."""
     rng = np.random.default_rng(12)
     cases = [
         (rng.random(int(rng.integers(5, 150))) ** 3, int(rng.integers(3, 70)), int(rng.integers(2, 5)))
@@ -316,13 +338,43 @@ def test_split_scores_match_per_split_definition():
         (rng.random(30), (-1.0, 2.0), 30, 2),
     ]
     cases = [(values, bins, classes, None) for values, bins, classes in cases]
-    cases += [(values, bins, classes, span) for values, span, bins, classes in ranged]
-    for values, bins, classes, span in cases:
-        hist, edges = np.histogram(np.asarray(values, dtype=float), bins=bins, range=span)
-        hist = hist.astype(float)
-        centers = (edges[:-1] + edges[1:]) / 2.0
-        weights, moments = np.cumsum(hist), np.cumsum(hist * centers)
-        cuts = _splits(bins, classes)
-        assert len(cuts) == math.comb(bins - 1, classes - 1)
+    return cases + [(values, bins, classes, span) for values, span, bins, classes in ranged]
+
+
+def cumulative_sums(values, bins, span):
+    hist, edges = np.histogram(np.asarray(values, dtype=float), bins=bins, range=span)
+    hist = hist.astype(float)
+    centers = (edges[:-1] + edges[1:]) / 2.0
+    return np.cumsum(hist), np.cumsum(hist * centers)
+
+
+def test_split_scores_match_per_split_definition():
+    for values, bins, classes, span in split_cases():
+        weights, moments = cumulative_sums(values, bins, span)
+        cuts = np.array(list(itertools.combinations(range(bins - 1), classes - 1)))
         expected = [between_class_variance(weights, moments, tuple(c)) for c in cuts.tolist()]
-        assert _split_scores(weights, moments, cuts).tolist() == expected
+        scores, at = _split_scores(weights, moments, classes)
+        assert scores[tuple(at[cuts.T])].tolist() == expected
+
+
+def test_multi_otsu_matches_the_all_splits_scorer():
+    """The plateau found on the boundary table is the one found by scoring
+    every split, on every split-scorer case and on data full of ties."""
+    for values, bins, classes, span in split_cases():
+        weights, moments = cumulative_sums(values, bins, span)
+        expected = oracle_analysis.plateau_cuts(weights, moments, classes)
+        assert _plateau_cuts(weights, moments, classes) == expected
+        if span is None:
+            assert multi_otsu(values, classes, bins) == oracle_analysis.multi_otsu(
+                values, classes, bins)
+    rng = np.random.default_rng(403)
+    for _ in range(300):
+        classes, bins = int(rng.integers(2, 5)), int(rng.integers(4, 90))
+        size = int(rng.integers(classes, 60))
+        values = rng.integers(0, int(rng.integers(classes, 40)), size) * float(rng.uniform(0.1, 9))
+        if rng.random() < 0.3:
+            values = np.concatenate([values, [values.max() + rng.uniform(5, 200)]])
+        if len(set(values.tolist())) < classes:
+            continue
+        assert multi_otsu(values, classes, bins) == oracle_analysis.multi_otsu(
+            values, classes, bins), (values.tolist(), classes, bins)

@@ -1,4 +1,6 @@
+import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -340,6 +342,31 @@ def test_non_finite_metrics_exit_3_naming_metric_and_signal(tmp_path, caplog, co
                               tmp_path / "bad_cumulative.csv", "inefficiency", ["-inf"])
     assert main([command, "--results", str(cumulative), "--out", str(out)]) == 3
     assert "metric 'inefficiency' of signal '': cumulative cell" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "plot"])
+def test_cell_means_too_large_to_score_exit_3_naming_metric_and_signal(
+    tmp_path, caplog, command
+):
+    """Finite cell means whose Otsu scores would overflow are refused before
+    any file is written, with no warning on the way."""
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    with open(tmp_path / "out" / "runs.csv", newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    at = header.index("inefficiency")
+    for row in rows:
+        row[at] = repr(float(row[at]) * 1e300)
+    huge = tmp_path / "huge.csv"
+    with open(huge, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows([header, *rows])
+    out = tmp_path / "analysis"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--results", str(huge), "--out", str(out)]) == 3
+    assert "runtime error: metric 'inefficiency' of signal '':" in caplog.text
+    assert "too large for the scores to stay finite" in caplog.text
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import logging
 import math
 import tracemalloc
@@ -20,7 +21,7 @@ from advplan.adversary import (
 )
 from advplan.cli import main as cli_main
 from advplan.engine import BehaviorProfile, RunConfig, RunOutcome, run, run_baseline
-from advplan.errors import ConfigError, ParseError, RangeError
+from advplan.errors import ConfigError, InvalidInputError, ParseError, RangeError
 from advplan.harness import (
     DatasetSpec,
     RunRecord,
@@ -700,6 +701,44 @@ def test_run_cells_keeps_errors_beside_their_outcome_lists(tmp_path, monkeypatch
     assert sum(isinstance(outcomes, Exception) for _, outcomes in yielded) == 1
 
 
+def test_retries_send_under_three_times_the_batch_and_a_halving_per_level(monkeypatch):
+    """Over every set of bad cells of small batches and random sets of larger
+    ones, a failed batch of B cells costs fewer than 3B retried runs,
+    a bad cell alone at most 2·log2(B) more calls, and the cells come back
+    in order, each bad cell alone with its error."""
+    sent = []
+
+    def run_batch(topology, plan_sets, betas, config, seeds):
+        sent.append(len(seeds))
+        if bad.intersection(seeds):
+            raise InvalidInputError("bad cell")
+        return list(seeds)
+
+    monkeypatch.setattr(harness_mod, "run_batch", run_batch)
+    monkeypatch.setattr(harness_mod, "beta_rows", lambda topology, adversaries, betas: None)
+    monkeypatch.setattr(harness_mod, "split_batches", lambda plan_sets, cells: iter([cells]))
+    rng = np.random.default_rng(9)
+    cases = [(b, set(itertools.compress(range(b), mask)))
+             for b in range(1, 9) for mask in itertools.product((0, 1), repeat=b)]
+    for _ in range(300):
+        b = int(rng.integers(9, 130))
+        cases.append((b, set(rng.choice(b, int(rng.integers(1, 6)), replace=False).tolist())))
+    for b, bad in cases:
+        cells = [harness_mod._Cell(beta=0.5, run_seed=i) for i in range(b)]
+        sent.clear()
+        yielded = list(harness_mod._run_cells(None, None, RunConfig(), cells))
+        assert [cell for batch, _ in yielded for cell in batch] == cells
+        for batch, outcomes in yielded:
+            if isinstance(outcomes, Exception):
+                assert len(batch) == 1 and batch[0].run_seed in bad
+            else:
+                assert outcomes == [cell.run_seed for cell in batch] and not bad & set(outcomes)
+        levels = math.ceil(math.log2(b))
+        assert sum(sent) - b < 3 * b
+        if len(bad) == 1:
+            assert len(sent) <= 1 + 2 * levels
+
+
 def test_failed_structural_cells_become_error_rows(tmp_path, monkeypatch):
     # The (top_down, m=3, beta 0.4) cumulative cell fails.
     failing_run_batch(monkeypatch, derive_seed(7, "cumulative", 0, "top_down", 3, 0))
@@ -789,8 +828,10 @@ def test_failed_cells_of_several_signals_keep_their_order(tmp_path, monkeypatch)
             assert list(csv.reader(handle)) == [header, *expected]
         assert grid.rows == [r for r in clean if (r.signal_id, r.run_seed) not in lost]
         if workers == 1:
-            # Failed batches are retried by halves; cell by cell would take 56 calls.
-            assert len(calls) == 44
+            # Failed batches are retried by halves, and a second half whose
+            # first half failed too cell by cell: 188 runs in 52 calls. Halving
+            # alone sent 214 runs in 44 calls; cell by cell would send 108 in 56.
+            assert (len(calls), sum(calls)) == (52, 188)
 
 
 def test_several_signals_give_the_same_bytes_at_any_worker_count(tmp_path, monkeypatch):
