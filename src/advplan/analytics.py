@@ -151,7 +151,8 @@ def multi_otsu(values, classes: int = 3, bins: int = 256) -> list[float]:
     whenever empty bins separate clusters, the middle of each boundary's
     tying range is taken, so well-separated clusters split at their
     midpoints. Thresholds come back ascending, as bin-edge values. NaN or
-    infinite values, and values so large that a score would overflow, raise
+    infinite values, values so large that a score would overflow, and values
+    too close together to span ``bins`` finite-sized bins raise
     ``InvalidInputError``.
     """
     data = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
@@ -166,16 +167,21 @@ def multi_otsu(values, classes: int = 3, bins: int = 256) -> list[float]:
         raise DegenerateInputError(
             f"need at least {classes} distinct values to form {classes} classes"
         )
+    lo, hi = float(data.min()), float(data.max())
     try:
         # A score that overflows raises here: numpy's arithmetic under this
         # state, and libm's pow in the scores.
         with np.errstate(over="raise"):
-            hist, edges = np.histogram(data, bins=bins)
+            try:
+                hist, edges = np.histogram(data, bins=bins)
+            except ValueError:  # numpy's "Too many bins for data range"
+                raise InvalidInputError(
+                    f"values from {lo!r} to {hi!r} lie too close together for {bins} bins"
+                ) from None
             hist = hist.astype(float)
             centers = (edges[:-1] + edges[1:]) / 2.0
             mids = _plateau_cuts(np.cumsum(hist), np.cumsum(hist * centers), classes)
     except (FloatingPointError, OverflowError):
-        lo, hi = float(data.min()), float(data.max())
         raise InvalidInputError(
             f"values from {lo!r} to {hi!r} are too large for the scores to stay finite"
         ) from None

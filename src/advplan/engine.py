@@ -373,12 +373,22 @@ def _run_arrays(topology, P, betas, config, seeds) -> list[RunOutcome]:
     for iteration in range(1, config.max_iterations + 1):
         cand_sel, cand = _bottom_up(topology, P, alpha, beta, subtree, total, ineff)
         taken = _top_down(topology, children, preorder, cand - subtree, total, cost, combined)
-        new_sel = np.where(taken, cand_sel, sel)
-        changed = (new_sel != sel).any(axis=0)
-        sel = new_sel
+        last_sel, last_cost = sel, cost
+        sel = np.where(taken, cand_sel, sel)
+        changed = (sel != last_sel).any(axis=0)
         disc, subtree, total = settle(sel)
         ineff_total = ineff(total[:, :d])
         cost = scalarized(ineff_total, total[:, d])
+        # The walk approved by the cost of ``state + Δ``, which ``settle``
+        # sums in another order; a run whose settled cost rose by that keeps
+        # its last selection and has converged.
+        rose = cost > last_cost + 1e-9
+        if rose.any():
+            sel = np.where(rose, last_sel, sel)
+            changed &= ~rose
+            disc, subtree, total = settle(sel)
+            ineff_total = ineff(total[:, :d])
+            cost = scalarized(ineff_total, total[:, d])
         traces[:, active, iteration] = ineff_total, cost
 
         done = ~changed if iteration < config.max_iterations else np.ones_like(changed)

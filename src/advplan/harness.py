@@ -9,6 +9,7 @@ those rows afterwards.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
@@ -305,7 +306,7 @@ _FIELD_PARSERS = tuple((name, _PARSERS[kind]) for name, kind in get_type_hints(R
 
 @dataclass
 class SweepGrid:
-    """All run records of one sweep, plus the cell aggregations over them."""
+    """All run records of one sweep."""
 
     rows: list[RunRecord] = field(default_factory=list)
 
@@ -340,14 +341,6 @@ class SweepGrid:
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
         return cls(rows=rows)
-
-    def cell_means(self, mode: str) -> dict[tuple, dict]:
-        """Mean metrics per cell of one placement mode, in cell-key order.
-
-        The key is the signal plus the mode's ``CELL_KEYS`` columns; a value
-        holds ``adv_fraction``, the ``ZONE_METRICS`` means and ``run_count``.
-        """
-        return _cell_table(self.rows, mode).as_dict()
 
 
 class _CellTable:
@@ -791,27 +784,19 @@ def _execute(
         if not existing:
             writer.writerow(CSV_COLUMNS)
 
-        def emit(result: tuple[list[RunRecord], list[list]]) -> None:
-            records, errors = result
-            error_rows.extend(errors)
-            if done:
-                records = [record for record in records if record.sort_key() not in done]
-            grid.rows.extend(records)
-            writer.writerows(records)
-            sink.flush()
-
         workers = min(cfg.workers, sum(map(len, left.values())))
         tasks = _group_signals(left, workers)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_run_task, cfg, plan_sets, mode, signals, *task) for task in tasks
-                ]
-                for future in futures:
-                    emit(future.result())
-        else:
-            for task in tasks:
-                emit(_run_task(cfg, plan_sets, mode, signals, *task))
+        run = functools.partial(_run_task, cfg, plan_sets, mode, signals)
+        # Results come in task order, from a pool when it has two workers or more.
+        with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+            results = pool.map(run, *zip(*tasks)) if pool else itertools.starmap(run, tasks)
+            for records, errors in results:
+                error_rows.extend(errors)
+                if done:
+                    records = [record for record in records if record.sort_key() not in done]
+                grid.rows.extend(records)
+                writer.writerows(records)
+                sink.flush()
 
     if error_rows:
         # Tasks run repetition by repetition; the file lists signal by signal.
@@ -907,34 +892,29 @@ class AnalysisBundle:
     front_rows: list[dict]
 
 
-def _zone_bands(values, thresholds, reverse: bool) -> np.ndarray:
-    """``rvc_bands`` of the values; all resilience (0) without thresholds."""
-    if thresholds is None:
-        return np.zeros(np.shape(values), dtype=int)
-    return rvc_bands(values, thresholds, reverse=reverse)
-
-
-def _front_rows_for(table: _CellTable, signal: str, index: dict, betas, counts) -> list[tuple]:
-    """Pareto fronts and knees per fixed-severity row and fixed-scale column.
-
-    ``index`` maps a ``(beta, count)`` of ``signal`` to its cell in
-    ``table``; a row holds the ``FRONT_COLUMNS`` values and then that cell.
-    """
-    rows = []
+def _front_rows_for(table: _CellTable, signal: str, layout) -> list[tuple]:
+    """Pareto fronts and knees per fixed-severity row and fixed-scale column
+    of the ``_heatmap_grid`` layout of ``signal``'s cells in ``table``, both
+    walked in ascending order; a row holds the ``FRONT_COLUMNS`` values and
+    then its cell."""
+    betas, counts, cells = layout
+    # The layout puts the highest severity first.
+    betas, cells = betas[::-1], cells[::-1].tolist()
     xs, ys = table.means["inefficiency"].tolist(), table.means["discomfort_legit"].tolist()
     axes = [
-        ("per_beta", [(b, [(c, index[(b, c)]) for c in counts]) for b in betas]),
-        ("per_scale", [(c, [(b, index[(b, c)]) for b in betas]) for c in counts]),
+        ("per_beta", betas, [[(b, c, cell) for c, cell in zip(counts, row)]
+                             for b, row in zip(betas, cells)]),
+        ("per_scale", counts, [[(b, c, cell) for b, cell in zip(betas, column)]
+                               for c, column in zip(counts, zip(*cells))]),
     ]
-    for orientation, slices in axes:
-        for fixed, members in slices:
-            points = [(xs[cell], ys[cell]) for _, cell in members]
+    rows = []
+    for orientation, fixed_values, slices in axes:
+        for fixed, members in zip(fixed_values, slices):
+            points = [(xs[cell], ys[cell]) for *_, cell in members]
             front = set(pareto_front(points))
             knee = knee_mmd(sorted(front))
-            for (other, cell), xy in zip(members, points):
-                beta, count = (fixed, other) if orientation == "per_beta" else (other, fixed)
-                rows.append((signal, orientation, fixed, beta, count, *xy, xy in front,
-                             xy == knee, cell))
+            rows += [(signal, orientation, fixed, b, c, *xy, xy in front, xy == knee, cell)
+                     for (b, c, cell), xy in zip(members, points)]
     return rows
 
 
@@ -947,37 +927,40 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _heatmap_grid(index: dict) -> tuple[list, list, np.ndarray]:
+def _heatmap_grid(index: dict) -> tuple[list, list, np.ndarray] | None:
     """``(rows, cols, cells)`` of a heatmap of the cells ``index`` maps
     ``(beta, column)`` to: the severities from the highest down, the columns,
-    and the cell drawn at each place."""
+    and the cell drawn at each place. None for a ragged grid, one with a
+    place that no cell fills."""
     rows = sorted({b for b, _ in index}, reverse=True)
     cols = sorted({c for _, c in index})
+    if len(index) != len(rows) * len(cols):
+        return None
     return rows, cols, np.array([[index[(b, c)] for c in cols] for b in rows], dtype=np.intp)
 
 
-def _write_heatmap(base: Path, title: str, x_axis: str, layout, values: np.ndarray,
-                   zoning=None, knees=()) -> None:
-    """Render the cells of a ``_heatmap_grid`` ``layout``, with ``values``
-    per cell, as ``<base>.svg``.
+def _heatmap(what: str, title: str, x_axis: str, layout, matrix: np.ndarray,
+             bands: np.ndarray | None = None, knees=()) -> dict:
+    """The ``render_heatmap`` arguments that draw the ``matrix`` of values at
+    the places of a ``_heatmap_grid`` layout, lettered with the zone
+    ``bands`` at the same places (None leaves cells unlabelled) and outlining
+    the ``(beta, column)`` knees.
 
-    ``zoning`` is the ``(thresholds, reverse)`` pair that ``_zone_bands``
-    zones the values with, and each cell shows its zone's initial; None
-    leaves cells unlabelled. ``knees`` lists the ``(beta, column)`` cells to
-    outline.
+    Values whose range overflows a float cannot be coloured, and raise
+    ``InvalidInputError`` naming ``what``.
     """
-    rows, cols, cells = layout
-    matrix = values[cells]
-    render_heatmap(
-        matrix,
+    rows, cols, _ = layout
+    # Python floats: numpy would warn where the range overflows.
+    lo, hi = float(matrix.min()), float(matrix.max())
+    if not (hi == lo or math.isfinite(hi - lo)):
+        raise InvalidInputError(f"{what}: means from {lo!r} to {hi!r} span no finite range")
+    return dict(
+        matrix=matrix,
         row_labels=[f"{b:g}" for b in rows],
         col_labels=[str(c) for c in cols],
-        path=base.with_suffix(".svg"),
         title=title,
         knee_cells={(rows.index(b), cols.index(c)) for b, c in knees},
-        cell_labels=None if zoning is None else [
-            ["RVC"[band] for band in row] for row in _zone_bands(matrix, *zoning).tolist()
-        ],
+        cell_labels=None if bands is None else [["RVC"[z] for z in row] for row in bands.tolist()],
         x_axis=x_axis,
         y_axis="severity",
     )
@@ -997,9 +980,10 @@ def analyze(
     Fronts pair inefficiency with legitimate-agent discomfort along both grid
     orientations. With an output directory, cells, thresholds, zones, fronts
     and heatmaps are written there, structural cells and cumulative heatmaps
-    too. A non-finite cell mean that would be thresholded or drawn, or one too
-    large to score, raises ``InvalidInputError`` naming its metric and signal,
-    before any write.
+    too. Everything is computed before the first write: a non-finite cell
+    mean that would be thresholded or drawn, one too large to score, means
+    too close together to bin, and a heatmap whose range overflows raise
+    ``InvalidInputError`` naming the metric and signal, and write nothing.
     """
     tables = {
         mode: _cell_table(grid.rows, mode, exclude_beta if mode == "random" else ())
@@ -1011,48 +995,73 @@ def analyze(
         raise InvalidInputError(f"metric 'inefficiency' of signal {signal!r}: cumulative "
                                 f"cell {tuple(cell_key)} is not finite")
     thresholds: dict = {}
-    # (signal, metric, beta, adv_count, cell, band) per cell and metric.
+    # Each metric's zone per random cell; a degenerate metric's stay 0.
+    bands = {m: np.zeros(len(random.keys), dtype=int) for m in ZONE_METRICS}
+    # (signal, metric, beta, adv_count, cell) per cell and metric.
     zone_rows: list[tuple] = []
     front_rows: list[tuple] = []
-    # (beta, adv_count) -> cell, per signal with a complete grid.
-    complete: dict[str, dict] = {}
+    # (file name, metric of a random grid's table or None, layout, render arguments).
+    heatmaps: list[tuple] = []
     by_signal: dict[str, list[int]] = {}
     for cell, key in enumerate(random.keys):
         by_signal.setdefault(key[0], []).append(cell)
 
     for signal in sorted(by_signal):
         cells = by_signal[signal]
-        keys = [random.keys[cell] for cell in cells]
-        betas = sorted({k[1] for k in keys})
-        counts = sorted({k[2] for k in keys})
+        tag = f"_{signal}" if signal else ""
         for metric in ZONE_METRICS:
             values = random.means[metric][cells]
             try:
-                t1, t2 = multi_otsu(values, classes=3, bins=bins)
-                thresholds[(signal, metric)] = (t1, t2)
+                pair = tuple(multi_otsu(values, classes=3, bins=bins))
             except DegenerateInputError:
                 warnings.warn(
                     f"metric {metric!r} of signal {signal!r} is degenerate; "
                     "zones default to resilience",
                     stacklevel=2,
                 )
-                thresholds[(signal, metric)] = None
+                pair = None
             except InvalidInputError as exc:
                 raise InvalidInputError(f"metric {metric!r} of signal {signal!r}: {exc}") from exc
-            reverse = metric in REVERSED_ZONE_METRICS
-            bands = _zone_bands(values, thresholds[(signal, metric)], reverse).tolist()
-            zone_rows += [(signal, metric, key[1], key[2], cell, band)
-                          for key, cell, band in zip(keys, cells, bands)]
-        if len(keys) == len(betas) * len(counts):
-            complete[signal] = {key[1:]: cell for key, cell in zip(keys, cells)}
-            front_rows.extend(_front_rows_for(random, signal, complete[signal], betas, counts))
-        else:
+            else:
+                reverse = metric in REVERSED_ZONE_METRICS
+                bands[metric][cells] = rvc_bands(values, pair, reverse=reverse)
+            thresholds[(signal, metric)] = pair
+            zone_rows += [(signal, metric, *random.keys[cell][1:], cell) for cell in cells]
+        layout = _heatmap_grid({random.keys[cell][1:]: cell for cell in cells})
+        if layout is None:
             log.warning("grid for signal %r is ragged; skipping front extraction", signal)
+            continue
+        rows = _front_rows_for(random, signal, layout)
+        front_rows += rows
+        # The (beta, adv_count) of each per-severity knee.
+        knees = {row[3:5] for row in rows if row[1] == "per_beta" and row[8]}
+        heatmaps += [(f"heatmap{tag}_{metric}", metric, layout, _heatmap(
+            f"metric {metric!r} of signal {signal!r}", f"{metric} by severity x adversary count",
+            "adversaries", layout, random.means[metric][layout[2]], bands[metric][layout[2]],
+            knees if metric == "inefficiency" else (),
+        )) for metric in ZONE_METRICS]
+    by_direction: dict[tuple, dict] = {}
+    for cell, key in enumerate(cumulative.keys):
+        by_direction.setdefault(key[:2], {})[(key[3], key[2])] = cell
+    for signal, direction in sorted(by_direction):
+        layout = _heatmap_grid(by_direction[(signal, direction)])
+        if layout is None:
+            log.warning("cumulative %s grid of signal %r is ragged; no heatmap", direction, signal)
+            continue
+        pair = thresholds.get((signal, "inefficiency"))
+        matrix = cumulative.means["inefficiency"][layout[2]]
+        tag = f"_{signal}" if signal else ""
+        heatmaps.append((f"heatmap{tag}_cumulative_{direction}", None, layout, _heatmap(
+            f"metric 'inefficiency' of signal {signal!r}: cumulative {direction}",
+            f"inefficiency, cumulative {direction}", "m", layout, matrix,
+            None if pair is None else rvc_bands(matrix, pair),
+        )))
 
+    zone_of = {m: [_RVC[band] for band in bands[m].tolist()] for m in ZONE_METRICS}
     bundle = AnalysisBundle(
         cells=random.as_dict(),
         thresholds=thresholds,
-        zones={row[:4]: _RVC[row[5]] for row in zone_rows},
+        zones={row[:4]: zone_of[row[1]][row[4]] for row in zone_rows},
         front_rows=[dict(zip(FRONT_COLUMNS, row)) for row in front_rows],
     )
     if output_dir is None:
@@ -1089,8 +1098,8 @@ def analyze(
     _write_csv(
         outdir / "zones.csv",
         ["signal_id", "metric", "beta", "adv_count", "value", "zone"],
-        [[s, m, b, c, texts["random"][m][cell], _RVC[band].value]
-         for s, m, b, c, cell, band in zone_rows],
+        [[s, m, b, c, texts["random"][m][cell], zone_of[m][cell].value]
+         for s, m, b, c, cell in zone_rows],
     )
     ineff, legit = texts["random"]["inefficiency"], texts["random"]["discomfort_legit"]
     _write_csv(
@@ -1099,47 +1108,12 @@ def analyze(
         [[*row[:5], ineff[row[-1]], legit[row[-1]], *row[7:9]]
          for row in sorted(front_rows, key=operator.itemgetter(slice(0, len(FRONT_COLUMNS))))],
     )
-
-    knees: dict[str, set[tuple[float, int]]] = {}
-    for row in bundle.front_rows:
-        if row["is_knee"] and row["orientation"] == "per_beta":
-            knees.setdefault(row["signal_id"], set()).add((row["beta"], row["adv_count"]))
-    for signal, index in complete.items():
-        tag = f"_{signal}" if signal else ""
-        layout = _heatmap_grid(index)
-        for metric in ZONE_METRICS:
-            pair, reverse = thresholds[(signal, metric)], metric in REVERSED_ZONE_METRICS
-            base = outdir / f"heatmap{tag}_{metric}"
-            _write_heatmap(
-                base,
-                f"{metric} by severity x adversary count",
-                "adversaries",
-                layout,
-                random.means[metric],
-                (pair, reverse),
-                knees.get(signal, ()) if metric == "inefficiency" else (),
-            )
+    for name, metric, (rows, cols, cells), args in heatmaps:
+        base = outdir / name
+        render_heatmap(path=base.with_suffix(".svg"), **args)
+        if metric is not None:
             column = texts["random"][metric]
-            _write_csv(base.with_suffix(".csv"), ["beta", *layout[1]], [
-                [b, *(column[cell] for cell in cells)]
-                for b, cells in zip(layout[0], layout[2].tolist())
+            _write_csv(base.with_suffix(".csv"), ["beta", *cols], [
+                [b, *(column[cell] for cell in row)] for b, row in zip(rows, cells.tolist())
             ])
-    by_direction: dict[tuple, dict] = {}
-    for cell, key in enumerate(cumulative.keys):
-        by_direction.setdefault(key[:2], {})[(key[3], key[2])] = cell
-    for signal, direction in sorted(by_direction):
-        index = by_direction[(signal, direction)]
-        if len(index) != len({b for b, _ in index}) * len({m for _, m in index}):
-            log.warning("cumulative %s grid of signal %r is ragged; no heatmap", direction, signal)
-            continue
-        pair = thresholds.get((signal, "inefficiency"))
-        tag = f"_{signal}" if signal else ""
-        _write_heatmap(
-            outdir / f"heatmap{tag}_cumulative_{direction}",
-            f"inefficiency, cumulative {direction}",
-            "m",
-            _heatmap_grid(index),
-            cumulative.means["inefficiency"],
-            None if pair is None else (pair, False),
-        )
     return bundle

@@ -17,6 +17,7 @@ from advplan.engine import BehaviorProfile, RunConfig, run, run_baseline
 from advplan.harness import (
     DatasetSpec,
     SweepConfig,
+    _cell_table,
     estimate_experiment_count,
     run_sweep,
 )
@@ -253,7 +254,7 @@ def test_criterion_09_gaussian_trend():
         master_seed=2026,
     )
     grid = run_sweep(cfg)
-    cells = grid.cell_means("random")
+    cells = _cell_table(grid.rows, "random").as_dict()
     counts = sorted(key[2] for key in cells)
     inefficiency = [cells[("", 0.9, c)]["inefficiency"] for c in counts]
     discomfort = [cells[("", 0.9, c)]["discomfort_total"] for c in counts]

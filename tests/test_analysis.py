@@ -12,7 +12,8 @@ import pytest
 
 import advplan.harness as harness_mod
 from advplan.cli import main
-from advplan.harness import CSV_COLUMNS, RunRecord, SweepGrid
+from advplan.errors import InvalidInputError
+from advplan.harness import CSV_COLUMNS, RunRecord
 
 GOLDEN_SIGNALS = ('s,"q', "t")
 # Rows per cell, in turn: around numpy's pairwise threshold of 8 and past it.
@@ -128,6 +129,80 @@ def test_analyze_outputs_keep_their_pinned_bytes(tmp_path):
         assert digests(out) == GOLDEN[name], name
 
 
+def unzoned_rows() -> list[RunRecord]:
+    """Signal ``u`` has cumulative rows and no random grid; signal ``v`` has
+    a complete random grid whose ``inefficiency`` takes two values, and
+    cumulative rows. Neither has inefficiency thresholds to letter its
+    cumulative heatmaps with."""
+    rng = np.random.default_rng(22)
+    rows, seeds = [], itertools.count(1)
+
+    def row(signal, beta, count, mode, ineff, direction="", m=None):
+        return RunRecord("unzoned", signal, 0, next(seeds), beta, count, count / 8, mode, None,
+                         direction, m, ineff, *rng.random(3).tolist(), int(rng.integers(1, 5)))
+
+    for beta, count in itertools.product((0.5, 1.0), (0, 2, 4)):
+        rows += [row("v", beta, count, "random", 1.0 + (count > 2)) for _ in range(3)]
+    for signal, direction, m, beta in itertools.product(
+        ("u", "v"), ("top_down", "bottom_up"), (1, 2, 3), (0.5, 1.0)
+    ):
+        rows.append(row(signal, beta, m, "cumulative", float(rng.lognormal()), direction, m))
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+# sha256 prefixes, as written before ``analyze`` computed everything before it wrote.
+UNZONED_GOLDEN = {
+    'cells.csv': '88c5f015b923c8e7',
+    'cumulative_cells.csv': 'f37474456fb1d3bb',
+    'fronts.csv': '48d702e161887fe0',
+    'heatmap_u_cumulative_bottom_up.svg': '2dc5e4ca042272c3',
+    'heatmap_u_cumulative_top_down.svg': '7ed4084eaf56336f',
+    'heatmap_v_compromised.csv': '219c08f9a0549077',
+    'heatmap_v_compromised.svg': '2e8ceb588c1afedd',
+    'heatmap_v_cumulative_bottom_up.svg': 'ed0d17866c284c3f',
+    'heatmap_v_cumulative_top_down.svg': 'e816181ee9cdcc46',
+    'heatmap_v_discomfort_legit.csv': '6e20b8221b31f520',
+    'heatmap_v_discomfort_legit.svg': '9b8e31750706362f',
+    'heatmap_v_discomfort_total.csv': 'dd9f8b51cc2d3a22',
+    'heatmap_v_discomfort_total.svg': 'c3cc1a9bc68f575d',
+    'heatmap_v_inefficiency.csv': '26fb0bd9c789e434',
+    'heatmap_v_inefficiency.svg': 'ea83dcb25e1f461a',
+    'thresholds.csv': '41ce15e7a1a08649',
+    'zones.csv': '8d6befdce216c015',
+}
+
+
+def test_unzoned_cumulative_heatmaps_keep_their_pinned_bytes(tmp_path):
+    """Cumulative heatmaps of a signal without a random grid, and of one with
+    a degenerate random ``inefficiency``, are drawn without zone letters."""
+    results = write_rows(tmp_path / "runs.csv", unzoned_rows())
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="metric 'inefficiency' of signal 'v' is degenerate"):
+        assert main(["analyze", "--results", str(results), "--out", str(out)]) == 0
+    assert digests(out) == UNZONED_GOLDEN
+    for name in ("u", "v"):
+        for direction in ("top_down", "bottom_up"):
+            svg = (out / f"heatmap_{name}_cumulative_{direction}.svg").read_text()
+            assert 'font-size="9"' not in svg
+
+
+def test_a_degenerate_metric_spanning_no_finite_range_is_refused_before_any_write(tmp_path):
+    """A random grid whose ``discomfort_total`` takes only -1e308 and 1e308
+    has no Otsu thresholds to check it, and its heatmap cannot be coloured;
+    ``analyze`` refuses it before it writes a file."""
+    rows = [
+        RunRecord("d", "", 0, seed, beta, count, count / 4, "random", None, "", None,
+                  float(seed), (-1e308, 1e308)[seed % 2], float(count), 0.5 * seed, 1)
+        for seed, (beta, count) in enumerate(itertools.product((0.5, 1.0), (0, 2, 4)))
+    ]
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="metric 'discomfort_total' of signal '' is degenerate"):
+        with pytest.raises(InvalidInputError,
+                           match="metric 'discomfort_total' of signal '': means from -1e"):
+            harness_mod.analyze(harness_mod.SweepGrid(rows), output_dir=out)
+    assert not out.exists()
+
+
 def test_cell_means_equal_each_cells_own_mean_bit_for_bit():
     """A cell's mean sums its rows in sort-key order, as its own 1-D
     ``.mean()`` does, whatever the row order and the mix of cell sizes."""
@@ -142,7 +217,7 @@ def test_cell_means_equal_each_cells_own_mean_bit_for_bit():
             rows.append(RunRecord("d", "", 0, int(rng.integers(2**31)), beta, index, 0.5,
                                   "random", None, "", None, a, b, c, d, 1))
     rows = [rows[i] for i in rng.permutation(len(rows))]
-    means = SweepGrid(rows=list(rows)).cell_means("random")
+    means = harness_mod._cell_table(list(rows), "random").as_dict()
     by_cell: dict = {}
     for r in sorted(rows, key=RunRecord.sort_key):
         by_cell.setdefault((r.signal_id, r.beta, r.adv_count), []).append(r)

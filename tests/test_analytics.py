@@ -196,6 +196,14 @@ def test_multi_otsu_degenerate_inputs():
         multi_otsu([1.0, 2.0, 3.0], classes=1)
 
 
+def test_multi_otsu_refuses_values_closer_than_the_bins():
+    """Three adjacent floats cannot span 256 finite-sized bins, or even 3."""
+    close = [1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)]
+    for bins in (256, 3):
+        with pytest.raises(InvalidInputError, match=f"too close together for {bins} bins"):
+            multi_otsu(close, classes=3, bins=bins)
+
+
 def test_multi_otsu_matches_oracle_and_fills_classes():
     rng = np.random.default_rng(9)
     cases = []

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import warnings
 
@@ -368,6 +369,93 @@ def test_cell_means_too_large_to_score_exit_3_naming_metric_and_signal(
     assert "runtime error: metric 'inefficiency' of signal '':" in caplog.text
     assert "too large for the scores to stay finite" in caplog.text
     assert not out.exists()
+
+
+def _rewrite_column(source, target, column, values):
+    """Copy a results CSV with ``column`` replaced by ``values``, cycled."""
+    with open(source, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    at = header.index(column)
+    for row, value in zip(rows, itertools.cycle(values)):
+        row[at] = value
+    with open(target, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows([header, *rows])
+    return target
+
+
+@pytest.mark.parametrize("command", ["analyze", "plot"])
+def test_cumulative_means_spanning_no_finite_range_exit_3_writing_nothing(
+    tmp_path, caplog, command
+):
+    """Finite cumulative means of -1e308 and 1e308 in one direction's grid
+    cannot be drawn; they are refused before any file is written."""
+    cfg = write_config(tmp_path)
+    assert main(["structural", "--config", str(cfg), "--mode", "cumulative"]) == 0
+    huge = _rewrite_column(tmp_path / "out" / "structural_cumulative.csv", tmp_path / "huge.csv",
+                           "inefficiency", ["-1e308", "1e308"])
+    out = tmp_path / "analysis"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--results", str(huge), "--out", str(out)]) == 3
+    assert "runtime error: metric 'inefficiency' of signal '': cumulative" in caplog.text
+    assert "-1e+308 to 1e+308" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "plot"])
+def test_cell_means_closer_than_the_bins_exit_3_writing_nothing(tmp_path, caplog, command):
+    """Cell means of 1.0 and the next two floats above it leave no room for
+    256 bins; ``multi_otsu`` refuses them before any file is written."""
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    close = [1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)]
+    tight = _rewrite_column(tmp_path / "out" / "runs.csv", tmp_path / "tight.csv",
+                            "inefficiency", [repr(float(v)) for v in close])
+    out = tmp_path / "analysis"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--results", str(tight), "--out", str(out)]) == 3
+    assert "runtime error: metric 'inefficiency' of signal '':" in caplog.text
+    assert "too close together for 256 bins" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scaling,seed", [("zero-mean-unit-norm", 1), ("min-max", 3)])
+def test_near_flat_scaled_responses_keep_every_command_running(
+    tmp_path, capsys, scaling, seed
+):
+    """Plans whose responses differ only by rounding, under a scaled RSS:
+    ``run``, ``sweep`` and both structural modes finish with exit 0 and
+    non-increasing cost traces, where the engine's trace guard used to end
+    each of them with an AssertionError."""
+    rng = np.random.default_rng(11)
+    values = 0.1 * rng.choice([-1.0, 1.0], size=(8, 3, 2))
+    discomforts = rng.choice([0.0, 1.0], size=(8, 3))
+    save_plan_sets([PlanSet(a + 1, values[a], discomforts[a]) for a in range(8)], tmp_path / "p")
+    (tmp_path / "t.target").write_text("0,1\n")
+    argv = ["run", "--plans-dir", str(tmp_path / "p"), "--severity", "0.5", "--count", "2",
+            "--seed", "3", "--ineff", "rss", "--target", str(tmp_path / "t.target"),
+            "--scaling", scaling]
+    assert main(argv) == 0
+    trace = json.loads(capsys.readouterr().out)["combined_cost_trace"]
+    assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "dataset": {"kind": "files", "plans_dir": "p"},
+        "severities": [0.2, 0.6, 1.0],
+        "runs_per_cell": 4,
+        "placements": ["random", "layer", "cumulative"],
+        "inefficiency": {"kind": "rss", "target_files": ["t.target"], "scaling": scaling},
+        "initial_selection": "random",
+        "output_dir": "out",
+        "master_seed": seed,
+    }))
+    for command in (["sweep"], ["structural", "--mode", "layer"],
+                    ["structural", "--mode", "cumulative"]):
+        assert main([command[0], "--config", str(cfg), *command[1:]]) == 0
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "runs.csv", "structural_cumulative.csv", "structural_layer.csv"]
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])

@@ -193,6 +193,27 @@ def test_monotone_combined_cost_trace_random_configs():
         assert len(trace) == out.iterations_used + 1
 
 
+def near_flat_plans() -> list[PlanSet]:
+    """8 agents with 3 plans of ±0.1 in 2-d and discomforts 0 or 1: their
+    responses can differ only by rounding, which scaled RSS blows up."""
+    rng = np.random.default_rng(11)
+    values = 0.1 * rng.choice([-1.0, 1.0], size=(8, 3, 2))
+    discomforts = rng.choice([0.0, 1.0], size=(8, 3))
+    return [PlanSet(i + 1, values[i], discomforts[i]) for i in range(8)]
+
+
+def test_a_settled_cost_rise_keeps_the_last_selection():
+    """The walk approves a state by a cost summed in another order than the
+    settled one. Under zero-mean-unit-norm RSS the second iteration's settled
+    cost rises from 2.5e-32 to 1.0; the run keeps its last selection and
+    converges, where the trace guard used to end it with an AssertionError."""
+    topology = build_balanced_binary(8, permutation_seed=0)
+    ineff = InefficiencyFn("rss", np.array([0.0, 1.0]), "zero-mean-unit-norm")
+    out = run_baseline(topology, near_flat_plans(), RunConfig(inefficiency=ineff))
+    assert out.combined_cost_trace == (1.0, 2.4651903288156624e-32, 2.4651903288156624e-32)
+    assert out.iterations_used == 2
+
+
 def test_baseline_equals_all_legitimate_run():
     plan_sets = generate_gaussian_plans(10, 3, 2, seed=4)
     topo = build_balanced_binary(10, permutation_seed=4)

@@ -200,7 +200,7 @@ def test_run_sweep_shape_and_baseline_consistency(tmp_path):
         if record.adv_count == 0:
             assert record.compromised == 0.0
             assert record.adv_fraction == 0.0
-    cells = grid.cell_means("random")
+    cells = harness_mod._cell_table(grid.rows, "random").as_dict()
     assert len(cells) == 8
     assert all(cell["run_count"] == 3 for cell in cells.values())
 
@@ -557,7 +557,7 @@ def test_analyze_exclude_beta_spares_structural_cells(tmp_path):
 def test_structural_means_layer_view(tmp_path):
     cfg = small_config(tmp_path, severities=(0.7,))
     grid = run_structural(cfg, "layer")
-    means = grid.cell_means("layer")
+    means = harness_mod._cell_table(grid.rows, "layer").as_dict()
     # Layer 3 of the 10-agent tree has 4 agents; count=2 averages C(4,2)=6 runs.
     key = ("", 3, 2, 0.7)
     assert key in means
