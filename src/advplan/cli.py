@@ -227,11 +227,10 @@ def _cmd_structural(args) -> int:
 
 def _cmd_estimate(args) -> int:
     cfg = harness.load_config(args.config, workdir=args.workdir, master_seed=args.seed)
-    agents = None
-    if not cfg.dataset.agents_grid:
-        # A campaign has no one population to load; any other config is checked as sweep's is.
-        agents = len(harness.load_inputs(cfg, cfg.placements)[0])
-    print(harness.estimate_experiment_count(cfg, agents))
+    print(sum(
+        harness.estimate_experiment_count(pop, len(harness.load_inputs(pop, pop.placements)[0]))
+        for pop in harness.populations(cfg)
+    ))
     return 0
 
 

@@ -126,7 +126,7 @@ class DatasetSpec:
     plans: int | None = None
     dim: int = 2
     seed: int = 0
-    # Campaign grids, used only by experiment accounting.
+    # Campaign grids: without agents/plans, one population per (agents, plans) pair.
     agents_grid: tuple[int, ...] | None = None
     plans_grid: tuple[int, ...] | None = None
 
@@ -136,7 +136,7 @@ class DatasetSpec:
             raise ConfigError(f"dataset kind must be 'gaussian' or 'files', got {self.kind!r}")
         if self.kind == "files" and not self.plans_dir:
             raise ConfigError("files dataset needs plans_dir")
-        if self.kind == "gaussian" and not self.agents_grid:
+        if self.kind == "gaussian" and not (self.agents_grid and self.plans_grid):
             if self.agents is None or self.plans is None:
                 raise ConfigError("gaussian dataset needs agents and plans counts")
         if self.kind == "gaussian":
@@ -400,6 +400,18 @@ def _cell_table(rows: list[RunRecord], mode: str, exclude_beta=()) -> _CellTable
         dict(zip(ZONE_METRICS, means[:, cells])),
         sizes[cells].tolist(),
     )
+
+
+def populations(cfg: SweepConfig) -> list[SweepConfig]:
+    """A campaign's plain configs, one per (agents, plans) pair of its grids with agents
+    outer; a files dataset or one with ``agents`` and ``plans`` is its own one population."""
+    ds = cfg.dataset
+    if ds.kind == "files" or None not in (ds.agents, ds.plans):
+        return [cfg]
+    return [
+        replace(cfg, dataset=replace(ds, agents=a, plans=k, agents_grid=None, plans_grid=None))
+        for a, k in itertools.product(ds.agents_grid, ds.plans_grid)
+    ]
 
 
 def load_dataset(ds: DatasetSpec) -> list[PlanSet]:
@@ -846,27 +858,15 @@ def run_structural(cfg: SweepConfig, mode: str) -> SweepGrid:
 
 
 def estimate_experiment_count(cfg: SweepConfig, agents: int | None = None) -> int:
-    """Evaluate the experiment-accounting formula without running anything.
-
-    A campaign dataset (agents_grid / plans_grid) counts the per-population
-    product sum; any other severities x signals x (sweep runs + layer-wise
-    combinations per distinct per-layer count + cumulative runs), over the
-    placements the config enables. ``agents`` is the population size n,
-    the dataset's ``agents`` when not given; a files dataset has no size of
-    its own, so its caller passes the count of the plan sets it loaded.
-    """
-    ds = cfg.dataset
+    """The rows one population writes, counted without running anything: severities
+    x signals x (sweep runs + layer-wise combinations per distinct per-layer count +
+    cumulative runs), over the placements the config enables. ``agents`` is n, the
+    dataset's ``agents`` when not given; a files dataset has no size of its own, so
+    its caller passes the count of the plan sets it loaded. Sum over ``populations``."""
     severities = len(cfg.severities)
-    if ds.agents_grid:
-        if not ds.plans_grid:
-            raise ConfigError("campaign accounting needs both agents_grid and plans_grid")
-        return sum(
-            a * severities * len(ds.plans_grid) * cfg.runs_per_cell
-            for a in ds.agents_grid
-        )
-    n = ds.agents if agents is None else agents
+    n = cfg.dataset.agents if agents is None else agents
     if n is None:
-        raise ConfigError("counting a files dataset needs its agent count")
+        raise ConfigError("counting a files dataset or a campaign needs one population's size")
     signals = len(cfg.target_files) if cfg.inefficiency_kind == "rss" else 1
     per_signal = 0
     if "random" in cfg.placements:
@@ -939,6 +939,15 @@ def _heatmap_grid(index: dict) -> tuple[list, list, np.ndarray] | None:
     return rows, cols, np.array([[index[(b, c)] for c in cols] for b in rows], dtype=np.intp)
 
 
+def _file_tag(signal: str) -> str:
+    """The part of a heatmap's file name that ``signal`` gives. A signal id that
+    holds a path separator or NUL names no file in the output directory, and
+    raises ``InvalidInputError``."""
+    if {"/", "\0", os.sep, os.altsep} & set(signal):
+        raise InvalidInputError(f"signal id {signal!r} cannot name a heatmap file")
+    return f"_{signal}" if signal else ""
+
+
 def _heatmap(what: str, title: str, x_axis: str, layout, matrix: np.ndarray,
              bands: np.ndarray | None = None, knees=()) -> dict:
     """The ``render_heatmap`` arguments that draw the ``matrix`` of values at
@@ -1008,7 +1017,7 @@ def analyze(
 
     for signal in sorted(by_signal):
         cells = by_signal[signal]
-        tag = f"_{signal}" if signal else ""
+        tag = _file_tag(signal)
         for metric in ZONE_METRICS:
             values = random.means[metric][cells]
             try:
@@ -1050,7 +1059,7 @@ def analyze(
             continue
         pair = thresholds.get((signal, "inefficiency"))
         matrix = cumulative.means["inefficiency"][layout[2]]
-        tag = f"_{signal}" if signal else ""
+        tag = _file_tag(signal)
         heatmaps.append((f"heatmap{tag}_cumulative_{direction}", None, layout, _heatmap(
             f"metric 'inefficiency' of signal {signal!r}: cumulative {direction}",
             f"inefficiency, cumulative {direction}", "m", layout, matrix,
@@ -1109,11 +1118,10 @@ def analyze(
          for row in sorted(front_rows, key=operator.itemgetter(slice(0, len(FRONT_COLUMNS))))],
     )
     for name, metric, (rows, cols, cells), args in heatmaps:
-        base = outdir / name
-        render_heatmap(path=base.with_suffix(".svg"), **args)
+        render_heatmap(path=outdir / f"{name}.svg", **args)
         if metric is not None:
             column = texts["random"][metric]
-            _write_csv(base.with_suffix(".csv"), ["beta", *cols], [
+            _write_csv(outdir / f"{name}.csv", ["beta", *cols], [
                 [b, *(column[cell] for cell in row)] for b, row in zip(rows, cells.tolist())
             ])
     return bundle

@@ -243,14 +243,14 @@ def test_criterion_08_multi_otsu_oracle():
     assert labels_ok
 
 
-def test_criterion_09_gaussian_trend():
+def test_criterion_09_gaussian_trend(tmp_path):
     start = time.perf_counter()
     cfg = SweepConfig(
         dataset=DatasetSpec(kind="gaussian", agents=20, plans=4, dim=2, seed=0),
         severities=(0.9,),
         scales=(0, 4, 8, 12, 16, 20),
         runs_per_cell=30,
-        output_dir="/tmp/advplan-acceptance-trend",
+        output_dir=str(tmp_path),
         master_seed=2026,
     )
     grid = run_sweep(cfg)

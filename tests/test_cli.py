@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import json
 import warnings
@@ -10,7 +11,13 @@ import yaml
 from advplan.adversary import beta_rows, random_adversaries, sample_k_subsets
 from advplan.cli import main
 from advplan.engine import BehaviorProfile, RunConfig, run, run_baseline
-from advplan.harness import _metric_columns
+from advplan.harness import (
+    _metric_columns,
+    load_config,
+    populations,
+    run_structural,
+    run_sweep,
+)
 from advplan.plans import PlanSet, generate_gaussian_plans, save_plan_sets
 from advplan.topology import agents_in_layer, build_balanced_binary
 
@@ -420,6 +427,39 @@ def test_cell_means_closer_than_the_bins_exit_3_writing_nothing(tmp_path, caplog
     assert not out.exists()
 
 
+def test_heatmap_file_names_keep_a_dotted_signal_id(tmp_path):
+    """A signal id ``x.y`` names its heatmaps whole: one SVG and one CSV per
+    metric and one SVG per cumulative direction, none written over another."""
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert main(["structural", "--config", str(cfg), "--mode", "cumulative"]) == 0
+    results = [_rewrite_column(tmp_path / "out" / name, tmp_path / name, "signal_id", ["x.y"])
+               for name in ("runs.csv", "structural_cumulative.csv")]
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--results", *map(str, results), "--out", str(out)]) == 0
+    metrics = ("inefficiency", "discomfort_total", "discomfort_legit", "compromised")
+    assert sorted(path.name for path in out.glob("heatmap_*")) == sorted([
+        *(f"heatmap_x.y_{m}.{ext}" for m in metrics for ext in ("svg", "csv")),
+        "heatmap_x.y_cumulative_top_down.svg", "heatmap_x.y_cumulative_bottom_up.svg",
+    ])
+
+
+@pytest.mark.parametrize("signal", ["/../../escaped", "a\0b"])
+@pytest.mark.parametrize("command", ["analyze", "plot"])
+def test_signal_ids_that_name_no_file_exit_3_writing_nothing(tmp_path, caplog, command, signal):
+    """A signal id holding a path separator or NUL cannot name a heatmap file
+    in ``--out``; it is refused before any file is written."""
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    runs = _rewrite_column(tmp_path / "out" / "runs.csv", tmp_path / "runs.csv",
+                           "signal_id", [signal])
+    base = tmp_path / "d"
+    base.mkdir()
+    assert main([command, "--results", str(runs), "--out", str(base / "an")]) == 3
+    assert f"runtime error: signal id {signal!r} cannot name a heatmap file" in caplog.text
+    assert not list(base.iterdir())
+
+
 @pytest.mark.parametrize("scaling,seed", [("zero-mean-unit-norm", 1), ("min-max", 3)])
 def test_near_flat_scaled_responses_keep_every_command_running(
     tmp_path, capsys, scaling, seed
@@ -585,7 +625,64 @@ def test_campaign_config_exits_2_but_estimate_counts_it(tmp_path, caplog, capsys
     assert not (tmp_path / "out").exists()
     capsys.readouterr()
     assert main(["estimate", "--config", str(path)]) == 0
-    assert capsys.readouterr().out.strip() == "60"
+    assert capsys.readouterr().out.strip() == "8"
+
+
+@pytest.mark.parametrize(
+    "placements,scales,code,printed",
+    [
+        pytest.param(["random", "layer", "cumulative"], [1, 2], 0, "524", id="all-placements"),
+        pytest.param(["random"], [1, 15], 2, "", id="scale-15"),
+    ],
+)
+def test_estimate_checks_and_counts_each_campaign_population(
+    tmp_path, caplog, capsys, placements, scales, code, printed
+):
+    """A campaign counts as the sum of its four populations' rows, and a scale
+    that one population cannot hold is refused as that population's sweep
+    refuses it."""
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw.update(severities=[0.5], scales=scales, runs_per_cell=1, placements=placements)
+    raw["dataset"] = {"kind": "gaussian", "agents_grid": [10, 20], "plans_grid": [2, 4]}
+    path.write_text(yaml.safe_dump(raw))
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(path)]) == code
+    assert capsys.readouterr().out.strip() == printed
+    if code:
+        assert "config error: scale 15 outside 0..10" in caplog.text
+        raw["dataset"] = {"kind": "gaussian", "agents": 10, "plans": 2}
+        path.write_text(yaml.safe_dump(raw))
+        caplog.clear()
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "config error: scale 15 outside 0..10" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_campaign_estimate_equals_the_rows_its_populations_write(tmp_path, capsys):
+    """The oracle of a campaign's accounting: ``estimate`` equals the rows that
+    the sweep and both structural modes of every population write."""
+    for name, target in (("a", "0.5,-0.5\n"), ("b", "-1,2\n")):
+        (tmp_path / f"{name}.target").write_text(target)
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw.update(severities=[0.5, 1.0], scales=[0, 2, 5], runs_per_cell=1,
+               placements=["random", "layer", "cumulative"])
+    raw["dataset"] = {"kind": "gaussian", "agents_grid": [6, 9], "plans_grid": [2, 3]}
+    raw["inefficiency"] = {"kind": "rss", "target_files": ["a.target", "b.target"]}
+    path.write_text(yaml.safe_dump(raw))
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(path)]) == 0
+    estimate = int(capsys.readouterr().out)
+    plain = populations(load_config(path))
+    assert [(p.dataset.agents, p.dataset.plans) for p in plain] == [(6, 2), (6, 3), (9, 2), (9, 3)]
+    written = 0
+    for index, population in enumerate(plain):
+        population = dataclasses.replace(population, output_dir=str(tmp_path / f"pop{index}"))
+        grids = [run_sweep(population),
+                 *(run_structural(population, mode) for mode in ("layer", "cumulative"))]
+        written += sum(len(grid.rows) for grid in grids)
+    assert written == estimate
 
 
 @pytest.mark.parametrize(
@@ -646,18 +743,22 @@ def test_bad_run_settings_exit_2_before_any_file(tmp_path, caplog, key, value):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "files"])
+@pytest.mark.parametrize("kind", ["gaussian", "files", "gaussian+grids", "files+grids"])
 def test_estimate_equals_the_rows_every_placement_writes(tmp_path, capsys, kind):
     """All placements and two targets; a combination cap of 2 makes the
     layer-wise runs sample their adversary sets in the layers of 4 agents.
-    The files dataset has 8 agents of 2 plans with real-valued discomforts."""
+    The files dataset has 8 agents of 2 plans with real-valued discomforts.
+    Campaign grids beside ``agents``/``plans`` or a plan directory leave one
+    population, which ``estimate`` counts as ``sweep`` runs it."""
     path = write_config(tmp_path)
     raw = yaml.safe_load(path.read_text())
-    if kind == "files":
+    if kind.startswith("files"):
         rng = np.random.default_rng(3)
         plans = [PlanSet(a, rng.standard_normal((2, 2)), rng.random(2) * 3.0) for a in range(1, 9)]
         save_plan_sets(plans, tmp_path / "p")
         raw["dataset"] = {"kind": "files", "plans_dir": "p"}
+    if kind.endswith("+grids"):
+        raw["dataset"].update(agents_grid=[10, 20], plans_grid=[2, 4])
     for name in ("a", "b"):
         (tmp_path / f"{name}.target").write_text("0.5,-0.5\n")
     raw.update(placements=["random", "layer", "cumulative"], combination_cap=2)

@@ -31,6 +31,7 @@ from advplan.harness import (
     derive_seed,
     estimate_experiment_count,
     load_config,
+    populations,
     run_structural,
     run_sweep,
 )
@@ -376,7 +377,7 @@ def test_estimate_minimal_and_campaign():
         ),
         runs_per_cell=50,
     )
-    assert estimate_experiment_count(campaign) == 4_125_000
+    assert sum(map(estimate_experiment_count, populations(campaign))) == 4_125_000
 
 
 def test_estimate_table_reproduction():
