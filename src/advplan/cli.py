@@ -256,9 +256,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_plot(args) -> int:
     grid = _pooled_grid(args.results)
-    harness.analyze(grid, output_dir=args.out, exclude_beta=tuple(args.exclude_beta))
-    svgs = list(Path(args.out).glob("*.svg"))
-    print(f"{len(svgs)} heatmaps written to {Path(args.out)}")
+    written = harness.analyze(grid, args.out, exclude_beta=tuple(args.exclude_beta))
+    print(f"{sum(path.suffix == '.svg' for path in written)} heatmaps written to {Path(args.out)}")
     return 0
 
 

@@ -115,6 +115,12 @@ def _check_types(config) -> None:
                 raise ConfigError(f"{key} must hold {noun}, got {item!r}")
 
 
+def _check_unique(key: str, values) -> None:
+    """Refuse a grid that repeats a value: each repeat would be run and counted again."""
+    if values and len(set(values)) < len(values):
+        raise ConfigError(f"{key} must not repeat a value, got {list(values)}")
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     """Where plans come from: a directory of plan files or a Gaussian spec."""
@@ -144,6 +150,8 @@ class DatasetSpec:
                 value = getattr(self, key)
                 if value is not None and value < least:
                     raise ConfigError(f"{key} must be >= {least}, got {value}")
+        for key in ("agents_grid", "plans_grid"):
+            _check_unique(key, getattr(self, key))
         if not self.name:
             fallback = self.kind if self.kind == "gaussian" else Path(self.plans_dir).name
             object.__setattr__(self, "name", fallback)
@@ -190,9 +198,7 @@ class SweepConfig:
         if self.scales is not None and not self.scales:
             raise ConfigError("scale grid must be non-empty when given")
         for key in ("severities", "scales"):
-            values = getattr(self, key) or ()
-            if len(set(values)) < len(values):
-                raise ConfigError(f"{key} must not repeat a value, got {list(values)}")
+            _check_unique(key, getattr(self, key))
         for mode in self.placements:
             if mode not in PLACEMENT_MODES:
                 raise ConfigError(f"unknown placement mode {mode!r}")
@@ -313,8 +319,7 @@ class SweepGrid:
     def write_csv(self, path: str | Path) -> Path:
         """Sort the rows in place by ``RunRecord.sort_key`` and write them."""
         self.rows.sort(key=RunRecord.sort_key)
-        _write_csv(Path(path), CSV_COLUMNS, self.rows)
-        return Path(path)
+        return _write_csv(Path(path), CSV_COLUMNS, self.rows)
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "SweepGrid":
@@ -355,12 +360,6 @@ class _CellTable:
                  means: dict[str, np.ndarray], run_count: list[int]):
         self.keys, self.adv_fraction, self.means, self.run_count = (
             keys, adv_fraction, means, run_count)
-
-    def as_dict(self) -> dict[tuple, dict]:
-        names = ("adv_fraction", *ZONE_METRICS, "run_count")
-        columns = (self.adv_fraction, *(self.means[m].tolist() for m in ZONE_METRICS),
-                   self.run_count)
-        return {key: dict(zip(names, cell)) for key, cell in zip(self.keys, zip(*columns))}
 
 
 _ZONE_FIELDS = operator.itemgetter(*(CSV_COLUMNS.index(m) for m in ZONE_METRICS))
@@ -882,21 +881,12 @@ def estimate_experiment_count(cfg: SweepConfig, agents: int | None = None) -> in
     return severities * signals * per_signal
 
 
-@dataclass
-class AnalysisBundle:
-    """Analysis artifacts: thresholds and zones per metric, fronts with knees."""
-
-    cells: dict
-    thresholds: dict
-    zones: dict
-    front_rows: list[dict]
-
-
 def _front_rows_for(table: _CellTable, signal: str, layout) -> list[tuple]:
     """Pareto fronts and knees per fixed-severity row and fixed-scale column
     of the ``_heatmap_grid`` layout of ``signal``'s cells in ``table``, both
-    walked in ascending order; a row holds the ``FRONT_COLUMNS`` values and
-    then its cell."""
+    walked in ascending order; a row holds the ``FRONT_COLUMNS`` values up to
+    ``adv_count``, whether the cell is on the front and the knee, and the
+    cell."""
     betas, counts, cells = layout
     # The layout puts the highest severity first.
     betas, cells = betas[::-1], cells[::-1].tolist()
@@ -913,18 +903,19 @@ def _front_rows_for(table: _CellTable, signal: str, layout) -> list[tuple]:
             points = [(xs[cell], ys[cell]) for *_, cell in members]
             front = set(pareto_front(points))
             knee = knee_mmd(sorted(front))
-            rows += [(signal, orientation, fixed, b, c, *xy, xy in front, xy == knee, cell)
+            rows += [(signal, orientation, fixed, b, c, xy in front, xy == knee, cell)
                      for (b, c, cell), xy in zip(members, points)]
     return rows
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> Path:
     """Write ``rows`` under ``header``; floats go out as their ``repr``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
+    return path
 
 
 def _heatmap_grid(index: dict) -> tuple[list, list, np.ndarray] | None:
@@ -977,23 +968,26 @@ def _heatmap(what: str, title: str, x_axis: str, layout, matrix: np.ndarray,
 
 def analyze(
     grid: SweepGrid,
-    output_dir: str | Path | None = None,
+    output_dir: str | Path,
     bins: int = 256,
     exclude_beta: tuple[float, ...] = (),
-) -> AnalysisBundle:
-    """Segment the sweep grid into R/V/C zones and extract fronts and knees.
+) -> list[Path]:
+    """Segment the sweep grid into R/V/C zones and extract fronts and knees,
+    write them to ``output_dir`` and return the paths written, in order.
 
     Otsu thresholds are computed per metric over the random-placement cell
     means, the only cells ``exclude_beta`` removes; a degenerate metric (fewer
     than three distinct values) gets one all-resilience zone and a warning.
     Fronts pair inefficiency with legitimate-agent discomfort along both grid
-    orientations. With an output directory, cells, thresholds, zones, fronts
-    and heatmaps are written there, structural cells and cumulative heatmaps
-    too. Everything is computed before the first write: a non-finite cell
-    mean that would be thresholded or drawn, one too large to score, means
-    too close together to bin, and a heatmap whose range overflows raise
-    ``InvalidInputError`` naming the metric and signal, and write nothing.
+    orientations. Cells, thresholds, zones, fronts and heatmaps are written,
+    structural cells and cumulative heatmaps too. Everything is computed
+    before the first write: a non-finite cell mean that would be thresholded
+    or drawn, one too large to score, means too close together to bin, and a
+    heatmap whose range overflows raise ``InvalidInputError`` naming the
+    metric and signal, and write nothing; so does a heatmap file name longer
+    than the output directory's file system allows.
     """
+    outdir = Path(output_dir)
     tables = {
         mode: _cell_table(grid.rows, mode, exclude_beta if mode == "random" else ())
         for mode in PLACEMENT_MODES
@@ -1043,7 +1037,7 @@ def analyze(
         rows = _front_rows_for(random, signal, layout)
         front_rows += rows
         # The (beta, adv_count) of each per-severity knee.
-        knees = {row[3:5] for row in rows if row[1] == "per_beta" and row[8]}
+        knees = {row[3:5] for row in rows if row[1] == "per_beta" and row[6]}
         heatmaps += [(f"heatmap{tag}_{metric}", metric, layout, _heatmap(
             f"metric {metric!r} of signal {signal!r}", f"{metric} by severity x adversary count",
             "adversaries", layout, random.means[metric][layout[2]], bands[metric][layout[2]],
@@ -1066,17 +1060,19 @@ def analyze(
             None if pair is None else rvc_bands(matrix, pair),
         )))
 
-    zone_of = {m: [_RVC[band] for band in bands[m].tolist()] for m in ZONE_METRICS}
-    bundle = AnalysisBundle(
-        cells=random.as_dict(),
-        thresholds=thresholds,
-        zones={row[:4]: zone_of[row[1]][row[4]] for row in zone_rows},
-        front_rows=[dict(zip(FRONT_COLUMNS, row)) for row in front_rows],
-    )
-    if output_dir is None:
-        return bundle
+    # The name limit, in bytes, of the file system the output will be on; -1 for
+    # none, or where the platform has no ``pathconf``.
+    base = outdir.absolute()
+    while not base.exists():
+        base = base.parent
+    limit = os.pathconf(base, "PC_NAME_MAX") if hasattr(os, "pathconf") else -1
+    for name, *_ in heatmaps:
+        # A heatmap's table takes the name of its drawing, ".csv" for ".svg".
+        size = len(os.fsencode(f"{name}.svg"))
+        if 0 <= limit < size:
+            raise InvalidInputError(f"heatmap file name {name + '.svg'!r} is {size} bytes, "
+                                    f"more than the {limit} that {outdir} allows")
 
-    outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     # Each cell mean is formatted once, as the ``repr`` that ``csv.writer``
     # would write for it, and reused by every table that shows it.
@@ -1084,6 +1080,7 @@ def analyze(
         mode: {m: list(map(repr, table.means[m].tolist())) for m in ZONE_METRICS}
         for mode, table in tables.items()
     }
+    written = []
     for mode, table in tables.items():
         if not table.keys and mode != "random":
             continue
@@ -1093,35 +1090,36 @@ def analyze(
             *(texts[mode][m] for m in ZONE_METRICS),
             table.run_count,
         ]
-        _write_csv(
+        written.append(_write_csv(
             outdir / ("cells.csv" if mode == "random" else f"{mode}_cells.csv"),
             ["signal_id", *CELL_KEYS[mode], *extra, *ZONE_METRICS, "run_count"],
             [[*key, *cell] for key, cell in zip(table.keys, zip(*columns))],
-        )
-    _write_csv(
+        ))
+    written.append(_write_csv(
         outdir / "thresholds.csv",
         ["signal_id", "metric", "t1", "t2"],
         [[*key, *(pair or ("", ""))] for key, pair in sorted(thresholds.items())],
-    )
+    ))
     zone_rows.sort(key=operator.itemgetter(0, 1, 2, 3))
-    _write_csv(
+    zone_of = {m: [_RVC[band].value for band in bands[m].tolist()] for m in ZONE_METRICS}
+    written.append(_write_csv(
         outdir / "zones.csv",
         ["signal_id", "metric", "beta", "adv_count", "value", "zone"],
-        [[s, m, b, c, texts["random"][m][cell], zone_of[m][cell].value]
+        [[s, m, b, c, texts["random"][m][cell], zone_of[m][cell]]
          for s, m, b, c, cell in zone_rows],
-    )
+    ))
     ineff, legit = texts["random"]["inefficiency"], texts["random"]["discomfort_legit"]
-    _write_csv(
+    written.append(_write_csv(
         outdir / "fronts.csv",
         FRONT_COLUMNS,
-        [[*row[:5], ineff[row[-1]], legit[row[-1]], *row[7:9]]
-         for row in sorted(front_rows, key=operator.itemgetter(slice(0, len(FRONT_COLUMNS))))],
-    )
+        [[*row[:5], ineff[row[-1]], legit[row[-1]], *row[5:7]]
+         for row in sorted(front_rows, key=operator.itemgetter(slice(0, 5)))],
+    ))
     for name, metric, (rows, cols, cells), args in heatmaps:
-        render_heatmap(path=outdir / f"{name}.svg", **args)
+        written.append(render_heatmap(path=outdir / f"{name}.svg", **args))
         if metric is not None:
             column = texts["random"][metric]
-            _write_csv(outdir / f"{name}.csv", ["beta", *cols], [
+            written.append(_write_csv(outdir / f"{name}.csv", ["beta", *cols], [
                 [b, *(column[cell] for cell in row)] for b, row in zip(rows, cells.tolist())
-            ])
-    return bundle
+            ]))
+    return written

@@ -12,7 +12,6 @@ numpy's uint32 arrays, bit for bit what numpy computes one seed at a time.
 
 from __future__ import annotations
 
-import itertools
 import zlib
 
 import numpy as np
@@ -27,87 +26,60 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# The (source, destination) pool words of each mixing step, in order.
-_MIX_ORDER = tuple(
-    (src, dst) for src in range(_POOL_SIZE) for dst in range(_POOL_SIZE) if src != dst
-)
 
 
-def _hash_constants(const: int, mult: int):
-    """The ``(constant, next constant)`` pairs of successive SeedSequence hash steps."""
-    while True:
-        after = const * mult & _MASK32
-        yield const, after
-        const = after
+def _word(value: int) -> np.ndarray:
+    """A word that every row shares: ``value`` masked to 32 bits, as a
+    1-element uint32 array (it broadcasts, and wraps where a 0-d one warns)."""
+    return np.array([value & _MASK32], dtype=np.uint32)
 
 
-# The constants do not depend on the rows, so the first ones are tabled: the
-# 64 mixing steps of rows up to 16 words, and 8 words out.
-_A_STEPS = tuple(itertools.islice(_hash_constants(_INIT_A, _MULT_A), 64))
-_B_STEPS = tuple(itertools.islice(_hash_constants(_INIT_B, _MULT_B), 8))
-
-
-def _steps(table: tuple, mult: int):
-    """Every hash step's constants: ``table``'s, then the ones after it."""
-    return itertools.chain(table, _hash_constants(table[-1][1], mult))
-
-
-# Python ints are masked to 32 bits after every step that can overflow;
-# uint32 arrays wrap by themselves.
-def _hashmix(value, constants: tuple[int, int]):
-    """One SeedSequence hash step of ``value`` with one step's constants."""
-    const, after = constants
-    value = (value ^ const) * after
-    if value.__class__ is int:
-        value &= _MASK32
+def _hashmix(value: np.ndarray, const: np.ndarray, mult: int) -> np.ndarray:
+    """One SeedSequence hash step of ``value``; the step's constant, a
+    ``_word``, moves on to the next step's in place."""
+    value = value ^ const
+    const *= mult
+    value = value * const
     return value ^ value >> _XSHIFT
 
 
-def _mix(x, y):
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
-    x, y = _MIX_MULT_L * x, _MIX_MULT_R * y
-    if x.__class__ is int:
-        x &= _MASK32
-    if y.__class__ is int:
-        y &= _MASK32
-    result = x - y
-    if result.__class__ is int:
-        result &= _MASK32
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
     return result ^ result >> _XSHIFT
 
 
-def _seed_words(entropy: list, n_words: int) -> list:
+def _seed_words(entropy: list[np.ndarray], n_words: int) -> list[np.ndarray]:
     """``SeedSequence(entropy=row).generate_state(n_words)`` of every row.
 
-    ``entropy`` holds the rows' words position by position, each a Python
-    int shared by every row or a uint32 array with one word per row. Rows
-    shorter than the pool are padded with zero words, which is what
+    ``entropy`` holds the rows' words position by position, each a uint32
+    array: one word per row, or one word (``_word``) that every row shares.
+    Rows shorter than the pool are padded with zero words, which is what
     ``SeedSequence`` mixes in for them; longer ones mix their extra words
-    in after the pool. Each returned word is an int or a uint32 array like
-    the inputs: shared words cost no numpy call until they meet a per-row
-    one, so a lone row runs on Python ints alone.
+    in after the pool. Each returned word is a uint32 array of one word per
+    row, or of one word when every input word is shared.
     """
-    words = [*entropy, *[0] * (_POOL_SIZE - len(entropy))]
-    steps = _steps(_A_STEPS, _MULT_A)
-    pool = [_hashmix(word, next(steps)) for word in words[:_POOL_SIZE]]
-    for src, dst in _MIX_ORDER:
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(steps)))
+    words = [*entropy, *[_word(0)] * (_POOL_SIZE - len(entropy))]
+    const = _word(_INIT_A)
+    pool = [_hashmix(word, const, _MULT_A) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const, _MULT_A))
     for word in words[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, next(steps)))
+            pool[dst] = _mix(pool[dst], _hashmix(word, const, _MULT_A))
     # Generating words out is the same hash step over the pool, cycled.
-    out = zip(range(n_words), _steps(_B_STEPS, _MULT_B))
-    return [_hashmix(pool[i % _POOL_SIZE], constants) for i, constants in out]
+    const = _word(_INIT_B)
+    return [_hashmix(pool[i % _POOL_SIZE], const, _MULT_B) for i in range(n_words)]
 
 
-def _tag_word(tag):
+def _tag_word(tag) -> np.ndarray:
     """A tag's word: a string's crc32, an int masked to 32 bits, or one
     uint32 word per cell of an integer array (wrapping as the mask does)."""
-    if isinstance(tag, str):
-        return zlib.crc32(tag.encode())
     if isinstance(tag, np.ndarray) and tag.ndim:
         return tag.astype(np.uint32)
-    return int(tag) & _MASK32
+    return _word(zlib.crc32(tag.encode()) if isinstance(tag, str) else int(tag))
 
 
 def derive_seeds(master_seed: int, tags) -> np.ndarray:
@@ -119,8 +91,7 @@ def derive_seeds(master_seed: int, tags) -> np.ndarray:
     with every word masked to 32 bits and strings as their ``zlib.crc32``.
     Returns a uint32 array, of one seed when every tag is shared.
     """
-    (seeds,) = _seed_words([int(master_seed) & _MASK32, *map(_tag_word, tags)], 1)
-    return np.asarray(seeds, dtype=np.uint32).reshape(-1)
+    return _seed_words([_word(int(master_seed)), *map(_tag_word, tags)], 1)[0]
 
 
 def derive_seed(master_seed: int, *tags) -> int:

@@ -254,10 +254,11 @@ def test_criterion_09_gaussian_trend(tmp_path):
         master_seed=2026,
     )
     grid = run_sweep(cfg)
-    cells = _cell_table(grid.rows, "random").as_dict()
-    counts = sorted(key[2] for key in cells)
-    inefficiency = [cells[("", 0.9, c)]["inefficiency"] for c in counts]
-    discomfort = [cells[("", 0.9, c)]["discomfort_total"] for c in counts]
+    table = _cell_table(grid.rows, "random")
+    cell = {key: i for i, key in enumerate(table.keys)}
+    counts = sorted(key[2] for key in cell)
+    inefficiency = [table.means["inefficiency"][cell[("", 0.9, c)]] for c in counts]
+    discomfort = [table.means["discomfort_total"][cell[("", 0.9, c)]] for c in counts]
     rho = float(spearmanr(counts, inefficiency).statistic)
     monotone = all(b <= a + 1e-9 for a, b in zip(discomfort, discomfort[1:]))
     elapsed = time.perf_counter() - start

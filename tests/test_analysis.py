@@ -217,16 +217,16 @@ def test_cell_means_equal_each_cells_own_mean_bit_for_bit():
             rows.append(RunRecord("d", "", 0, int(rng.integers(2**31)), beta, index, 0.5,
                                   "random", None, "", None, a, b, c, d, 1))
     rows = [rows[i] for i in rng.permutation(len(rows))]
-    means = harness_mod._cell_table(list(rows), "random").as_dict()
+    table = harness_mod._cell_table(list(rows), "random")
     by_cell: dict = {}
     for r in sorted(rows, key=RunRecord.sort_key):
         by_cell.setdefault((r.signal_id, r.beta, r.adv_count), []).append(r)
-    assert list(means) == sorted(by_cell)
-    for key, members in by_cell.items():
-        assert means[key]["run_count"] == len(members)
+    assert table.keys == sorted(by_cell)
+    for cell, (key, members) in enumerate(sorted(by_cell.items())):
+        assert table.run_count[cell] == len(members)
         for metric in ("inefficiency", "discomfort_total", "discomfort_legit", "compromised"):
             own = float(np.array([getattr(r, metric) for r in members]).mean())
-            assert means[key][metric].hex() == own.hex(), (key, metric)
+            assert float(table.means[metric][cell]).hex() == own.hex(), (key, metric)
 
 
 def _tracing():
@@ -236,6 +236,17 @@ def _tracing():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing
+
+
+def test_every_traced_owner_resolves():
+    """The benchmark's tracer finds each module and class it wraps names on;
+    one that moved would make every traced round raise ``AttributeError``."""
+    tracing = _tracing()
+    owners = {path for path, _ in tracing.LEAVES.values()}
+    owners |= {path for path, _, _ in tracing.SPANS}
+    assert "advplan.harness:SweepGrid" in owners
+    for path in sorted(owners):
+        assert tracing._resolve(path) is not None, path
 
 
 def test_analyze_calls_every_traced_analysis_name(tmp_path):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import os
 import warnings
 
 import numpy as np
@@ -11,7 +12,9 @@ import yaml
 from advplan.adversary import beta_rows, random_adversaries, sample_k_subsets
 from advplan.cli import main
 from advplan.engine import BehaviorProfile, RunConfig, run, run_baseline
+from advplan.errors import ConfigError
 from advplan.harness import (
+    DatasetSpec,
     _metric_columns,
     load_config,
     populations,
@@ -460,6 +463,62 @@ def test_signal_ids_that_name_no_file_exit_3_writing_nothing(tmp_path, caplog, c
     assert not list(base.iterdir())
 
 
+@pytest.mark.parametrize("command", ["analyze", "plot"])
+def test_heatmap_names_longer_than_the_file_system_allows_exit_3_writing_nothing(
+    tmp_path, caplog, command
+):
+    """Each heatmap's file name, suffix included, is checked against the name
+    limit of the file system that ``--out`` lands on before any file is
+    written: a signal id of 300 characters is refused, and so is one whose
+    metric heatmaps' names fit exactly but whose cumulative ones do not."""
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert main(["structural", "--config", str(cfg), "--mode", "cumulative"]) == 0
+    limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+    fits = "x" * (limit - len("heatmap__discomfort_total.svg"))
+    runs, cumulative = (
+        _rewrite_column(tmp_path / "out" / name, tmp_path / name, "signal_id", [fits])
+        for name in ("runs.csv", "structural_cumulative.csv")
+    )
+    out = tmp_path / "fits"
+    assert main([command, "--results", str(runs), "--out", str(out)]) == 0
+    assert max(len(os.fsencode(path.name)) for path in out.iterdir()) == limit
+    long = _rewrite_column(runs, tmp_path / "long.csv", "signal_id", ["x" * 300])
+    base = tmp_path / "d"
+    base.mkdir()
+    for results, name in (([long], f"heatmap_{'x' * 300}_inefficiency.svg"),
+                          ([runs, cumulative], f"heatmap_{fits}_cumulative_bottom_up.svg")):
+        caplog.clear()
+        assert main([command, "--results", *map(str, results), "--out", str(base / "an")]) == 3
+        assert f"runtime error: heatmap file name {name!r} is " in caplog.text
+        assert f"more than the {limit} that {base / 'an'} allows" in caplog.text
+        assert not list(base.iterdir())
+
+
+def test_plot_counts_the_heatmaps_it_writes(tmp_path, capsys):
+    """``plot`` into a directory that holds an earlier plot's heatmaps counts
+    the SVGs it writes itself, not every SVG it finds there."""
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.target").write_text("0.5,-0.5\n")
+    raw["inefficiency"] = {"kind": "rss", "target_files": ["a.target", "b.target"]}
+    raw["output_dir"] = "rss"
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["sweep", "--config", str(path)]) == 0
+    variance = write_config(tmp_path)
+    assert main(["sweep", "--config", str(variance)]) == 0
+    plots = tmp_path / "plots"
+    printed = []
+    for results in ("rss", "out"):
+        capsys.readouterr()
+        assert main(["plot", "--results", str(tmp_path / results / "runs.csv"),
+                     "--out", str(plots)]) == 0
+        printed.append(capsys.readouterr().out.strip())
+    assert printed == [f"{count} heatmaps written to {plots}" for count in (8, 4)]
+    assert len(list(plots.glob("*.svg"))) == 12
+
+
 @pytest.mark.parametrize("scaling,seed", [("zero-mean-unit-norm", 1), ("min-max", 3)])
 def test_near_flat_scaled_responses_keep_every_command_running(
     tmp_path, capsys, scaling, seed
@@ -683,6 +742,24 @@ def test_campaign_estimate_equals_the_rows_its_populations_write(tmp_path, capsy
                  *(run_structural(population, mode) for mode in ("layer", "cumulative"))]
         written += sum(len(grid.rows) for grid in grids)
     assert written == estimate
+
+
+@pytest.mark.parametrize("grid", ["agents_grid", "plans_grid"])
+def test_a_campaign_grid_that_repeats_a_value_exits_2(tmp_path, caplog, capsys, grid):
+    """A repeated grid value would be one more population run and counted
+    again, so it is refused as a repeated severity or scale is."""
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw.update(severities=[0.5], scales=[1, 2], runs_per_cell=1)
+    raw["dataset"] = {"kind": "gaussian", "agents_grid": [10], "plans_grid": [2]}
+    raw["dataset"][grid] *= 2
+    path.write_text(yaml.safe_dump(raw))
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+    assert f"config error: {grid} must not repeat a value, got " in caplog.text
+    with pytest.raises(ConfigError, match=f"{grid} must not repeat a value"):
+        DatasetSpec(**raw["dataset"])
 
 
 @pytest.mark.parametrize(

@@ -201,9 +201,9 @@ def test_run_sweep_shape_and_baseline_consistency(tmp_path):
         if record.adv_count == 0:
             assert record.compromised == 0.0
             assert record.adv_fraction == 0.0
-    cells = harness_mod._cell_table(grid.rows, "random").as_dict()
-    assert len(cells) == 8
-    assert all(cell["run_count"] == 3 for cell in cells.values())
+    table = harness_mod._cell_table(grid.rows, "random")
+    assert len(table.keys) == 8
+    assert all(count == 3 for count in table.run_count)
 
 
 def test_run_metrics_sum_in_position_and_set_order(tmp_path):
@@ -409,22 +409,33 @@ def test_estimate_counts_only_enabled_modes():
     assert full > random_only + cumulative_only
 
 
-def test_analyze_bundle_and_files(tmp_path):
+def read_table(path: Path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.DictReader(handle))
+
+
+def test_analyze_returns_the_files_it_writes(tmp_path):
     cfg = small_config(tmp_path, severities=(0.2, 0.5, 0.9), runs_per_cell=2)
     grid = run_sweep(cfg)
     outdir = tmp_path / "analysis"
-    bundle = analyze(grid, output_dir=outdir)
-    assert bundle.thresholds[("", "inefficiency")] is not None
+    written = analyze(grid, outdir)
+    assert sorted(written) == sorted(p for p in outdir.iterdir() if p.is_file())
+    assert len(set(written)) == len(written)
+    assert [p.name for p in written[:4]] == ["cells.csv", "thresholds.csv", "zones.csv",
+                                             "fronts.csv"]
+    (threshold,) = [r for r in read_table(outdir / "thresholds.csv")
+                    if (r["signal_id"], r["metric"]) == ("", "inefficiency")]
+    assert threshold["t1"] and threshold["t2"]
     # Every knee is one of the grid's cells.
-    cell_keys = {(k[1], k[2]) for k in bundle.cells}
-    for row in bundle.front_rows:
-        if row["is_knee"]:
-            assert (row["beta"], row["adv_count"]) in cell_keys
-    for name in ("cells.csv", "thresholds.csv", "zones.csv", "fronts.csv"):
-        assert (outdir / name).exists()
-    svgs = list(outdir.glob("heatmap_*.svg"))
+    cell_keys = {(r["beta"], r["adv_count"]) for r in read_table(outdir / "cells.csv")}
+    knees = [r for r in read_table(outdir / "fronts.csv") if r["is_knee"] == "True"]
+    assert knees
+    for row in knees:
+        assert (row["beta"], row["adv_count"]) in cell_keys
+    svgs = [p for p in written if p.suffix == ".svg"]
     assert len(svgs) == 4
-    assert (outdir / "heatmap_inefficiency.csv").exists()
+    assert sorted(svgs) == sorted(outdir.glob("heatmap_*.svg"))
+    assert outdir / "heatmap_inefficiency.csv" in written
 
 
 def _files(root: Path) -> dict[str, bytes]:
@@ -443,7 +454,7 @@ def test_analyze_bytes_ignore_row_and_pooling_order(tmp_path):
     assert cli_main(["analyze", "--results", *paths[::-1], "--out", str(tmp_path / "reverse")]) == 0
     rows = [row for grid in grids for row in grid.rows]
     shuffled = [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
-    bundle = analyze(SweepGrid(rows=shuffled), output_dir=tmp_path / "shuffled")
+    analyze(SweepGrid(rows=shuffled), output_dir=tmp_path / "shuffled")
     forward = _files(tmp_path / "forward")
     assert len(forward) == 16
     assert _files(tmp_path / "reverse") == forward
@@ -453,9 +464,10 @@ def test_analyze_bytes_ignore_row_and_pooling_order(tmp_path):
     cells: dict[tuple, list[float]] = {}
     for row in sorted(grids[0].rows, key=RunRecord.sort_key):
         cells.setdefault(("", row.beta, row.adv_count), []).append(row.inefficiency)
-    assert {key: cell["inefficiency"] for key, cell in bundle.cells.items()} == {
-        key: float(np.mean(values)) for key, values in cells.items()
-    }
+    assert {
+        (r["signal_id"], float(r["beta"]), int(r["adv_count"])): float(r["inefficiency"])
+        for r in read_table(tmp_path / "shuffled" / "cells.csv")
+    } == {key: float(np.mean(values)) for key, values in cells.items()}
     assert any(np.mean(v) != np.mean(v[::-1]) for v in cells.values())
 
 
@@ -473,16 +485,18 @@ def test_analyze_degenerate_grid_warns_all_resilient(tmp_path):
                 )
             )
     with pytest.warns(UserWarning):
-        bundle = analyze(SweepGrid(rows=rows))
-    assert all(pair is None for pair in bundle.thresholds.values())
-    assert all(z.value == "resilience" for z in bundle.zones.values())
+        analyze(SweepGrid(rows=rows), tmp_path / "out")
+    thresholds = read_table(tmp_path / "out" / "thresholds.csv")
+    zones = read_table(tmp_path / "out" / "zones.csv")
+    assert thresholds and all(r["t1"] == r["t2"] == "" for r in thresholds)
+    assert zones and all(r["zone"] == "resilience" for r in zones)
 
 
 def test_analyze_exclude_beta(tmp_path):
     cfg = small_config(tmp_path, severities=(0.5, 1.0), runs_per_cell=1)
     grid = run_sweep(cfg)
-    bundle = analyze(grid, exclude_beta=(1.0,))
-    assert {key[1] for key in bundle.cells} == {0.5}
+    analyze(grid, tmp_path / "analysis", exclude_beta=(1.0,))
+    assert {r["beta"] for r in read_table(tmp_path / "analysis" / "cells.csv")} == {"0.5"}
 
 
 CELL_LETTER = 'font-size="9"'
@@ -558,11 +572,11 @@ def test_analyze_exclude_beta_spares_structural_cells(tmp_path):
 def test_structural_means_layer_view(tmp_path):
     cfg = small_config(tmp_path, severities=(0.7,))
     grid = run_structural(cfg, "layer")
-    means = harness_mod._cell_table(grid.rows, "layer").as_dict()
+    table = harness_mod._cell_table(grid.rows, "layer")
     # Layer 3 of the 10-agent tree has 4 agents; count=2 averages C(4,2)=6 runs.
     key = ("", 3, 2, 0.7)
-    assert key in means
-    assert means[key]["run_count"] == math.comb(4, 2)
+    assert key in table.keys
+    assert table.run_count[table.keys.index(key)] == math.comb(4, 2)
 
 
 def test_record_sorting_is_total(tmp_path):

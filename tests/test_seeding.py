@@ -57,7 +57,8 @@ def test_derive_seeds_match_seed_sequence_on_rows_of_1_to_8_words():
 
 
 def test_seed_words_match_seed_sequence_words_out():
-    """Eight words out, for rows up to 17 words, in arrays and on Python ints."""
+    """Eight words out, for rows up to 17 words, in columns and as lone rows
+    of one-word arrays."""
     rng = np.random.default_rng(5)
     for width in range(1, 18):
         rows = random_words(rng, (1000, width))
@@ -65,8 +66,10 @@ def test_seed_words_match_seed_sequence_words_out():
         want = np.stack([np.random.SeedSequence(entropy=row.tolist()).generate_state(8)
                          for row in rows])
         assert np.array_equal(got, want), width
-        for row, words in zip(rows[:5].tolist(), want[:5].tolist()):
-            assert _seed_words(row, 8) == words
+        for row, words in zip(rows[:5], want[:5]):
+            lone = _seed_words([row[i : i + 1] for i in range(width)], 8)
+            assert all(word.shape == (1,) and word.dtype == np.uint32 for word in lone)
+            assert np.concatenate(lone).tolist() == words.tolist()
 
 
 def test_derive_seeds_match_per_call_derivation():
