@@ -68,6 +68,10 @@ CELL_KEYS = {
     "layer": ("layer", "adv_count", "beta"),
     "cumulative": ("direction", "m", "beta"),
 }
+# The cell table of each placement mode, and the other tables of an analysis.
+CELL_FILES = {"random": "cells.csv", "layer": "layer_cells.csv",
+              "cumulative": "cumulative_cells.csv"}
+ANALYSIS_TABLES = (*CELL_FILES.values(), "thresholds.csv", "zones.csv", "fronts.csv")
 ZONE_METRICS = ("inefficiency", "discomfort_total", "discomfort_legit", "compromised")
 # Metrics whose degraded side is the low end (discomfort vanishes when
 # adversaries take over), so their zone labels run in reverse.
@@ -985,7 +989,10 @@ def analyze(
     or drawn, one too large to score, means too close together to bin, and a
     heatmap whose range overflows raise ``InvalidInputError`` naming the
     metric and signal, and write nothing; so does a heatmap file name longer
-    than the output directory's file system allows.
+    than the output directory's file system allows. An output directory that
+    holds a table or heatmap this analysis would not write over, left by an
+    earlier one, raises ``ConfigError`` naming the first such file, and
+    nothing is written.
     """
     outdir = Path(output_dir)
     tables = {
@@ -1073,6 +1080,18 @@ def analyze(
             raise InvalidInputError(f"heatmap file name {name + '.svg'!r} is {size} bytes, "
                                     f"more than the {limit} that {outdir} allows")
 
+    # A file of an earlier analysis that this one would not write over would
+    # leave the directory mixing the two.
+    ours = {"thresholds.csv", "zones.csv", "fronts.csv",
+            *(CELL_FILES[mode] for mode, table in tables.items() if table.keys or mode == "random"),
+            *(f"{name}.svg" for name, *_ in heatmaps),
+            *(f"{name}.csv" for name, metric, *_ in heatmaps if metric is not None)}
+    for name in sorted(os.listdir(outdir)) if outdir.is_dir() else ():
+        if name not in ours and (name in ANALYSIS_TABLES or (
+                name.startswith("heatmap") and name.endswith((".svg", ".csv")))):
+            raise ConfigError(f"{outdir / name} is from an earlier analysis, and this one "
+                              "would not write over it; analyze into a fresh directory")
+
     outdir.mkdir(parents=True, exist_ok=True)
     # Each cell mean is formatted once, as the ``repr`` that ``csv.writer``
     # would write for it, and reused by every table that shows it.
@@ -1091,7 +1110,7 @@ def analyze(
             table.run_count,
         ]
         written.append(_write_csv(
-            outdir / ("cells.csv" if mode == "random" else f"{mode}_cells.csv"),
+            outdir / CELL_FILES[mode],
             ["signal_id", *CELL_KEYS[mode], *extra, *ZONE_METRICS, "run_count"],
             [[*key, *cell] for key, cell in zip(table.keys, zip(*columns))],
         ))

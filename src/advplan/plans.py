@@ -1,16 +1,21 @@
 """Per-agent plan sets: file ingestion, synthetic generation, target signals.
 
 Plan files are UTF-8 text named ``agent_<id>.plans``, one plan per line in the
-form ``<discomfort>:<v1>,<v2>,...,<vd>``. A target-signal file is a single
-line of comma-separated reals.
+form ``<discomfort>:<v1>,<v2>,...,<vd>``. A directory of them keeps its
+parsed plans in a cache file beside them (``load_plan_sets``). A
+target-signal file is a single line of comma-separated reals.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import itertools
+import math
 import os
 import re
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -24,6 +29,10 @@ from .errors import (
 )
 
 _PLAN_FILE_RE = re.compile(r"^agent_(\d+)\.plans$")
+# A directory's cache file, named for the sha256 of its plan files; the tag
+# starts that digest and changes whenever the cache's layout does.
+_CACHE_FILE_RE = re.compile(r"^\.advplan-plans-[0-9a-f]{64}\.npy$")
+_CACHE_TAG = b"advplan plan cache 1\n"
 
 
 class PlanSet:
@@ -46,13 +55,13 @@ class PlanSet:
         self._values.flags.writeable = self._discomforts.flags.writeable = False
 
     @classmethod
-    def _of_table(cls, agent_id: int, table: np.ndarray) -> PlanSet:
-        """The plans of a checked ``(k, 1 + d)`` table, discomforts first, as
-        ``_plan_table`` builds it: one compact copy per array, no re-checks."""
+    def _view(cls, agent_id: int, values: np.ndarray, discomforts: np.ndarray) -> PlanSet:
+        """Checked ``(k, d)`` values and ``(k,)`` discomforts held as given, made
+        read-only: no copy and no re-check."""
         plan_set = cls.__new__(cls)
         plan_set.agent_id = agent_id
-        plan_set._values, plan_set._discomforts = table[:, 1:].copy(), table[:, 0].copy()
-        plan_set._values.flags.writeable = plan_set._discomforts.flags.writeable = False
+        plan_set._values, plan_set._discomforts = values, discomforts
+        values.flags.writeable = discomforts.flags.writeable = False
         return plan_set
 
     def __reduce__(self):
@@ -84,6 +93,11 @@ def check_finite(plan_sets: list[PlanSet]) -> None:
         raise InvalidInputError(f"agent {ps.agent_id} plan {bad.argmax()} holds NaN or an infinity")
 
 
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
 def _plan_table(lines: list[str]) -> np.ndarray | None:
     """Non-blank plan lines as one ``(k, 1 + d)`` array of discomfort and values.
 
@@ -102,28 +116,46 @@ def _plan_table(lines: list[str]) -> np.ndarray | None:
     return None if (table[:, 0] < 0).any() else table
 
 
-def _raise_at_bad_line(path: str) -> None:
+def _plan_file_table(path: str, data: bytes) -> np.ndarray:
+    """The ``_plan_table`` of the plan file at ``path``, from its bytes; a
+    malformed file raises the error that names its first bad line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    if "\r" in text:  # split as text mode would: "\r\n" and a lone "\r" end a line too
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    all_lines = text.split("\n")
+    lines = [line for line in map(str.strip, all_lines) if line]
+    if not lines:
+        raise NoDataError(f"{path}: no plans found")
+    table = _plan_table(lines)
+    if table is None:
+        _raise_at_bad_line(path, all_lines)
+    return table
+
+
+def _raise_at_bad_line(path: str, lines: list[str]) -> NoReturn:
     """Raise the error of a malformed plan file, naming its first bad line."""
     width = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(map(str.strip, handle), start=1):
-            if not line:
-                continue
-            head, sep, tail = line.partition(":")
-            if not sep:
-                raise ParseError(f"{path}:{lineno}: missing ':' separator")
-            try:
-                discomfort = float(head)
-                values = [float(tok) for tok in tail.split(",")]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if discomfort < 0:
-                raise ParseError(f"{path}:{lineno}: negative discomfort {discomfort}")
-            if width is not None and len(values) != width:
-                raise DimensionMismatchError(
-                    f"{path}:{lineno}: plan has {len(values)} values, expected {width}"
-                )
-            width = len(values)
+    for lineno, line in enumerate(map(str.strip, lines), start=1):
+        if not line:
+            continue
+        head, sep, tail = line.partition(":")
+        if not sep:
+            raise ParseError(f"{path}:{lineno}: missing ':' separator")
+        try:
+            discomfort = float(head)
+            values = [float(tok) for tok in tail.split(",")]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        if discomfort < 0:
+            raise ParseError(f"{path}:{lineno}: negative discomfort {discomfort}")
+        if width is not None and len(values) != width:
+            raise DimensionMismatchError(
+                f"{path}:{lineno}: plan has {len(values)} values, expected {width}"
+            )
+        width = len(values)
     raise ParseError(f"{path}: malformed plan file")
 
 
@@ -136,17 +168,6 @@ def _read_text(path: Path | str) -> str:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _load_plan_file(path: str, agent_id: int) -> PlanSet:
-    """Agent ``agent_id``'s plans from the file at ``path``, which errors name."""
-    lines = [line for line in map(str.strip, _read_text(path).split("\n")) if line]
-    if not lines:
-        raise NoDataError(f"{path}: no plans found")
-    table = _plan_table(lines)
-    if table is None:
-        _raise_at_bad_line(path)
-    return PlanSet._of_table(agent_id, table)
-
-
 def load_plan_set(path: Path | str, agent_id: int | None = None) -> PlanSet:
     """Read one plan file; the agent id defaults to the one in the file name."""
     path = Path(path)
@@ -155,7 +176,81 @@ def load_plan_set(path: Path | str, agent_id: int | None = None) -> PlanSet:
         if not match:
             raise ParseError(f"{path}: file name does not look like agent_<id>.plans")
         agent_id = int(match.group(1))
-    return _load_plan_file(str(path), agent_id)
+    table = _plan_file_table(str(path), _read_bytes(path))
+    return PlanSet._view(agent_id, table[:, 1:].copy(), table[:, 0].copy())
+
+
+def _feed(digest, agent_id: int, data: bytes) -> None:
+    """Add one plan file's id, length and bytes to a directory's cache key."""
+    digest.update(b"%d %d\n" % (agent_id, len(data)))
+    digest.update(data)
+
+
+def _cache_name(digest) -> str:
+    return f".advplan-plans-{digest.hexdigest()}.npy"
+
+
+def _checksum(name: str, values: np.ndarray, discomforts: np.ndarray) -> bytes:
+    """The sha256 that binds a cache file's blocks to its name, and so to the
+    plan files' bytes."""
+    checksum = hashlib.sha256(name.encode())
+    checksum.update(values)
+    checksum.update(discomforts)
+    return checksum.digest()
+
+
+def _read_record(handle, size: int) -> np.ndarray:
+    """The C-order float64 ``.npy`` 1.0 record at the handle's position, read
+    without a copy; any other record, or one the ``size``-byte file cannot
+    hold, raises ``ValueError`` before its data is read."""
+    if np.lib.format.read_magic(handle) != (1, 0):
+        raise ValueError("not a version 1.0 .npy record")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
+    count = math.prod(shape)
+    if fortran_order or dtype != np.float64 or not 0 <= 8 * count <= size - handle.tell():
+        raise ValueError("not a C-order float64 record that the file holds")
+    block = np.empty(shape)
+    handle.readinto(block)
+    return block
+
+
+def _read_cache(directory: Path, name: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The value and discomfort blocks in the cache file ``name``; None unless
+    it holds a finite ``(n, k, d)`` and a finite non-negative ``(n, k)``
+    record, k and d positive, followed by nothing but their checksum."""
+    try:
+        with open(directory / name, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            values, discomforts = _read_record(handle, size), _read_record(handle, size)
+            checksum = handle.read()
+    except (OSError, ValueError):
+        return None
+    if (values.ndim != 3 or 0 in values.shape or values.shape[0] != n
+            or discomforts.shape != values.shape[:2]
+            or checksum != _checksum(name, values, discomforts)
+            or not (np.isfinite(values).all() and np.isfinite(discomforts).all())
+            or (discomforts < 0).any()):
+        return None
+    return values, discomforts
+
+
+def _write_cache(directory: Path, name: str, values, discomforts, stale: list[str]) -> None:
+    """Write the blocks to the cache file ``name`` in ``directory`` and then
+    remove the ``stale`` cache files, on a best-effort basis: the file appears
+    whole or not at all, and an ``OSError`` leaves the load as it is."""
+    temp = directory / f"{name}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "wb") as handle:
+            for block in (values, discomforts):
+                np.lib.format.write_array(handle, block, version=(1, 0), allow_pickle=False)
+            handle.write(_checksum(name, values, discomforts))
+        os.replace(temp, directory / name)
+        for old in stale:
+            if old != name:
+                os.remove(directory / old)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
 
 
 def load_plan_sets(path: Path | str) -> list[PlanSet]:
@@ -163,34 +258,71 @@ def load_plan_sets(path: Path | str) -> list[PlanSet]:
 
     The ids of n files must be 1..n, and all agents must agree on plan
     dimension and count, as the engine expects; every value must be finite.
-    Files are parsed one at a time, so only one file's tokens are held.
+    Files are parsed one at a time into one ``(n, k, d)`` value block and one
+    ``(n, k)`` discomfort block, whose rows are the agents' read-only arrays,
+    so only one file's tokens are held.
+
+    The blocks of a directory that passed every check are cached in it as
+    ``.advplan-plans-<key>.npy``, where the key is the sha256 of the files'
+    ids, lengths and bytes. A later load of the same bytes reads the blocks
+    back from that file instead of parsing, unless its checks fail; writing
+    and removing cache files is best effort, and an older one is removed.
     """
     path = Path(path)
     if not path.is_dir():
         raise NoDataError(f"{path} is not a directory")
     # str(path / name) for every name, from a single Path join.
     prefix = str(path / "_")[:-1]
+    files, caches = [], []
     with os.scandir(path) as entries:
-        files = sorted(
-            (int(m.group(1)), prefix + entry.name)
-            for entry in entries
-            if (m := _PLAN_FILE_RE.match(entry.name))
-        )
+        for entry in entries:
+            if m := _PLAN_FILE_RE.match(entry.name):
+                files.append((int(m.group(1)), prefix + entry.name))
+            elif _CACHE_FILE_RE.match(entry.name):
+                caches.append(entry.name)
     if not files:
         raise NoDataError(f"{path} contains no agent_<id>.plans files")
+    files.sort()
     n = len(files)
     missing = set(range(1, n + 1)).difference(aid for aid, _ in files)
     if missing:
         raise ConfigError(f"{path}: agent ids must be 1..{n}, and agent {min(missing)} has none")
-    plan_sets = [_load_plan_file(file, aid) for aid, file in files]
-    dims = {ps.dimension for ps in plan_sets}
+    if caches:
+        digest = hashlib.sha256(_CACHE_TAG)
+        for aid, file in files:
+            _feed(digest, aid, _read_bytes(file))
+        name = _cache_name(digest)
+        if name in caches and (blocks := _read_cache(path, name, n)) is not None:
+            return _plan_sets(*blocks)
+
+    digest = hashlib.sha256(_CACHE_TAG)
+    dims, counts = set(), set()
+    for row, (aid, file) in enumerate(files):
+        data = _read_bytes(file)
+        _feed(digest, aid, data)
+        table = _plan_file_table(file, data)
+        k, width = table.shape
+        if not row:
+            values, discomforts = np.empty((n, k, width - 1)), np.empty((n, k))
+        dims.add(width - 1)
+        counts.add(k)
+        if table.shape == (values.shape[1], values.shape[2] + 1):
+            values[row], discomforts[row] = table[:, 1:], table[:, 0]
     if len(dims) != 1:
         raise DimensionMismatchError(f"plan dimension differs across agents: {sorted(dims)}")
-    counts = {ps.k for ps in plan_sets}
     if len(counts) != 1:
         raise DimensionMismatchError(f"plan count differs across agents: {sorted(counts)}")
-    check_finite(plan_sets)
+    plan_sets = _plan_sets(values, discomforts)
+    if not (np.isfinite(values).all() and np.isfinite(discomforts).all()):
+        check_finite(plan_sets)  # names the first agent and plan at fault
+    _write_cache(path, _cache_name(digest), values, discomforts, caches)
     return plan_sets
+
+
+def _plan_sets(values: np.ndarray, discomforts: np.ndarray) -> list[PlanSet]:
+    """Agents 1..n with the rows of an ``(n, k, d)`` and an ``(n, k)`` block."""
+    values.flags.writeable = discomforts.flags.writeable = False
+    return [PlanSet._view(aid, *rows) for aid, rows in enumerate(zip(values, discomforts), 1)]
 
 
 def _format_real(x: float) -> str:

@@ -9,11 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import advplan.harness as harness_mod
 from advplan.cli import main
 from advplan.errors import InvalidInputError
 from advplan.harness import CSV_COLUMNS, RunRecord
+from advplan.plans import generate_gaussian_plans, save_plan_sets
 
 GOLDEN_SIGNALS = ('s,"q', "t")
 # Rows per cell, in turn: around numpy's pairwise threshold of 8 and past it.
@@ -275,6 +277,38 @@ def test_analyze_calls_every_traced_analysis_name(tmp_path):
     fronts = [span[0] for span in tracer.spans if span[0] == "analytics.fronts"]
     # A front and its knee per fixed severity and per fixed count of signal s,"q.
     assert len(fronts) == 2 * (5 + 4)
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep"], ["sweep", "--resume"], ["structural", "--mode", "layer"],
+    ["structural", "--mode", "cumulative"], ["estimate"], ["run"],
+])
+def test_each_command_loads_a_plan_directory_once_through_the_traced_name(
+    tmp_path, monkeypatch, command
+):
+    """Each command on a files dataset calls ``advplan.harness.load_plan_sets``,
+    the name the benchmark's ``plans.load`` span wraps, exactly once: on its
+    first run, which parses the files and writes the plan cache, and on its
+    second, which reads that cache. So the span times cold and warm loads."""
+    assert ("advplan.harness", "load_plan_sets", "plans.load") in _tracing().SPANS
+    plans = tmp_path / "plans"
+    save_plan_sets(generate_gaussian_plans(6, 2, 2, seed=4), plans)
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump({
+        "dataset": {"kind": "files", "plans_dir": "plans"}, "severities": [0.5, 1.0],
+        "scales": [0, 2], "placements": ["random", "layer", "cumulative"], "output_dir": "out",
+    }))
+    if command == ["run"]:
+        argv = ["run", "--plans-dir", str(plans), "--severity", "0.5", "--count", "2"]
+    else:
+        argv = [command[0], "--config", str(config), *command[1:]]
+    calls = []
+    load = harness_mod.load_plan_sets
+    monkeypatch.setattr(harness_mod, "load_plan_sets", lambda path: calls.append(path) or load(path))
+    for run in (1, 2):
+        assert main(argv) == 0
+        assert len(calls) == run
+        assert len(list(plans.glob(".advplan-plans-*.npy"))) == 1
 
 
 def test_cell_mean_texts_write_the_bytes_of_their_floats(tmp_path):

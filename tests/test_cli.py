@@ -495,9 +495,8 @@ def test_heatmap_names_longer_than_the_file_system_allows_exit_3_writing_nothing
         assert not list(base.iterdir())
 
 
-def test_plot_counts_the_heatmaps_it_writes(tmp_path, capsys):
-    """``plot`` into a directory that holds an earlier plot's heatmaps counts
-    the SVGs it writes itself, not every SVG it finds there."""
+def two_target_and_variance_results(tmp_path):
+    """The runs.csv of a two-target RSS sweep and of a variance sweep."""
     path = write_config(tmp_path)
     raw = yaml.safe_load(path.read_text())
     for name in ("a", "b"):
@@ -508,15 +507,70 @@ def test_plot_counts_the_heatmaps_it_writes(tmp_path, capsys):
     assert main(["sweep", "--config", str(path)]) == 0
     variance = write_config(tmp_path)
     assert main(["sweep", "--config", str(variance)]) == 0
-    plots = tmp_path / "plots"
+    return tmp_path / "rss" / "runs.csv", tmp_path / "out" / "runs.csv"
+
+
+def test_plot_counts_the_heatmaps_it_writes(tmp_path, capsys):
+    """``plot`` counts the SVGs it writes itself: 8 for two signals, 4 for one."""
     printed = []
-    for results in ("rss", "out"):
+    for results, plots in zip(two_target_and_variance_results(tmp_path), ("p8", "p4")):
         capsys.readouterr()
-        assert main(["plot", "--results", str(tmp_path / results / "runs.csv"),
-                     "--out", str(plots)]) == 0
+        assert main(["plot", "--results", str(results), "--out", str(tmp_path / plots)]) == 0
         printed.append(capsys.readouterr().out.strip())
-    assert printed == [f"{count} heatmaps written to {plots}" for count in (8, 4)]
-    assert len(list(plots.glob("*.svg"))) == 12
+        assert len(list((tmp_path / plots).glob("*.svg"))) == int(plots[1])
+    assert printed == [f"{count} heatmaps written to {tmp_path / f'p{count}'}" for count in (8, 4)]
+
+
+def snapshot(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize("command", ["plot", "analyze"])
+def test_an_out_holding_an_earlier_analysis_exits_2_writing_nothing(
+    tmp_path, caplog, command
+):
+    """A two-target RSS plot and then a variance plot into one directory would
+    leave the first plot's per-signal heatmaps beside the second's tables:
+    the second exits 2 naming the first such file, and writes nothing."""
+    rss, variance = two_target_and_variance_results(tmp_path)
+    out = tmp_path / "plots"
+    assert main([command, "--results", str(rss), "--out", str(out)]) == 0
+    before = snapshot(out)
+    assert len(before) == 4 + 2 * 4 * 2  # four tables, then an SVG and a CSV per signal and metric
+    assert main([command, "--results", str(variance), "--out", str(out)]) == 2
+    assert f"{out / 'heatmap_0_compromised.csv'} is from an earlier analysis" in caplog.text
+    assert snapshot(out) == before
+
+
+def test_an_analysis_without_structural_rows_exits_2_over_one_with_them(tmp_path, caplog):
+    """Cell tables and cumulative heatmaps of structural rows that a new
+    analysis would not write over refuse that ``--out`` as well."""
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert main(["structural", "--config", str(cfg), "--mode", "cumulative"]) == 0
+    runs, cumulative = tmp_path / "out" / "runs.csv", tmp_path / "out" / "structural_cumulative.csv"
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--results", str(runs), str(cumulative), "--out", str(out)]) == 0
+    before = snapshot(out)
+    assert main(["analyze", "--results", str(runs), "--out", str(out)]) == 2
+    assert f"{out / 'cumulative_cells.csv'} is from an earlier analysis" in caplog.text
+    assert snapshot(out) == before
+
+
+def test_the_same_analysis_twice_into_one_out_writes_the_same_bytes(tmp_path, capsys):
+    """Running one analysis again into its own ``--out`` (as ``analyze`` and
+    as ``plot``, which write the same files) exits 0 with the same bytes, and
+    files that no analysis writes are left alone."""
+    rss, _ = two_target_and_variance_results(tmp_path)
+    out = tmp_path / "analysis"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    assert main(["analyze", "--results", str(rss), "--out", str(out)]) == 0
+    first = snapshot(out)
+    for command in ("analyze", "plot"):
+        assert main([command, "--results", str(rss), "--out", str(out)]) == 0
+        assert snapshot(out) == first
+    assert first["notes.txt"] == b"kept\n"
 
 
 @pytest.mark.parametrize("scaling,seed", [("zero-mean-unit-norm", 1), ("min-max", 3)])

@@ -1,3 +1,5 @@
+import hashlib
+import os
 import pickle
 import re
 import tracemalloc
@@ -5,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import advplan.plans as plans_mod
 from advplan.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -246,9 +249,16 @@ SYNTAX_FILES = {
 }
 
 
-def test_directory_load_equals_each_file_alone(tmp_path):
+def caches(directory):
+    """The plan cache files, and any temporary file of one, in ``directory``."""
+    return sorted(path.name for path in directory.glob(".advplan-plans-*"))
+
+
+def test_directory_load_equals_each_file_alone(tmp_path, monkeypatch):
     """Every agent of a directory gets the arrays of its file loaded alone,
-    bit for bit and read-only, which are ``float`` of each token."""
+    bit for bit and read-only, which are ``float`` of each token: from a
+    load that parses the files, and from the next, which reads the cache
+    that the first one wrote and parses none."""
     for agent, text in SYNTAX_FILES.items():
         (tmp_path / f"agent_{agent}.plans").write_bytes(text.encode())
     (tmp_path / "notes.txt").write_text("not a plan file\n")
@@ -257,6 +267,7 @@ def test_directory_load_equals_each_file_alone(tmp_path):
     singles = [load_plan_set(tmp_path / f"agent_{agent}.plans") for agent in SYNTAX_FILES]
     with pytest.raises(InvalidInputError, match="^agent 1 plan 1 holds NaN or an infinity$"):
         load_plan_sets(tmp_path)
+    assert caches(tmp_path) == []
     for ps in singles:
         assert ps.value_matrix().tobytes() == values.tobytes()
         assert ps.discomforts().tobytes() == discomforts.tobytes()
@@ -269,9 +280,13 @@ def test_directory_load_equals_each_file_alone(tmp_path):
             text = text.replace(",".join(tail), ",".join(clean))
         (tmp_path / f"agent_{agent}.plans").write_bytes(text.encode())
     values = np.array([[float(tok) for tok in tail] for _, tail in rows])
-    loaded = load_plan_sets(tmp_path)
-    assert [ps.agent_id for ps in loaded] == list(SYNTAX_FILES)
-    for ps in loaded:
+    cold = load_plan_sets(tmp_path)
+    assert len(caches(tmp_path)) == 1
+    monkeypatch.setattr(plans_mod, "_plan_file_table", None)
+    warm = load_plan_sets(tmp_path)
+    monkeypatch.undo()
+    assert [ps.agent_id for ps in cold] == [ps.agent_id for ps in warm] == list(SYNTAX_FILES)
+    for ps in [*cold, *warm]:
         alone = load_plan_set(tmp_path / f"agent_{ps.agent_id}.plans")
         for got, want in ((ps.value_matrix(), alone.value_matrix()),
                           (ps.discomforts(), alone.discomforts())):
@@ -329,14 +344,252 @@ def test_directory_checks_dimension_then_count_then_finiteness(tmp_path):
 def test_directory_load_holds_one_files_tokens_at_a_time(tmp_path):
     """Beyond the arrays it returns, a load holds about one file's text and
     tokens: 200 files of 10 x 24 plans hold 400 kB of arrays, and their
-    tokens as strings would take more than 3 MB at once."""
+    tokens as strings would take more than 3 MB at once. That holds for a
+    load that parses the files and writes the cache, and for one that reads
+    the cache; both return rows of one value block and one discomfort block."""
     save_plan_sets(generate_gaussian_plans(200, 10, 24, seed=3), tmp_path)
     load_plan_sets(tmp_path)  # first calls allocate once, whatever the size
-    tracemalloc.start()
-    try:
-        plan_sets = load_plan_sets(tmp_path)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sum(ps.value_matrix().nbytes + ps.discomforts().nbytes for ps in plan_sets) == 400_000
-    assert peak - held < 200_000
+    for load in ("cold", "warm"):
+        for name in caches(tmp_path) if load == "cold" else ():
+            (tmp_path / name).unlink()
+        tracemalloc.start()
+        try:
+            plan_sets = load_plan_sets(tmp_path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(caches(tmp_path)) == 1
+        assert sum(ps.value_matrix().nbytes + ps.discomforts().nbytes for ps in plan_sets) == 400_000
+        assert peak - held < 200_000, load
+        blocks = plan_sets[0].value_matrix().base, plan_sets[0].discomforts().base
+        assert [block.shape for block in blocks] == [(200, 10, 24), (200, 10)]
+        assert not any(block.flags.writeable for block in blocks)
+        for ps in plan_sets:
+            assert (ps.value_matrix().base, ps.discomforts().base) == blocks
+
+
+def cold_and_cache(directory):
+    """A load that parses ``directory`` and writes its cache, the cache file's
+    name and its bytes."""
+    for name in caches(directory):
+        (directory / name).unlink()
+    plan_sets = load_plan_sets(directory)
+    (name,) = caches(directory)
+    return plan_sets, name, (directory / name).read_bytes()
+
+
+def assert_same_plans(got, want):
+    assert [ps.agent_id for ps in got] == [ps.agent_id for ps in want]
+    for a, b in zip(got, want):
+        assert a.value_matrix().tobytes() == b.value_matrix().tobytes()
+        assert a.discomforts().tobytes() == b.discomforts().tobytes()
+        assert a.value_matrix().shape == b.value_matrix().shape
+        assert not (a.value_matrix().flags.writeable or a.discomforts().flags.writeable)
+
+
+def counting_parses(monkeypatch):
+    """A list that gets one entry per plan file the loader parses."""
+    parsed = []
+    parse = plans_mod._plan_file_table
+    monkeypatch.setattr(plans_mod, "_plan_file_table",
+                        lambda path, data: parsed.append(path) or parse(path, data))
+    return parsed
+
+
+def test_a_same_size_edit_misses_the_cache_even_with_its_mtime_put_back(tmp_path, monkeypatch):
+    """The cache is keyed on the files' bytes, not their sizes or times: one
+    digit changed in place is parsed, and the new cache replaces the old."""
+    save_plan_sets(generate_gaussian_plans(4, 3, 2, seed=8), tmp_path)
+    _, old_name, _ = cold_and_cache(tmp_path)
+    path = tmp_path / "agent_3.plans"
+    text, stat = path.read_text(), path.stat()
+    end = text.index(",")  # the last digit of the first value
+    edited = text[:end - 1] + str((int(text[end - 1]) + 1) % 10) + text[end:]
+    assert len(edited) == len(text) and edited != text
+    path.write_text(edited)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size and path.stat().st_mtime_ns == stat.st_mtime_ns
+    parsed = counting_parses(monkeypatch)
+    loaded = load_plan_sets(tmp_path)
+    assert len(parsed) == 4
+    assert loaded[2].value_matrix().tobytes() == load_plan_set(path).value_matrix().tobytes()
+    assert loaded[2].value_matrix()[0, 0] != generate_gaussian_plans(4, 3, 2, seed=8)[2].value_matrix()[0, 0]
+    assert len(caches(tmp_path)) == 1 and caches(tmp_path) != [old_name]
+    parsed.clear()
+    assert_same_plans(load_plan_sets(tmp_path), loaded)
+    assert parsed == []
+
+
+def test_an_added_or_removed_agent_file_misses_the_cache(tmp_path, monkeypatch):
+    """A cache names the agents it holds: a new agent file is parsed with the
+    rest, and a removed one that leaves a gap gets the usual id error."""
+    save_plan_sets(generate_gaussian_plans(4, 3, 2, seed=8), tmp_path)
+    cold_and_cache(tmp_path)
+    save_plan_sets(generate_gaussian_plans(5, 3, 2, seed=9)[4:], tmp_path)
+    parsed = counting_parses(monkeypatch)
+    five = load_plan_sets(tmp_path)
+    assert len(five) == 5 and len(parsed) == 5 and len(caches(tmp_path)) == 1
+    (tmp_path / "agent_5.plans").unlink()
+    parsed.clear()
+    assert_same_plans(load_plan_sets(tmp_path), five[:4])
+    assert len(parsed) == 4
+    # Agent 1's last plan moved to the start of agent 2's file: the files'
+    # bytes, read one after the other, are those the cache was made from.
+    first, second = (tmp_path / "agent_1.plans").read_text(), (tmp_path / "agent_2.plans").read_text()
+    cut = first.rstrip("\n").rindex("\n") + 1
+    (tmp_path / "agent_1.plans").write_text(first[:cut])
+    (tmp_path / "agent_2.plans").write_text(first[cut:] + second)
+    with pytest.raises(DimensionMismatchError, match=r"^plan count differs across agents: \[2, 3, 4\]$"):
+        load_plan_sets(tmp_path)
+    (tmp_path / "agent_2.plans").unlink()
+    message = rf"^{re.escape(str(tmp_path))}: agent ids must be 1\.\.3, and agent 2 has none$"
+    with pytest.raises(ConfigError, match=message):
+        load_plan_sets(tmp_path)
+
+
+UNPICKLED = []
+
+
+class Unpickles:
+    """An object that records being unpickled."""
+
+    def __reduce__(self):
+        return UNPICKLED.append, ("unpickled",)
+
+
+def write_cache(path, name, *blocks):
+    """Blocks as ``.npy`` records, then the checksum binding them to ``name``."""
+    with open(path, "wb") as handle:
+        for block in blocks:
+            np.lib.format.write_array(handle, block, allow_pickle=True)
+        checksum = hashlib.sha256(name.encode())
+        for block in blocks:
+            checksum.update(block.tobytes(order="A"))  # in the order the file holds them
+        handle.write(checksum.digest())
+
+
+def damaged_caches(name, values, discomforts):
+    """Cache files that hold something other than the plans of cache ``name``:
+    each a function of the cache's good bytes and the file's path that writes
+    it."""
+
+    def write_blocks(*blocks, key=name):
+        return lambda good, path: write_cache(path, key, *blocks)
+
+    def huge(good, path):
+        """A header claiming far more values than the file or memory holds."""
+        with open(path, "wb") as handle:
+            header = {"descr": "<f8", "fortran_order": False, "shape": (4, 3, 10**15)}
+            np.lib.format.write_array_header_1_0(handle, header)
+            handle.write(good[128:])
+
+    nan = values.copy()
+    nan[1, 2, 0] = np.nan
+    negative = discomforts.copy()
+    negative[0, 1] = -1.0
+    other = f".advplan-plans-{'0' * 64}.npy"
+    return {
+        "empty": lambda good, path: path.write_bytes(b""),
+        "truncated": lambda good, path: path.write_bytes(good[: len(good) // 2]),
+        "no checksum": lambda good, path: path.write_bytes(good[:-32]),
+        "trailing byte": lambda good, path: path.write_bytes(good + b"\0"),
+        "one flipped bit": lambda good, path: path.write_bytes(
+            good[:200] + bytes([good[200] ^ 1]) + good[201:]),
+        "random bytes": lambda good, path: path.write_bytes(
+            np.random.default_rng(0).bytes(len(good))),
+        "pickled": lambda good, path: path.write_bytes(pickle.dumps(Unpickles())),
+        "object array": write_blocks(np.array([Unpickles()], dtype=object), discomforts),
+        "huge shape": huge,
+        "version 2.0 records": lambda good, path: path.write_bytes(b"".join(
+            np.lib.format.magic(2, 0) + len(part).to_bytes(4, "little") + part[10:]
+            for part in (good[:128 + values.nbytes], good[128 + values.nbytes:-32])) + good[-32:]),
+        "one block": write_blocks(values),
+        "another directory's plans": write_blocks(values[:, 1:].copy(), discomforts[:, 1:].copy(),
+                                                  key=other),
+        "two-dimensional values": write_blocks(values[:, :, 0].copy(), discomforts),
+        "one agent too many": write_blocks(np.concatenate([values, values[:1]]),
+                                           np.concatenate([discomforts, discomforts[:1]])),
+        "mismatched blocks": write_blocks(values, discomforts[:, 1:].copy()),
+        "no plans": write_blocks(values[:, :0].copy(), discomforts[:, :0].copy()),
+        "float32": write_blocks(values.astype(np.float32), discomforts.astype(np.float32)),
+        "big-endian": write_blocks(values.astype(">f8"), discomforts.astype(">f8")),
+        "Fortran order": write_blocks(np.asfortranarray(values), discomforts),
+        "NaN": write_blocks(nan, discomforts),
+        "negative discomfort": write_blocks(values, negative),
+    }
+
+
+DAMAGE = list(damaged_caches("", np.zeros((4, 3, 2)), np.zeros((4, 3))))
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+def test_a_damaged_cache_is_ignored_then_rewritten(tmp_path, monkeypatch, damage):
+    """A cache file that is not the directory's checked plans, whether cut
+    short, garbled, pickled, of another shape or holding values the loader
+    refuses, is never unpickled or trusted: the files are parsed, and the
+    good cache is written over it."""
+    save_plan_sets(generate_gaussian_plans(4, 3, 2, seed=8), tmp_path)
+    plan_sets, name, good = cold_and_cache(tmp_path)
+    values = np.stack([ps.value_matrix() for ps in plan_sets])
+    discomforts = np.stack([ps.discomforts() for ps in plan_sets])
+    write_cache(tmp_path / "undamaged", name, values, discomforts)
+    assert (tmp_path / "undamaged").read_bytes() == good
+    damaged_caches(name, values, discomforts)[damage](good, tmp_path / name)
+    assert (tmp_path / name).read_bytes() != good
+    parsed = counting_parses(monkeypatch)
+    assert_same_plans(load_plan_sets(tmp_path), plan_sets)
+    assert len(parsed) == 4 and UNPICKLED == []
+    assert caches(tmp_path) == [name] and (tmp_path / name).read_bytes() == good
+
+
+@pytest.mark.parametrize("step", ["write", "replace", "remove"])
+def test_a_failing_cache_write_leaves_the_load_correct_and_silent(
+    tmp_path, monkeypatch, capsys, caplog, recwarn, step
+):
+    """A cache that cannot be written, moved into place or stripped of its
+    stale predecessor changes nothing but the next load's speed: the plans
+    are the same, nothing is printed, logged or warned, and no temporary file
+    stays. (A directory that refuses writes behaves the same way.)"""
+    save_plan_sets(generate_gaussian_plans(4, 3, 2, seed=8), tmp_path)
+    plan_sets, old_name, _ = cold_and_cache(tmp_path)
+    save_plan_sets(generate_gaussian_plans(4, 3, 2, seed=9), tmp_path)
+    fresh = [load_plan_set(tmp_path / f"agent_{a}.plans") for a in range(1, 5)]
+
+    def fail(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    owner, attr = {"write": (np.lib.format, "write_array"), "replace": (os, "replace"),
+                   "remove": (os, "remove")}[step]
+    monkeypatch.setattr(owner, attr, fail)
+    for _ in range(2):
+        assert_same_plans(load_plan_sets(tmp_path), fresh)
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "") and caplog.records == [] and len(recwarn) == 0
+    left = caches(tmp_path)
+    if step == "remove":
+        assert len(left) == 2 and old_name in left
+    else:
+        assert left == [old_name]
+
+
+@pytest.mark.parametrize("texts,error", [
+    ({2: "0:1,x\n"}, ParseError),
+    ({2: ""}, NoDataError),
+    ({2: "0:1,2,3\n1:1,2,3\n"}, DimensionMismatchError),
+    ({2: "0:1,2\n"}, DimensionMismatchError),
+    ({2: "0:1,2\n1:1,nan\n"}, InvalidInputError),
+])
+def test_a_malformed_directory_raises_its_error_and_writes_no_cache(tmp_path, texts, error):
+    """A directory the loader refuses raises what it raised before the cache
+    existed, cached or not, and leaves no cache file of its bytes."""
+    write_agents(tmp_path, {1: "0:1,2\n1:3,4\n", 2: "0:5,6\n1:7,8\n", 3: "0:1,1\n1:2,2\n"})
+    _, name, _ = cold_and_cache(tmp_path)
+    write_agents(tmp_path, texts)
+    for _ in range(2):
+        with pytest.raises(error):
+            load_plan_sets(tmp_path)
+        assert caches(tmp_path) == [name]
+    (tmp_path / name).unlink()
+    with pytest.raises(error):
+        load_plan_sets(tmp_path)
+    assert caches(tmp_path) == []
