@@ -13,7 +13,6 @@ from .adversary import (
 )
 from .analytics import (
     RvcLabel,
-    classify_rvc,
     knee_mmd,
     multi_otsu,
     pareto_front,

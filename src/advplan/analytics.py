@@ -1,13 +1,12 @@
 """Pareto fronts with knee points, and R/V/C segmentation.
 
-All fronts minimize both coordinates. Zone segmentation runs multi-level Otsu
+All fronts minimize both coordinates. Zone segmentation runs three-class Otsu
 thresholding on the grid of cell means and splits it into resilience,
 vulnerability, and collapse bands.
 """
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 
 import numpy as np
@@ -69,19 +68,18 @@ def knee_mmd(front) -> tuple[float, float]:
 _POW = np.frompyfunc(pow, 2, 1)
 
 
-def _split_scores(weights: np.ndarray, moments: np.ndarray, classes: int):
-    """``(scores, at)``: the between-class variance of every split, tabulated
-    over the filled-bin boundaries its cuts fall at.
+def _split_scores(weights: np.ndarray, moments: np.ndarray):
+    """``(scores, at)``: the between-class variance of every three-class
+    split, tabulated over the filled-bin boundaries its two cuts fall at.
 
     ``at[c]`` is the boundary of a cut after bin c: the count of filled bins
-    up to and including c, from 0 to F. ``scores[r1, ..., rk]``, for k =
-    ``classes`` - 1, is the score of every split whose cuts fall at
-    boundaries r1 <= ... <= rk. Empty bins add exact zeros to the cumulative
-    sums, so a histogram segment has the sums, and the term ``(w / W) * (mu -
-    mu_total) ** 2``, of the filled bins it covers: terms are computed once
-    per pair of the F + 1 boundaries. A score starts at 0.0 and adds its
-    segments' terms left to right, the arithmetic of scoring each split on
-    its own, so ties stay exact ties.
+    up to and including c, from 0 to F. ``scores[r1, r2]`` is the score of
+    every split whose cuts fall at boundaries r1 <= r2. Empty bins add exact
+    zeros to the cumulative sums, so a histogram segment has the sums, and
+    the term ``(w / W) * (mu - mu_total) ** 2``, of the filled bins it
+    covers: terms are computed once per pair of the F + 1 boundaries. A score
+    starts at 0.0 and adds its three segments' terms left to right, the
+    arithmetic of scoring each split on its own, so ties stay exact ties.
     """
     total_w = weights[-1]
     total_mu = moments[-1] / total_w
@@ -94,79 +92,66 @@ def _split_scores(weights: np.ndarray, moments: np.ndarray, classes: int):
     deviation = (m_at[hi] - m_at[lo]) / w - total_mu
     terms = np.zeros((len(w_at), len(w_at)))
     terms[lo, hi] = (w / total_w) * _POW(deviation, 2).astype(float)
-    # scores[r1, ..., r_k]: segments from boundary 0 to r1, r1 to r2, ... and
-    # r_k to the last boundary.
-    scores = 0.0 + terms[0]
-    for _ in range(classes - 2):
-        scores = scores[..., None] + terms
-    return scores + terms[:, -1], np.cumsum(is_filled)[:-1]
+    # Segments from boundary 0 to r1, r1 to r2, and r2 to the last boundary.
+    return (0.0 + terms[0])[:, None] + terms + terms[:, -1], np.cumsum(is_filled)[:-1]
 
 
-def _plateau_cuts(weights: np.ndarray, moments: np.ndarray, classes: int) -> list[int]:
-    """The middle of each cut's range over the splits of the histogram with
-    cumulative ``weights`` and ``moments`` that score within 1e-9 of the best.
+def _plateau_cuts(weights: np.ndarray, moments: np.ndarray) -> list[int]:
+    """The middle of each cut's range over the three-class splits of the
+    histogram with cumulative ``weights`` and ``moments`` that score within
+    1e-9 of the best.
 
-    A split is ``classes`` - 1 increasing cuts, each after one of the first
-    bins - 1 bins, and its score is an entry of ``_split_scores``' table. An
-    entry is some split's score when its boundaries can hold increasing
-    cuts: the cuts at boundary r form a contiguous range, and j equal
-    boundaries need j cuts inside it. So the best score and its plateau are
-    found on the table, and at each place of a boundary sequence its
-    smallest and largest cut come from those ranges.
+    A split is two increasing cuts, each after one of the first bins - 1
+    bins, and its score is an entry of ``_split_scores``' table. The cuts at
+    boundary r form a contiguous range of ``room[r]`` cuts from
+    ``lowest[r]``, so an entry (r1, r2) is some split's score when r1 < r2,
+    or when r1 == r2 and that range holds both cuts. The best score and its
+    plateau are found on the table, and each cut's smallest and largest
+    place come from those ranges.
     """
-    scores, at = _split_scores(weights, moments, classes)
-    k = classes - 1
+    scores, at = _split_scores(weights, moments)
     # Boundaries between the first and last cut's; each holds at least one cut.
     first, last = int(at[0]), int(at[-1])
     room = np.bincount(at - first)
     lowest = np.searchsorted(at, np.arange(first, last + 1))
-    r = np.ix_(*[np.arange(len(room))] * k)
-    reachable = np.ones((len(room),) * k, dtype=bool)
-    for i, j in itertools.combinations(range(k), 2):
-        reachable &= (r[i] < r[j]) | ((r[i] == r[j]) & (room[r[i]] > j - i))
-    scores = np.where(reachable, scores[(slice(first, last + 1),) * k], -np.inf)
+    r1, r2 = np.ogrid[: len(room), : len(room)]
+    reachable = (r1 < r2) | ((r1 == r2) & (room[r1] > 1))
+    scores = np.where(reachable, scores[first : last + 1, first : last + 1], -np.inf)
     best = scores.max()
     # Splits that differ only in where empty bins land score identically up
     # to summation noise; a relative tolerance keeps the whole plateau.
-    winners = np.argwhere(scores >= best - 1e-9 * abs(best))
-    mids = []
-    for j in range(k):
-        r = winners[:, j]
-        before = (winners[:, :j] == r[:, None]).sum(axis=1)
-        after = (winners[:, j + 1:] == r[:, None]).sum(axis=1)
-        smallest = lowest[r] + before
-        largest = lowest[r] + room[r] - 1 - after
-        mids.append((int(smallest.min()) + int(largest.max())) // 2)
-    return mids
+    r1, r2 = np.nonzero(scores >= best - 1e-9 * abs(best))
+    same = r1 == r2
+    cuts = ((lowest[r1], lowest[r1] + room[r1] - 1 - same),
+            (lowest[r2] + same, lowest[r2] + room[r2] - 1))
+    return [(int(smallest.min()) + int(largest.max())) // 2 for smallest, largest in cuts]
 
 
-def multi_otsu(values, classes: int = 3, bins: int = 256) -> list[float]:
-    """Histogram thresholds separating the values into the given class count.
+def multi_otsu(values, bins: int = 256) -> list[float]:
+    """The two histogram thresholds that separate the values into three
+    classes: resilience, vulnerability and collapse.
 
     The values are binned into equal-width bins over [min, max], and the
-    split of the bins into classes maximizing between-class variance
+    split of the bins into three classes maximizing between-class variance
     (equivalently minimizing intra-class variance) wins; scores are found on
     the table of filled-bin boundaries, so the cost grows with the distinct
     values, not with ``bins``. When several splits tie, which happens
-    whenever empty bins separate clusters, the middle of each boundary's
-    tying range is taken, so well-separated clusters split at their
-    midpoints. Thresholds come back ascending, as bin-edge values. NaN or
-    infinite values, values so large that a score would overflow, and values
-    too close together to span ``bins`` finite-sized bins raise
-    ``InvalidInputError``.
+    whenever empty bins separate clusters, the middle of each cut's tying
+    range is taken, so well-separated clusters split at their midpoints.
+    Thresholds come back ascending, as bin-edge values. Fewer than three
+    bins, NaN or infinite values, values so large that a score would
+    overflow, and values too close together to span ``bins`` finite-sized
+    bins raise ``InvalidInputError``; fewer than three distinct values raise
+    ``DegenerateInputError``.
     """
     data = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
-    if classes < 2:
-        raise InvalidInputError(f"need at least 2 classes, got {classes}")
-    if bins < classes:
-        raise InvalidInputError(f"{bins} bins cannot hold {classes} classes")
+    if bins < 3:
+        raise InvalidInputError(f"{bins} bins cannot hold three classes")
     if not np.isfinite(data).all():
         raise InvalidInputError("values must be finite, got NaN or infinity")
     # A set, not np.unique: the first np.unique call of a process imports numpy.ma.
-    if len(set(data.tolist())) < classes:
-        raise DegenerateInputError(
-            f"need at least {classes} distinct values to form {classes} classes"
-        )
+    if len(set(data.tolist())) < 3:
+        raise DegenerateInputError("need at least 3 distinct values to form 3 classes")
     lo, hi = float(data.min()), float(data.max())
     try:
         # A score that overflows raises here: numpy's arithmetic under this
@@ -180,13 +165,13 @@ def multi_otsu(values, classes: int = 3, bins: int = 256) -> list[float]:
                 ) from None
             hist = hist.astype(float)
             centers = (edges[:-1] + edges[1:]) / 2.0
-            mids = _plateau_cuts(np.cumsum(hist), np.cumsum(hist * centers), classes)
+            mids = _plateau_cuts(np.cumsum(hist), np.cumsum(hist * centers))
     except (FloatingPointError, OverflowError):
         raise InvalidInputError(
             f"values from {lo!r} to {hi!r} are too large for the scores to stay finite"
         ) from None
     thresholds = [float(edges[m + 1]) for m in mids]
-    assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
+    assert thresholds[0] < thresholds[1]
     return thresholds
 
 
@@ -205,7 +190,3 @@ def rvc_bands(values, thresholds: tuple[float, float], reverse: bool = False) ->
     band = 2 - (values <= t1).astype(int) - (values <= t2)
     return 2 - band if reverse else band
 
-
-def classify_rvc(value: float, thresholds: tuple[float, float], reverse: bool = False) -> RvcLabel:
-    """The zone of one value; see ``rvc_bands``."""
-    return tuple(RvcLabel)[int(rvc_bands(value, thresholds, reverse))]

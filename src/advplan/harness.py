@@ -377,13 +377,29 @@ def _cell_table(rows: list[RunRecord], mode: str, exclude_beta=()) -> _CellTable
     C-contiguous ``(cells, run_count)`` matrix, one matrix per distinct run
     count: that sums a cell in sort order as the ``.mean()`` of its own slice
     does, however the rows were loaded (``np.add.reduceat`` and a column
-    mean would sum in other orders).
+    mean would sum in other orders). A cell whose rows differ in dataset or
+    ``adv_fraction`` pools two populations, and raises ``ConfigError``
+    naming it.
     """
     cell_of = operator.attrgetter("signal_id", *CELL_KEYS[mode])
     rows = [r for r in rows if r.placement_mode == mode and r.beta not in exclude_beta]
     rows.sort(key=lambda r: (cell_of(r), r.sort_key()))
     keys = list(map(cell_of, rows))
     starts = [0, *(i for i in range(1, len(keys)) if keys[i] != keys[i - 1])][: len(keys)]
+    # Rows of two populations in one cell would be averaged together, so a
+    # cell's rows must agree on dataset and adv_fraction (a NaN equals a NaN).
+    datasets = np.array([r.dataset for r in rows])
+    fractions = np.array([r.adv_fraction for r in rows], dtype=float)
+    same = (fractions[1:] == fractions[:-1]) | (np.isnan(fractions[1:]) & np.isnan(fractions[:-1]))
+    differ = (datasets[1:] != datasets[:-1]) | ~same
+    differ[np.asarray(starts[1:], dtype=np.intp) - 1] = False
+    for i in np.flatnonzero(differ)[:1].tolist():
+        a, b = rows[i], rows[i + 1]
+        raise ConfigError(
+            f"{mode} cell {keys[i]} pools two populations: dataset {a.dataset!r} with "
+            f"adv_fraction {a.adv_fraction!r}, and dataset {b.dataset!r} with adv_fraction "
+            f"{b.adv_fraction!r}; analyze each population on its own"
+        )
     sizes = np.diff([*starts, len(rows)])
     values = np.array(list(map(_ZONE_FIELDS, rows)), dtype=float).reshape(-1, len(ZONE_METRICS)).T
     means = np.empty((len(ZONE_METRICS), len(starts)))
@@ -661,9 +677,7 @@ def _run_task(
     topology = build_balanced_binary(len(plan_sets), permutation_seed=topo_seed)
     targets = None if cfg.inefficiency_kind == "variance" else np.stack([t for _, t in signals])
     ineff = InefficiencyFn(cfg.inefficiency_kind, targets, cfg.inefficiency_scaling)
-    run_cfg = RunConfig(
-        cfg.max_iterations, ineff, rng_seed=topo_seed, initial_selection=cfg.initial_selection
-    )
+    run_cfg = RunConfig(cfg.max_iterations, ineff, initial_selection=cfg.initial_selection)
     # Each signal's baseline comes before its cells, so it is known first.
     cells = itertools.chain(
         (_Cell(beta=0.0, run_seed=topo_seed, signal=si) for si in group),
@@ -860,28 +874,24 @@ def run_structural(cfg: SweepConfig, mode: str) -> SweepGrid:
     return _execute(cfg, mode, range(1), f"structural_{mode}.csv", f"structural_{mode}_errors.csv")
 
 
-def estimate_experiment_count(cfg: SweepConfig, agents: int | None = None) -> int:
-    """The rows one population writes, counted without running anything: severities
-    x signals x (sweep runs + layer-wise combinations per distinct per-layer count +
-    cumulative runs), over the placements the config enables. ``agents`` is n, the
-    dataset's ``agents`` when not given; a files dataset has no size of its own, so
-    its caller passes the count of the plan sets it loaded. Sum over ``populations``."""
+def estimate_experiment_count(cfg: SweepConfig, agents: int) -> int:
+    """The rows one population of n = ``agents`` writes, counted without running
+    anything: severities x signals x (sweep runs + layer-wise combinations per
+    distinct per-layer count + cumulative runs), over the placements the config
+    enables. Sum over ``populations``."""
     severities = len(cfg.severities)
-    n = cfg.dataset.agents if agents is None else agents
-    if n is None:
-        raise ConfigError("counting a files dataset or a campaign needs one population's size")
     signals = len(cfg.target_files) if cfg.inefficiency_kind == "rss" else 1
     per_signal = 0
     if "random" in cfg.placements:
-        per_signal += cfg.runs_per_cell * len(_scales(cfg, n))
+        per_signal += cfg.runs_per_cell * len(_scales(cfg, agents))
     if "layer" in cfg.placements:
-        topology = build_balanced_binary(n, permutation_seed=0)
+        topology = build_balanced_binary(agents, permutation_seed=0)
         per_signal += sum(
             min(cfg.combination_cap, math.comb(len(members), count))
             for _, count, members in _layer_groups(cfg, topology)
         )
     if "cumulative" in cfg.placements:
-        per_signal += 2 * n
+        per_signal += 2 * agents
     return severities * signals * per_signal
 
 
@@ -989,7 +999,9 @@ def analyze(
     or drawn, one too large to score, means too close together to bin, and a
     heatmap whose range overflows raise ``InvalidInputError`` naming the
     metric and signal, and write nothing; so does a heatmap file name longer
-    than the output directory's file system allows. An output directory that
+    than the output directory's file system allows. Rows of two populations
+    in one cell, whose dataset or ``adv_fraction`` differ, raise
+    ``ConfigError`` naming the cell. An output directory that
     holds a table or heatmap this analysis would not write over, left by an
     earlier one, raises ``ConfigError`` naming the first such file, and
     nothing is written.
@@ -1022,7 +1034,7 @@ def analyze(
         for metric in ZONE_METRICS:
             values = random.means[metric][cells]
             try:
-                pair = tuple(multi_otsu(values, classes=3, bins=bins))
+                pair = tuple(multi_otsu(values, bins=bins))
             except DegenerateInputError:
                 warnings.warn(
                     f"metric {metric!r} of signal {signal!r} is degenerate; "

@@ -39,7 +39,6 @@ def render_heatmap(
     cell_labels: list[list[str]] | None = None,
     x_axis: str = "",
     y_axis: str = "",
-    cell_size: int = 26,
 ) -> Path:
     """Write one heatmap SVG; returns the path.
 
@@ -55,7 +54,7 @@ def render_heatmap(
     lo, hi = float(values.min()), float(values.max())
     if not (hi == lo or math.isfinite(hi - lo)):
         raise ValueError(f"heatmap values must span a finite range, got {lo!r} to {hi!r}")
-    left, top = 70, 40
+    left, top, cell_size = 70, 40, 26
     width = left + cols * cell_size + 150
     height = top + rows * cell_size + 60
 

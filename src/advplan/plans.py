@@ -168,18 +168,6 @@ def _read_text(path: Path | str) -> str:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def load_plan_set(path: Path | str, agent_id: int | None = None) -> PlanSet:
-    """Read one plan file; the agent id defaults to the one in the file name."""
-    path = Path(path)
-    if agent_id is None:
-        match = _PLAN_FILE_RE.match(path.name)
-        if not match:
-            raise ParseError(f"{path}: file name does not look like agent_<id>.plans")
-        agent_id = int(match.group(1))
-    table = _plan_file_table(str(path), _read_bytes(path))
-    return PlanSet._view(agent_id, table[:, 1:].copy(), table[:, 0].copy())
-
-
 def _feed(digest, agent_id: int, data: bytes) -> None:
     """Add one plan file's id, length and bytes to a directory's cache key."""
     digest.update(b"%d %d\n" % (agent_id, len(data)))

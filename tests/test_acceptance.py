@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from advplan.adversary import beta_rows, random_adversaries, severity_grid
-from advplan.analytics import RvcLabel, classify_rvc, knee_mmd, multi_otsu, pareto_front
+from advplan.analytics import RvcLabel, knee_mmd, multi_otsu, pareto_front, rvc_bands
 from advplan.engine import BehaviorProfile, RunConfig, run, run_baseline
 from advplan.harness import (
     DatasetSpec,
@@ -57,7 +57,7 @@ def test_criterion_03_experiment_accounting():
         inefficiency_kind="rss",
         target_files=("high.target", "low.target"),
     )
-    got = (estimate_experiment_count(energy), estimate_experiment_count(privacy))
+    got = tuple(estimate_experiment_count(cfg, cfg.dataset.agents) for cfg in (energy, privacy))
     ok = got == (3_118_560, 498_780)
     report(3, ok, f"experiment totals energy={got[0]:,} privacy={got[1]:,}")
     assert got == (3_118_560, 498_780)
@@ -227,15 +227,11 @@ def test_criterion_08_multi_otsu_oracle():
         values = np.concatenate(
             [rng.normal(loc=c, scale=rng.uniform(0.1, 1.0), size=15) for c in centers]
         )
-        if multi_otsu(values, classes=3, bins=bins) == _oracle_otsu(values, 3, bins):
+        if multi_otsu(values, bins=bins) == _oracle_otsu(values, 3, bins):
             agreements += 1
     clusters = [0.0] * 30 + [5.0] * 30 + [10.0] * 30
-    t1, t2 = multi_otsu(clusters, classes=3, bins=256)
-    labels = (
-        classify_rvc(0.0, (t1, t2)),
-        classify_rvc(5.0, (t1, t2)),
-        classify_rvc(10.0, (t1, t2)),
-    )
+    t1, t2 = multi_otsu(clusters, bins=256)
+    labels = tuple(tuple(RvcLabel)[b] for b in rvc_bands([0.0, 5.0, 10.0], (t1, t2)))
     labels_ok = labels == (RvcLabel.RESILIENCE, RvcLabel.VULNERABILITY, RvcLabel.COLLAPSE)
     ok = agreements == 100 and labels_ok
     report(8, ok, f"otsu oracle agreement {agreements}/100; 3-cluster labels R/V/C={labels_ok}")

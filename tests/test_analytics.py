@@ -10,10 +10,10 @@ from advplan.analytics import (
     RvcLabel,
     _plateau_cuts,
     _split_scores,
-    classify_rvc,
     knee_mmd,
     multi_otsu,
     pareto_front,
+    rvc_bands,
 )
 from advplan.engine import RunConfig, run_baseline
 from advplan.errors import (
@@ -171,29 +171,21 @@ def test_knee_affine_rescale_invariance():
 
 def test_multi_otsu_three_spikes():
     values = [0.0] * 30 + [5.0] * 30 + [10.0] * 30
-    t1, t2 = multi_otsu(values, classes=3, bins=256)
+    t1, t2 = multi_otsu(values, bins=256)
     width = 10.0 / 256
     assert abs(t1 - 2.5) <= width
     assert abs(t2 - 7.5) <= width
-    assert classify_rvc(0.0, (t1, t2)) is RvcLabel.RESILIENCE
-    assert classify_rvc(5.0, (t1, t2)) is RvcLabel.VULNERABILITY
-    assert classify_rvc(10.0, (t1, t2)) is RvcLabel.COLLAPSE
-
-
-def test_multi_otsu_two_classes_classic():
-    values = [1.0] * 20 + [9.0] * 20
-    (threshold,) = multi_otsu(values, classes=2, bins=64)
-    assert 1.0 < threshold < 9.0
-    assert threshold == pytest.approx(5.0, abs=8 / 64)
+    labels = tuple(tuple(RvcLabel)[b] for b in rvc_bands([0.0, 5.0, 10.0], (t1, t2)))
+    assert labels == (RvcLabel.RESILIENCE, RvcLabel.VULNERABILITY, RvcLabel.COLLAPSE)
 
 
 def test_multi_otsu_degenerate_inputs():
     with pytest.raises(DegenerateInputError):
-        multi_otsu([3.0] * 10, classes=3)
+        multi_otsu([3.0] * 10)
     with pytest.raises(DegenerateInputError):
-        multi_otsu([1.0, 2.0], classes=3)
+        multi_otsu([1.0, 2.0])
     with pytest.raises(InvalidInputError):
-        multi_otsu([1.0, 2.0, 3.0], classes=1)
+        multi_otsu([1.0, 2.0, 3.0], bins=2)
 
 
 def test_multi_otsu_refuses_values_closer_than_the_bins():
@@ -201,7 +193,7 @@ def test_multi_otsu_refuses_values_closer_than_the_bins():
     close = [1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)]
     for bins in (256, 3):
         with pytest.raises(InvalidInputError, match=f"too close together for {bins} bins"):
-            multi_otsu(close, classes=3, bins=bins)
+            multi_otsu(close, bins=bins)
 
 
 def test_multi_otsu_matches_oracle_and_fills_classes():
@@ -211,24 +203,18 @@ def test_multi_otsu_matches_oracle_and_fills_classes():
         values = np.concatenate(
             [rng.normal(loc=c, scale=0.3, size=12) for c in rng.choice(10, size=3)]
         )
-        cases.append((values, int(rng.integers(8, 65)), 3, True))
-    for classes, bins in ((2, 40), (2, 7), (4, 24), (4, 12)):
-        for trial in range(4):
-            centers = rng.choice(20, size=classes + 1, replace=False)
-            values = np.concatenate([rng.normal(loc=c, scale=0.4, size=9) for c in centers])
-            cases.append((values, bins, classes, True))
+        cases.append((values, int(rng.integers(8, 65)), True))
     # Lone outliers at both ends leave the bins next to the first and last
     # bin empty (an auto-ranged histogram always fills those two). Midpoints
     # of wide plateaus can leave a class empty here, as the oracle does.
-    for classes in (2, 3, 4):
-        core = rng.normal(loc=5.0, scale=0.5, size=40)
-        cases.append((np.concatenate([[-20.0], core, [31.0]]), 64, classes, False))
-        cases.append((np.concatenate([core, [60.0]]), 50, classes, False))
-    for values, bins, classes, fills in cases:
-        if np.unique(values).size < classes:
+    core = rng.normal(loc=5.0, scale=0.5, size=40)
+    cases.append((np.concatenate([[-20.0], core, [31.0]]), 64, False))
+    cases.append((np.concatenate([core, [60.0]]), 50, False))
+    for values, bins, fills in cases:
+        if np.unique(values).size < 3:
             continue
-        got = multi_otsu(values, classes=classes, bins=bins)
-        assert got == oracle_otsu(values, classes=classes, bins=bins)
+        got = multi_otsu(values, bins=bins)
+        assert got == oracle_otsu(values, classes=3, bins=bins)
         if not fills:
             continue
         bounds = [-np.inf, *got, np.inf]
@@ -239,26 +225,26 @@ def test_multi_otsu_matches_oracle_and_fills_classes():
 def test_multi_otsu_rejects_non_finite_values():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvalidInputError, match="finite"):
-            multi_otsu([0.0, 1.0, 2.0, bad, 4.0], classes=3)
+            multi_otsu([0.0, 1.0, 2.0, bad, 4.0])
 
 
 def test_classify_rvc_boundaries_and_reverse():
     thresholds = (1.0, 2.0)
-    assert classify_rvc(1.0, thresholds) is RvcLabel.RESILIENCE
-    assert classify_rvc(2.0, thresholds) is RvcLabel.VULNERABILITY
-    assert classify_rvc(2.0 + 1e-9, thresholds) is RvcLabel.COLLAPSE
-    assert classify_rvc(0.5, thresholds, reverse=True) is RvcLabel.COLLAPSE
-    assert classify_rvc(3.0, thresholds, reverse=True) is RvcLabel.RESILIENCE
+    labels = tuple(RvcLabel)
+    assert [labels[b] for b in rvc_bands([1.0, 2.0, 2.0 + 1e-9], thresholds)] == [
+        RvcLabel.RESILIENCE, RvcLabel.VULNERABILITY, RvcLabel.COLLAPSE]
+    assert [labels[b] for b in rvc_bands([0.5, 3.0], thresholds, reverse=True)] == [
+        RvcLabel.COLLAPSE, RvcLabel.RESILIENCE]
     with pytest.raises(InvalidThresholdError):
-        classify_rvc(1.0, (2.0, 2.0))
+        rvc_bands(1.0, (2.0, 2.0))
 
 
 def test_classify_rvc_monotone():
     thresholds = (0.4, 1.7)
     order = [RvcLabel.RESILIENCE, RvcLabel.VULNERABILITY, RvcLabel.COLLAPSE]
     previous = 0
-    for value in np.linspace(-1, 3, 100):
-        rank = order.index(classify_rvc(float(value), thresholds))
+    for band in rvc_bands(np.linspace(-1, 3, 100), thresholds):
+        rank = order.index(tuple(RvcLabel)[band])
         assert rank >= previous
         previous = rank
 
@@ -309,44 +295,39 @@ def between_class_variance(weights, moments, cuts):
 
 
 def split_cases():
-    """``(values, bins, classes, histogram range)`` cases for the split scorer."""
+    """``(values, bins, histogram range)`` cases for the split scorer."""
     rng = np.random.default_rng(12)
-    cases = [
-        (rng.random(int(rng.integers(5, 150))) ** 3, int(rng.integers(3, 70)), int(rng.integers(2, 5)))
-        for _ in range(40)
-    ]
+    cases = [(rng.random(int(rng.integers(5, 150))) ** 3, int(rng.integers(3, 70))) for _ in range(40)]
     # Plateaus: spikes separated by empty bins, where whole ranges of splits tie.
     cases += [
-        ([0.0] * 30 + [5.0] * 30 + [10.0] * 30, 256, 3),
-        ([1.0, 2.0, 3.0], 64, 3),
-        ([0.0] * 5 + [1.0] * 7 + [9.0] * 2 + [10.0] * 4, 40, 4),
-        ([1.0] * 20 + [9.0] * 20, 64, 2),
+        ([0.0] * 30 + [5.0] * 30 + [10.0] * 30, 256),
+        ([1.0, 2.0, 3.0], 64),
+        ([0.0] * 5 + [1.0] * 7 + [9.0] * 2 + [10.0] * 4, 40),
     ]
     # Grid-small's shape: 200+ cell means into 256 bins.
-    cases += [(rng.random(n) ** 3, 256, 3) for n in (200, 240)]
+    cases += [(rng.random(n) ** 3, 256) for n in (200, 240)]
     # Integer-valued data: most bins empty, many splits tie.
     cases += [
-        (rng.integers(0, 6, 200).astype(float), 256, 3),
-        (rng.integers(-40, 41, 60).astype(float), 97, 4),
+        (rng.integers(0, 6, 200).astype(float), 256),
+        (rng.integers(-40, 41, 60).astype(float), 97),
     ]
-    # The fewest and many bins, two to four classes.
+    # The fewest and many bins.
     cases += [
-        ([1.0, 2.0, 3.0, 3.0], 3, 2),
-        ([1.0, 2.0, 3.0, 3.0], 3, 3),
-        (rng.random(220), 300, 2),
-        (rng.random(220) ** 2, 300, 3),
-        (rng.normal(size=90), 50, 4),
+        ([1.0, 2.0, 3.0, 3.0], 3),
+        (rng.random(220), 300),
+        (rng.random(220) ** 2, 300),
+        (rng.normal(size=90), 50),
     ]
     # A histogram range wider than the data leaves its first or last bin
     # (or both) empty; negative centers make empty bins add -0.0 moments.
     ranged = [
-        (rng.normal(size=50), (-6.0, 3.0), 40, 3),
-        (rng.normal(size=50), (-3.0, 9.0), 40, 4),
-        (rng.normal(loc=-5.0, size=80), (-12.0, 0.0), 256, 3),
-        (rng.random(30), (-1.0, 2.0), 30, 2),
+        (rng.normal(size=50), (-6.0, 3.0), 40),
+        (rng.normal(size=50), (-3.0, 9.0), 40),
+        (rng.normal(loc=-5.0, size=80), (-12.0, 0.0), 256),
+        (rng.random(30), (-1.0, 2.0), 30),
     ]
-    cases = [(values, bins, classes, None) for values, bins, classes in cases]
-    return cases + [(values, bins, classes, span) for values, span, bins, classes in ranged]
+    cases = [(values, bins, None) for values, bins in cases]
+    return cases + [(values, bins, span) for values, span, bins in ranged]
 
 
 def cumulative_sums(values, bins, span):
@@ -357,32 +338,31 @@ def cumulative_sums(values, bins, span):
 
 
 def test_split_scores_match_per_split_definition():
-    for values, bins, classes, span in split_cases():
+    for values, bins, span in split_cases():
         weights, moments = cumulative_sums(values, bins, span)
-        cuts = np.array(list(itertools.combinations(range(bins - 1), classes - 1)))
+        cuts = np.array(list(itertools.combinations(range(bins - 1), 2)))
         expected = [between_class_variance(weights, moments, tuple(c)) for c in cuts.tolist()]
-        scores, at = _split_scores(weights, moments, classes)
+        scores, at = _split_scores(weights, moments)
         assert scores[tuple(at[cuts.T])].tolist() == expected
 
 
 def test_multi_otsu_matches_the_all_splits_scorer():
     """The plateau found on the boundary table is the one found by scoring
     every split, on every split-scorer case and on data full of ties."""
-    for values, bins, classes, span in split_cases():
+    for values, bins, span in split_cases():
         weights, moments = cumulative_sums(values, bins, span)
-        expected = oracle_analysis.plateau_cuts(weights, moments, classes)
-        assert _plateau_cuts(weights, moments, classes) == expected
+        expected = oracle_analysis.plateau_cuts(weights, moments, 3)
+        assert _plateau_cuts(weights, moments) == expected
         if span is None:
-            assert multi_otsu(values, classes, bins) == oracle_analysis.multi_otsu(
-                values, classes, bins)
+            assert multi_otsu(values, bins) == oracle_analysis.multi_otsu(values, 3, bins)
     rng = np.random.default_rng(403)
     for _ in range(300):
-        classes, bins = int(rng.integers(2, 5)), int(rng.integers(4, 90))
-        size = int(rng.integers(classes, 60))
-        values = rng.integers(0, int(rng.integers(classes, 40)), size) * float(rng.uniform(0.1, 9))
+        bins = int(rng.integers(4, 90))
+        size = int(rng.integers(3, 60))
+        values = rng.integers(0, int(rng.integers(3, 40)), size) * float(rng.uniform(0.1, 9))
         if rng.random() < 0.3:
             values = np.concatenate([values, [values.max() + rng.uniform(5, 200)]])
-        if len(set(values.tolist())) < classes:
+        if len(set(values.tolist())) < 3:
             continue
-        assert multi_otsu(values, classes, bins) == oracle_analysis.multi_otsu(
-            values, classes, bins), (values.tolist(), classes, bins)
+        assert multi_otsu(values, bins) == oracle_analysis.multi_otsu(
+            values, 3, bins), (values.tolist(), bins)

@@ -229,6 +229,36 @@ def test_analyze_skips_a_ragged_cumulative_heatmap(tmp_path, caplog):
     assert not list(out.glob("heatmap_cumulative_*.svg"))
 
 
+@pytest.mark.parametrize("command", ["analyze", "plot"])
+def test_pooled_populations_of_two_sizes_exit_2_writing_nothing(tmp_path, caplog, command):
+    """Sweeps of 10 and 20 agents, both named ``gaussian``, put runs of both
+    populations into every (severity, adversary count) cell: pooled, they
+    exit 2 naming the first such cell and both adversary fractions, and
+    write nothing. One population pooled across two master seeds still
+    exits 0."""
+    results = []
+    for agents in (10, 20):
+        (tmp_path / str(agents)).mkdir()
+        path = write_config(tmp_path / str(agents))
+        raw = yaml.safe_load(path.read_text())
+        raw["dataset"].update(agents=agents, plans=3)
+        raw.update(scales=[1, 2, 4], runs_per_cell=3)
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["sweep", "--config", str(path)]) == 0
+        results.append(path.parent / "out" / "runs.csv")
+    out = tmp_path / "analysis"
+    assert main([command, "--results", *map(str, results), "--out", str(out)]) == 2
+    assert ("random cell ('', 0.5, 1) pools two populations: dataset 'gaussian' with "
+            "adv_fraction 0.1, and dataset 'gaussian' with adv_fraction 0.05") in caplog.text
+    assert not out.exists()
+    assert main(["sweep", "--config", str(tmp_path / "10" / "cfg.yaml"), "--seed", "6"]) == 0
+    reseeded = tmp_path / "10" / "seed6.csv"
+    (tmp_path / "10" / "out" / "runs.csv").replace(reseeded)
+    assert main(["sweep", "--config", str(tmp_path / "10" / "cfg.yaml")]) == 0
+    assert main([command, "--results", str(results[0]), str(reseeded), "--out", str(out)]) == 0
+    assert "run_count" in (out / "cells.csv").read_text()
+
+
 def test_sweep_bad_config_exit_code(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({"dataset": {"kind": "gaussian"}}))

@@ -289,7 +289,7 @@ def test_run_sweep_csv_round_trip_and_estimate_match(tmp_path):
     grid = run_sweep(cfg)
     loaded = SweepGrid.read_csv(tmp_path / "out" / "runs.csv")
     assert loaded.rows == grid.rows
-    assert len(grid.rows) == estimate_experiment_count(cfg)
+    assert len(grid.rows) == estimate_experiment_count(cfg, cfg.dataset.agents)
 
 
 def test_run_sweep_determinism(tmp_path):
@@ -368,7 +368,7 @@ def test_estimate_minimal_and_campaign():
         scales=(3,),
         runs_per_cell=1,
     )
-    assert estimate_experiment_count(minimal) == 1
+    assert estimate_experiment_count(minimal, minimal.dataset.agents) == 1
     campaign = SweepConfig(
         dataset=DatasetSpec(
             kind="gaussian",
@@ -377,7 +377,8 @@ def test_estimate_minimal_and_campaign():
         ),
         runs_per_cell=50,
     )
-    assert sum(map(estimate_experiment_count, populations(campaign))) == 4_125_000
+    assert sum(estimate_experiment_count(pop, pop.dataset.agents)
+               for pop in populations(campaign)) == 4_125_000
 
 
 def test_estimate_table_reproduction():
@@ -385,24 +386,24 @@ def test_estimate_table_reproduction():
         dataset=DatasetSpec(kind="gaussian", agents=1000, plans=10),
         placements=("random", "layer", "cumulative"),
     )
-    assert estimate_experiment_count(energy) == 3_118_560
+    assert estimate_experiment_count(energy, energy.dataset.agents) == 3_118_560
     privacy = SweepConfig(
         dataset=DatasetSpec(kind="gaussian", agents=72, plans=3),
         placements=("random", "layer", "cumulative"),
         inefficiency_kind="rss",
         target_files=("high.target", "low.target"),
     )
-    assert estimate_experiment_count(privacy) == 498_780
+    assert estimate_experiment_count(privacy, privacy.dataset.agents) == 498_780
 
 
 def test_estimate_counts_only_enabled_modes():
     base = dict(dataset=DatasetSpec(kind="gaussian", agents=72, plans=3))
     full = estimate_experiment_count(
-        SweepConfig(placements=("random", "layer", "cumulative"), **base)
+        SweepConfig(placements=("random", "layer", "cumulative"), **base), 72
     )
-    random_only = estimate_experiment_count(SweepConfig(placements=("random",), **base))
+    random_only = estimate_experiment_count(SweepConfig(placements=("random",), **base), 72)
     cumulative_only = estimate_experiment_count(
-        SweepConfig(placements=("cumulative",), **base)
+        SweepConfig(placements=("cumulative",), **base), 72
     )
     assert random_only == 30 * 100 * 72
     assert cumulative_only == 30 * 2 * 72

@@ -34,16 +34,16 @@ def test_render_heatmap_writes_the_bytes_of_the_cell_by_cell_renderer(tmp_path):
     ramp[1, 1], ramp[2, 2] = ramp.min(), (ramp.min() + ramp.max()) / 2
     steps = np.linspace(0.0, 1.0, 12).reshape(3, 4)  # values on the ramp's half points
     cases = [
-        (ramp, {(0, 4), (5, 0), (2, 2)}, True, "title", "x", "y", 26),
-        (np.full((3, 4), -0.0), {(1, 1)}, True, "", "", "", 26),  # flat: hi == lo
-        (np.full((2, 3), np.inf), None, True, "", "", "", 26),  # flat and infinite
-        (np.full((1, 2), -np.inf), {(0, 0)}, False, "", "x", "", 26),
-        (np.full((1, 1), 7.5), None, False, "one", "", "y", 26),
-        (steps, set(), True, "t", "x", "", 13),
-        (np.array([[5e-324, 0.0], [-5e-324, 1e-300]]), None, True, "", "x", "", 26),
-        (rng.lognormal(0.0, 6.0, (30, 4)), {(29, 3)}, False, "wide", "m", "severity", 26),
+        (ramp, {(0, 4), (5, 0), (2, 2)}, True, "title", "x", "y"),
+        (np.full((3, 4), -0.0), {(1, 1)}, True, "", "", ""),  # flat: hi == lo
+        (np.full((2, 3), np.inf), None, True, "", "", ""),  # flat and infinite
+        (np.full((1, 2), -np.inf), {(0, 0)}, False, "", "x", ""),
+        (np.full((1, 1), 7.5), None, False, "one", "", "y"),
+        (steps, set(), True, "t", "x", ""),
+        (np.array([[5e-324, 0.0], [-5e-324, 1e-300]]), None, True, "", "x", ""),
+        (rng.lognormal(0.0, 6.0, (30, 4)), {(29, 3)}, False, "wide", "m", "severity"),
     ]
-    for index, (matrix, knees, labelled, title, x_axis, y_axis, size) in enumerate(cases):
+    for index, (matrix, knees, labelled, title, x_axis, y_axis) in enumerate(cases):
         rows, cols = matrix.shape
         kwargs = dict(
             row_labels=[f"{0.1 * i:g}" for i in range(rows)],
@@ -54,7 +54,6 @@ def test_render_heatmap_writes_the_bytes_of_the_cell_by_cell_renderer(tmp_path):
             if labelled else None,
             x_axis=x_axis,
             y_axis=y_axis,
-            cell_size=size,
         )
         ours = render_heatmap(matrix, path=tmp_path / f"new{index}.svg", **kwargs)
         theirs = oracle_analysis.render_heatmap(matrix, path=tmp_path / f"old{index}.svg", **kwargs)

@@ -20,7 +20,6 @@ from advplan.plans import (
     PlanSet,
     generate_gaussian_plans,
     generate_voting_targets,
-    load_plan_set,
     load_plan_sets,
     load_target_signal,
     save_plan_sets,
@@ -28,10 +27,19 @@ from advplan.plans import (
 )
 
 
+def load_alone(path):
+    """The plan file at ``path`` loaded as ``agent_1.plans``, the only plan
+    file of a directory beside it."""
+    directory = path.with_suffix(".alone")
+    directory.mkdir(exist_ok=True)
+    (directory / "agent_1.plans").write_bytes(path.read_bytes())
+    return load_plan_sets(directory)[0]
+
+
 def test_plan_line_round_trip(tmp_path):
-    (tmp_path / "agent_3.plans").write_text("0.25:1.0,2.0\n")
-    ps = load_plan_set(tmp_path / "agent_3.plans")
-    assert ps.agent_id == 3
+    (tmp_path / "agent_1.plans").write_text("0.25:1.0,2.0\n")
+    ps = load_plan_sets(tmp_path)[0]
+    assert ps.agent_id == 1
     assert ps.k == 1
     assert ps.discomforts()[0] == 0.25
     assert np.array_equal(ps.value_matrix()[0], [1.0, 2.0])
@@ -54,14 +62,14 @@ def test_malformed_lines(tmp_path, line):
     path = tmp_path / "agent_1.plans"
     path.write_text(line + "\n")
     with pytest.raises(ParseError) as err:
-        load_plan_set(path)
+        load_plan_sets(tmp_path)
     assert "agent_1.plans:1" in str(err.value)
 
 
 def test_inconsistent_dimension_within_file(tmp_path):
     (tmp_path / "agent_1.plans").write_text("0.1:1,2\n0.2:1,2,3\n")
     with pytest.raises(DimensionMismatchError):
-        load_plan_set(tmp_path / "agent_1.plans")
+        load_plan_sets(tmp_path)
 
 
 def test_inconsistent_dimension_across_agents(tmp_path):
@@ -174,14 +182,15 @@ def test_loader_arrays_match_python_float(tmp_path):
         ("-0.0", ["0.1", "nan", "12345678901234567890", ".5"]),
     ]
     body = "\r\n\r\n".join(head + ":" + ",".join(tail) for head, tail in rows)
-    path = tmp_path / "agent_4.plans"
+    path = tmp_path / "agent_1.plans"
     path.write_bytes(("\n  \n" + body + "\r\n\n").encode())
-    ps = load_plan_set(path)
+    # The directory loader refuses the non-finite tokens after parsing them.
+    table = plans_mod._plan_file_table(str(path), path.read_bytes())
     values = np.array([[float(tok) for tok in tail] for _, tail in rows])
     discomforts = np.array([float(head) for head, _ in rows])
-    assert ps.agent_id == 4 and ps.k == 4 and ps.dimension == 4
-    assert ps.value_matrix().tobytes() == values.tobytes()
-    assert ps.discomforts().tobytes() == discomforts.tobytes()
+    assert table.shape == (4, 1 + 4)
+    assert table[:, 1:].tobytes() == values.tobytes()
+    assert table[:, 0].tobytes() == discomforts.tobytes()
 
 
 def test_plan_set_arrays_are_read_only_copies():
@@ -217,7 +226,7 @@ def test_malformed_files_name_their_line(tmp_path, text, error, where):
     path = tmp_path / "agent_1.plans"
     path.write_bytes(text.encode())
     with pytest.raises(error) as err:
-        load_plan_set(path)
+        load_plan_sets(tmp_path)
     assert f"agent_1.plans{where}:" in str(err.value)
 
 
@@ -264,13 +273,14 @@ def test_directory_load_equals_each_file_alone(tmp_path, monkeypatch):
     (tmp_path / "notes.txt").write_text("not a plan file\n")
     values = np.array([[float(tok) for tok in tail] for _, tail in SYNTAX_ROWS])
     discomforts = np.array([float(head) for head, _ in SYNTAX_ROWS])
-    singles = [load_plan_set(tmp_path / f"agent_{agent}.plans") for agent in SYNTAX_FILES]
+    paths = [tmp_path / f"agent_{agent}.plans" for agent in SYNTAX_FILES]
+    singles = [plans_mod._plan_file_table(str(path), path.read_bytes()) for path in paths]
     with pytest.raises(InvalidInputError, match="^agent 1 plan 1 holds NaN or an infinity$"):
         load_plan_sets(tmp_path)
     assert caches(tmp_path) == []
-    for ps in singles:
-        assert ps.value_matrix().tobytes() == values.tobytes()
-        assert ps.discomforts().tobytes() == discomforts.tobytes()
+    for table in singles:
+        assert table[:, 1:].tobytes() == values.tobytes()
+        assert table[:, 0].tobytes() == discomforts.tobytes()
 
     # The same tokens, finite, through the directory loader.
     finite = {"inf": "1e308", "-INF": "-2_5", "-Infinity": "-7", "nan": "0.0"}
@@ -287,7 +297,7 @@ def test_directory_load_equals_each_file_alone(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert [ps.agent_id for ps in cold] == [ps.agent_id for ps in warm] == list(SYNTAX_FILES)
     for ps in [*cold, *warm]:
-        alone = load_plan_set(tmp_path / f"agent_{ps.agent_id}.plans")
+        alone = load_alone(tmp_path / f"agent_{ps.agent_id}.plans")
         for got, want in ((ps.value_matrix(), alone.value_matrix()),
                           (ps.discomforts(), alone.discomforts())):
             assert got.dtype == want.dtype and got.shape == want.shape
@@ -412,7 +422,7 @@ def test_a_same_size_edit_misses_the_cache_even_with_its_mtime_put_back(tmp_path
     parsed = counting_parses(monkeypatch)
     loaded = load_plan_sets(tmp_path)
     assert len(parsed) == 4
-    assert loaded[2].value_matrix().tobytes() == load_plan_set(path).value_matrix().tobytes()
+    assert loaded[2].value_matrix().tobytes() == load_alone(path).value_matrix().tobytes()
     assert loaded[2].value_matrix()[0, 0] != generate_gaussian_plans(4, 3, 2, seed=8)[2].value_matrix()[0, 0]
     assert len(caches(tmp_path)) == 1 and caches(tmp_path) != [old_name]
     parsed.clear()
@@ -553,7 +563,9 @@ def test_a_failing_cache_write_leaves_the_load_correct_and_silent(
     save_plan_sets(generate_gaussian_plans(4, 3, 2, seed=8), tmp_path)
     plan_sets, old_name, _ = cold_and_cache(tmp_path)
     save_plan_sets(generate_gaussian_plans(4, 3, 2, seed=9), tmp_path)
-    fresh = [load_plan_set(tmp_path / f"agent_{a}.plans") for a in range(1, 5)]
+    alone = [load_alone(tmp_path / f"agent_{a}.plans") for a in range(1, 5)]
+    fresh = [PlanSet(a, values=ps.value_matrix(), discomforts=ps.discomforts())
+             for a, ps in enumerate(alone, 1)]
 
     def fail(*args, **kwargs):
         raise OSError(28, "No space left on device")
