@@ -237,9 +237,10 @@ def _stack_plans(topology: TreeTopology, plan_sets: list[PlanSet], config: RunCo
             raise InvalidInputError(f"target signal {bad[0].tolist()} holds NaN or an infinity")
 
     ordered = [by_agent[a] for a in topology.agent_at]
-    P = np.empty((n, counts.pop(), d + 1))
-    P[..., :d] = np.stack([ps.value_matrix() for ps in ordered])
-    P[..., d] = np.stack([ps.discomforts() for ps in ordered])
+    k = counts.pop()
+    P = np.empty((n, k, d + 1))
+    P[..., :d] = np.concatenate([ps.value_matrix() for ps in ordered]).reshape(n, k, d)
+    P[..., d] = np.concatenate([ps.discomforts() for ps in ordered]).reshape(n, k)
     if not np.isfinite(P).all():
         check_finite(plan_sets)
     check_magnitude(n, d, P, *([ineff.target] if ineff.kind == "rss" else []))

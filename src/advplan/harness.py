@@ -465,8 +465,9 @@ def load_inputs(cfg: SweepConfig, modes: tuple[str, ...]) -> tuple[list[PlanSet]
                 raise ConfigError(f"scale {count} outside 0..{n}")
     paths = cfg.target_files if cfg.inefficiency_kind == "rss" else ()
     targets = [load_target(path, d) for path in paths]
-    plans = [a for ps in plan_sets for a in (ps.value_matrix(), ps.discomforts())]
-    check_magnitude(n, d, np.concatenate(plans, axis=None), *targets)
+    values = np.concatenate([ps.value_matrix() for ps in plan_sets], axis=None)
+    discomforts = np.concatenate([ps.discomforts() for ps in plan_sets])
+    check_magnitude(n, d, values, discomforts, *targets)
     return plan_sets, [(str(i), target) for i, target in enumerate(targets)] or [("", None)]
 
 

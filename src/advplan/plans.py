@@ -33,6 +33,10 @@ _PLAN_FILE_RE = re.compile(r"^agent_(\d+)\.plans$")
 # starts that digest and changes whenever the cache's layout does.
 _CACHE_FILE_RE = re.compile(r"^\.advplan-plans-[0-9a-f]{64}\.npy$")
 _CACHE_TAG = b"advplan plan cache 1\n"
+# Plan files are read through a raw descriptor, in chunks small enough that a
+# short file never gets a large buffer.
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+_READ_CHUNK = 1 << 16
 
 
 class PlanSet:
@@ -56,12 +60,11 @@ class PlanSet:
 
     @classmethod
     def _view(cls, agent_id: int, values: np.ndarray, discomforts: np.ndarray) -> PlanSet:
-        """Checked ``(k, d)`` values and ``(k,)`` discomforts held as given, made
-        read-only: no copy and no re-check."""
+        """Checked, read-only ``(k, d)`` values and ``(k,)`` discomforts held as
+        given: no copy and no re-check."""
         plan_set = cls.__new__(cls)
         plan_set.agent_id = agent_id
         plan_set._values, plan_set._discomforts = values, discomforts
-        values.flags.writeable = discomforts.flags.writeable = False
         return plan_set
 
     def __reduce__(self):
@@ -94,8 +97,18 @@ def check_finite(plan_sets: list[PlanSet]) -> None:
 
 
 def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as handle:
-        return handle.read()
+    """The bytes of the file at ``path``, read without a file object; an
+    ``OSError`` names the path, as ``open`` does."""
+    fd = os.open(path, _READ_FLAGS)
+    chunks = []
+    try:
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
 def _plan_table(lines: list[str]) -> np.ndarray | None:
@@ -308,7 +321,8 @@ def load_plan_sets(path: Path | str) -> list[PlanSet]:
 
 
 def _plan_sets(values: np.ndarray, discomforts: np.ndarray) -> list[PlanSet]:
-    """Agents 1..n with the rows of an ``(n, k, d)`` and an ``(n, k)`` block."""
+    """Agents 1..n with the rows of an ``(n, k, d)`` and an ``(n, k)`` block,
+    both made read-only here, so that every row is a read-only view."""
     values.flags.writeable = discomforts.flags.writeable = False
     return [PlanSet._view(aid, *rows) for aid, rows in enumerate(zip(values, discomforts), 1)]
 

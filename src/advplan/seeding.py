@@ -7,7 +7,8 @@ O'Neill's ``seed_seq_fe`` mixing as numpy's ``SeedSequence`` implements it,
 and PCG64's two-step LCG seeding (O'Neill, "PCG: A Family of Simple Fast
 Space-Efficient Statistically Good Algorithms for Random Number
 Generation", 2014). This module runs them on whole columns of cells with
-numpy's uint32 arrays, bit for bit what numpy computes one seed at a time.
+numpy's uint32 arrays, and on a word that every cell shares as one uint32
+scalar, bit for bit what numpy computes one seed at a time.
 """
 
 from __future__ import annotations
@@ -28,53 +29,60 @@ _XSHIFT = 16
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _word(value: int) -> np.ndarray:
-    """A word that every row shares: ``value`` masked to 32 bits, as a
-    1-element uint32 array (it broadcasts, and wraps where a 0-d one warns)."""
-    return np.array([value & _MASK32], dtype=np.uint32)
+def _word(value: int) -> np.uint32:
+    """A word that every row shares: ``value`` masked to 32 bits, as a uint32
+    scalar; it broadcasts against a column of words."""
+    return np.uint32(value & _MASK32)
 
 
-def _hashmix(value: np.ndarray, const: np.ndarray, mult: int) -> np.ndarray:
-    """One SeedSequence hash step of ``value``; the step's constant, a
-    ``_word``, moves on to the next step's in place."""
-    value = value ^ const
-    const *= mult
-    value = value * const
-    return value ^ value >> _XSHIFT
+class _Hash:
+    """SeedSequence's hash step, whose constant starts at ``init`` and steps
+    by ``mult`` each time the hash is applied."""
+
+    def __init__(self, init: int, mult: int) -> None:
+        self.const, self.mult = _word(init), _word(mult)
+
+    def __call__(self, value):
+        value = value ^ self.const
+        self.const = self.const * self.mult
+        value = value * self.const
+        return value ^ value >> _XSHIFT
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _mix(x, y):
     """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
     result = _MIX_MULT_L * x - _MIX_MULT_R * y
     return result ^ result >> _XSHIFT
 
 
-def _seed_words(entropy: list[np.ndarray], n_words: int) -> list[np.ndarray]:
+def _seed_words(entropy: list, n_words: int) -> list:
     """``SeedSequence(entropy=row).generate_state(n_words)`` of every row.
 
-    ``entropy`` holds the rows' words position by position, each a uint32
-    array: one word per row, or one word (``_word``) that every row shares.
+    ``entropy`` holds the rows' words position by position: a uint32 array
+    of one word per row, or a uint32 word (``_word``) that every row shares.
     Rows shorter than the pool are padded with zero words, which is what
     ``SeedSequence`` mixes in for them; longer ones mix their extra words
     in after the pool. Each returned word is a uint32 array of one word per
-    row, or of one word when every input word is shared.
+    row, or a uint32 scalar when every input word is shared. Shared words
+    wrap as the arrays do, so their overflow warnings are silenced.
     """
     words = [*entropy, *[_word(0)] * (_POOL_SIZE - len(entropy))]
-    const = _word(_INIT_A)
-    pool = [_hashmix(word, const, _MULT_A) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const, _MULT_A))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, const, _MULT_A))
-    # Generating words out is the same hash step over the pool, cycled.
-    const = _word(_INIT_B)
-    return [_hashmix(pool[i % _POOL_SIZE], const, _MULT_B) for i in range(n_words)]
+    with np.errstate(over="ignore"):
+        hash_in = _Hash(_INIT_A, _MULT_A)
+        pool = [hash_in(word) for word in words[:_POOL_SIZE]]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hash_in(pool[src]))
+        for word in words[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = _mix(pool[dst], hash_in(word))
+        # Generating words out is the same hash step over the pool, cycled.
+        hash_out = _Hash(_INIT_B, _MULT_B)
+        return [hash_out(pool[i % _POOL_SIZE]) for i in range(n_words)]
 
 
-def _tag_word(tag) -> np.ndarray:
+def _tag_word(tag):
     """A tag's word: a string's crc32, an int masked to 32 bits, or one
     uint32 word per cell of an integer array (wrapping as the mask does)."""
     if isinstance(tag, np.ndarray) and tag.ndim:
@@ -91,7 +99,7 @@ def derive_seeds(master_seed: int, tags) -> np.ndarray:
     with every word masked to 32 bits and strings as their ``zlib.crc32``.
     Returns a uint32 array, of one seed when every tag is shared.
     """
-    return _seed_words([_word(int(master_seed)), *map(_tag_word, tags)], 1)[0]
+    return np.atleast_1d(_seed_words([_word(int(master_seed)), *map(_tag_word, tags)], 1)[0])
 
 
 def derive_seed(master_seed: int, *tags) -> int:

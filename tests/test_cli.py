@@ -321,6 +321,33 @@ def test_plan_ids_with_a_gap_exit_2(tmp_path, caplog):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_plan_file_that_is_a_directory_exits_3_naming_it(tmp_path, caplog):
+    """An ``agent_<id>.plans`` that is a directory is an i/o error naming its
+    path, on the first load of the directory and beside a cache."""
+    assert main(["generate", "--agents", "3", "--plans", "2", "--out", str(tmp_path / "p")]) == 0
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw["dataset"] = {"kind": "files", "plans_dir": "p"}
+    raw["scales"] = [0, 1]
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["estimate", "--config", str(path)]) == 0
+    assert len(list((tmp_path / "p").glob(".advplan-plans-*"))) == 1
+    plan_file = tmp_path / "p" / "agent_2.plans"
+    plan_file.unlink()
+    plan_file.mkdir()
+    with pytest.raises(IsADirectoryError) as opened:
+        open(plan_file, "rb")
+    logged = []
+    for _ in range(2):
+        caplog.clear()
+        assert main(["sweep", "--config", str(path)]) == 3
+        logged.append(caplog.text)
+        for cache in (tmp_path / "p").glob(".advplan-plans-*"):
+            cache.unlink()
+    assert f"i/o error: {opened.value}" in logged[0] and logged[0] == logged[1]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "attack",
     [

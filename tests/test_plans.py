@@ -605,3 +605,85 @@ def test_a_malformed_directory_raises_its_error_and_writes_no_cache(tmp_path, te
     with pytest.raises(error):
         load_plan_sets(tmp_path)
     assert caches(tmp_path) == []
+
+
+def test_a_plan_file_that_is_a_directory_raises_what_open_raises(tmp_path):
+    """A directory named like a plan file raises the ``OSError`` that opening
+    it raises, naming its path, with a cache present (the hash pass reads it)
+    and without one; an empty plan file still raises ``NoDataError``."""
+    write_agents(tmp_path, {1: "0:1,2\n", 2: "0:3,4\n"})
+    _, name, good = cold_and_cache(tmp_path)
+    path = tmp_path / "agent_2.plans"
+    path.unlink()
+    path.mkdir()
+    with pytest.raises(OSError) as opened:
+        open(path, "rb")
+    for cached in ([name], []):
+        with pytest.raises(IsADirectoryError) as err:
+            load_plan_sets(tmp_path)
+        assert type(err.value) is type(opened.value)
+        assert str(err.value) == str(opened.value)
+        assert err.value.filename == str(path)
+        assert caches(tmp_path) == cached
+        for stale in cached:
+            (tmp_path / stale).unlink()
+    path.rmdir()
+    path.write_bytes(b"")
+    for cached in ([], [name]):
+        if cached:
+            (tmp_path / name).write_bytes(good)
+        with pytest.raises(NoDataError) as err:
+            load_plan_sets(tmp_path)
+        assert str(err.value) == f"{path}: no plans found"
+        assert caches(tmp_path) == cached
+
+
+def test_a_plan_file_of_several_read_chunks_loads_as_its_bytes_parse(tmp_path, monkeypatch):
+    """A plan file longer than one read chunk loads, from its files and then
+    from the cache, bit for bit as ``_plan_file_table`` of its bytes."""
+    save_plan_sets(generate_gaussian_plans(2, 1_500, 8, seed=21), tmp_path)
+    path = tmp_path / "agent_2.plans"
+    data = path.read_bytes()
+    assert len(data) > 3 * plans_mod._READ_CHUNK
+    assert plans_mod._read_bytes(str(path)) == data
+    table = plans_mod._plan_file_table(str(path), data)
+    cold = load_plan_sets(tmp_path)
+    parsed = counting_parses(monkeypatch)
+    warm = load_plan_sets(tmp_path)
+    assert parsed == []
+    for plan_sets in (cold, warm):
+        assert plan_sets[1].value_matrix().tobytes() == table[:, 1:].tobytes()
+        assert plan_sets[1].discomforts().tobytes() == table[:, 0].tobytes()
+        assert plan_sets[1].value_matrix().shape == (1_500, 8)
+
+
+def test_a_warm_load_reads_each_file_once_from_the_documented_cache(tmp_path, monkeypatch):
+    """The cache's name is the sha256 of the format tag and, per file in id
+    order, ``b"%d %d\\n" % (id, len)`` and its bytes, so a cache written by an
+    earlier version stays a hit. A hit reads each plan file once, parses none,
+    and returns read-only rows of the cache's two blocks."""
+    save_plan_sets(generate_gaussian_plans(12, 3, 5, seed=4), tmp_path)
+    digest = hashlib.sha256(b"advplan plan cache 1\n")
+    for agent in range(1, 13):
+        data = (tmp_path / f"agent_{agent}.plans").read_bytes()
+        digest.update(b"%d %d\n" % (agent, len(data)))
+        digest.update(data)
+    name = f".advplan-plans-{digest.hexdigest()}.npy"
+    plan_sets, written, good = cold_and_cache(tmp_path)
+    assert written == name
+    write_cache(tmp_path / "expected", name, np.stack([ps.value_matrix() for ps in plan_sets]),
+                np.stack([ps.discomforts() for ps in plan_sets]))
+    assert (tmp_path / "expected").read_bytes() == good
+    read = []
+    read_bytes = plans_mod._read_bytes
+    monkeypatch.setattr(plans_mod, "_read_bytes", lambda path: read.append(path) or read_bytes(path))
+    parsed = counting_parses(monkeypatch)
+    warm = load_plan_sets(tmp_path)
+    assert parsed == []
+    assert read == [str(tmp_path / f"agent_{agent}.plans") for agent in range(1, 13)]
+    assert_same_plans(warm, plan_sets)
+    blocks = warm[0].value_matrix().base, warm[0].discomforts().base
+    assert [block.shape for block in blocks] == [(12, 3, 5), (12, 3)]
+    assert not any(block.flags.writeable for block in blocks)
+    for ps in warm:
+        assert (ps.value_matrix().base, ps.discomforts().base) == blocks
