@@ -21,11 +21,14 @@ _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 # numpy's SeedSequence: a pool of 4 words, hash constants for mixing entropy
 # in (A) and for generating words out (B), and the pool's mixing multipliers.
+# Each is a uint32, as every word they meet is: uint32 with uint32 stays
+# uint32 under NumPy 1's value-based casting as under NEP 50, where a Python
+# int would turn a shared uint32 word into an int64 on NumPy 1.
 _POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
+_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
+_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
@@ -35,27 +38,26 @@ def _word(value: int) -> np.uint32:
     return np.uint32(value & _MASK32)
 
 
-class _Hash:
-    """SeedSequence's hash step, whose constant starts at ``init`` and steps
-    by ``mult`` each time the hash is applied."""
-
-    def __init__(self, init: int, mult: int) -> None:
-        self.const, self.mult = _word(init), _word(mult)
-
-    def __call__(self, value):
-        value = value ^ self.const
-        self.const = self.const * self.mult
-        value = value * self.const
-        return value ^ value >> _XSHIFT
+# A column of words, one per row, or one word that every row shares.
+_Word = np.ndarray | np.uint32
 
 
-def _mix(x, y):
+def _hashmix(value: _Word, const: np.uint32, mult: np.uint32) -> tuple[_Word, np.uint32]:
+    """One SeedSequence hash step of ``value`` with constant ``const``:
+    the hashed value and the next step's constant, ``const * mult``."""
+    value = value ^ const
+    const = const * mult
+    value = value * const
+    return value ^ value >> _XSHIFT, const
+
+
+def _mix(x: _Word, y: _Word) -> _Word:
     """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
     result = _MIX_MULT_L * x - _MIX_MULT_R * y
     return result ^ result >> _XSHIFT
 
 
-def _seed_words(entropy: list, n_words: int) -> list:
+def _seed_words(entropy: list[_Word], n_words: int) -> list[_Word]:
     """``SeedSequence(entropy=row).generate_state(n_words)`` of every row.
 
     ``entropy`` holds the rows' words position by position: a uint32 array
@@ -68,21 +70,28 @@ def _seed_words(entropy: list, n_words: int) -> list:
     """
     words = [*entropy, *[_word(0)] * (_POOL_SIZE - len(entropy))]
     with np.errstate(over="ignore"):
-        hash_in = _Hash(_INIT_A, _MULT_A)
-        pool = [hash_in(word) for word in words[:_POOL_SIZE]]
+        const, pool = _INIT_A, []
+        for word in words[:_POOL_SIZE]:
+            word, const = _hashmix(word, const, _MULT_A)
+            pool.append(word)
         for src in range(_POOL_SIZE):
             for dst in range(_POOL_SIZE):
                 if src != dst:
-                    pool[dst] = _mix(pool[dst], hash_in(pool[src]))
+                    hashed, const = _hashmix(pool[src], const, _MULT_A)
+                    pool[dst] = _mix(pool[dst], hashed)
         for word in words[_POOL_SIZE:]:
             for dst in range(_POOL_SIZE):
-                pool[dst] = _mix(pool[dst], hash_in(word))
+                hashed, const = _hashmix(word, const, _MULT_A)
+                pool[dst] = _mix(pool[dst], hashed)
         # Generating words out is the same hash step over the pool, cycled.
-        hash_out = _Hash(_INIT_B, _MULT_B)
-        return [hash_out(pool[i % _POOL_SIZE]) for i in range(n_words)]
+        const, out = _INIT_B, []
+        for i in range(n_words):
+            word, const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
+            out.append(word)
+        return out
 
 
-def _tag_word(tag):
+def _tag_word(tag) -> _Word:
     """A tag's word: a string's crc32, an int masked to 32 bits, or one
     uint32 word per cell of an integer array (wrapping as the mask does)."""
     if isinstance(tag, np.ndarray) and tag.ndim:

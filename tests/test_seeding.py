@@ -15,7 +15,8 @@ import pytest
 
 from advplan.adversary import random_adversaries, random_adversary_draws, sample_k_subsets
 from advplan.errors import RangeError
-from advplan.seeding import _seed_words, derive_seed, derive_seeds, pcg64_states
+from advplan import seeding
+from advplan.seeding import _seed_words, _word, derive_seed, derive_seeds, pcg64_states
 from advplan.topology import build_balanced_binary
 
 MASK = 0xFFFFFFFF
@@ -70,6 +71,23 @@ def test_seed_words_match_seed_sequence_words_out():
             lone = _seed_words([row[i : i + 1] for i in range(width)], 8)
             assert all(word.shape == (1,) and word.dtype == np.uint32 for word in lone)
             assert np.concatenate(lone).tolist() == words.tolist()
+
+
+def test_shared_words_stay_uint32_scalars():
+    """Words that every row shares go in and come out as uint32 scalars
+    equal to numpy's. Every constant they meet is a uint32 too: under
+    NumPy 1's value-based casting a Python int operand would turn a uint32
+    scalar into an int64, which no longer wraps at 32 bits."""
+    for name in ("_INIT_A", "_MULT_A", "_INIT_B", "_MULT_B", "_MIX_MULT_L", "_MIX_MULT_R", "_XSHIFT"):
+        assert type(getattr(seeding, name)) is np.uint32, name
+    rng = np.random.default_rng(6)
+    for width in (1, 4, 9):
+        for row in random_words(rng, (20, width)).tolist():
+            words = _seed_words([_word(w) for w in row], 8)
+            assert all(type(word) is np.uint32 for word in words)
+            assert words == np.random.SeedSequence(entropy=row).generate_state(8).tolist()
+    seeds = derive_seeds(2**32 - 1, ("topology", -3, 2**40 + 5))
+    assert seeds.dtype == np.uint32 and seeds.shape == (1,)
 
 
 def test_derive_seeds_match_per_call_derivation():
