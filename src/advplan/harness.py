@@ -19,6 +19,7 @@ import operator
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 from pathlib import Path
@@ -327,7 +328,9 @@ class SweepGrid:
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "SweepGrid":
-        """Rows of a results CSV; a malformed row raises ``ParseError``."""
+        """Rows of a results CSV. A malformed row raises ``ParseError`` naming
+        its line; so does a NaN ``beta`` or ``adv_fraction``, which no run
+        writes and which would key no cell."""
         rows = []
         try:
             with open(path, newline="", encoding="utf-8") as handle:
@@ -343,12 +346,18 @@ class SweepGrid:
                     try:
                         if len(row) != len(header):
                             raise ValueError(f"{len(row)} fields, expected {len(header)}")
-                        rows.append(RunRecord._make(parse(row[i]) for i, parse in columns))
+                        record = RunRecord._make(parse(row[i]) for i, parse in columns)
+                        if math.isnan(record.beta) or math.isnan(record.adv_fraction):
+                            raise ValueError(f"beta {record.beta!r} and adv_fraction "
+                                             f"{record.adv_fraction!r}: a NaN keys no cell")
+                        rows.append(record)
                     except ValueError as exc:
                         line = reader.line_num
                         raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from None
         return cls(rows=rows)
 
 
@@ -387,11 +396,10 @@ def _cell_table(rows: list[RunRecord], mode: str, exclude_beta=()) -> _CellTable
     keys = list(map(cell_of, rows))
     starts = [0, *(i for i in range(1, len(keys)) if keys[i] != keys[i - 1])][: len(keys)]
     # Rows of two populations in one cell would be averaged together, so a
-    # cell's rows must agree on dataset and adv_fraction (a NaN equals a NaN).
+    # cell's rows must agree on dataset and adv_fraction.
     datasets = np.array([r.dataset for r in rows])
     fractions = np.array([r.adv_fraction for r in rows], dtype=float)
-    same = (fractions[1:] == fractions[:-1]) | (np.isnan(fractions[1:]) & np.isnan(fractions[:-1]))
-    differ = (datasets[1:] != datasets[:-1]) | ~same
+    differ = (datasets[1:] != datasets[:-1]) | (fractions[1:] != fractions[:-1])
     differ[np.asarray(starts[1:], dtype=np.intp) - 1] = False
     for i in np.flatnonzero(differ)[:1].tolist():
         a, b = rows[i], rows[i + 1]
@@ -408,16 +416,11 @@ def _cell_table(rows: list[RunRecord], mode: str, exclude_beta=()) -> _CellTable
         at = np.asarray(starts)[cells, None] + np.arange(size)
         # ``values[:, at]`` is not laid out in C order.
         means[:, cells] = np.ascontiguousarray(values[:, at]).mean(axis=2)
-    # A key equal to that of an earlier cell not sorted next to it (only a
-    # NaN in the keys can do that) takes the earlier place with its own means,
-    # as assigning into a dict does.
-    cell_at = {keys[start]: cell for cell, start in enumerate(starts)}
-    cells = list(cell_at.values())
     return _CellTable(
-        list(cell_at),
-        [rows[starts[cell]].adv_fraction for cell in cells],
-        dict(zip(ZONE_METRICS, means[:, cells])),
-        sizes[cells].tolist(),
+        [keys[start] for start in starts],
+        [rows[start].adv_fraction for start in starts],
+        dict(zip(ZONE_METRICS, means)),
+        sizes.tolist(),
     )
 
 
@@ -534,17 +537,13 @@ def run_attack(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, adversari
 
 
 def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells):
-    """Yield ``(cells, outcomes)`` per batch of ``split_batches`` that runs.
+    """Yield ``(batch, outcomes)`` per batch of ``split_batches``: outcome i
+    is cell i's ``RunOutcome``, or the error that cell raises when it runs alone.
 
     An RSS cell runs against row ``cell.signal`` of ``run_cfg``'s target
-    stack. A batch that fails is run again as its two halves, and a half
-    that fails is halved in turn, unless it is a second half whose first
-    half failed too: then it goes cell by cell. So a bad cell costs about
-    2·log2(B) more engine calls, and the retries of a failed batch of B cells
-    send fewer than 3B runs, where halving alone could send B·log2(B). The
-    cells still come back in order, and a cell that fails alone yields
-    ``([cell], error)``. A ``ConfigError`` concerns every cell alike, so it
-    propagates.
+    stack. A batch that fails runs again one cell at a time, so a failed
+    batch of B > 1 cells costs 1 + B engine calls and 2B runs. A
+    ``ConfigError`` concerns every cell alike, so it propagates.
     """
 
     def attempt(batch):
@@ -559,21 +558,11 @@ def _run_cells(topology, plan_sets: list[PlanSet], run_cfg: RunConfig, cells):
             return exc
 
     for batch in split_batches(plan_sets, cells):
-        # (cells, flag): the two halves of a batch share a flag, set once the
-        # first of them fails. The first half runs, with its own halves,
-        # before the second.
-        pending = [(batch, [False])]
-        while pending:
-            batch, failed = pending.pop()
-            outcomes = attempt(batch)
-            if not isinstance(outcomes, Exception) or len(batch) == 1:
-                yield batch, outcomes
-            elif failed[0]:
-                pending += [([cell], [False]) for cell in reversed(batch)]
-            else:
-                failed[0] = True
-                half, flag = len(batch) // 2, [False]
-                pending += [(batch[half:], flag), (batch[:half], flag)]
+        outcomes = attempt(batch)
+        if isinstance(outcomes, Exception):
+            alone = map(attempt, ([cell] for cell in batch)) if len(batch) > 1 else [outcomes]
+            outcomes = [out if isinstance(out, Exception) else out[0] for out in alone]
+        yield batch, outcomes
 
 
 def _scales(cfg: SweepConfig, n: int) -> tuple[int, ...]:
@@ -690,8 +679,6 @@ def _run_task(
     records: list[RunRecord] = []
     errors: list[list] = []
     for batch, outcomes in _run_cells(topology, plan_sets, run_cfg, cells):
-        if isinstance(outcomes, Exception):
-            outcomes = [outcomes]
         ran = []
         for cell, outcome in zip(batch, outcomes):
             signal_id, failed = signals[cell.signal][0], isinstance(outcome, Exception)
@@ -774,7 +761,8 @@ def _execute(
     ``resume`` (random placements only), the rows so far are read from the
     partial file or, without one, from the results file; a row that no pair
     writes is a ``ConfigError``, and every pair whose rows are all there is
-    skipped.
+    skipped. A pool worker that dies raises ``AdvplanError`` naming the
+    partial file, which keeps the rows of every task that finished before.
     """
     plan_sets, signals = load_inputs(cfg, (mode,))
     outdir = Path(cfg.output_dir)
@@ -818,15 +806,20 @@ def _execute(
         tasks = _group_signals(left, workers)
         run = functools.partial(_run_task, cfg, plan_sets, mode, signals)
         # Results come in task order, from a pool when it has two workers or more.
-        with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-            results = pool.map(run, *zip(*tasks)) if pool else itertools.starmap(run, tasks)
-            for records, errors in results:
-                error_rows.extend(errors)
-                if done:
-                    records = [record for record in records if record.sort_key() not in done]
-                grid.rows.extend(records)
-                writer.writerows(records)
-                sink.flush()
+        try:
+            with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+                results = pool.map(run, *zip(*tasks)) if pool else itertools.starmap(run, tasks)
+                for records, errors in results:
+                    error_rows.extend(errors)
+                    if done:
+                        records = [record for record in records if record.sort_key() not in done]
+                    grid.rows.extend(records)
+                    writer.writerows(records)
+                    sink.flush()
+        except BrokenProcessPool as exc:
+            hint = "; `advplan sweep --resume` continues from it" if mode == "random" else ""
+            raise AdvplanError(f"a worker process died ({exc}); the rows of the tasks that "
+                               f"finished are in {partial_path}{hint}") from None
 
     if error_rows:
         # Tasks run repetition by repetition; the file lists signal by signal.

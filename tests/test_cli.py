@@ -3,12 +3,16 @@ import dataclasses
 import itertools
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import advplan
 from advplan.adversary import beta_rows, random_adversaries, sample_k_subsets
 from advplan.cli import main
 from advplan.engine import BehaviorProfile, RunConfig, run, run_baseline
@@ -1071,3 +1075,67 @@ def test_resume_checks_and_completes_a_finished_runs_csv(tmp_path, caplog):
     resumed = (out / "runs.csv").read_bytes()
     assert main(["sweep", "--config", str(path)]) == 0
     assert resumed == (out / "runs.csv").read_bytes() != finished
+
+
+# advplan's command line, with a sweep task that ends its process at
+# repetition 3, as a process killed for want of memory ends.
+DYING_CLI = """\
+import os
+import sys
+
+import advplan.harness as harness
+
+_run_task = harness._run_task
+
+
+def dying_task(cfg, plan_sets, mode, signals, group, rep):
+    if rep == 3:
+        os._exit(9)
+    return _run_task(cfg, plan_sets, mode, signals, group, rep)
+
+
+harness._run_task = dying_task
+
+if __name__ == "__main__":
+    from advplan.cli import main
+
+    sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_whose_process_dies_resumes_to_the_same_bytes(tmp_path, workers):
+    """A real process dies in the task of repetition 3: the sweep's own
+    process when it runs serially, or one worker of a two-worker pool, which
+    exits 3 naming its partial file. A resume then writes the bytes of a
+    sweep that was never interrupted."""
+    script = tmp_path / "dying.py"
+    script.write_text(DYING_CLI)
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump({
+        "dataset": {"kind": "gaussian", "agents": 30, "plans": 3, "dim": 2, "seed": 1},
+        "severities": [0.25, 0.5, 0.75, 1.0], "scales": [0, 5, 15, 30], "runs_per_cell": 6,
+        "workers": workers, "master_seed": 11, "output_dir": "out",
+    }))
+    sweep = ["sweep", "--config", str(config), "--workdir"]
+    assert main([*sweep, str(tmp_path / "clean")]) == 0
+    expected = (tmp_path / "clean" / "out" / "runs.csv").read_bytes()
+
+    src = str(Path(advplan.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    died = subprocess.run([sys.executable, str(script), *sweep, str(tmp_path / "run")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    out = tmp_path / "run" / "out"
+    lines = (out / "runs.partial.csv").read_text().splitlines()
+    assert not (out / "runs.csv").exists() and "Traceback" not in died.stderr
+    if workers == 1:
+        # Tasks 0-2 finished, one repetition of 4 x 4 cells each.
+        assert died.returncode == 9 and len(lines) == 1 + 3 * 16
+    else:
+        assert died.returncode == 3, died.stderr
+        assert "runtime error: a worker process died" in died.stderr
+        assert f"{out / 'runs.partial.csv'}; `advplan sweep --resume` continues" in died.stderr
+    assert main([*sweep, str(tmp_path / "run"), "--resume"]) == 0
+    assert (out / "runs.csv").read_bytes() == expected
+    assert not (out / "runs.partial.csv").exists()

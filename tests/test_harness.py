@@ -695,8 +695,8 @@ def test_failed_cells_become_error_rows(tmp_path, monkeypatch):
 
 
 def test_run_cells_keeps_errors_beside_their_outcome_lists(tmp_path, monkeypatch):
-    """A failed batch is retried by halves, and only a cell that fails alone
-    comes back as its error, never inside a list of outcomes."""
+    """A failed batch runs again cell by cell, and only the cell that fails
+    alone gets its error, in its own place among the outcomes."""
     cfg = small_config(tmp_path, severities=(0.5, 1.0), scales=tuple(range(11)))
     plan_sets = harness_mod.load_dataset(cfg.dataset)
     topology = build_balanced_binary(len(plan_sets), permutation_seed=11)
@@ -704,24 +704,23 @@ def test_run_cells_keeps_errors_beside_their_outcome_lists(tmp_path, monkeypatch
     sizes = failing_run_batch(monkeypatch, cells[13].run_seed)
     yielded = list(harness_mod._run_cells(topology, plan_sets, RunConfig(rng_seed=11), cells))
     assert [cell for batch, _ in yielded for cell in batch] == cells
-    # 22 cells: the batch, then halves of the failing part down to cell 13,
-    # where a retry cell by cell would make 1 + 22 calls.
-    assert sizes == [22, 11, 11, 5, 2, 3, 1, 2, 6]
-    assert [len(batch) for batch, _ in yielded] == [11, 2, 1, 2, 6]
+    # 22 cells: the batch, then each cell alone, 1 + 22 calls and 44 runs.
+    assert sizes == [22] + [1] * 22
+    assert [len(batch) for batch, _ in yielded] == [22]
     for batch, outcomes in yielded:
-        if isinstance(outcomes, Exception):
-            assert batch == [cells[13]] and str(outcomes) == "injected failure"
-        else:
-            assert len(outcomes) == len(batch)
-            assert all(isinstance(outcome, RunOutcome) for outcome in outcomes)
-    assert sum(isinstance(outcomes, Exception) for _, outcomes in yielded) == 1
+        assert len(outcomes) == len(batch)
+        for cell, outcome in zip(batch, outcomes):
+            if isinstance(outcome, Exception):
+                assert cell == cells[13] and str(outcome) == "injected failure"
+            else:
+                assert isinstance(outcome, RunOutcome)
+    assert sum(isinstance(out, Exception) for _, outcomes in yielded for out in outcomes) == 1
 
 
-def test_retries_send_under_three_times_the_batch_and_a_halving_per_level(monkeypatch):
+def test_a_failed_batch_reruns_each_cell_alone(monkeypatch):
     """Over every set of bad cells of small batches and random sets of larger
-    ones, a failed batch of B cells costs fewer than 3B retried runs,
-    a bad cell alone at most 2·log2(B) more calls, and the cells come back
-    in order, each bad cell alone with its error."""
+    ones, a failed batch of B > 1 cells costs exactly 1 + B calls and 2B
+    runs, and the cells come back in order, each bad cell with its own error."""
     sent = []
 
     def run_batch(topology, plan_sets, betas, config, seeds):
@@ -745,14 +744,14 @@ def test_retries_send_under_three_times_the_batch_and_a_halving_per_level(monkey
         yielded = list(harness_mod._run_cells(None, None, RunConfig(), cells))
         assert [cell for batch, _ in yielded for cell in batch] == cells
         for batch, outcomes in yielded:
-            if isinstance(outcomes, Exception):
-                assert len(batch) == 1 and batch[0].run_seed in bad
-            else:
-                assert outcomes == [cell.run_seed for cell in batch] and not bad & set(outcomes)
-        levels = math.ceil(math.log2(b))
-        assert sum(sent) - b < 3 * b
-        if len(bad) == 1:
-            assert len(sent) <= 1 + 2 * levels
+            assert len(outcomes) == len(batch)
+            for cell, outcome in zip(batch, outcomes):
+                if isinstance(outcome, Exception):
+                    assert cell.run_seed in bad and str(outcome) == "bad cell"
+                else:
+                    assert outcome == cell.run_seed and outcome not in bad
+        failed = bool(bad) and b > 1
+        assert (len(sent), sum(sent)) == ((1 + b, 2 * b) if failed else (1, b))
 
 
 def test_failed_structural_cells_become_error_rows(tmp_path, monkeypatch):
@@ -844,10 +843,8 @@ def test_failed_cells_of_several_signals_keep_their_order(tmp_path, monkeypatch)
             assert list(csv.reader(handle)) == [header, *expected]
         assert grid.rows == [r for r in clean if (r.signal_id, r.run_seed) not in lost]
         if workers == 1:
-            # Failed batches are retried by halves, and a second half whose
-            # first half failed too cell by cell: 188 runs in 52 calls. Halving
-            # alone sent 214 runs in 44 calls; cell by cell would send 108 in 56.
-            assert (len(calls), sum(calls)) == (52, 188)
+            # Each failed batch runs again cell by cell: 108 runs in 56 calls.
+            assert (len(calls), sum(calls)) == (56, 108)
 
 
 def test_several_signals_give_the_same_bytes_at_any_worker_count(tmp_path, monkeypatch):
@@ -1088,19 +1085,36 @@ def test_sweeps_and_structural_runs_match_oracle(tmp_path, monkeypatch):
 def test_malformed_rows_raise_parse_error(tmp_path):
     cfg = small_config(tmp_path, severities=(0.5,), runs_per_cell=1)
     run_sweep(cfg)
+    config = write_yaml(tmp_path, {
+        "dataset": {"kind": "gaussian", "agents": 10, "plans": 3, "dim": 2, "seed": 4},
+        "severities": [0.5], "scales": [0, 2, 5, 10], "runs_per_cell": 1,
+        "output_dir": "out", "master_seed": 7,
+    })
     lines = (tmp_path / "out" / "runs.csv").read_text().splitlines(keepends=True)
+    beta_at = lines[0].split(",").index("beta")
+    nan_beta = ",".join("nan" if i == beta_at else f for i, f in enumerate(lines[2].split(",")))
     broken = {
         "short.csv": lines[:2] + [lines[2][: len(lines[2]) // 2] + "\r\n"] + lines[3:],
         "long.csv": lines[:2] + [lines[2].rstrip() + ",7\r\n"] + lines[3:],
         "nan.csv": lines[:2] + [lines[2].replace(",random,", ",random,x", 1)] + lines[3:],
         "word.csv": lines[:2] + ["a,b,c,d,e,f,g,h,i,j,k,l,m,n,o,p\r\n"] + lines[3:],
+        # No run writes a NaN severity, and a NaN keys no cell.
+        "nan_beta.csv": lines[:2] + [nan_beta] + lines[3:],
+        # An open quote whose field outgrows the csv module's limit (131,072).
+        "quote.csv": lines[:2] + ['"' + "x" * 2**17 + lines[2]] + lines[3:],
     }
+    partial = tmp_path / "out" / "runs.partial.csv"
     for name, text in broken.items():
         path = tmp_path / name
         path.write_text("".join(text))
         with pytest.raises(ParseError, match=f"{name}:3"):
             SweepGrid.read_csv(path)
         assert cli_main(["analyze", "--results", str(path), "--out", str(tmp_path / "a")]) == 3
+        assert not (tmp_path / "a").exists()
+        # A resume refuses the same file as its partial, and leaves it as it was.
+        partial.write_bytes(path.read_bytes())
+        assert cli_main(["sweep", "--config", str(config), "--resume"]) == 3
+        assert partial.read_bytes() == path.read_bytes()
     # A short or long row reports the fields it really has.
     short = broken["short.csv"][2].count(",") + 1
     for name, count in (("short.csv", short), ("long.csv", 17)):

@@ -8,6 +8,7 @@ a benchmark run.
 """
 
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -46,6 +47,26 @@ def test_a_round_of_each_analyzing_workload_passes_its_checks(tmp_path, monkeypa
     assert [op.kind for op in ops][-1] == "analyze"
     for op in ops:
         assert cli.main(op.argv) == 0, op.argv
+    assert workload.check(advplan, inputs, rnd, seed) == []
+
+
+def test_a_round_of_the_resume_workload_passes_its_checks(tmp_path, monkeypatch):
+    """Input set 0 of ``resume-parallel``: each op's partial file is copied
+    into place as the benchmark's ``run_round`` copies it, every command
+    exits 0, the torn-partial resume writes the bytes of a fresh sweep, and
+    the workload's checks find no problem."""
+    workloads, _ = _perfbench(monkeypatch)
+    workload = workloads.WORKLOADS["resume-parallel"]
+    seed = 3
+    inputs = workload.prepare(cli, tmp_path / "setup", seed, 0)
+    rnd = tmp_path / "round"
+    ops = workload.round_ops([inputs], rnd)
+    assert [op.kind for op in ops] == ["resume", "torn"]
+    for op in ops:
+        op.output.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(op.partial, op.output.parent / "runs.partial.csv")
+        assert cli.main(op.argv) == 0, op.argv
+    assert ops[-1].output.read_bytes() == inputs.torn_expected
     assert workload.check(advplan, inputs, rnd, seed) == []
 
 
