@@ -125,7 +125,7 @@ def _cmd_generate(args) -> int:
         plan_sets = [] if args.agents is None else generate_gaussian_plans(
             args.agents, args.plans, args.dim, seed=args.seed
         )
-        targets = [] if levels is None else generate_voting_targets(levels, d=len(levels))
+        targets = [] if levels is None else generate_voting_targets(levels)
     except AdvplanError as exc:
         raise ConfigError(f"invalid generate arguments: {exc}") from exc
     if not plan_sets and not targets:

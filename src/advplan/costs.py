@@ -25,7 +25,8 @@ SCALING_MODES = ("identity", "min-max", "zero-mean-unit-norm")
 SHORT_AXIS = 8
 
 
-def _canonical_kind(kind: str) -> str:
+def canonical_kind(kind: str) -> str:
+    """The name of an inefficiency kind, in lower case; an unknown one raises."""
     name = kind.strip().lower()
     if name not in INEFFICIENCY_KINDS:
         raise InvalidInputError(
@@ -34,7 +35,8 @@ def _canonical_kind(kind: str) -> str:
     return name
 
 
-def _canonical_scaling(mode: str) -> str:
+def canonical_scaling(mode: str) -> str:
+    """The name of a scaling mode, lower case and hyphenated; an unknown one raises."""
     name = mode.strip().lower().replace("_", "-")
     if name not in SCALING_MODES:
         raise InvalidInputError(f"unknown scaling mode {mode!r}; pick one of {SCALING_MODES}")
@@ -47,7 +49,7 @@ def scale_vector(values: np.ndarray, mode: str) -> np.ndarray:
     A stacked ``(..., d)`` array is scaled row by row, each row exactly as it
     would be on its own.
     """
-    return _scale_rows(np.asarray(values, dtype=float), _canonical_scaling(mode))
+    return _scale_rows(np.asarray(values, dtype=float), canonical_scaling(mode))
 
 
 def _scale_rows(values: np.ndarray, mode: str) -> np.ndarray:
@@ -127,9 +129,9 @@ class InefficiencyFn:
     scaling: str = "identity"
 
     def __post_init__(self) -> None:
-        kind = _canonical_kind(self.kind)
+        kind = canonical_kind(self.kind)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "scaling", _canonical_scaling(self.scaling))
+        object.__setattr__(self, "scaling", canonical_scaling(self.scaling))
         if kind == "rss":
             if self.target is None:
                 raise InvalidInputError("rss inefficiency requires a target signal")

@@ -46,7 +46,7 @@ from .analytics import (
     pareto_front,
     rvc_bands,
 )
-from .costs import InefficiencyFn, _canonical_kind, _canonical_scaling
+from .costs import InefficiencyFn, canonical_kind, canonical_scaling
 from .engine import RunConfig, RunOutcome, check_magnitude, run_batch, split_batches
 from .errors import AdvplanError, ConfigError, DegenerateInputError, InvalidInputError, ParseError
 from .heatmap import render_heatmap
@@ -186,8 +186,8 @@ class SweepConfig:
         object.__setattr__(self, "severities", tuple(map(float, self.severities)))
         try:
             # Kinds are compared by name from here on, so the canonical one is kept.
-            object.__setattr__(self, "inefficiency_kind", _canonical_kind(self.inefficiency_kind))
-            _canonical_scaling(self.inefficiency_scaling)
+            object.__setattr__(self, "inefficiency_kind", canonical_kind(self.inefficiency_kind))
+            canonical_scaling(self.inefficiency_scaling)
         except InvalidInputError as exc:
             raise ConfigError(f"inefficiency: {exc}") from None
         # The run settings follow RunConfig's rule; the mode keeps its canonical name.
@@ -329,20 +329,28 @@ class SweepGrid:
     @classmethod
     def read_csv(cls, path: str | Path) -> "SweepGrid":
         """Rows of a results CSV. A malformed row raises ``ParseError`` naming
-        its line; so does a NaN ``beta`` or ``adv_fraction``, which no run
-        writes and which would key no cell."""
-        rows = []
-        try:
-            with open(path, newline="", encoding="utf-8") as handle:
-                reader = csv.reader(handle)
-                header = next(reader, CSV_COLUMNS)
-                missing = set(CSV_COLUMNS) - set(header)
-                if missing:
-                    raise ParseError(f"{path}: missing columns {sorted(missing)}")
-                # A column named twice is read from its last place.
-                at = {name: i for i, name in enumerate(header)}
-                columns = [(at[name], parse) for name, parse in _FIELD_PARSERS]
-                for row in filter(None, reader):
+        the line it starts on; so does a NaN ``beta`` or ``adv_fraction``,
+        which no run writes and which would key no cell."""
+        return cls(rows=[record for _, record in _numbered_records(path)])
+
+
+def _numbered_records(path: str | Path):
+    """``(first line, record)`` for each row of a results CSV, as ``read_csv``
+    reads them; the reader counts lines, so blank and multi-line rows count."""
+    line = 1
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, CSV_COLUMNS)
+            missing = set(CSV_COLUMNS) - set(header)
+            if missing:
+                raise ParseError(f"{path}: missing columns {sorted(missing)}")
+            # A column named twice is read from its last place.
+            at = {name: i for i, name in enumerate(header)}
+            columns = [(at[name], parse) for name, parse in _FIELD_PARSERS]
+            line = reader.line_num + 1
+            for row in reader:
+                if row:
                     try:
                         if len(row) != len(header):
                             raise ValueError(f"{len(row)} fields, expected {len(header)}")
@@ -350,15 +358,14 @@ class SweepGrid:
                         if math.isnan(record.beta) or math.isnan(record.adv_fraction):
                             raise ValueError(f"beta {record.beta!r} and adv_fraction "
                                              f"{record.adv_fraction!r}: a NaN keys no cell")
-                        rows.append(record)
                     except ValueError as exc:
-                        line = reader.line_num
                         raise ParseError(f"{path}:{line}: malformed row: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
-        except csv.Error as exc:
-            raise ParseError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from None
-        return cls(rows=rows)
+                    yield line, record
+                line = reader.line_num + 1
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{line}: malformed CSV: {exc}") from None
 
 
 class _CellTable:
@@ -785,12 +792,10 @@ def _execute(
                     continue
             left[rep].append(si)
     if not done <= written:
-        for line, record in enumerate(existing, start=2):
-            if record.sort_key() not in written:
-                raise ConfigError(
-                    f"{source}:{line}: this config writes no row {record.sort_key()}; "
-                    "resume with the config that wrote the file"
-                )
+        line, key = next((line, record.sort_key()) for line, record in _numbered_records(source)
+                         if record.sort_key() not in written)
+        raise ConfigError(f"{source}:{line}: this config writes no row {key}; "
+                          "resume with the config that wrote the file")
     if source == final_path:
         # The finished rows become the partial file that the tasks left extend.
         os.replace(final_path, partial_path)

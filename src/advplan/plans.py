@@ -129,16 +129,22 @@ def _plan_table(lines: list[str]) -> np.ndarray | None:
     return None if (table[:, 0] < 0).any() else table
 
 
-def _plan_file_table(path: str, data: bytes) -> np.ndarray:
-    """The ``_plan_table`` of the plan file at ``path``, from its bytes; a
-    malformed file raises the error that names its first bad line."""
+def _text(path, data: bytes) -> str:
+    r"""``data`` as text, each "\r\n" or lone "\r" made "\n" as text mode makes
+    it; bytes that are not UTF-8 raise ``ParseError`` naming ``path``."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
-    if "\r" in text:  # split as text mode would: "\r\n" and a lone "\r" end a line too
+    if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    all_lines = text.split("\n")
+    return text
+
+
+def _plan_file_table(path: str, data: bytes) -> np.ndarray:
+    """The ``_plan_table`` of the plan file at ``path``, from its bytes; a
+    malformed file raises the error that names its first bad line."""
+    all_lines = _text(path, data).split("\n")
     lines = [line for line in map(str.strip, all_lines) if line]
     if not lines:
         raise NoDataError(f"{path}: no plans found")
@@ -170,15 +176,6 @@ def _raise_at_bad_line(path: str, lines: list[str]) -> NoReturn:
             )
         width = len(values)
     raise ParseError(f"{path}: malformed plan file")
-
-
-def _read_text(path: Path | str) -> str:
-    """A data file's text; bytes that are not UTF-8 raise ``ParseError``."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _feed(digest, agent_id: int, data: bytes) -> None:
@@ -331,50 +328,40 @@ def _format_real(x: float) -> str:
     return repr(float(x))
 
 
-def save_plan_set(plan_set: PlanSet, directory: Path | str) -> Path:
-    """Write one agent's plans in the canonical text format; returns the path."""
+def save_plan_sets(plan_sets: list[PlanSet], directory: Path | str) -> list[Path]:
+    """Write each agent's plans to ``agent_<id>.plans`` in the canonical text
+    format; returns the paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"agent_{plan_set.agent_id}.plans"
-    lines = [
-        _format_real(disc) + ":" + ",".join(map(_format_real, row))
-        for disc, row in zip(plan_set.discomforts().tolist(), plan_set.value_matrix().tolist())
-    ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    paths = [directory / f"agent_{ps.agent_id}.plans" for ps in plan_sets]
+    for ps, path in zip(plan_sets, paths):
+        lines = (_format_real(disc) + ":" + ",".join(map(_format_real, row))
+                 for disc, row in zip(ps.discomforts().tolist(), ps.value_matrix().tolist()))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return paths
 
 
-def save_plan_sets(plan_sets: list[PlanSet], directory: Path | str) -> list[Path]:
-    return [save_plan_set(ps, directory) for ps in plan_sets]
-
-
-def generate_gaussian_plans(
-    n_agents: int, k_plans: int, d: int, seed: int = 0
-) -> list[PlanSet]:
+def generate_gaussian_plans(n_agents: int, k_plans: int, d: int, seed: int = 0) -> list[PlanSet]:
     """Synthesize standard-normal plan sets with rank-based discomfort.
 
-    Every plan value is an i.i.d. N(0, 1) draw from the seeded generator.
-    Within an agent, plan ``i`` (zero-based) gets discomfort ``i``, so the
-    first plan is the most preferred one at cost 0.
+    Every plan value is an i.i.d. N(0, 1) draw from the seeded generator, all
+    in one ``(n, k, d)`` block whose read-only rows the plan sets hold, as
+    the loader's do. Plan ``i`` (zero-based) of an agent gets discomfort
+    ``i``, so its first plan is the most preferred one at cost 0.
     """
     if n_agents < 1 or k_plans < 1 or d < 1:
         raise InvalidSizeError(
             f"n_agents, k_plans and d must be positive, got ({n_agents}, {k_plans}, {d})"
         )
-    rng = np.random.default_rng(seed)
-    plan_sets = []
-    for agent_id in range(1, n_agents + 1):
-        values = rng.standard_normal((k_plans, d))
-        plan_sets.append(PlanSet(agent_id, values=values, discomforts=np.arange(k_plans)))
-    return plan_sets
+    values = np.random.default_rng(seed).standard_normal((n_agents, k_plans, d))
+    return _plan_sets(values, np.full((n_agents, k_plans), np.arange(k_plans, dtype=float)))
 
 
-def generate_voting_targets(levels: list[float], d: int) -> list[np.ndarray]:
-    """All orderings of the level values, one target vector per permutation."""
+def generate_voting_targets(levels: list[float]) -> list[np.ndarray]:
+    """All orderings of the level values, one target vector of dimension
+    ``len(levels)`` per permutation."""
     if len(set(levels)) != len(levels):
         raise InvalidInputError(f"levels must be distinct, got {levels}")
-    if d != len(levels):
-        raise InvalidInputError(f"d={d} must equal the number of levels ({len(levels)})")
     return [np.array(perm, dtype=float) for perm in itertools.permutations(levels)]
 
 
@@ -382,7 +369,7 @@ def load_target_signal(path: Path | str) -> np.ndarray:
     """Read a one-line comma-separated target-signal file as a float vector;
     NaN or an infinity raises ``InvalidInputError`` naming the file."""
     path = Path(path)
-    text = _read_text(path).strip()
+    text = _text(path, _read_bytes(str(path))).strip()
     if not text:
         raise NoDataError(f"{path}: empty target file")
     try:

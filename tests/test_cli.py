@@ -1077,24 +1077,59 @@ def test_resume_checks_and_completes_a_finished_runs_csv(tmp_path, caplog):
     assert resumed == (out / "runs.csv").read_bytes() != finished
 
 
-# advplan's command line, with a sweep task that ends its process at
-# repetition 3, as a process killed for want of memory ends.
+def test_a_stray_row_is_named_by_the_line_it_starts_on(tmp_path, caplog):
+    """A resume refuses a row its config does not write, naming the line the
+    reader read it from: a blank line before it counts. Nothing is written."""
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump({
+        "dataset": {"kind": "gaussian", "agents": 10, "plans": 3, "dim": 2, "seed": 1},
+        "severities": [0.5, 1.0], "scales": [0, 2, 5], "runs_per_cell": 2,
+        "master_seed": 7, "output_dir": "out",
+    }))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config)]) == 0
+    lines = (out / "runs.csv").read_text().splitlines(keepends=True)[:7]
+    (out / "runs.csv").unlink()
+    lines.insert(2, "\n")
+    seed_at = lines[0].split(",").index("run_seed")
+    lines[5] = ",".join("12345" if i == seed_at else f for i, f in enumerate(lines[5].split(",")))
+    (out / "runs.partial.csv").write_text("".join(lines))
+    assert main(["sweep", "--config", str(config), "--resume"]) == 2
+    assert f"{out / 'runs.partial.csv'}:6: this config writes no row" in caplog.text
+    assert [p.name for p in out.iterdir()] == ["runs.partial.csv"]
+    assert (out / "runs.partial.csv").read_text() == "".join(lines)
+
+
+# advplan's command line, ending its process as a process killed for want of
+# memory ends, at the point its first argument names: "task" in the task of
+# repetition 3 (of a structural run, in its one task), "staged" once the sorted
+# rows are staged and before they replace the results file, and "replaced"
+# once they have replaced it and before the partial file is removed.
 DYING_CLI = """\
 import os
 import sys
 
 import advplan.harness as harness
 
-_run_task = harness._run_task
+KILL = sys.argv.pop(1)
+_run_task, _replace = harness._run_task, os.replace
 
 
 def dying_task(cfg, plan_sets, mode, signals, group, rep):
-    if rep == 3:
+    if KILL == "task" and (rep == 3 or mode != "random"):
         os._exit(9)
     return _run_task(cfg, plan_sets, mode, signals, group, rep)
 
 
+def dying_replace(src, dst):
+    if KILL == "replaced":
+        _replace(src, dst)
+    os._exit(9)
+
+
 harness._run_task = dying_task
+if KILL != "task":
+    os.replace = dying_replace
 
 if __name__ == "__main__":
     from advplan.cli import main
@@ -1103,12 +1138,20 @@ if __name__ == "__main__":
 """
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_sweep_whose_process_dies_resumes_to_the_same_bytes(tmp_path, workers):
-    """A real process dies in the task of repetition 3: the sweep's own
-    process when it runs serially, or one worker of a two-worker pool, which
-    exits 3 naming its partial file. A resume then writes the bytes of a
-    sweep that was never interrupted."""
+@pytest.mark.parametrize("workers, kill, command", [
+    pytest.param(1, "task", "sweep", id="1"),
+    pytest.param(2, "task", "sweep", id="2"),
+    pytest.param(1, "staged", "sweep", id="staged"),
+    pytest.param(1, "replaced", "sweep", id="replaced"),
+    pytest.param(1, "task", "layer", id="layer"),
+])
+def test_a_sweep_whose_process_dies_resumes_to_the_same_bytes(tmp_path, workers, kill, command):
+    """A real process dies: in the task of repetition 3, run by the sweep's
+    own process or by one worker of a two-worker pool, which exits 3 naming
+    its partial file; or in the finalize, before or after the staged rows
+    replace the results file. A resume then writes the bytes of a sweep that
+    was never interrupted and leaves no partial or staged file. A layer run
+    killed in its task, run again (it has no resume), does the same."""
     script = tmp_path / "dying.py"
     script.write_text(DYING_CLI)
     config = tmp_path / "cfg.yaml"
@@ -1117,25 +1160,40 @@ def test_a_sweep_whose_process_dies_resumes_to_the_same_bytes(tmp_path, workers)
         "severities": [0.25, 0.5, 0.75, 1.0], "scales": [0, 5, 15, 30], "runs_per_cell": 6,
         "workers": workers, "master_seed": 11, "output_dir": "out",
     }))
-    sweep = ["sweep", "--config", str(config), "--workdir"]
-    assert main([*sweep, str(tmp_path / "clean")]) == 0
-    expected = (tmp_path / "clean" / "out" / "runs.csv").read_bytes()
+    if command == "layer":
+        args, name = ["structural", "--config", str(config), "--mode", "layer"], "structural_layer.csv"
+    else:
+        args, name = ["sweep", "--config", str(config)], "runs.csv"
+    assert main([*args, "--workdir", str(tmp_path / "clean")]) == 0
+    expected = (tmp_path / "clean" / "out" / name).read_bytes()
 
     src = str(Path(advplan.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    died = subprocess.run([sys.executable, str(script), *sweep, str(tmp_path / "run")],
+    run = [*args, "--workdir", str(tmp_path / "run")]
+    died = subprocess.run([sys.executable, str(script), kill, *run],
                           env=env, capture_output=True, text=True, timeout=120)
     out = tmp_path / "run" / "out"
-    lines = (out / "runs.partial.csv").read_text().splitlines()
-    assert not (out / "runs.csv").exists() and "Traceback" not in died.stderr
-    if workers == 1:
-        # Tasks 0-2 finished, one repetition of 4 x 4 cells each.
-        assert died.returncode == 9 and len(lines) == 1 + 3 * 16
-    else:
+    partial = (out / name).with_suffix(".partial.csv")
+    lines = partial.read_text().splitlines()
+    assert "Traceback" not in died.stderr
+    if workers == 2:
         assert died.returncode == 3, died.stderr
         assert "runtime error: a worker process died" in died.stderr
-        assert f"{out / 'runs.partial.csv'}; `advplan sweep --resume` continues" in died.stderr
-    assert main([*sweep, str(tmp_path / "run"), "--resume"]) == 0
-    assert (out / "runs.csv").read_bytes() == expected
-    assert not (out / "runs.partial.csv").exists()
+        assert f"{partial}; `advplan sweep --resume` continues" in died.stderr
+    else:
+        assert died.returncode == 9
+    if kill == "task":
+        assert not (out / name).exists()
+        if command == "layer":
+            assert lines[1:] == []  # its one task wrote no row
+        elif workers == 1:
+            # Tasks 0-2 finished, one repetition of 4 x 4 cells each.
+            assert len(lines) == 1 + 3 * 16
+    else:
+        assert len(lines) == 1 + 6 * 16
+        staged = out / "runs.csv.tmp" if kill == "staged" else out / "runs.csv"
+        assert staged.read_bytes() == expected
+    assert main(run if command == "layer" else [*run, "--resume"]) == 0
+    assert (out / name).read_bytes() == expected
+    assert [p.name for p in out.iterdir()] == [name]

@@ -1102,12 +1102,14 @@ def test_malformed_rows_raise_parse_error(tmp_path):
         "nan_beta.csv": lines[:2] + [nan_beta] + lines[3:],
         # An open quote whose field outgrows the csv module's limit (131,072).
         "quote.csv": lines[:2] + ['"' + "x" * 2**17 + lines[2]] + lines[3:],
+        # A quote opened before a row, whose field outgrows the limit 19 lines on.
+        "spill.csv": lines[:2] + ['"' + lines[2]] + ["x" * 7_000 + "\n"] * 20 + lines[3:],
     }
     partial = tmp_path / "out" / "runs.partial.csv"
     for name, text in broken.items():
         path = tmp_path / name
         path.write_text("".join(text))
-        with pytest.raises(ParseError, match=f"{name}:3"):
+        with pytest.raises(ParseError, match=f"{name}:3: "):
             SweepGrid.read_csv(path)
         assert cli_main(["analyze", "--results", str(path), "--out", str(tmp_path / "a")]) == 3
         assert not (tmp_path / "a").exists()

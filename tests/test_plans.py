@@ -101,7 +101,7 @@ def test_save_load_save_is_stable(tmp_path):
     plan_sets = generate_gaussian_plans(5, 4, 7, seed=13)
     first = tmp_path / "a"
     second = tmp_path / "b"
-    save_plan_sets(plan_sets, first)
+    assert save_plan_sets(plan_sets, first) == [first / f"agent_{i}.plans" for i in range(1, 6)]
     reloaded = load_plan_sets(first)
     save_plan_sets(reloaded, second)
     for i in range(1, 6):
@@ -126,6 +126,22 @@ def test_gaussian_determinism_and_seed_sensitivity():
     assert not np.array_equal(a[0].value_matrix(), c[0].value_matrix())
 
 
+def test_gaussian_plans_are_rows_of_one_read_only_block():
+    """One (n, k, d) draw holds the values that n draws of (k, d) from the same
+    generator held, and the plan sets are read-only rows of it and of one
+    (n, k) discomfort block, as the loader's are."""
+    plan_sets = generate_gaussian_plans(30, 7, 5, seed=11)
+    rng = np.random.default_rng(11)
+    blocks = plan_sets[0].value_matrix().base, plan_sets[0].discomforts().base
+    assert [block.shape for block in blocks] == [(30, 7, 5), (30, 7)]
+    assert not any(block.flags.writeable for block in blocks)
+    for aid, ps in enumerate(plan_sets, 1):
+        assert ps.agent_id == aid
+        assert (ps.value_matrix().base, ps.discomforts().base) == blocks
+        assert ps.value_matrix().tobytes() == rng.standard_normal((7, 5)).tobytes()
+        assert ps.discomforts().tobytes() == np.arange(7, dtype=float).tobytes()
+
+
 def test_gaussian_sample_mean_near_zero():
     # Law-of-large-numbers check over 100k draws.
     plan_sets = generate_gaussian_plans(100, 10, 100, seed=1)
@@ -140,24 +156,22 @@ def test_gaussian_rejects_bad_sizes(bad):
 
 
 def test_voting_targets_five_levels():
-    targets = generate_voting_targets([0, 0.25, 0.5, 0.75, 1], d=5)
+    targets = generate_voting_targets([0, 0.25, 0.5, 0.75, 1])
     assert len(targets) == 120
     as_tuples = {tuple(t) for t in targets}
     assert len(as_tuples) == 120
 
 
 def test_voting_targets_small_cases():
-    two = generate_voting_targets([0, 1], d=2)
+    two = generate_voting_targets([0, 1])
     assert [t.tolist() for t in two] == [[0, 1], [1, 0]]
     assert all(t.dtype == float for t in two)
-    assert len(generate_voting_targets([0, 0.5, 1], d=3)) == 6
+    assert len(generate_voting_targets([0, 0.5, 1])) == 6
 
 
 def test_voting_targets_rejects_bad_input():
     with pytest.raises(InvalidInputError):
-        generate_voting_targets([0, 0, 1], d=3)
-    with pytest.raises(InvalidInputError):
-        generate_voting_targets([0, 1], d=3)
+        generate_voting_targets([0, 0, 1])
 
 
 def test_target_signal_file_round_trip(tmp_path):
