@@ -17,6 +17,7 @@ from .analytics import (
     multi_otsu,
     pareto_front,
 )
+from .config import SweepConfig, load_config
 from .costs import (
     GlobalResponse,
     InefficiencyFn,
@@ -31,11 +32,9 @@ from .engine import (
     run_batch,
 )
 from .harness import (
-    SweepConfig,
     SweepGrid,
     analyze,
     estimate_experiment_count,
-    load_config,
     run_structural,
     run_sweep,
 )

@@ -21,6 +21,7 @@ from .adversary import (
     random_adversaries,
     sample_k_subsets,
 )
+from .config import DatasetSpec, load_config, populations
 from .costs import InefficiencyFn
 from .engine import RunConfig
 from .errors import AdvplanError, ConfigError
@@ -95,16 +96,12 @@ def _build_parser() -> argparse.ArgumentParser:
     estimate = sub.add_parser("estimate", help="print the experiment count of a config")
     _add_config_args(estimate)
 
-    ana = sub.add_parser("analyze", help="zones, fronts, knees, and heatmaps from results")
+    ana = sub.add_parser("analyze", aliases=["plot"],
+                         help="zones, fronts, knees, and heatmaps from results")
     ana.add_argument("--results", required=True, nargs="+", help="run CSVs to pool")
     ana.add_argument("--out", required=True)
     ana.add_argument("--bins", type=int, default=256)
     ana.add_argument("--exclude-beta", type=float, action="append", default=[])
-
-    plot = sub.add_parser("plot", help="re-render heatmaps from run CSVs")
-    plot.add_argument("--results", required=True, nargs="+")
-    plot.add_argument("--out", required=True)
-    plot.add_argument("--exclude-beta", type=float, action="append", default=[])
     return parser
 
 
@@ -176,7 +173,7 @@ def _cmd_run(args) -> int:
     if not 0.0 < args.severity <= 1.0:
         raise ConfigError(f"--severity must be in (0, 1], got {args.severity}")
     # The plan flags are a dataset, loaded and checked as a config's dataset is.
-    plan_sets = harness.load_dataset(harness.DatasetSpec(
+    plan_sets = harness.load_dataset(DatasetSpec(
         "files" if args.plans_dir else "gaussian", plans_dir=args.plans_dir,
         agents=args.agents, plans=args.plans, dim=args.dim, seed=args.gen_seed,
     ))
@@ -212,52 +209,40 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = harness.load_config(args.config, workdir=args.workdir, master_seed=args.seed)
+    cfg = load_config(args.config, workdir=args.workdir, master_seed=args.seed)
     grid = harness.run_sweep(cfg, resume=args.resume)
     print(f"{len(grid.rows)} runs -> {Path(cfg.output_dir) / 'runs.csv'}")
     return 0
 
 
 def _cmd_structural(args) -> int:
-    cfg = harness.load_config(args.config, workdir=args.workdir, master_seed=args.seed)
+    cfg = load_config(args.config, workdir=args.workdir, master_seed=args.seed)
     grid = harness.run_structural(cfg, mode=args.mode)
     print(f"{len(grid.rows)} runs -> {Path(cfg.output_dir) / f'structural_{args.mode}.csv'}")
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    cfg = harness.load_config(args.config, workdir=args.workdir, master_seed=args.seed)
+    cfg = load_config(args.config, workdir=args.workdir, master_seed=args.seed)
     print(sum(
         harness.estimate_experiment_count(pop, len(harness.load_inputs(pop, pop.placements)[0]))
-        for pop in harness.populations(cfg)
+        for pop in populations(cfg)
     ))
     return 0
-
-
-def _pooled_grid(paths) -> harness.SweepGrid:
-    grid = harness.SweepGrid()
-    for path in paths:
-        grid.rows.extend(harness.SweepGrid.read_csv(path).rows)
-    if not grid.rows:
-        raise ConfigError("no rows found in the given result files")
-    return grid
 
 
 def _cmd_analyze(args) -> int:
     if args.bins < 3:
         raise ConfigError(f"--bins must be at least 3 to hold three zones, got {args.bins}")
-    grid = _pooled_grid(args.results)
+    grid = harness.SweepGrid()
+    for path in args.results:
+        grid.rows.extend(harness.SweepGrid.read_csv(path).rows)
+    if not grid.rows:
+        raise ConfigError("no rows found in the given result files")
     harness.analyze(
         grid, output_dir=args.out, bins=args.bins, exclude_beta=tuple(args.exclude_beta)
     )
     print(f"analysis written to {Path(args.out)}")
-    return 0
-
-
-def _cmd_plot(args) -> int:
-    grid = _pooled_grid(args.results)
-    written = harness.analyze(grid, args.out, exclude_beta=tuple(args.exclude_beta))
-    print(f"{sum(path.suffix == '.svg' for path in written)} heatmaps written to {Path(args.out)}")
     return 0
 
 
@@ -268,7 +253,7 @@ _COMMANDS = {
     "structural": _cmd_structural,
     "estimate": _cmd_estimate,
     "analyze": _cmd_analyze,
-    "plot": _cmd_plot,
+    "plot": _cmd_analyze,
 }
 
 

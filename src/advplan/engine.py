@@ -365,8 +365,10 @@ def _run_arrays(topology, P, betas, config, seeds) -> list[RunOutcome]:
 
     cost = scalarized(ineff_total, total[:, d])
     # traces[0, b] is run b's inefficiency after each iteration, traces[1, b]
-    # its scalarized cost; column 0 holds the initial state.
-    traces = np.empty((2, count, config.max_iterations + 1))
+    # its scalarized cost; column 0 holds the initial state. A batch stops once
+    # its runs converge, which can be long before a large max_iterations, so
+    # the columns double as the iterations reach them.
+    traces = np.empty((2, count, 2))
     traces[:, :, 0] = ineff_total, cost
     outcomes: list[RunOutcome | None] = [None] * count
     active = np.arange(count)
@@ -390,6 +392,8 @@ def _run_arrays(topology, P, betas, config, seeds) -> list[RunOutcome]:
             disc, subtree, total = settle(sel)
             ineff_total = ineff(total[:, :d])
             cost = scalarized(ineff_total, total[:, d])
+        if iteration == traces.shape[2]:
+            traces = np.concatenate([traces, np.empty_like(traces)], axis=2)
         traces[:, active, iteration] = ineff_total, cost
 
         done = ~changed if iteration < config.max_iterations else np.ones_like(changed)

@@ -13,14 +13,9 @@ from scipy.stats import spearmanr
 
 from advplan.adversary import beta_rows, random_adversaries, severity_grid
 from advplan.analytics import RvcLabel, knee_mmd, multi_otsu, pareto_front, rvc_bands
+from advplan.config import DatasetSpec, SweepConfig
 from advplan.engine import BehaviorProfile, RunConfig, run, run_baseline
-from advplan.harness import (
-    DatasetSpec,
-    SweepConfig,
-    _cell_table,
-    estimate_experiment_count,
-    run_sweep,
-)
+from advplan.harness import _cell_table, estimate_experiment_count, run_sweep
 from advplan.plans import PlanSet, generate_gaussian_plans
 from advplan.topology import build_balanced_binary
 

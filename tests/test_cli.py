@@ -15,16 +15,10 @@ import yaml
 import advplan
 from advplan.adversary import beta_rows, random_adversaries, sample_k_subsets
 from advplan.cli import main
+from advplan.config import DatasetSpec, load_config, populations
 from advplan.engine import BehaviorProfile, RunConfig, run, run_baseline
 from advplan.errors import ConfigError
-from advplan.harness import (
-    DatasetSpec,
-    _metric_columns,
-    load_config,
-    populations,
-    run_structural,
-    run_sweep,
-)
+from advplan.harness import _metric_columns, run_structural, run_sweep
 from advplan.plans import PlanSet, generate_gaussian_plans, save_plan_sets
 from advplan.topology import agents_in_layer, build_balanced_binary
 
@@ -157,6 +151,31 @@ def test_run_json_matches_separate_engine_runs(capsys):
     assert payload["inefficiency"] == outcome.global_inefficiency
     assert payload["iterations"] == outcome.iterations_used
     assert payload["combined_cost_trace"] == list(outcome.combined_cost_trace)
+
+
+@pytest.mark.parametrize("command", ["sweep", "run"])
+def test_a_huge_max_iterations_gives_what_40_gives(tmp_path, capsys, command):
+    """Runs that converge within 40 iterations give the same rows, and the
+    same ``run`` JSON, under a ``max_iterations`` of 10^11: the engine's
+    traces grow with the iterations run, where traces sized to 10^11
+    iterations up front asked for TiBs and ended the command with a
+    MemoryError."""
+    outputs = []
+    for limit in (40, 10**11):
+        if command == "run":
+            assert main(["run", "--agents", "6", "--plans", "3", "--severity", "0.5",
+                         "--count", "2", "--seed", "4", "--max-iterations", str(limit)]) == 0
+            outputs.append(capsys.readouterr().out)
+            continue
+        config = tmp_path / f"{limit}.yaml"
+        config.write_text(yaml.safe_dump({
+            "dataset": {"kind": "gaussian", "agents": 6, "plans": 3, "dim": 2, "seed": 1},
+            "severities": [0.5, 1.0], "scales": [0, 3, 6], "runs_per_cell": 3,
+            "max_iterations": limit, "master_seed": 3, "output_dir": f"out{limit}",
+        }))
+        assert main(["sweep", "--config", str(config)]) == 0
+        outputs.append((tmp_path / f"out{limit}" / "runs.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def write_config(tmp_path):
@@ -571,15 +590,11 @@ def two_target_and_variance_results(tmp_path):
     return tmp_path / "rss" / "runs.csv", tmp_path / "out" / "runs.csv"
 
 
-def test_plot_counts_the_heatmaps_it_writes(tmp_path, capsys):
-    """``plot`` counts the SVGs it writes itself: 8 for two signals, 4 for one."""
-    printed = []
+def test_plot_counts_the_heatmaps_it_writes(tmp_path):
+    """``plot`` writes 8 heatmap SVGs for two signals, 4 for one."""
     for results, plots in zip(two_target_and_variance_results(tmp_path), ("p8", "p4")):
-        capsys.readouterr()
         assert main(["plot", "--results", str(results), "--out", str(tmp_path / plots)]) == 0
-        printed.append(capsys.readouterr().out.strip())
         assert len(list((tmp_path / plots).glob("*.svg"))) == int(plots[1])
-    assert printed == [f"{count} heatmaps written to {tmp_path / f'p{count}'}" for count in (8, 4)]
 
 
 def snapshot(directory):
@@ -1144,6 +1159,7 @@ if __name__ == "__main__":
     pytest.param(1, "staged", "sweep", id="staged"),
     pytest.param(1, "replaced", "sweep", id="replaced"),
     pytest.param(1, "task", "layer", id="layer"),
+    pytest.param(2, "task", "cumulative", id="cumulative"),
 ])
 def test_a_sweep_whose_process_dies_resumes_to_the_same_bytes(tmp_path, workers, kill, command):
     """A real process dies: in the task of repetition 3, run by the sweep's
@@ -1151,17 +1167,24 @@ def test_a_sweep_whose_process_dies_resumes_to_the_same_bytes(tmp_path, workers,
     its partial file; or in the finalize, before or after the staged rows
     replace the results file. A resume then writes the bytes of a sweep that
     was never interrupted and leaves no partial or staged file. A layer run
-    killed in its task, run again (it has no resume), does the same."""
+    killed in its task, and a cumulative run over two RSS targets whose pool
+    worker dies in its task, run again (they have no resume), do the same."""
     script = tmp_path / "dying.py"
     script.write_text(DYING_CLI)
     config = tmp_path / "cfg.yaml"
-    config.write_text(yaml.safe_dump({
+    settings = {
         "dataset": {"kind": "gaussian", "agents": 30, "plans": 3, "dim": 2, "seed": 1},
         "severities": [0.25, 0.5, 0.75, 1.0], "scales": [0, 5, 15, 30], "runs_per_cell": 6,
         "workers": workers, "master_seed": 11, "output_dir": "out",
-    }))
-    if command == "layer":
-        args, name = ["structural", "--config", str(config), "--mode", "layer"], "structural_layer.csv"
+    }
+    if command == "cumulative":
+        assert main(["generate", "--levels", "0,1", "--out", str(tmp_path / "targets")]) == 0
+        targets = sorted(map(str, (tmp_path / "targets").iterdir()))
+        settings["inefficiency"] = {"kind": "rss", "target_files": targets}
+    config.write_text(yaml.safe_dump(settings))
+    if command != "sweep":
+        args = ["structural", "--config", str(config), "--mode", command]
+        name = f"structural_{command}.csv"
     else:
         args, name = ["sweep", "--config", str(config)], "runs.csv"
     assert main([*args, "--workdir", str(tmp_path / "clean")]) == 0
@@ -1180,13 +1203,17 @@ def test_a_sweep_whose_process_dies_resumes_to_the_same_bytes(tmp_path, workers,
     if workers == 2:
         assert died.returncode == 3, died.stderr
         assert "runtime error: a worker process died" in died.stderr
-        assert f"{partial}; `advplan sweep --resume` continues" in died.stderr
+        if command == "sweep":
+            assert f"{partial}; `advplan sweep --resume` continues" in died.stderr
+        else:
+            assert f"finished are in {partial}\n" in died.stderr
+            assert "--resume" not in died.stderr
     else:
         assert died.returncode == 9
     if kill == "task":
         assert not (out / name).exists()
-        if command == "layer":
-            assert lines[1:] == []  # its one task wrote no row
+        if command != "sweep":
+            assert lines[1:] == []  # its tasks wrote no row
         elif workers == 1:
             # Tasks 0-2 finished, one repetition of 4 x 4 cells each.
             assert len(lines) == 1 + 3 * 16
@@ -1194,6 +1221,8 @@ def test_a_sweep_whose_process_dies_resumes_to_the_same_bytes(tmp_path, workers,
         assert len(lines) == 1 + 6 * 16
         staged = out / "runs.csv.tmp" if kill == "staged" else out / "runs.csv"
         assert staged.read_bytes() == expected
-    assert main(run if command == "layer" else [*run, "--resume"]) == 0
+    assert main(run if command != "sweep" else [*run, "--resume"]) == 0
     assert (out / name).read_bytes() == expected
+    if command == "cumulative":
+        assert len(expected.splitlines()) == 1 + 2 * 2 * 30 * 4  # signals x directions x m x beta
     assert [p.name for p in out.iterdir()] == [name]

@@ -11,6 +11,7 @@ import oracle_engine
 import pytest
 import yaml
 
+import advplan.config as config_mod
 import advplan.harness as harness_mod
 from advplan.adversary import (
     beta_rows,
@@ -20,18 +21,15 @@ from advplan.adversary import (
     severity_grid,
 )
 from advplan.cli import main as cli_main
+from advplan.config import DatasetSpec, SweepConfig, load_config, populations
 from advplan.engine import BehaviorProfile, RunConfig, RunOutcome, run, run_baseline
 from advplan.errors import ConfigError, InvalidInputError, ParseError, RangeError
 from advplan.harness import (
-    DatasetSpec,
     RunRecord,
-    SweepConfig,
     SweepGrid,
     analyze,
     derive_seed,
     estimate_experiment_count,
-    load_config,
-    populations,
     run_structural,
     run_sweep,
 )
@@ -96,7 +94,7 @@ def test_config_yaml_parses_alike_under_both_loaders(tmp_path, text):
     from conftest import yaml_parses
 
     if yaml.__with_libyaml__:
-        assert harness_mod._YAML_LOADER is yaml.CSafeLoader
+        assert config_mod._YAML_LOADER is yaml.CSafeLoader
         assert yaml_parses(text, yaml.CSafeLoader) == yaml_parses(text, yaml.SafeLoader)
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
